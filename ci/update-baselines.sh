@@ -1,5 +1,11 @@
 #!/usr/bin/env bash
-# Regenerate the checked-in engine performance baseline.
+# Regenerate the checked-in baselines: the golden result digests and the
+# engine performance baseline.
+#
+# testdata/golden.json pins the simulator's output (result JSON and every
+# export format) at fixed seeds; TestGolden fails on any drift. A change
+# that alters behaviour on purpose regenerates the digests here, so the
+# new digests land in the same diff as the change.
 #
 # CI's perf-smoke job benchmarks table1 + rack1 at -scale 4 and
 # compares the result against ci/engine-baseline.json at a generous
@@ -17,9 +23,12 @@ cd "$(dirname "$0")/.."
 reps="${1:-5}"
 out="ci/engine-baseline.json"
 
+echo "regenerating golden digests: testdata/golden.json" >&2
+go test -run TestGolden -update .
+
 echo "recording engine baseline: table1 + rack1, scale 4, ${reps} reps" >&2
 go run ./cmd/es2bench -perf -reps "$reps" -exp table1,rack1 -scale 4 \
   -progress -json "$out"
 
-echo "wrote $out — review the deltas, then commit:" >&2
+echo "wrote testdata/golden.json and $out — review the deltas, then commit:" >&2
 echo "  go run ./cmd/es2bench -compare $out $out   # sanity: zero deltas" >&2

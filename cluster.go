@@ -4,7 +4,6 @@ import (
 	"math"
 	"time"
 
-	"es2/internal/enginestats"
 	"es2/internal/telemetry"
 )
 
@@ -204,21 +203,7 @@ func (s ClusterSpec) withClusterDefaults() ClusterSpec {
 	if s.VMsPerHost <= 0 {
 		s.VMsPerHost = 2
 	}
-	if s.VCPUs <= 0 {
-		s.VCPUs = 1
-	}
-	if s.VMCores <= 0 {
-		s.VMCores = s.VCPUs
-	}
-	if s.VhostCores <= 0 {
-		s.VhostCores = s.VMsPerHost
-		if s.VhostCores > 4 {
-			s.VhostCores = 4
-		}
-	}
-	if s.Queues <= 0 {
-		s.Queues = 1
-	}
+	hostDefaults(s.VMsPerHost, &s.VCPUs, &s.VMCores, &s.VhostCores, &s.Queues)
 	if s.Fabric.PortGbps <= 0 {
 		s.Fabric.PortGbps = 40
 	}
@@ -269,15 +254,8 @@ func (s ClusterSpec) withClusterDefaults() ClusterSpec {
 			w.FailoverAfter = 3
 		}
 	}
-	if s.Telemetry && s.TelemetryWindow <= 0 {
-		s.TelemetryWindow = 10 * time.Millisecond
-	}
-	if s.CritPath && s.CritPathExemplars <= 0 {
-		s.CritPathExemplars = 8
-	}
-	if s.EngineStats && s.EngineStatsSampleN <= 0 {
-		s.EngineStatsSampleN = enginestats.DefaultSampleN
-	}
+	observerDefaults(s.Telemetry, &s.TelemetryWindow, s.CritPath, &s.CritPathExemplars,
+		s.EngineStats, &s.EngineStatsSampleN)
 	if s.Config.Hybrid && s.Config.Quota <= 0 {
 		s.Config.Quota = 4
 	}
@@ -324,23 +302,8 @@ func (s ClusterSpec) validate() error {
 		return specErr("VMsPerHost", "%d hosts x %d VMs exceeds the supported maximum %d",
 			s.Hosts, s.VMsPerHost, maxClusterVMs)
 	}
-	if s.VMsPerHost > maxVMs {
-		return specErr("VMsPerHost", "%d exceeds the supported maximum %d", s.VMsPerHost, maxVMs)
-	}
-	if s.VCPUs > maxVCPUs {
-		return specErr("VCPUs", "%d exceeds the supported maximum %d", s.VCPUs, maxVCPUs)
-	}
-	if s.VMCores > maxCores {
-		return specErr("VMCores", "%d exceeds the supported maximum %d", s.VMCores, maxCores)
-	}
-	if s.VhostCores > maxCores {
-		return specErr("VhostCores", "%d exceeds the supported maximum %d", s.VhostCores, maxCores)
-	}
-	if s.VCPUs > s.VMCores*4 {
-		return specErr("VCPUs", "%d vCPUs over %d cores exceeds supported multiplexing", s.VCPUs, s.VMCores)
-	}
-	if s.Queues > maxQueues {
-		return specErr("Queues", "%d exceeds the supported maximum %d", s.Queues, maxQueues)
+	if err := validateHost("VMsPerHost", s.VMsPerHost, s.VCPUs, s.VMCores, s.VhostCores, s.Queues); err != nil {
+		return err
 	}
 	if s.CritPathExemplars < 0 || s.CritPathExemplars > 1024 {
 		return specErr("CritPathExemplars", "%d outside [0, 1024]", s.CritPathExemplars)
@@ -427,19 +390,8 @@ func (s ClusterSpec) validate() error {
 		return specErr("Workload.FailoverAfter", "failover requires RequestTimeout")
 	}
 
-	if s.Warmup > maxDuration {
-		return specErr("Warmup", "%v exceeds the supported maximum %v", s.Warmup, maxDuration)
-	}
-	if s.Duration > maxDuration {
-		return specErr("Duration", "%v exceeds the supported maximum %v", s.Duration, maxDuration)
-	}
-	if s.Telemetry {
-		if s.TelemetryWindow < 100*time.Microsecond {
-			return specErr("TelemetryWindow", "%v below the supported minimum 100µs", s.TelemetryWindow)
-		}
-		if s.TelemetryWindow > maxDuration {
-			return specErr("TelemetryWindow", "%v exceeds the supported maximum %v", s.TelemetryWindow, maxDuration)
-		}
+	if err := validateWindows(s.Warmup, s.Duration, s.Telemetry, s.TelemetryWindow); err != nil {
+		return err
 	}
 	if err := s.Faults.Validate(); err != nil {
 		return &SpecError{Field: "Faults", Reason: err.Error()}

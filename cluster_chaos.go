@@ -22,12 +22,6 @@ type chaosFault struct {
 	mttr sim.Time
 }
 
-// serverRef names one server VM for failover targeting.
-type serverRef struct {
-	h  *clusterHost
-	vi int
-}
-
 // chaosController drives a cluster's chaos timeline: it injects the
 // scheduled macro-faults, answers the clients' failover requests from
 // the authoritative flow table, and keeps the recovery bookkeeping
@@ -58,7 +52,7 @@ type chaosController struct {
 
 	// Failover flow table: flowServer maps flow id -> index into
 	// servers (its current binding).
-	servers    []serverRef
+	servers    []vmRef
 	flowServer map[int]int
 }
 
@@ -173,7 +167,7 @@ func (cc *chaosController) noteCompletion(now sim.Time) {
 
 // serverImpaired reports whether a server VM's host cannot currently
 // serve (scheduler down, or its port dropping/blackholing frames).
-func (cc *chaosController) serverImpaired(r serverRef) bool {
+func (cc *chaosController) serverImpaired(r vmRef) bool {
 	return cc.hostDown[r.h.index] || r.h.port.Impaired()
 }
 
@@ -221,15 +215,20 @@ func (cc *chaosController) activeFaults() []string {
 	var names []string
 	for _, f := range cc.faults {
 		if f.start <= now && now < f.end {
-			target := fmt.Sprintf("h%d", f.ev.Target)
-			switch f.ev.Kind {
-			case faults.ChaosLinkFlap, faults.ChaosLinkDegrade, faults.ChaosBlackhole:
-				target = fmt.Sprintf("port%d", f.ev.Target)
-			}
-			names = append(names, f.ev.Kind.String()+" "+target)
+			names = append(names, f.ev.Kind.String()+" "+f.target())
 		}
 	}
 	return names
+}
+
+// target names the fault's victim: "hN" for host faults, "portN" for
+// fabric faults.
+func (f *chaosFault) target() string {
+	switch f.ev.Kind {
+	case faults.ChaosLinkFlap, faults.ChaosLinkDegrade, faults.ChaosBlackhole:
+		return fmt.Sprintf("port%d", f.ev.Target)
+	}
+	return fmt.Sprintf("h%d", f.ev.Target)
 }
 
 // report assembles ClusterResult.Recovery at the horizon.
@@ -243,7 +242,6 @@ func (cc *chaosController) report(window sim.Time) *RecoveryReport {
 	}
 	rep := &RecoveryReport{TotalWindows: availWindows}
 	for _, f := range cc.faults {
-		target := fmt.Sprintf("h%d", f.ev.Target)
 		switch f.ev.Kind {
 		case faults.ChaosHostCrash:
 			rep.HostCrashes++
@@ -251,17 +249,14 @@ func (cc *chaosController) report(window sim.Time) *RecoveryReport {
 			rep.HostFreezes++
 		case faults.ChaosLinkFlap:
 			rep.LinkFlaps++
-			target = fmt.Sprintf("port%d", f.ev.Target)
 		case faults.ChaosLinkDegrade:
 			rep.LinkDegrades++
-			target = fmt.Sprintf("port%d", f.ev.Target)
 		case faults.ChaosBlackhole:
 			rep.Blackholes++
-			target = fmt.Sprintf("port%d", f.ev.Target)
 		}
 		rf := RecoveryFault{
 			Kind:     f.ev.Kind.String(),
-			Target:   target,
+			Target:   f.target(),
 			StartMs:  float64(f.start-cc.winStart) / 1e6,
 			OutageMs: float64(f.end-f.start) / 1e6,
 			MTTRMs:   -1,

@@ -3,44 +3,28 @@ package es2
 import (
 	"fmt"
 	"os"
-	"runtime"
-	"sync"
 	"time"
 
 	"es2/internal/causal"
-	"es2/internal/core"
 	"es2/internal/enginestats"
 	"es2/internal/fabric"
 	"es2/internal/faults"
-	"es2/internal/guest"
 	"es2/internal/loadgen"
 	"es2/internal/metrics"
 	"es2/internal/netsim"
-	"es2/internal/profile"
-	"es2/internal/sched"
 	"es2/internal/sim"
 	"es2/internal/slo"
-	"es2/internal/trace"
+	"es2/internal/telemetry"
 	"es2/internal/vhost"
 	"es2/internal/vmm"
 	"es2/internal/workloads"
 )
 
-// clusterHost is one fully wired machine of the rack: its own
-// scheduler, KVM, ES2 installation, VMs, guest kernels and vhost
-// back-end, attached to the fabric through one NIC port.
+// clusterHost is one machine of the rack, attached to the fabric
+// through one NIC port.
 type clusterHost struct {
+	*hostBed
 	index int
-	cfg   Config
-
-	sch      *sched.Scheduler
-	k        *vmm.KVM
-	es       *core.ES2
-	vms      []*vmm.VM
-	kerns    []*guest.Kernel
-	devs     []*vhost.Device
-	devsByVM [][]*vhost.Device
-	ios      []*vhost.IOThread
 
 	port  *fabric.Port
 	demux *hostDemux
@@ -52,19 +36,12 @@ type clusterHost struct {
 	loads   []*workloads.OpenLoopClient
 	servers []*workloads.Server
 	lat     *metrics.LogHistogram
+}
 
-	prof *profile.Profiler
-	path *trace.PathTracer
-
-	// inj is this host's fault injector (one private RNG fork per
-	// host), so warmup reset clears every host's tallies and per-host
-	// fault activity stays attributable.
-	inj *faults.Injector
-
-	// Warmup-end baselines.
-	vhostBusy0                             sim.Time
-	redirBase, keptBase, onBase, offBase   uint64
-	retransBase, wdBase, repollBase, piFbB uint64
+// vmRef names VM vi of host h.
+type vmRef struct {
+	h  *clusterHost
+	vi int
 }
 
 // hostDemux is a host NIC's receive side: ingress frames are fanned to
@@ -111,40 +88,37 @@ type clusterBed struct {
 
 	chaos   *chaosController
 	chk     *faults.Checker
-	tel     *clusterTelemetry
+	tel     *telemetry.Recorder // nil unless spec.Telemetry
 	perf    *enginestats.Collector
 	sloEval *slo.Evaluator
 }
-
-// faultsOn reports whether micro-fault injection is active (per-host
-// injectors exist).
-func (cb *clusterBed) faultsOn() bool { return cb.spec.Faults.Enabled() }
 
 // faultCounters sums the per-host injector tallies.
 func (cb *clusterBed) faultCounters() faults.Counters {
 	var c faults.Counters
 	for _, h := range cb.hosts {
-		if h.inj == nil {
-			continue
+		if h.inj != nil {
+			c.Add(h.inj.Counters)
 		}
-		hc := h.inj.Counters
-		c.WireDrops += hc.WireDrops
-		c.WireDups += hc.WireDups
-		c.LostKicks += hc.LostKicks
-		c.LostSignals += hc.LostSignals
-		c.VhostStalls += hc.VhostStalls
-		c.PIOutages += hc.PIOutages
-		c.PreemptStorms += hc.PreemptStorms
 	}
 	return c
 }
 
-// hostConfig returns host i's event-path configuration.
-func (s ClusterSpec) hostConfig(i int) Config {
-	if len(s.HostConfigs) > 0 {
-		return s.HostConfigs[i]
+// hostSpec returns host i's build spec: the shared shape and
+// observers with the host's own Config and direct-assignment setting.
+func (s ClusterSpec) hostSpec(i int, probe *causal.Probe) hostSpec {
+	hs := hostSpec{
+		cfg: s.Config, costs: vmm.DefaultCosts(),
+		vcpus: s.VCPUs, vmCores: s.VMCores, vhostCores: s.VhostCores, queues: s.Queues,
+		direct: s.DirectAssign, pathTrace: s.PathTrace, cpuProfile: s.CPUProfile, causal: probe,
 	}
-	return s.Config
+	if len(s.HostConfigs) > 0 {
+		hs.cfg = s.HostConfigs[i]
+	}
+	if len(s.DirectHosts) > 0 {
+		hs.direct = s.DirectHosts[i]
+	}
+	return hs
 }
 
 // RunCluster executes one cluster scenario to completion. All hosts
@@ -162,7 +136,9 @@ func RunCluster(spec ClusterSpec) (*ClusterResult, error) {
 	}
 	if spec.Check || os.Getenv("ES2_CHECK") != "" {
 		cb.chk = faults.NewChecker(cb.eng, checkerTick)
-		cb.registerInvariants(cb.chk)
+		for _, h := range cb.hosts {
+			h.registerInvariants(cb.chk)
+		}
 		cb.chk.Start()
 	}
 
@@ -177,13 +153,13 @@ func RunCluster(spec ClusterSpec) (*ClusterResult, error) {
 		cb.setupClusterSLO()
 		cb.sloEval.Start(cb.eng, warmup, warmup+window)
 	}
-	if cb.tel != nil {
+	if spec.Telemetry {
 		cb.startTelemetry(warmup + window)
 	}
 	cb.eng.Run(warmup + window)
 	cb.perf.Stop()
 	if cb.tel != nil {
-		cb.tel.rec.Finalize()
+		cb.tel.Finalize()
 	}
 	return cb.collect(window), nil
 }
@@ -192,30 +168,7 @@ func RunCluster(spec ClusterSpec) (*ClusterResult, error) {
 // <= 0 selects GOMAXPROCS), preserving input order. Each scenario runs
 // on its own engine, so results are identical to sequential runs.
 func RunManyCluster(specs []ClusterSpec, parallelism int) ([]*ClusterResult, error) {
-	if parallelism <= 0 {
-		parallelism = runtime.GOMAXPROCS(0)
-	}
-	results := make([]*ClusterResult, len(specs))
-	errs := make([]error, len(specs))
-	sem := make(chan struct{}, parallelism)
-	var wg sync.WaitGroup
-	for i, s := range specs {
-		i, s := i, s
-		wg.Add(1)
-		sem <- struct{}{}
-		go func() {
-			defer wg.Done()
-			defer func() { <-sem }()
-			results[i], errs[i] = RunCluster(s)
-		}()
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return results, err
-		}
-	}
-	return results, nil
+	return runPool(specs, parallelism, RunCluster)
 }
 
 // buildCluster wires the rack in deterministic order: the switch, then
@@ -246,10 +199,6 @@ func buildCluster(spec ClusterSpec) (*clusterBed, error) {
 		return pp[0], true
 	})
 
-	gcosts := guest.DefaultCosts()
-	vparams := vhost.DefaultParams()
-	totalCores := spec.VMCores + spec.VhostCores
-
 	if spec.CritPath {
 		cb.crit = causal.NewTracker(spec.CritPathExemplars)
 		cb.crit.LabelHosts = true
@@ -262,66 +211,15 @@ func buildCluster(spec ClusterSpec) (*clusterBed, error) {
 	}
 
 	for hi := 0; hi < spec.Hosts; hi++ {
-		cfg := spec.hostConfig(hi)
-		h := &clusterHost{index: hi, cfg: cfg}
-		h.sch = sched.New(eng, totalCores, sched.DefaultParams())
-		h.k = vmm.NewKVM(eng, h.sch, vmm.DefaultCosts())
-		h.k.Causal = cb.crit.Probe(uint8(hi))
-		h.es = core.Install(h.k, cfg)
-		if spec.PathTrace {
-			h.path = trace.NewPathTracer(nil)
-			h.sch.SetPathTracer(h.path)
-			h.k.Path = h.path
-		}
-		if spec.CPUProfile {
-			h.prof = profile.New(totalCores)
-			h.k.Prof = h.prof
-		}
+		name := fmt.Sprintf("h%d", hi)
+		h := &clusterHost{index: hi, hostBed: newHostBed(eng, name, spec.hostSpec(hi, cb.crit.Probe(uint8(hi))))}
 		h.demux = &hostDemux{byFlow: make(map[int]*vhost.Device)}
-		h.port = cb.sw.AddPort(fmt.Sprintf("h%d", hi), h.demux)
+		h.port = cb.sw.AddPort(name, h.demux)
 		h.lat = metrics.NewLogHistogram()
-
-		direct := spec.DirectAssign
-		if len(spec.DirectHosts) > 0 {
-			direct = spec.DirectHosts[hi]
-		}
-		// Under direct assignment the back-end stands in for the VF's
-		// DMA engine; the hybrid kick-polling machinery is meaningless
-		// there (there are no kick exits to eliminate).
-		hybrid := cfg.Hybrid && !direct
 		for vi := 0; vi < spec.VMsPerHost; vi++ {
-			cores := make([]int, spec.VCPUs)
-			for j := range cores {
-				cores[j] = (vi + j) % spec.VMCores
+			if _, err := h.addVM(vi, h.port); err != nil {
+				return nil, err
 			}
-			vm := h.k.NewVM(fmt.Sprintf("h%d/vm%d", hi, vi), cores)
-			kern := guest.NewKernelQueues(vm, gcosts, 1024, spec.Queues)
-			kern.Dev.DoorbellNoExit = direct
-			kern.StartBurnAll()
-			h.es.AttachVM(vm)
-
-			var vmDevs []*vhost.Device
-			for qi, pair := range kern.Dev.Pairs {
-				name := fmt.Sprintf("vhost-h%d.%d.%d", hi, vi, qi)
-				io := vhost.NewIOThread(name, h.sch, spec.VMCores+((vi+qi)%spec.VhostCores), vparams)
-				io.SetPath(h.path)
-				if h.prof != nil {
-					io.EnableProfiling(h.prof)
-				}
-				dev, err := vhost.NewDevice(name, io, pair.TX, pair.RX, h.port, hybrid, cfg.Quota)
-				if err != nil {
-					return nil, err
-				}
-				dev.Path = h.path
-				dev.Causal = cb.crit.Probe(uint8(hi))
-				vmDevs = append(vmDevs, dev)
-				h.devs = append(h.devs, dev)
-				h.ios = append(h.ios, io)
-			}
-			vm.Start()
-			h.vms = append(h.vms, vm)
-			h.kerns = append(h.kerns, kern)
-			h.devsByVM = append(h.devsByVM, vmDevs)
 		}
 		cb.hosts = append(cb.hosts, h)
 	}
@@ -332,10 +230,6 @@ func buildCluster(spec ClusterSpec) (*clusterBed, error) {
 	// round-robin load balancing across hosts.
 	srvCfg := workloads.DefaultServerConfig()
 	srvCfg.ServiceCost = sim.DurationOf(spec.Workload.ServiceCost)
-	type vmRef struct {
-		h  *clusterHost
-		vi int
-	}
 	var clientVMs, serverVMs []vmRef
 	for _, h := range cb.hosts {
 		for vi := range h.vms {
@@ -346,8 +240,7 @@ func buildCluster(spec ClusterSpec) (*clusterBed, error) {
 			}
 		}
 	}
-	loadOn := spec.Workload.Load.Enabled()
-	if !loadOn {
+	if !spec.Workload.Load.Enabled() {
 		for _, r := range clientVMs {
 			c := workloads.NewRPCClient(r.h.kerns[r.vi], r.h.lat, cb.clusterLat)
 			c.Causal = cb.crit.Probe(uint8(r.h.index))
@@ -451,44 +344,14 @@ func buildCluster(spec ClusterSpec) (*clusterBed, error) {
 		// deterministic host order: each host's fault stream is
 		// independent and warmup reset clears every host's tallies.
 		for _, h := range cb.hosts {
-			h := h
 			inj := faults.NewInjector(eng, eng.Rand(), spec.Faults)
-			h.inj = inj
 			inj.AttachWire(func(fault func() netsim.FaultAction) { h.port.SendFault = fault })
-			for _, d := range h.devs {
-				inj.AttachQueue(d.TXQ)
-				inj.AttachQueue(d.RXQ)
-			}
-			for _, io := range h.ios {
-				inj.AttachIOThread(io)
-			}
-			for _, vm := range h.vms {
-				for _, v := range vm.VCPUs {
-					inj.AttachVCPU(v)
-				}
-			}
-			cores := spec.Faults.StormCores
-			if len(cores) == 0 {
-				for c := 0; c < spec.VMCores; c++ {
-					cores = append(cores, c)
-				}
-			}
-			inj.SetupStorms(h.sch, cores)
-			if h.prof != nil {
-				inj.EnableProfilingFor(h.sch, h.prof)
-			}
-			inj.Start()
+			h.attachInjector(inj, spec.Faults.StormCores)
 		}
 	}
 	if (spec.Faults.Enabled() && !spec.Faults.NoRecovery) || spec.Chaos.Enabled() {
 		for _, h := range cb.hosts {
-			for _, kern := range h.kerns {
-				kern.RetransmitRTO = retransmitRTO
-				kern.Dev.StartTxWatchdog(txWatchdogTick)
-			}
-			for _, d := range h.devs {
-				d.StartRePoll(vhostRePollTick)
-			}
+			h.armRecovery()
 		}
 	}
 	if spec.Chaos.Enabled() {
@@ -497,10 +360,8 @@ func buildCluster(spec ClusterSpec) (*clusterBed, error) {
 		cc := &chaosController{
 			cb:         cb,
 			hostDown:   make([]bool, spec.Hosts),
+			servers:    serverVMs,
 			flowServer: flowSrv,
-		}
-		for _, r := range serverVMs {
-			cc.servers = append(cc.servers, serverRef{h: r.h, vi: r.vi})
 		}
 		cb.chaos = cc
 		cc.install(eng.Rand().Fork(), sim.DurationOf(spec.Warmup), sim.DurationOf(spec.Duration))
@@ -514,55 +375,16 @@ func buildCluster(spec ClusterSpec) (*clusterBed, error) {
 			cb.crit.Degraded = func() bool { return cc.active > 0 }
 		}
 	}
-	if spec.Telemetry {
-		cb.setupClusterTelemetry()
-	}
 	return cb, nil
-}
-
-// registerInvariants wires every checkable structure of every host
-// into the invariant checker.
-func (cb *clusterBed) registerInvariants(chk *faults.Checker) {
-	for _, h := range cb.hosts {
-		for _, d := range h.devs {
-			d := d
-			chk.Add("virtqueue/"+d.Name+"/tx", d.TXQ.CheckInvariants)
-			chk.Add("virtqueue/"+d.Name+"/rx", d.RXQ.CheckInvariants)
-		}
-		for _, vm := range h.vms {
-			vm := vm
-			for _, v := range vm.VCPUs {
-				v := v
-				chk.Add(fmt.Sprintf("apic/%s/vcpu%d", vm.Name, v.ID), v.VAPIC.CheckInvariants)
-			}
-			if h.es.Watcher != nil {
-				w := h.es.Watcher
-				chk.Add("schedwatcher/"+vm.Name, func() error {
-					return w.CheckConsistency(vm)
-				})
-			}
-		}
-	}
 }
 
 // resetAtWarmupEnd zeroes every windowed statistic at the start of the
 // measurement window.
 func (cb *clusterBed) resetAtWarmupEnd() {
 	for _, h := range cb.hosts {
-		for _, vm := range h.vms {
-			vm.ResetStats()
-		}
-		for _, d := range h.devs {
-			d.ResetStats()
-		}
-		h.vhostBusy0 = 0
-		for _, io := range h.ios {
-			h.vhostBusy0 += io.Thread.SumExec()
-		}
-		if red := h.es.Redirector; red != nil {
-			h.redirBase, h.keptBase = red.Redirected, red.KeptAffinity
-			h.onBase, h.offBase = red.OnlineHits, red.OfflinePredicts
-		}
+		// Every host's injector is cleared, so warmup-era faults never
+		// leak into the measured window's counters.
+		h.startWindow()
 		for _, c := range h.clients {
 			c.ResetStats()
 		}
@@ -570,21 +392,6 @@ func (cb *clusterBed) resetAtWarmupEnd() {
 			c.ResetStats()
 		}
 		h.lat.Reset()
-		if h.path != nil {
-			h.path.Reset()
-		}
-		if h.prof != nil {
-			h.prof.Reset()
-		}
-		if h.inj != nil || cb.chaos != nil {
-			h.retransBase, h.wdBase = h.sumRetransmits(), h.sumWatchdogFires()
-			h.repollBase, h.piFbB = h.sumRePolls(), h.k.PIFallbacks
-		}
-		// Every host's injector is cleared, so warmup-era faults never
-		// leak into the measured window's counters.
-		if h.inj != nil {
-			h.inj.ResetCounters()
-		}
 	}
 	cb.sw.ResetStats()
 	cb.clusterLat.Reset()
@@ -597,74 +404,23 @@ func (cb *clusterBed) resetAtWarmupEnd() {
 	}
 }
 
-func (h *clusterHost) sumRetransmits() uint64 {
-	var n uint64
-	for _, kern := range h.kerns {
-		n += kern.TCPRetransmits
-	}
-	return n
-}
-
-func (h *clusterHost) sumWatchdogFires() uint64 {
-	var n uint64
-	for _, kern := range h.kerns {
-		n += kern.Dev.WatchdogFires
-	}
-	return n
-}
-
-func (h *clusterHost) sumRePolls() uint64 {
-	var n uint64
-	for _, d := range h.devs {
-		n += d.RePolls
-	}
-	return n
-}
-
 // hostResult assembles host h's per-host Result over the window.
 func (cb *clusterBed) hostResult(h *clusterHost, window sim.Time) *Result {
 	spec := cb.spec
 	r := &Result{
 		Name:            fmt.Sprintf("%s/h%d", spec.Name, h.index),
-		Config:          h.cfg,
+		Config:          h.hs.cfg,
 		MeasuredSeconds: window.Seconds(),
 		ExitRates:       make(map[string]float64),
 	}
-	var guestT, totalT sim.Time
-	for _, vm := range h.vms {
-		for i := 0; i < vmm.NumExitReasons; i++ {
-			r.ExitRates[vmm.ExitReason(i).String()] += vm.Exits.Rate(i, window)
-		}
-		r.TotalExitRate += vm.Exits.TotalRate(window)
-		r.IOExitRate += vm.Exits.Rate(int(vmm.ExitIOInstruction), window)
-		r.DevIRQRate += vm.DevIRQDelivered.Rate(window)
-		for _, v := range vm.VCPUs {
-			guestT += v.GuestTime
-			totalT += v.GuestTime + v.HostTime
-		}
+	// Every VM counts; TIG is 0, not 1, on a host whose vCPUs never ran.
+	for vi := range h.vms {
+		h.addVMCounters(r, vi, window)
 	}
-	if totalT > 0 {
+	if guestT, totalT := vcpuTime(h.vms); totalT > 0 {
 		r.TIG = float64(guestT) / float64(totalT)
 	}
-	var busy sim.Time
-	for _, io := range h.ios {
-		busy += io.Thread.SumExec()
-	}
-	if spec.VhostCores > 0 && window > 0 {
-		r.VhostCPU = float64(busy-h.vhostBusy0) / (float64(window) * float64(spec.VhostCores))
-	}
-	if red := h.es.Redirector; red != nil {
-		redir := red.Redirected - h.redirBase
-		kept := red.KeptAffinity - h.keptBase
-		if redir+kept > 0 {
-			r.RedirectRate = float64(redir) / float64(redir+kept)
-		}
-		online := red.OnlineHits - h.onBase
-		offline := red.OfflinePredicts - h.offBase
-		if online+offline > 0 {
-			r.OfflinePredictRate = float64(offline) / float64(online+offline)
-		}
-	}
+	h.fillHost(r, window)
 	var done, bytes uint64
 	for _, c := range h.clients {
 		done += c.Completed
@@ -679,30 +435,7 @@ func (cb *clusterBed) hostResult(h *clusterHost, window sim.Time) *Result {
 		r.ThroughputMbps = mbps(bytes, window)
 		fillLatency(r, h.lat)
 	}
-	for _, d := range h.devs {
-		r.TxPkts += d.TxPkts
-		r.RxPkts += d.RxPkts
-		r.Drops += d.BacklogDrops
-	}
-	for _, kern := range h.kerns {
-		r.Drops += kern.Dev.LocalDrops
-	}
 	r.Drops += h.demux.Drops
-	if h.path != nil {
-		for _, st := range h.path.Stats() {
-			r.PathBreakdown = append(r.PathBreakdown, PathStage{
-				Stage: st.Stage.String(), Mechanism: st.Mechanism.String(),
-				Count: st.Count, Mean: time.Duration(st.Mean),
-				P50: time.Duration(st.P50), P99: time.Duration(st.P99),
-				Max: time.Duration(st.Max),
-			})
-		}
-	}
-	if h.prof != nil {
-		h.prof.Finalize(window)
-		r.CPUProfile = h.prof
-		r.CPUReport = buildCPUReport(h.prof, ScenarioSpec{VhostCores: spec.VhostCores}, window)
-	}
 	return r
 }
 
@@ -727,7 +460,7 @@ func (cb *clusterBed) collect(window sim.Time) *ClusterResult {
 		ExitRates:       make(map[string]float64),
 	}
 	var guestT, totalT, busy sim.Time
-	var redir, kept, online, offline uint64
+	var redir redirectCounts
 	for _, h := range cb.hosts {
 		hr := cb.hostResult(h, window)
 		res.PerHost = append(res.PerHost, hr)
@@ -742,35 +475,16 @@ func (cb *clusterBed) collect(window sim.Time) *ClusterResult {
 		agg.TxPkts += hr.TxPkts
 		agg.RxPkts += hr.RxPkts
 		agg.Drops += hr.Drops
-		for _, vm := range h.vms {
-			for _, v := range vm.VCPUs {
-				guestT += v.GuestTime
-				totalT += v.GuestTime + v.HostTime
-			}
-		}
-		for _, io := range h.ios {
-			busy += io.Thread.SumExec()
-		}
-		busy -= h.vhostBusy0
-		if red := h.es.Redirector; red != nil {
-			redir += red.Redirected - h.redirBase
-			kept += red.KeptAffinity - h.keptBase
-			online += red.OnlineHits - h.onBase
-			offline += red.OfflinePredicts - h.offBase
-		}
+		g, t := vcpuTime(h.vms)
+		guestT, totalT = guestT+g, totalT+t
+		busy += h.vhostBusy() - h.vhostBusy0
+		redir = redir.plus(h.redirects().minus(h.redir0))
 	}
 	if totalT > 0 {
 		agg.TIG = float64(guestT) / float64(totalT)
 	}
-	if spec.VhostCores > 0 && window > 0 {
-		agg.VhostCPU = float64(busy) / (float64(window) * float64(spec.VhostCores*spec.Hosts))
-	}
-	if redir+kept > 0 {
-		agg.RedirectRate = float64(redir) / float64(redir+kept)
-	}
-	if online+offline > 0 {
-		agg.OfflinePredictRate = float64(offline) / float64(online+offline)
-	}
+	agg.VhostCPU = vhostCPU(busy, window, spec.VhostCores*spec.Hosts)
+	redir.fill(agg)
 	fillLatency(agg, cb.clusterLat)
 	res.Aggregate = agg
 
@@ -787,12 +501,8 @@ func (cb *clusterBed) collect(window sim.Time) *ClusterResult {
 				if ff.Flows == 0 || time.Duration(mean) < ff.MinMean {
 					ff.MinMean = time.Duration(mean)
 				}
-				if time.Duration(mean) > ff.MaxMean {
-					ff.MaxMean = time.Duration(mean)
-				}
-				if time.Duration(f.LatMax) > ff.MaxMax {
-					ff.MaxMax = time.Duration(f.LatMax)
-				}
+				ff.MaxMean = max(ff.MaxMean, time.Duration(mean))
+				ff.MaxMax = max(ff.MaxMax, time.Duration(f.LatMax))
 				sumMeans += mean
 				ff.Flows++
 			}
@@ -828,29 +538,12 @@ func (cb *clusterBed) collect(window sim.Time) *ClusterResult {
 		res.CriticalPath = cb.crit.Report()
 	}
 
-	if cb.faultsOn() || cb.chaos != nil {
-		c := cb.faultCounters()
-		var retrans, wd, repoll, piFb uint64
+	if spec.Faults.Enabled() || cb.chaos != nil {
+		var rec recoveryCounts
 		for _, h := range cb.hosts {
-			retrans += h.sumRetransmits() - h.retransBase
-			wd += h.sumWatchdogFires() - h.wdBase
-			repoll += h.sumRePolls() - h.repollBase
-			piFb += h.k.PIFallbacks - h.piFbB
+			rec = rec.plus(h.recoveries().minus(h.rec0))
 		}
-		res.Faults = &FaultReport{
-			Injected:      c.Injected(),
-			WireDrops:     c.WireDrops,
-			WireDups:      c.WireDups,
-			LostKicks:     c.LostKicks,
-			LostSignals:   c.LostSignals,
-			VhostStalls:   c.VhostStalls,
-			PIOutages:     c.PIOutages,
-			PreemptStorms: c.PreemptStorms,
-			Retransmits:   retrans,
-			WatchdogFires: wd,
-			VhostRePolls:  repoll,
-			PIFallbacks:   piFb,
-		}
+		res.Faults = newFaultReport(cb.faultCounters(), rec)
 	}
 	if cb.chaos != nil {
 		res.Recovery = cb.chaos.report(window)

@@ -16,28 +16,17 @@ import (
 // simulation already maintains — so a telemetry run is bit-identical
 // to a plain run of the same spec.
 
-// clusterTelemetry holds the cluster recorder. The RPC latency
-// histograms it exports are the per-host and cluster-wide spectra the
-// runner already owns (clusterHost.lat, clusterBed.clusterLat).
-type clusterTelemetry struct {
-	rec *telemetry.Recorder
-}
-
-// setupClusterTelemetry marks telemetry on; the recorder itself is
-// assembled at warmup end, after the shared histograms reset.
-func (cb *clusterBed) setupClusterTelemetry() {
-	cb.tel = &clusterTelemetry{}
-}
-
 // startTelemetry registers every series and begins recording. Called at
 // the start of the measurement window, after resetAtWarmupEnd, so the
-// recorder's baselines coincide with the scalar result's.
+// recorder's baselines coincide with the scalar result's. The RPC
+// latency histograms it exports are the per-host and cluster-wide
+// spectra the runner already owns (clusterHost.lat,
+// clusterBed.clusterLat).
 func (cb *clusterBed) startTelemetry(end sim.Time) {
 	rec := telemetry.New(cb.eng, sim.DurationOf(cb.spec.TelemetryWindow))
-	cb.tel.rec = rec
+	cb.tel = rec
 
 	for _, h := range cb.hosts {
-		h := h
 		hl := []telemetry.Label{{Key: "host", Value: fmt.Sprintf("h%d", h.index)}}
 		rec.Counter("es2_cluster_exits", "VM exits per host, all VMs and reasons.",
 			hl, func() float64 {
@@ -47,34 +36,11 @@ func (cb *clusterBed) startTelemetry(end sim.Time) {
 				}
 				return float64(n)
 			})
-		guestSec := func() float64 {
-			var g sim.Time
-			for _, vm := range h.vms {
-				for _, v := range vm.VCPUs {
-					g += v.GuestTime
-				}
-			}
-			return g.Seconds()
-		}
-		modeSec := func() float64 {
-			var t sim.Time
-			for _, vm := range h.vms {
-				for _, v := range vm.VCPUs {
-					t += v.GuestTime + v.HostTime
-				}
-			}
-			return t.Seconds()
-		}
 		rec.Fraction("es2_cluster_tig", "Time-in-guest fraction per host over the window.",
-			hl, guestSec, modeSec)
+			hl, func() float64 { g, _ := vcpuTime(h.vms); return g.Seconds() },
+			func() float64 { _, t := vcpuTime(h.vms); return t.Seconds() })
 		rec.Counter("es2_cluster_vhost_busy_seconds", "CPU seconds of the host's vhost I/O threads.",
-			hl, func() float64 {
-				var b sim.Time
-				for _, io := range h.ios {
-					b += io.Thread.SumExec()
-				}
-				return b.Seconds()
-			})
+			hl, func() float64 { return h.vhostBusy().Seconds() })
 		rec.Counter("es2_cluster_dev_irqs", "Device interrupts delivered to the host's VMs.",
 			hl, func() float64 {
 				var n uint64
@@ -101,38 +67,27 @@ func (cb *clusterBed) startTelemetry(end sim.Time) {
 				})
 		}
 		if len(h.loads) > 0 {
-			rec.Counter("es2_loadgen_offered", "Open-loop arrivals offered by the host's client VMs.",
-				hl, func() float64 {
+			for _, lc := range []struct {
+				name, help string
+				get        func(*workloads.OpenLoopClient) uint64
+			}{
+				{"es2_loadgen_offered", "Open-loop arrivals offered by the host's client VMs.",
+					func(c *workloads.OpenLoopClient) uint64 { return c.Offered }},
+				{"es2_loadgen_admitted", "Open-loop arrivals admitted into the system.",
+					func(c *workloads.OpenLoopClient) uint64 { return c.Admitted }},
+				{"es2_loadgen_shed", "Open-loop arrivals shed at full outstanding caps.",
+					func(c *workloads.OpenLoopClient) uint64 { return c.Shed }},
+				{"es2_loadgen_completed", "Open-loop logical requests completed (all fan-out legs gathered).",
+					func(c *workloads.OpenLoopClient) uint64 { return c.Completed }},
+			} {
+				rec.Counter(lc.name, lc.help, hl, func() float64 {
 					var n uint64
 					for _, c := range h.loads {
-						n += c.Offered
+						n += lc.get(c)
 					}
 					return float64(n)
 				})
-			rec.Counter("es2_loadgen_admitted", "Open-loop arrivals admitted into the system.",
-				hl, func() float64 {
-					var n uint64
-					for _, c := range h.loads {
-						n += c.Admitted
-					}
-					return float64(n)
-				})
-			rec.Counter("es2_loadgen_shed", "Open-loop arrivals shed at full outstanding caps.",
-				hl, func() float64 {
-					var n uint64
-					for _, c := range h.loads {
-						n += c.Shed
-					}
-					return float64(n)
-				})
-			rec.Counter("es2_loadgen_completed", "Open-loop logical requests completed (all fan-out legs gathered).",
-				hl, func() float64 {
-					var n uint64
-					for _, c := range h.loads {
-						n += c.Completed
-					}
-					return float64(n)
-				})
+			}
 			rec.Gauge("es2_loadgen_backlog", "Open-loop requests in flight, sampled at window end.",
 				hl, func() float64 {
 					n := 0
@@ -172,24 +127,8 @@ func (cb *clusterBed) startTelemetry(end sim.Time) {
 			func() float64 { return float64(p.EgressQueued()) })
 	}
 
-	if cb.faultsOn() {
-		for _, fc := range []struct {
-			kind string
-			get  func() uint64
-		}{
-			{"wire_drop", func() uint64 { return cb.faultCounters().WireDrops }},
-			{"wire_dup", func() uint64 { return cb.faultCounters().WireDups }},
-			{"lost_kick", func() uint64 { return cb.faultCounters().LostKicks }},
-			{"lost_signal", func() uint64 { return cb.faultCounters().LostSignals }},
-			{"vhost_stall", func() uint64 { return cb.faultCounters().VhostStalls }},
-			{"pi_outage", func() uint64 { return cb.faultCounters().PIOutages }},
-			{"preempt_storm", func() uint64 { return cb.faultCounters().PreemptStorms }},
-		} {
-			get := fc.get
-			rec.Counter("es2_faults_injected", "Faults injected across the cluster, by kind.",
-				[]telemetry.Label{{Key: "kind", Value: fc.kind}},
-				func() float64 { return float64(get()) })
-		}
+	if cb.spec.Faults.Enabled() {
+		registerFaultSeries(rec, "Faults injected across the cluster, by kind.", cb.faultCounters)
 	}
 
 	if cc := cb.chaos; cc != nil {
@@ -204,14 +143,13 @@ func (cb *clusterBed) startTelemetry(end sim.Time) {
 			{"egress_blackhole", faults.ChaosBlackhole},
 		}
 		for _, ck := range chaosKinds {
-			k := ck.k
 			rec.Counter("es2_chaos_injected", "Chaos faults whose outage window has started, by kind.",
 				[]telemetry.Label{{Key: "kind", Value: ck.kind}},
 				func() float64 {
 					now := cb.eng.Now()
 					var n uint64
 					for _, f := range cc.faults {
-						if f.ev.Kind == k && f.start <= now {
+						if f.ev.Kind == ck.k && f.start <= now {
 							n++
 						}
 					}
@@ -238,21 +176,12 @@ func (cb *clusterBed) startTelemetry(end sim.Time) {
 				}
 				return float64(n)
 			})
-		sumClients := func(get func(*workloads.RPCClient) uint64) float64 {
-			var n uint64
-			for _, h := range cb.hosts {
-				for _, c := range h.clients {
-					n += get(c)
-				}
-			}
-			return float64(n)
-		}
 		rec.Counter("es2_chaos_rpc_timeouts", "Client request deadlines expired.",
-			nil, func() float64 { return sumClients(func(c *workloads.RPCClient) uint64 { return c.Timeouts }) })
+			nil, func() float64 { return cb.sumClusterClients(func(c *workloads.RPCClient) uint64 { return c.Timeouts }) })
 		rec.Counter("es2_chaos_rpc_retries", "Client requests re-issued after a timeout.",
-			nil, func() float64 { return sumClients(func(c *workloads.RPCClient) uint64 { return c.Retries }) })
+			nil, func() float64 { return cb.sumClusterClients(func(c *workloads.RPCClient) uint64 { return c.Retries }) })
 		rec.Counter("es2_chaos_flows_migrated", "Flows failed over to a surviving server.",
-			nil, func() float64 { return sumClients(func(c *workloads.RPCClient) uint64 { return c.Migrated }) })
+			nil, func() float64 { return cb.sumClusterClients(func(c *workloads.RPCClient) uint64 { return c.Migrated }) })
 	}
 
 	for _, h := range cb.hosts {
@@ -276,7 +205,7 @@ func (cb *clusterBed) startTelemetry(end sim.Time) {
 // result: summary info, the recorder for export, and per-host plus
 // cluster-wide RPC latency profiles on the aggregate Result.
 func (cb *clusterBed) fillClusterTelemetry(res *ClusterResult) {
-	rec := cb.tel.rec
+	rec := cb.tel
 	res.TelemetryRecorder = rec
 	res.Telemetry = &TelemetryInfo{
 		WindowMs: cb.spec.TelemetryWindow.Seconds() * 1e3,

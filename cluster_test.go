@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"runtime"
 	"testing"
 	"time"
 )
@@ -221,10 +222,6 @@ func TestRunManyClusterParallelism(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, err := RunManyCluster(specs, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
 	js := func(rs []*ClusterResult) []byte {
 		b, err := json.Marshal(rs)
 		if err != nil {
@@ -232,11 +229,19 @@ func TestRunManyClusterParallelism(t *testing.T) {
 		}
 		return b
 	}
-	if !bytes.Equal(js(seq), js(par)) {
-		t.Error("RunManyCluster results differ between parallelism 1 and 8")
-	}
 	if seq[0].Name != "smoke" || seq[1].Name != "smoke-full" {
 		t.Errorf("results out of input order: %q, %q", seq[0].Name, seq[1].Name)
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, procs := range gomaxprocsSettings() {
+		runtime.GOMAXPROCS(procs)
+		par, err := RunManyCluster(specs, 8)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(js(seq), js(par)) {
+			t.Errorf("GOMAXPROCS=%d: RunManyCluster results differ between parallelism 1 and 8", procs)
+		}
 	}
 }
 

@@ -137,7 +137,8 @@ func main() {
 				e.Specs[i].Check = true
 			}
 			// Engine stats are always on: they never perturb results,
-			// cost <2% wall time, and put real wall time into the JSON
+			// cost a few percent of wall time (EXPERIMENTS.md has the
+			// measured figure), and put real wall time into the JSON
 			// envelope instead of the old ad-hoc time.Since print.
 			e.Specs[i].EngineStats = true
 		}

@@ -15,7 +15,7 @@ const reportTopN = 15
 
 // buildCPUReport condenses the finalized attribution tree into the
 // Result summary.
-func buildCPUReport(p *profile.Profiler, spec ScenarioSpec, window sim.Time) *CPUReport {
+func buildCPUReport(p *profile.Profiler, vhostCores int, window sim.Time) *CPUReport {
 	rep := &CPUReport{
 		WindowSeconds: window.Seconds(),
 		ExitNanos:     make(map[string]int64),
@@ -59,9 +59,7 @@ func buildCPUReport(p *profile.Profiler, spec ScenarioSpec, window sim.Time) *CP
 		rep.ExitNanos[name] = int64(t)
 	}
 	rep.GuestShare = p.GuestShare(0)
-	if spec.VhostCores > 0 && window > 0 {
-		rep.VhostBusy = float64(p.VhostBusy()) / (float64(window) * float64(spec.VhostCores))
-	}
+	rep.VhostBusy = vhostCPU(p.VhostBusy(), window, vhostCores)
 	return rep
 }
 

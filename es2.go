@@ -350,7 +350,8 @@ type ScenarioSpec struct {
 	// the event loop, heap push/pop counts and depth, the
 	// events-per-sim-tick distribution, and sampled per-subsystem
 	// wall/allocation attribution charged at event-callback boundaries
-	// (1-in-EngineStatsSampleN sampling keeps overhead under 2%).
+	// (1-in-EngineStatsSampleN sampling bounds the overhead; EXPERIMENTS.md
+	// records the measured figure).
 	// Result.EngineReport carries the report. Stats never perturb the
 	// simulation: simulated results are byte-identical with and without
 	// them, only real-world timings are read. Wall-clock values are

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"math"
+	"runtime"
 	"testing"
 	"time"
 )
@@ -191,24 +192,23 @@ func TestIdleBurnScenario(t *testing.T) {
 	}
 }
 
+// gomaxprocsSettings lists GOMAXPROCS 1, 2 and NumCPU, without
+// repeats.
+func gomaxprocsSettings() []int {
+	procs := []int{1, 2}
+	if n := runtime.NumCPU(); n > 2 {
+		procs = append(procs, n)
+	}
+	return procs
+}
+
 func TestRunManyPreservesOrderAndDeterminism(t *testing.T) {
 	specs := []ScenarioSpec{
 		short(Baseline(), WorkloadSpec{Kind: NetperfUDPSend, MsgBytes: 256}),
 		short(PIOnly(), WorkloadSpec{Kind: NetperfUDPSend, MsgBytes: 256}),
 		short(PIH(8), WorkloadSpec{Kind: NetperfUDPSend, MsgBytes: 256}),
 	}
-	par, err := RunMany(specs, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
 	seq, err := RunMany(specs, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Parallelism must not perturb anything: the full JSON result set is
-	// byte-identical between sequential and 8-way execution, in input
-	// order.
-	pj, err := json.Marshal(par)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -216,16 +216,31 @@ func TestRunManyPreservesOrderAndDeterminism(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(pj, sj) {
-		for i := range specs {
-			if par[i].TotalExitRate != seq[i].TotalExitRate {
-				t.Errorf("parallel vs sequential diverged at %d", i)
-			}
+	// Parallelism must not perturb anything: at every GOMAXPROCS, the
+	// full JSON result set of 8-way execution is byte-identical to the
+	// sequential one, in input order.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, procs := range gomaxprocsSettings() {
+		runtime.GOMAXPROCS(procs)
+		par, err := RunMany(specs, 8)
+		if err != nil {
+			t.Fatal(err)
 		}
-		t.Fatal("RunMany results differ between parallelism 1 and 8")
-	}
-	if par[0].Config.PI || !par[1].Config.PI {
-		t.Fatal("result order scrambled")
+		pj, err := json.Marshal(par)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(pj, sj) {
+			for i := range specs {
+				if par[i].TotalExitRate != seq[i].TotalExitRate {
+					t.Errorf("GOMAXPROCS=%d: parallel vs sequential diverged at %d", procs, i)
+				}
+			}
+			t.Fatalf("GOMAXPROCS=%d: RunMany results differ between parallelism 1 and 8", procs)
+		}
+		if par[0].Config.PI || !par[1].Config.PI {
+			t.Fatalf("GOMAXPROCS=%d: result order scrambled", procs)
+		}
 	}
 }
 

@@ -10,10 +10,11 @@
 // events-per-sim-tick distribution and — for a deterministic 1-in-N
 // sample of events — times the callback with time.Now and charges the
 // elapsed wall time and allocated bytes to the subsystem (Go package)
-// that scheduled the event. Sampling keeps the overhead well under 2%
-// of wall time at the default interval; the sampling decision is a
-// plain counter, so enabling stats never perturbs the simulation —
-// simulated results are byte-identical with and without it.
+// that scheduled the event. Sampling bounds the overhead at the default
+// interval (EXPERIMENTS.md records the measured figure); the sampling
+// decision is a plain counter, so enabling stats never perturbs the
+// simulation — simulated results are byte-identical with and without
+// it.
 //
 // Attribution labels come from the scheduling call site: when an event
 // is selected for sampling, SampleSite walks the caller PCs past the

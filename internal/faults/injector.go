@@ -167,19 +167,6 @@ func (inj *Injector) EnableProfiling(p *profile.Profiler) {
 	}
 }
 
-// EnableProfilingFor is EnableProfiling restricted to the burners of
-// one scheduler — a cluster run holds one profiler per host, so each
-// host's storms must attribute into its own profile.
-func (inj *Injector) EnableProfilingFor(sch *sched.Scheduler, p *profile.Profiler) {
-	for _, s := range inj.storms {
-		if s.sch != sch {
-			continue
-		}
-		n := p.Core(s.thread.Core()).Child("storm")
-		s.thread.Prof = func() *profile.Node { return n }
-	}
-}
-
 // Start arms the time-driven fault processes (stalls, PI outages,
 // storms). Probability-driven faults are active from attach time.
 func (inj *Injector) Start() {

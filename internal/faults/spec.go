@@ -149,6 +149,18 @@ type Counters struct {
 	PreemptStorms uint64
 }
 
+// Add accumulates o into c (one rack's per-host injectors into a
+// cluster total).
+func (c *Counters) Add(o Counters) {
+	c.WireDrops += o.WireDrops
+	c.WireDups += o.WireDups
+	c.LostKicks += o.LostKicks
+	c.LostSignals += o.LostSignals
+	c.VhostStalls += o.VhostStalls
+	c.PIOutages += o.PIOutages
+	c.PreemptStorms += o.PreemptStorms
+}
+
 // Injected returns the total number of injected fault events.
 func (c Counters) Injected() uint64 {
 	return c.WireDrops + c.WireDups + c.LostKicks + c.LostSignals +

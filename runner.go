@@ -8,15 +8,12 @@ import (
 	"time"
 
 	"es2/internal/causal"
-	"es2/internal/core"
 	"es2/internal/enginestats"
 	"es2/internal/faults"
 	"es2/internal/guest"
 	"es2/internal/loadgen"
 	"es2/internal/metrics"
 	"es2/internal/netsim"
-	"es2/internal/profile"
-	"es2/internal/sched"
 	"es2/internal/sim"
 	"es2/internal/slo"
 	"es2/internal/trace"
@@ -25,43 +22,17 @@ import (
 	"es2/internal/workloads"
 )
 
-// Recovery-mechanism timing. These mirror the real stack's orders of
-// magnitude: the netdev TX watchdog polls at millisecond scale, vhost
-// re-checks queue state far more often, and the TCP minimum RTO is
-// tens of milliseconds (scaled down to the simulator's microsecond
-// RTTs so recovery happens within a measurement window).
-const (
-	retransmitRTO   = 10 * sim.Millisecond
-	txWatchdogTick  = sim.Millisecond
-	vhostRePollTick = 20 * sim.Microsecond
-	checkerTick     = 250 * sim.Microsecond
-)
-
 // withDefaults fills zero fields with kind-appropriate defaults.
 func (s ScenarioSpec) withDefaults() ScenarioSpec {
 	if s.VMs <= 0 {
 		s.VMs = 1
 	}
-	if s.VCPUs <= 0 {
-		s.VCPUs = 1
-	}
-	if s.VMCores <= 0 {
-		s.VMCores = s.VCPUs
-	}
-	if s.VhostCores <= 0 {
-		s.VhostCores = s.VMs
-		if s.VhostCores > 4 {
-			s.VhostCores = 4
-		}
-	}
+	hostDefaults(s.VMs, &s.VCPUs, &s.VMCores, &s.VhostCores, &s.Queues)
 	if s.Warmup <= 0 {
 		s.Warmup = 300 * time.Millisecond
 	}
 	if s.Duration <= 0 {
 		s.Duration = time.Second
-	}
-	if s.Queues <= 0 {
-		s.Queues = 1
 	}
 	w := &s.Workload
 	if w.MsgBytes <= 0 {
@@ -110,15 +81,8 @@ func (s ScenarioSpec) withDefaults() ScenarioSpec {
 			w.ServiceCost = 10 * time.Microsecond
 		}
 	}
-	if s.Telemetry && s.TelemetryWindow <= 0 {
-		s.TelemetryWindow = 10 * time.Millisecond
-	}
-	if s.CritPath && s.CritPathExemplars <= 0 {
-		s.CritPathExemplars = 8
-	}
-	if s.EngineStats && s.EngineStatsSampleN <= 0 {
-		s.EngineStatsSampleN = enginestats.DefaultSampleN
-	}
+	observerDefaults(s.Telemetry, &s.TelemetryWindow, s.CritPath, &s.CritPathExemplars,
+		s.EngineStats, &s.EngineStatsSampleN)
 	s.SLO = s.SLO.WithDefaults()
 	if s.Load.Enabled() {
 		s.Load = s.Load.WithDefaults()
@@ -136,36 +100,56 @@ func (s ScenarioSpec) withDefaults() ScenarioSpec {
 	return s
 }
 
-// testbed is one fully wired simulated host pair.
-type testbed struct {
-	spec     ScenarioSpec
-	eng      *sim.Engine
-	sch      *sched.Scheduler
-	k        *vmm.KVM
-	es       *core.ES2
-	vms      []*vmm.VM
-	kerns    []*guest.Kernel
-	devs     []*vhost.Device // all devices; devsByVM groups them
-	devsByVM [][]*vhost.Device
-	ios      []*vhost.IOThread
-	peers    []*workloads.Peer
-	ids      workloads.FlowIDs
+// hostDefaults fills the per-host shape defaults shared by ScenarioSpec
+// and ClusterSpec: one vCPU per VM, one core per vCPU, one vhost core
+// per VM up to four, one queue pair.
+func hostDefaults(vms int, vcpus, vmCores, vhostCores, queues *int) {
+	if *vcpus <= 0 {
+		*vcpus = 1
+	}
+	if *vmCores <= 0 {
+		*vmCores = *vcpus
+	}
+	if *vhostCores <= 0 {
+		*vhostCores = min(vms, 4)
+	}
+	if *queues <= 0 {
+		*queues = 1
+	}
+}
 
-	// Span-tracing state (nil / empty when the spec leaves it off).
-	path       *trace.PathTracer
+// observerDefaults fills the observer defaults shared by ScenarioSpec
+// and ClusterSpec for the observers that are switched on.
+func observerDefaults(telemetry bool, window *time.Duration, critPath bool, exemplars *int, engineStats bool, sampleN *int) {
+	if telemetry && *window <= 0 {
+		*window = 10 * time.Millisecond
+	}
+	if critPath && *exemplars <= 0 {
+		*exemplars = 8
+	}
+	if engineStats && *sampleN <= 0 {
+		*sampleN = enginestats.DefaultSampleN
+	}
+}
+
+// testbed is one fully wired simulated host pair: the host under test
+// and, across one back-to-back link per VM, its external peers.
+type testbed struct {
+	*hostBed
+	spec ScenarioSpec
+	eng  *sim.Engine
+	ids  workloads.FlowIDs
+
+	// Timeline state (nil / empty unless spec.Timeline or PathTrace).
 	tl         *trace.Timeline
 	probes     []*probeVar
 	probeTrack trace.TrackID
 
-	// Fault-injection and invariant-checking state (nil when off).
-	inj *faults.Injector
+	// Invariant checker (nil when off).
 	chk *faults.Checker
 
 	// Windowed-telemetry state (nil unless spec.Telemetry).
 	tel *telemetryState
-
-	// Simulated-CPU profiler (nil unless spec.CPUProfile).
-	prof *profile.Profiler
 
 	// Causal critical-path tracker (nil unless spec.CritPath).
 	crit *causal.Tracker
@@ -242,49 +226,16 @@ func Run(spec ScenarioSpec) (*Result, error) {
 
 	warmup := sim.DurationOf(spec.Warmup)
 	window := sim.DurationOf(spec.Duration)
-	if tb.perf != nil {
-		// The wall clock opens here, so testbed assembly is excluded and
-		// the report measures only the event loop.
-		tb.perf.Start()
-	}
+	// The wall clock opens here, so testbed assembly is excluded and the
+	// report measures only the event loop.
+	tb.perf.Start()
 	tb.eng.Run(warmup)
-	for _, vm := range tb.vms {
-		vm.ResetStats()
-	}
-	for _, d := range tb.devs {
-		d.ResetStats()
-	}
-	var vhostBusy0 sim.Time
-	for _, io := range tb.ios {
-		vhostBusy0 += io.Thread.SumExec()
-	}
-	var retransBase, wdBase, repollBase, piFbBase uint64
-	if tb.inj != nil {
-		tb.inj.ResetCounters()
-		retransBase = tb.sumRetransmits()
-		wdBase = tb.sumWatchdogFires()
-		repollBase = tb.sumRePolls()
-		piFbBase = tb.k.PIFallbacks
-	}
-	var redirBase, filterBase, onlineBase, offlineBase uint64
-	if tb.es.Redirector != nil {
-		redirBase = tb.es.Redirector.Redirected
-		filterBase = tb.es.Redirector.KeptAffinity
-		onlineBase = tb.es.Redirector.OnlineHits
-		offlineBase = tb.es.Redirector.OfflinePredicts
-	}
+	tb.startWindow()
 	if tb.path != nil {
-		// Measurement window begins: drop warm-up spans, start the
-		// timeline recording and the periodic state probes.
-		tb.path.Reset()
+		// Measurement window begins: start the timeline recording and
+		// the periodic state probes.
 		tb.tl.Activate()
 		tb.startProbes()
-	}
-	if tb.prof != nil {
-		// Zero the attribution tree at the same instant the stat
-		// counters reset, so the profile reconciles with TIG/VhostCPU
-		// exactly (both sides see the same charge boundaries).
-		tb.prof.Reset()
 	}
 	if tb.tel != nil {
 		// The recorder baselines every counter here, so its windowed
@@ -304,59 +255,24 @@ func Run(spec ScenarioSpec) (*Result, error) {
 		tb.sloEval.Start(tb.eng, warmup, warmup+window)
 	}
 	tb.eng.Run(warmup + window)
-	if tb.perf != nil {
-		// Close the wall clock before result assembly, which is real
-		// work the engine never saw.
-		tb.perf.Stop()
-	}
+	// Close the wall clock before result assembly, which is real work
+	// the engine never saw.
+	tb.perf.Stop()
 	if tb.tel != nil {
 		// Close the final (possibly partial) window at the horizon.
 		tb.tel.rec.Finalize()
 	}
 
-	var vhostBusy sim.Time
-	for _, io := range tb.ios {
-		vhostBusy += io.Thread.SumExec()
-	}
-
-	vm := tb.vms[0]
-	var txPkts, rxPkts, drops uint64
-	for _, d := range tb.devsByVM[0] {
-		txPkts += d.TxPkts
-		rxPkts += d.RxPkts
-		drops += d.BacklogDrops
-	}
+	// Only the tested VM is measured; the others run CPU-burn fillers.
 	r := &Result{
 		Name:            spec.Name,
 		Config:          spec.Config,
 		MeasuredSeconds: window.Seconds(),
 		ExitRates:       make(map[string]float64),
-		TIG:             vm.TIG(),
-		TxPkts:          txPkts,
-		RxPkts:          rxPkts,
-		Drops:           drops + tb.kerns[0].Dev.LocalDrops,
+		TIG:             tb.vms[0].TIG(),
 	}
-	for i := 0; i < vmm.NumExitReasons; i++ {
-		r.ExitRates[vmm.ExitReason(i).String()] = vm.Exits.Rate(i, window)
-	}
-	if spec.VhostCores > 0 && window > 0 {
-		r.VhostCPU = float64(vhostBusy-vhostBusy0) / (float64(window) * float64(spec.VhostCores))
-	}
-	r.TotalExitRate = vm.Exits.TotalRate(window)
-	r.IOExitRate = vm.Exits.Rate(int(vmm.ExitIOInstruction), window)
-	r.DevIRQRate = vm.DevIRQDelivered.Rate(window)
-	if tb.es.Redirector != nil {
-		red := tb.es.Redirector.Redirected - redirBase
-		kept := tb.es.Redirector.KeptAffinity - filterBase
-		if red+kept > 0 {
-			r.RedirectRate = float64(red) / float64(red+kept)
-		}
-		online := tb.es.Redirector.OnlineHits - onlineBase
-		offline := tb.es.Redirector.OfflinePredicts - offlineBase
-		if online+offline > 0 {
-			r.OfflinePredictRate = float64(offline) / float64(online+offline)
-		}
-	}
+	tb.addVMCounters(r, 0, window)
+	tb.fillHost(r, window)
 	if tb.k.Trace != nil {
 		r.TraceSummary = tb.k.Trace.Summary(warmup+window, func(reason int64) string {
 			return vmm.ExitReason(reason).String()
@@ -373,14 +289,6 @@ func Run(spec ScenarioSpec) (*Result, error) {
 		}
 	}
 	if tb.path != nil {
-		for _, st := range tb.path.Stats() {
-			r.PathBreakdown = append(r.PathBreakdown, PathStage{
-				Stage: st.Stage.String(), Mechanism: st.Mechanism.String(),
-				Count: st.Count, Mean: time.Duration(st.Mean),
-				P50: time.Duration(st.P50), P99: time.Duration(st.P99),
-				Max: time.Duration(st.Max),
-			})
-		}
 		for _, p := range tb.probes {
 			ps := ProbeSeries{Name: p.series.Name}
 			for _, pt := range p.series.Points {
@@ -391,29 +299,10 @@ func Run(spec ScenarioSpec) (*Result, error) {
 		r.Timeline = tb.tl
 	}
 	if tb.inj != nil {
-		c := tb.inj.Counters
-		r.Faults = &FaultReport{
-			Injected:      c.Injected(),
-			WireDrops:     c.WireDrops,
-			WireDups:      c.WireDups,
-			LostKicks:     c.LostKicks,
-			LostSignals:   c.LostSignals,
-			VhostStalls:   c.VhostStalls,
-			PIOutages:     c.PIOutages,
-			PreemptStorms: c.PreemptStorms,
-			Retransmits:   tb.sumRetransmits() - retransBase,
-			WatchdogFires: tb.sumWatchdogFires() - wdBase,
-			VhostRePolls:  tb.sumRePolls() - repollBase,
-			PIFallbacks:   tb.k.PIFallbacks - piFbBase,
-		}
+		r.Faults = newFaultReport(tb.inj.Counters, tb.recoveries().minus(tb.rec0))
 	}
 	if tb.chk != nil {
 		r.InvariantChecks = tb.chk.Ticks
-	}
-	if tb.prof != nil {
-		tb.prof.Finalize(window)
-		r.CPUProfile = tb.prof
-		r.CPUReport = buildCPUReport(tb.prof, spec, window)
 	}
 	if tb.tel != nil {
 		tb.fillTelemetry(r)
@@ -457,7 +346,7 @@ func (tb *testbed) setupSLO(col collector) {
 					n += d.BacklogDrops
 				}
 				n += tb.kerns[0].Dev.LocalDrops
-				n += tb.sumRetransmits()
+				n += tb.recoveries().retransmits
 				return float64(n)
 			}
 			ev.BindCounters(i, func() float64 {
@@ -476,21 +365,27 @@ func (tb *testbed) setupSLO(col collector) {
 // GOMAXPROCS), preserving order. Each scenario runs on its own engine,
 // so results are identical to sequential runs.
 func RunMany(specs []ScenarioSpec, parallelism int) ([]*Result, error) {
+	return runPool(specs, parallelism, Run)
+}
+
+// runPool runs every spec on at most parallelism goroutines (<= 0
+// selects GOMAXPROCS) and returns the results in input order, with the
+// first error in input order.
+func runPool[S, R any](specs []S, parallelism int, run func(S) (R, error)) ([]R, error) {
 	if parallelism <= 0 {
 		parallelism = runtime.GOMAXPROCS(0)
 	}
-	results := make([]*Result, len(specs))
+	results := make([]R, len(specs))
 	errs := make([]error, len(specs))
 	sem := make(chan struct{}, parallelism)
 	var wg sync.WaitGroup
 	for i, s := range specs {
-		i, s := i, s
 		wg.Add(1)
 		sem <- struct{}{}
 		go func() {
 			defer wg.Done()
 			defer func() { <-sem }()
-			results[i], errs[i] = Run(s)
+			results[i], errs[i] = run(s)
 		}()
 	}
 	wg.Wait()
@@ -506,138 +401,63 @@ func RunMany(specs []ScenarioSpec, parallelism int) ([]*Result, error) {
 // validate, so resource bounds and combination rules hold here.
 func build(spec ScenarioSpec) (*testbed, error) {
 	eng := sim.NewEngine(spec.Seed)
-	totalCores := spec.VMCores + spec.VhostCores
-	sch := sched.New(eng, totalCores, sched.DefaultParams())
 	costs := vmm.DefaultCosts()
 	if spec.testCosts != nil {
 		costs = *spec.testCosts
 	}
-	k := vmm.NewKVM(eng, sch, costs)
-	if spec.TraceCapacity > 0 {
-		k.Trace = trace.New(spec.TraceCapacity)
-	}
-	es := core.Install(k, spec.Config)
-
-	tb := &testbed{spec: spec, eng: eng, sch: sch, k: k, es: es, probeTrack: trace.NoTrack}
-	if spec.PathTrace || spec.Timeline {
-		// The timeline (when requested) and the span tracer must exist
-		// before threads, VMs and workers are created so their tracks
-		// register in deterministic build order.
-		if spec.Timeline {
-			tb.tl = trace.NewTimeline()
-		}
-		tb.path = trace.NewPathTracer(tb.tl)
-		sch.SetPathTracer(tb.path)
-		k.Path = tb.path
-		k.Timeline = tb.tl
-	}
-	if spec.CPUProfile {
-		// The profiler must exist before VMs and workers are created so
-		// their context subtrees intern in deterministic build order.
-		tb.prof = profile.New(totalCores)
-		k.Prof = tb.prof
+	tb := &testbed{spec: spec, eng: eng, probeTrack: trace.NoTrack}
+	if spec.Timeline {
+		// The timeline must exist before threads, VMs and workers are
+		// created so their tracks register in deterministic build order.
+		tb.tl = trace.NewTimeline()
 	}
 	if spec.CritPath {
 		tb.crit = causal.NewTracker(spec.CritPathExemplars)
-		k.Causal = tb.crit.Probe(0)
+	}
+	tb.hostBed = newHostBed(eng, "", hostSpec{
+		cfg: spec.Config, costs: costs,
+		vcpus: spec.VCPUs, vmCores: spec.VMCores, vhostCores: spec.VhostCores, queues: spec.Queues,
+		direct: spec.DirectAssign, coalesceCount: spec.CoalesceCount,
+		coalesceTimer: sim.DurationOf(spec.CoalesceTimer), sidecore: spec.Sidecore,
+		pathTrace: spec.PathTrace || spec.Timeline, timeline: tb.tl,
+		cpuProfile: spec.CPUProfile, causal: tb.crit.Probe(0),
+	})
+	if spec.TraceCapacity > 0 {
+		tb.k.Trace = trace.New(spec.TraceCapacity)
 	}
 	if spec.EngineStats {
-		// Attach before any event is scheduled so build-time
-		// registrations sample like everything else. The wall clock only
-		// starts at the first Run.
+		// Attach before any VM exists so build-time registrations sample
+		// like everything else. The wall clock only starts at the first
+		// Run.
 		tb.perf = enginestats.New(spec.EngineStatsSampleN)
 		eng.SetStats(tb.perf)
 	}
+	var inj *faults.Injector
 	if spec.Faults.Enabled() {
-		// The injector forks the engine RNG here, after the scheduler and
-		// KVM forks, so the streams the rest of the simulation draws from
-		// are split at the same point on every run of the same spec.
-		tb.inj = faults.NewInjector(eng, eng.Rand(), spec.Faults)
+		// The injector forks the engine RNG here, after the scheduler,
+		// KVM and ES2 forks and before the VMs', so the streams the rest
+		// of the simulation draws from are split at the same point on
+		// every run of the same spec.
+		inj = faults.NewInjector(eng, eng.Rand(), spec.Faults)
 	}
-	gcosts := guest.DefaultCosts()
-	vparams := vhost.DefaultParams()
-
 	for i := 0; i < spec.VMs; i++ {
-		cores := make([]int, spec.VCPUs)
-		for j := range cores {
-			cores[j] = (i + j) % spec.VMCores
-		}
-		vm := k.NewVM(fmt.Sprintf("vm%d", i), cores)
-		// 1024 descriptors models the effective egress capacity of the
-		// virtio ring plus the qdisc in front of it: a sender blocks
-		// only when both are exhausted, as in a real guest.
-		kern := guest.NewKernelQueues(vm, gcosts, 1024, spec.Queues)
-		kern.Dev.DoorbellNoExit = spec.DirectAssign
-		kern.StartBurnAll()
-		es.AttachVM(vm)
-
 		link := netsim.NewLink(eng, 40, 2*sim.Microsecond)
 		peer := workloads.NewPeer(eng, link.PortB(), 2*sim.Microsecond)
-		if tb.inj != nil {
-			tb.inj.AttachPort(link.PortA())
-			tb.inj.AttachPort(link.PortB())
+		devs, err := tb.addVM(i, link.PortA())
+		if err != nil {
+			return nil, err
 		}
-		// Under direct assignment the back-end stands in for the VF's
-		// DMA engine; the hybrid kick-polling machinery is meaningless
-		// there (there are no kick exits to eliminate).
-		hybrid := spec.Config.Hybrid && !spec.DirectAssign
-		var vmDevs []*vhost.Device
-		for qi, pair := range kern.Dev.Pairs {
-			name := fmt.Sprintf("vhost-%d.%d", i, qi)
-			io := vhost.NewIOThread(name, sch, spec.VMCores+((i+qi)%spec.VhostCores), vparams)
-			io.SetPath(tb.path)
-			if tb.prof != nil {
-				io.EnableProfiling(tb.prof)
-			}
-			dev, err := vhost.NewDevice(name, io, pair.TX, pair.RX, link.PortA(), hybrid, spec.Config.Quota)
-			if err != nil {
-				return nil, err
-			}
-			dev.Path = tb.path
-			dev.Causal = tb.crit.Probe(0)
-			dev.CoalesceCount = spec.CoalesceCount
-			dev.CoalesceTimer = sim.DurationOf(spec.CoalesceTimer)
-			if spec.Sidecore {
-				dev.EnableSidecore()
-			}
-			if tb.inj != nil {
-				tb.inj.AttachQueue(pair.TX)
-				tb.inj.AttachQueue(pair.RX)
-				tb.inj.AttachIOThread(io)
-			}
-			vmDevs = append(vmDevs, dev)
-			tb.devs = append(tb.devs, dev)
-			tb.ios = append(tb.ios, io)
-		}
-		link.Attach(rxDemux{devs: vmDevs}, peer)
-
-		vm.Start()
-		if tb.inj != nil {
-			for _, v := range vm.VCPUs {
-				tb.inj.AttachVCPU(v)
-			}
-		}
-		tb.vms = append(tb.vms, vm)
-		tb.kerns = append(tb.kerns, kern)
-		tb.devsByVM = append(tb.devsByVM, vmDevs)
+		link.Attach(rxDemux{devs: devs}, peer)
 		tb.peers = append(tb.peers, peer)
+		if inj != nil {
+			inj.AttachPort(link.PortA())
+			inj.AttachPort(link.PortB())
+		}
 	}
-	if tb.inj != nil {
-		cores := spec.Faults.StormCores
-		if len(cores) == 0 {
-			// Default: storm every VM core (the vhost cores stay clean,
-			// matching a noisy neighbor packed onto the guest's socket).
-			for c := 0; c < spec.VMCores; c++ {
-				cores = append(cores, c)
-			}
-		}
-		tb.inj.SetupStorms(sch, cores)
-		if tb.prof != nil {
-			tb.inj.EnableProfiling(tb.prof)
-		}
-		tb.inj.Start()
+	if inj != nil {
+		tb.attachInjector(inj, spec.Faults.StormCores)
 		if !spec.Faults.NoRecovery {
-			tb.enableRecovery()
+			tb.armRecovery()
 		}
 	}
 	if tb.tl != nil {
@@ -649,76 +469,6 @@ func build(spec ScenarioSpec) (*testbed, error) {
 		tb.setupTelemetry()
 	}
 	return tb, nil
-}
-
-// enableRecovery arms the recovery mechanisms the real stack has, each
-// in the layer that owns it: guest netdev TX watchdogs, guest and peer
-// TCP retransmission, and vhost handler re-polling. Called before
-// workloads start so TCP senders pick up the RTO at creation.
-func (tb *testbed) enableRecovery() {
-	for _, kern := range tb.kerns {
-		kern.RetransmitRTO = retransmitRTO
-		kern.Dev.StartTxWatchdog(txWatchdogTick)
-	}
-	for _, pe := range tb.peers {
-		pe.RetransmitRTO = retransmitRTO
-	}
-	for _, d := range tb.devs {
-		d.StartRePoll(vhostRePollTick)
-	}
-}
-
-// registerInvariants wires every checkable structure of the testbed
-// into the invariant checker: virtqueue accounting on both rings of
-// every device, APIC ISR/IRR discipline on every vCPU, and the
-// ES2 scheduler-watcher's online/offline list consistency.
-func (tb *testbed) registerInvariants(chk *faults.Checker) {
-	for _, d := range tb.devs {
-		d := d
-		chk.Add("virtqueue/"+d.Name+"/tx", d.TXQ.CheckInvariants)
-		chk.Add("virtqueue/"+d.Name+"/rx", d.RXQ.CheckInvariants)
-	}
-	for _, vm := range tb.vms {
-		vm := vm
-		for _, v := range vm.VCPUs {
-			v := v
-			chk.Add(fmt.Sprintf("apic/%s/vcpu%d", vm.Name, v.ID), v.VAPIC.CheckInvariants)
-		}
-		if tb.es.Watcher != nil {
-			chk.Add("schedwatcher/"+vm.Name, func() error {
-				return tb.es.Watcher.CheckConsistency(vm)
-			})
-		}
-	}
-}
-
-// sumRetransmits totals TCP retransmission timeouts on both ends of
-// the wire.
-func (tb *testbed) sumRetransmits() uint64 {
-	var n uint64
-	for _, kern := range tb.kerns {
-		n += kern.TCPRetransmits
-	}
-	for _, pe := range tb.peers {
-		n += pe.Retransmits
-	}
-	return n
-}
-
-func (tb *testbed) sumWatchdogFires() uint64 {
-	var n uint64
-	for _, kern := range tb.kerns {
-		n += kern.Dev.WatchdogFires
-	}
-	return n
-}
-
-func (tb *testbed) sumRePolls() uint64 {
-	var n uint64
-	for _, d := range tb.devs {
-		n += d.RePolls
-	}
-	return n
 }
 
 // startProbes begins the 1ms periodic state sampling: virtqueue depth
@@ -756,7 +506,6 @@ func (tb *testbed) startProbes() {
 		})
 	}
 	for i := 0; i < tb.sch.NumCores(); i++ {
-		i := i
 		add(fmt.Sprintf("core%d.runnable", i), func() float64 {
 			return float64(tb.sch.RunnableCount(i))
 		})
@@ -796,24 +545,13 @@ func (tb *testbed) startWorkload() (collector, error) {
 			_, sink := workloads.NetperfSendTCP(kern, v, peer, tb.ids.Next(), w.MsgBytes, w.Window)
 			sinks = append(sinks, sink)
 		}
-		var bytes0, segs0 uint64
-		return collector{
-			onWarmupEnd: func() {
-				for _, s := range sinks {
-					bytes0 += s.Bytes
-					segs0 += s.Segs
-				}
-			},
-			fill: func(r *Result, win sim.Time) {
-				var bytes, segs uint64
-				for _, s := range sinks {
-					bytes += s.Bytes
-					segs += s.Segs
-				}
-				r.ThroughputMbps = mbps(bytes-bytes0, win)
-				r.PktRate = rate(segs-segs0, win)
-			},
-		}, nil
+		return streamCollector(func() (bytes, segs uint64) {
+			for _, s := range sinks {
+				bytes += s.Bytes
+				segs += s.Segs
+			}
+			return
+		}), nil
 
 	case NetperfUDPSend:
 		var sinks []*workloads.UDPSink
@@ -827,24 +565,13 @@ func (tb *testbed) startWorkload() (collector, error) {
 			}
 			sinks = append(sinks, sink)
 		}
-		var bytes0, pkts0 uint64
-		return collector{
-			onWarmupEnd: func() {
-				for _, s := range sinks {
-					bytes0 += s.Bytes
-					pkts0 += s.Pkts
-				}
-			},
-			fill: func(r *Result, win sim.Time) {
-				var bytes, pkts uint64
-				for _, s := range sinks {
-					bytes += s.Bytes
-					pkts += s.Pkts
-				}
-				r.ThroughputMbps = mbps(bytes-bytes0, win)
-				r.PktRate = rate(pkts-pkts0, win)
-			},
-		}, nil
+		return streamCollector(func() (bytes, pkts uint64) {
+			for _, s := range sinks {
+				bytes += s.Bytes
+				pkts += s.Pkts
+			}
+			return
+		}), nil
 
 	case NetperfTCPRecv:
 		var recvs []*guest.TCPReceiver
@@ -852,24 +579,13 @@ func (tb *testbed) startWorkload() (collector, error) {
 			recv, _ := workloads.NetperfRecvTCP(kern, peer, tb.ids.Next(), w.MsgBytes, w.Window)
 			recvs = append(recvs, recv)
 		}
-		var bytes0, segs0 uint64
-		return collector{
-			onWarmupEnd: func() {
-				for _, rv := range recvs {
-					bytes0 += rv.BytesReceived
-					segs0 += rv.Segs
-				}
-			},
-			fill: func(r *Result, win sim.Time) {
-				var bytes, segs uint64
-				for _, rv := range recvs {
-					bytes += rv.BytesReceived
-					segs += rv.Segs
-				}
-				r.ThroughputMbps = mbps(bytes-bytes0, win)
-				r.PktRate = rate(segs-segs0, win)
-			},
-		}, nil
+		return streamCollector(func() (bytes, segs uint64) {
+			for _, rv := range recvs {
+				bytes += rv.BytesReceived
+				segs += rv.Segs
+			}
+			return
+		}), nil
 
 	case NetperfUDPRecv:
 		var recvs []*guest.UDPReceiver
@@ -877,24 +593,13 @@ func (tb *testbed) startWorkload() (collector, error) {
 			recv, _ := workloads.NetperfRecvUDP(kern, peer, tb.ids.Next(), w.MsgBytes, w.UDPRatePPS/float64(w.Threads))
 			recvs = append(recvs, recv)
 		}
-		var bytes0, pkts0 uint64
-		return collector{
-			onWarmupEnd: func() {
-				for _, rv := range recvs {
-					bytes0 += rv.BytesReceived
-					pkts0 += rv.Pkts
-				}
-			},
-			fill: func(r *Result, win sim.Time) {
-				var bytes, pkts uint64
-				for _, rv := range recvs {
-					bytes += rv.BytesReceived
-					pkts += rv.Pkts
-				}
-				r.ThroughputMbps = mbps(bytes-bytes0, win)
-				r.PktRate = rate(pkts-pkts0, win)
-			},
-		}, nil
+		return streamCollector(func() (bytes, pkts uint64) {
+			for _, rv := range recvs {
+				bytes += rv.BytesReceived
+				pkts += rv.Pkts
+			}
+			return
+		}), nil
 
 	case Ping:
 		p := workloads.StartPing(kern, peer, tb.ids.Next(), sim.DurationOf(w.PingInterval))
@@ -1011,6 +716,20 @@ func (tb *testbed) startWorkload() (collector, error) {
 		}, nil
 	}
 	return collector{}, fmt.Errorf("es2: unknown workload kind %d", w.Kind)
+}
+
+// streamCollector measures a netperf stream's goodput and packet rate
+// over the window from its cumulative byte and packet totals.
+func streamCollector(totals func() (bytes, pkts uint64)) collector {
+	var bytes0, pkts0 uint64
+	return collector{
+		onWarmupEnd: func() { bytes0, pkts0 = totals() },
+		fill: func(r *Result, win sim.Time) {
+			bytes, pkts := totals()
+			r.ThroughputMbps = mbps(bytes-bytes0, win)
+			r.PktRate = rate(pkts-pkts0, win)
+		},
+	}
 }
 
 func mbps(bytes uint64, win sim.Time) float64 {

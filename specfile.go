@@ -56,55 +56,49 @@ func decodeSpec(r io.Reader, dst any) error {
 	return nil
 }
 
+// parseSpec decodes one JSON spec document from r and validates it;
+// what names the spec kind in decode errors.
+func parseSpec[T any](r io.Reader, what string, validate func(T) error) (T, error) {
+	var s T
+	if err := decodeSpec(r, &s); err != nil {
+		return s, fmt.Errorf("es2: parse %s: %w", what, err)
+	}
+	return s, validate(s)
+}
+
+// fieldErr wraps a standalone validation error as a SpecError on field.
+func fieldErr(field string, err error) error {
+	if err != nil {
+		return &SpecError{Field: field, Reason: err.Error()}
+	}
+	return nil
+}
+
 // ParseScenarioSpec reads one JSON ScenarioSpec from r and validates
 // it (defaults applied first, exactly as Run would).
 func ParseScenarioSpec(r io.Reader) (ScenarioSpec, error) {
-	var s ScenarioSpec
-	if err := decodeSpec(r, &s); err != nil {
-		return s, fmt.Errorf("es2: parse spec: %w", err)
-	}
-	if err := s.Validate(); err != nil {
-		return s, err
-	}
-	return s, nil
+	return parseSpec(r, "spec", ScenarioSpec.Validate)
 }
 
 // ParseClusterSpec reads one JSON ClusterSpec from r and validates it.
 func ParseClusterSpec(r io.Reader) (ClusterSpec, error) {
-	var s ClusterSpec
-	if err := decodeSpec(r, &s); err != nil {
-		return s, fmt.Errorf("es2: parse cluster spec: %w", err)
-	}
-	if err := s.Validate(); err != nil {
-		return s, err
-	}
-	return s, nil
+	return parseSpec(r, "cluster spec", ClusterSpec.Validate)
 }
 
 // ParseChaosSpec reads one JSON ChaosSpec from r and validates it.
 // Validation here is standalone — window-fit against a particular
 // cluster duration happens when the spec is attached to a ClusterSpec.
 func ParseChaosSpec(r io.Reader) (ChaosSpec, error) {
-	var s ChaosSpec
-	if err := decodeSpec(r, &s); err != nil {
-		return s, fmt.Errorf("es2: parse chaos spec: %w", err)
-	}
-	if err := s.Validate(); err != nil {
-		return s, &SpecError{Field: "Chaos", Reason: err.Error()}
-	}
-	return s, nil
+	return parseSpec(r, "chaos spec", func(s ChaosSpec) error { return fieldErr("Chaos", s.Validate()) })
 }
 
 // ParseSLOSpec reads one JSON SLOSpec from r and validates it
 // standalone — workload-compatibility of the objectives is checked
 // when the spec is attached to a ScenarioSpec or ClusterSpec.
 func ParseSLOSpec(r io.Reader) (SLOSpec, error) {
-	var s SLOSpec
-	if err := decodeSpec(r, &s); err != nil {
-		return s, fmt.Errorf("es2: parse slo spec: %w", err)
-	}
-	if err := s.Validate(); err != nil {
-		return s, &SpecError{Field: "SLO", Reason: err.Error()}
+	s, err := parseSpec(r, "slo spec", func(s SLOSpec) error { return fieldErr("SLO", s.Validate()) })
+	if err != nil {
+		return s, err
 	}
 	return s.WithDefaults(), nil
 }
@@ -114,62 +108,39 @@ func ParseSLOSpec(r io.Reader) (SLOSpec, error) {
 // restrictions on a single host, flow budgets on a cluster) is checked
 // when the spec is attached to a ScenarioSpec or ClusterSpec.
 func ParseLoadSpec(r io.Reader) (LoadSpec, error) {
-	var s LoadSpec
-	if err := decodeSpec(r, &s); err != nil {
-		return s, fmt.Errorf("es2: parse load spec: %w", err)
-	}
-	if err := s.Validate(); err != nil {
-		return s, &SpecError{Field: "Load", Reason: err.Error()}
+	s, err := parseSpec(r, "load spec", func(s LoadSpec) error { return fieldErr("Load", s.Validate()) })
+	if err != nil {
+		return s, err
 	}
 	return s.WithDefaults(), nil
 }
 
-// LoadLoadSpec reads and validates a JSON LoadSpec file.
-func LoadLoadSpec(path string) (LoadSpec, error) {
+// loadSpecFile opens path and parses it with parse.
+func loadSpecFile[T any](path string, parse func(io.Reader) (T, error)) (T, error) {
 	f, err := os.Open(path)
 	if err != nil {
-		return LoadSpec{}, err
+		var zero T
+		return zero, err
 	}
 	defer f.Close()
-	return ParseLoadSpec(f)
+	return parse(f)
 }
+
+// LoadLoadSpec reads and validates a JSON LoadSpec file.
+func LoadLoadSpec(path string) (LoadSpec, error) { return loadSpecFile(path, ParseLoadSpec) }
 
 // LoadSLOSpec reads and validates a JSON SLOSpec file.
-func LoadSLOSpec(path string) (SLOSpec, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return SLOSpec{}, err
-	}
-	defer f.Close()
-	return ParseSLOSpec(f)
-}
+func LoadSLOSpec(path string) (SLOSpec, error) { return loadSpecFile(path, ParseSLOSpec) }
 
 // LoadChaosSpec reads and validates a JSON ChaosSpec file.
-func LoadChaosSpec(path string) (ChaosSpec, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return ChaosSpec{}, err
-	}
-	defer f.Close()
-	return ParseChaosSpec(f)
-}
+func LoadChaosSpec(path string) (ChaosSpec, error) { return loadSpecFile(path, ParseChaosSpec) }
 
 // LoadScenarioSpec reads and validates a JSON ScenarioSpec file.
 func LoadScenarioSpec(path string) (ScenarioSpec, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return ScenarioSpec{}, err
-	}
-	defer f.Close()
-	return ParseScenarioSpec(f)
+	return loadSpecFile(path, ParseScenarioSpec)
 }
 
 // LoadClusterSpec reads and validates a JSON ClusterSpec file.
 func LoadClusterSpec(path string) (ClusterSpec, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return ClusterSpec{}, err
-	}
-	defer f.Close()
-	return ParseClusterSpec(f)
+	return loadSpecFile(path, ParseClusterSpec)
 }

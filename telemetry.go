@@ -11,6 +11,7 @@ import (
 	"fmt"
 	"time"
 
+	"es2/internal/faults"
 	"es2/internal/metrics"
 	"es2/internal/sim"
 	"es2/internal/slo"
@@ -81,25 +82,12 @@ func (tb *testbed) startTelemetry(end sim.Time) {
 	vm := tb.vms[0]
 
 	for i := 0; i < vmm.NumExitReasons; i++ {
-		i := i
 		rec.Counter("es2_exits", "VM exits of the tested VM by reason.",
 			[]telemetry.Label{{Key: "reason", Value: vmm.ExitReason(i).String()}},
 			func() float64 { return float64(vm.Exits.Count(i)) })
 	}
-	guestSec := func() float64 {
-		var g sim.Time
-		for _, v := range vm.VCPUs {
-			g += v.GuestTime
-		}
-		return g.Seconds()
-	}
-	modeSec := func() float64 {
-		var t sim.Time
-		for _, v := range vm.VCPUs {
-			t += v.GuestTime + v.HostTime
-		}
-		return t.Seconds()
-	}
+	guestSec := func() float64 { g, _ := vcpuTime(tb.vms[:1]); return g.Seconds() }
+	modeSec := func() float64 { _, t := vcpuTime(tb.vms[:1]); return t.Seconds() }
 	rec.Counter("es2_guest_seconds", "Guest-mode (VMX non-root) CPU seconds of the tested VM.",
 		nil, guestSec)
 	rec.Counter("es2_host_seconds", "Host-mode CPU seconds charged to the tested VM's vCPU threads.",
@@ -107,13 +95,7 @@ func (tb *testbed) startTelemetry(end sim.Time) {
 	rec.Fraction("es2_tig", "Time-in-guest fraction of the tested VM over the window.",
 		nil, guestSec, modeSec)
 
-	busySec := func() float64 {
-		var b sim.Time
-		for _, io := range tb.ios {
-			b += io.Thread.SumExec()
-		}
-		return b.Seconds()
-	}
+	busySec := func() float64 { return tb.vhostBusy().Seconds() }
 	rec.Counter("es2_vhost_busy_seconds", "CPU seconds consumed by all vhost I/O threads.",
 		nil, busySec)
 	if tb.spec.VhostCores > 0 {
@@ -134,10 +116,9 @@ func (tb *testbed) startTelemetry(end sim.Time) {
 			nil, func() float64 { return float64(red.OnlineHits) })
 	}
 	rec.Counter("es2_tcp_retransmits", "TCP retransmission timeouts on both ends of the wire.",
-		nil, func() float64 { return float64(tb.sumRetransmits()) })
+		nil, func() float64 { return float64(tb.recoveries().retransmits) })
 
 	for qi, d := range tb.devsByVM[0] {
-		d := d
 		ql := []telemetry.Label{{Key: "queue", Value: fmt.Sprintf("%d", qi)}}
 		rec.Gauge("es2_vq_avail", "TX descriptors awaiting vhost, sampled at window end.",
 			ql, func() float64 { return float64(d.TXQ.AvailLen()) })
@@ -148,36 +129,20 @@ func (tb *testbed) startTelemetry(end sim.Time) {
 	}
 
 	if inj := tb.inj; inj != nil {
-		for _, fc := range []struct {
-			kind string
-			get  func() uint64
-		}{
-			{"wire_drop", func() uint64 { return inj.Counters.WireDrops }},
-			{"wire_dup", func() uint64 { return inj.Counters.WireDups }},
-			{"lost_kick", func() uint64 { return inj.Counters.LostKicks }},
-			{"lost_signal", func() uint64 { return inj.Counters.LostSignals }},
-			{"vhost_stall", func() uint64 { return inj.Counters.VhostStalls }},
-			{"pi_outage", func() uint64 { return inj.Counters.PIOutages }},
-			{"preempt_storm", func() uint64 { return inj.Counters.PreemptStorms }},
-		} {
-			get := fc.get
-			rec.Counter("es2_faults_injected", "Faults injected, by kind.",
-				[]telemetry.Label{{Key: "kind", Value: fc.kind}},
-				func() float64 { return float64(get()) })
-		}
+		registerFaultSeries(rec, "Faults injected, by kind.",
+			func() faults.Counters { return inj.Counters })
 		for _, rc := range []struct {
 			kind string
-			get  func() uint64
+			get  func(recoveryCounts) uint64
 		}{
-			{"retransmit", tb.sumRetransmits},
-			{"watchdog", tb.sumWatchdogFires},
-			{"repoll", tb.sumRePolls},
-			{"pi_fallback", func() uint64 { return tb.k.PIFallbacks }},
+			{"retransmit", func(c recoveryCounts) uint64 { return c.retransmits }},
+			{"watchdog", func(c recoveryCounts) uint64 { return c.watchdogFires }},
+			{"repoll", func(c recoveryCounts) uint64 { return c.rePolls }},
+			{"pi_fallback", func(c recoveryCounts) uint64 { return c.piFallbacks }},
 		} {
-			get := rc.get
 			rec.Counter("es2_recoveries", "Recovery-mechanism activations, by mechanism.",
 				[]telemetry.Label{{Key: "kind", Value: rc.kind}},
-				func() float64 { return float64(get()) })
+				func() float64 { return float64(rc.get(tb.recoveries())) })
 		}
 		rec.Gauge("es2_pi_unavailable_vcpus", "vCPUs whose posted-interrupt descriptor is currently unavailable (active PI outage).",
 			nil, func() float64 {
@@ -216,6 +181,29 @@ func (tb *testbed) startTelemetry(end sim.Time) {
 	rec.Start(end)
 }
 
+// registerFaultSeries registers the es2_faults_injected counters, one
+// per fault kind, over the live tallies counters returns. Shared by the
+// single-host and cluster telemetry paths, which differ only in the
+// HELP text.
+func registerFaultSeries(rec *telemetry.Recorder, help string, counters func() faults.Counters) {
+	for _, fc := range []struct {
+		kind string
+		get  func(faults.Counters) uint64
+	}{
+		{"wire_drop", func(c faults.Counters) uint64 { return c.WireDrops }},
+		{"wire_dup", func(c faults.Counters) uint64 { return c.WireDups }},
+		{"lost_kick", func(c faults.Counters) uint64 { return c.LostKicks }},
+		{"lost_signal", func(c faults.Counters) uint64 { return c.LostSignals }},
+		{"vhost_stall", func(c faults.Counters) uint64 { return c.VhostStalls }},
+		{"pi_outage", func(c faults.Counters) uint64 { return c.PIOutages }},
+		{"preempt_storm", func(c faults.Counters) uint64 { return c.PreemptStorms }},
+	} {
+		rec.Counter("es2_faults_injected", help,
+			[]telemetry.Label{{Key: "kind", Value: fc.kind}},
+			func() float64 { return float64(fc.get(counters())) })
+	}
+}
+
 // registerSLOSeries registers the live es2_slo_* series on a
 // recorder: per-objective long-window burn rates (one gauge per
 // rule), the number of rules currently firing, and cumulative
@@ -226,10 +214,8 @@ func registerSLOSeries(rec *telemetry.Recorder, ev *slo.Evaluator) {
 		return
 	}
 	for i := 0; i < ev.NumObjectives(); i++ {
-		i := i
 		name := ev.ObjectiveName(i)
 		for ri := 0; ri < 2; ri++ {
-			ri := ri
 			rec.Gauge("es2_slo_burn_rate", "Long-window error-budget burn rate, per objective and rule.",
 				[]telemetry.Label{{Key: "objective", Value: name}, {Key: "rule", Value: ev.RuleName(ri)}},
 				func() float64 { return ev.Burn(i, ri) })

@@ -42,23 +42,8 @@ const (
 // remains invalid here is genuinely out of range (negative sizes
 // cannot occur — withDefaults replaces non-positive values).
 func (s ScenarioSpec) validate() error {
-	if s.VMs > maxVMs {
-		return specErr("VMs", "%d exceeds the supported maximum %d", s.VMs, maxVMs)
-	}
-	if s.VCPUs > maxVCPUs {
-		return specErr("VCPUs", "%d exceeds the supported maximum %d", s.VCPUs, maxVCPUs)
-	}
-	if s.VMCores > maxCores {
-		return specErr("VMCores", "%d exceeds the supported maximum %d", s.VMCores, maxCores)
-	}
-	if s.VhostCores > maxCores {
-		return specErr("VhostCores", "%d exceeds the supported maximum %d", s.VhostCores, maxCores)
-	}
-	if s.VCPUs > s.VMCores*4 {
-		return specErr("VCPUs", "%d vCPUs over %d cores exceeds supported multiplexing", s.VCPUs, s.VMCores)
-	}
-	if s.Queues > maxQueues {
-		return specErr("Queues", "%d exceeds the supported maximum %d", s.Queues, maxQueues)
+	if err := validateHost("VMs", s.VMs, s.VCPUs, s.VMCores, s.VhostCores, s.Queues); err != nil {
+		return err
 	}
 	if s.Sidecore && s.Config.Hybrid {
 		return specErr("Sidecore", "sidecore polling and the hybrid scheme are mutually exclusive")
@@ -81,21 +66,8 @@ func (s ScenarioSpec) validate() error {
 	if s.EngineStatsSampleN < 0 || s.EngineStatsSampleN > 1<<20 {
 		return specErr("EngineStatsSampleN", "%d outside [0, %d]", s.EngineStatsSampleN, 1<<20)
 	}
-	if s.Warmup > maxDuration {
-		return specErr("Warmup", "%v exceeds the supported maximum %v", s.Warmup, maxDuration)
-	}
-	if s.Duration > maxDuration {
-		return specErr("Duration", "%v exceeds the supported maximum %v", s.Duration, maxDuration)
-	}
-	if s.Telemetry {
-		// The floor keeps the number of windows (and export size)
-		// bounded; withDefaults has already filled the zero value.
-		if s.TelemetryWindow < 100*time.Microsecond {
-			return specErr("TelemetryWindow", "%v below the supported minimum 100µs", s.TelemetryWindow)
-		}
-		if s.TelemetryWindow > maxDuration {
-			return specErr("TelemetryWindow", "%v exceeds the supported maximum %v", s.TelemetryWindow, maxDuration)
-		}
+	if err := validateWindows(s.Warmup, s.Duration, s.Telemetry, s.TelemetryWindow); err != nil {
+		return err
 	}
 
 	w := s.Workload
@@ -194,6 +166,52 @@ func (s ScenarioSpec) validate() error {
 		if c < 0 || c >= totalCores {
 			return specErr("Faults.StormCores", "core %d outside [0, %d)", c, totalCores)
 		}
+	}
+	return nil
+}
+
+// validateWindows checks the warm-up, measurement and telemetry
+// windows shared by ScenarioSpec and ClusterSpec.
+func validateWindows(warmup, duration time.Duration, telemetry bool, telemetryWindow time.Duration) error {
+	if warmup > maxDuration {
+		return specErr("Warmup", "%v exceeds the supported maximum %v", warmup, maxDuration)
+	}
+	if duration > maxDuration {
+		return specErr("Duration", "%v exceeds the supported maximum %v", duration, maxDuration)
+	}
+	if telemetry {
+		// The floor keeps the number of windows (and export size)
+		// bounded; the defaults have already filled the zero value.
+		if telemetryWindow < 100*time.Microsecond {
+			return specErr("TelemetryWindow", "%v below the supported minimum 100µs", telemetryWindow)
+		}
+		if telemetryWindow > maxDuration {
+			return specErr("TelemetryWindow", "%v exceeds the supported maximum %v", telemetryWindow, maxDuration)
+		}
+	}
+	return nil
+}
+
+// validateHost checks the per-host shape caps shared by ScenarioSpec
+// and ClusterSpec; vmsField names the VM-count field in errors.
+func validateHost(vmsField string, vms, vcpus, vmCores, vhostCores, queues int) error {
+	if vms > maxVMs {
+		return specErr(vmsField, "%d exceeds the supported maximum %d", vms, maxVMs)
+	}
+	if vcpus > maxVCPUs {
+		return specErr("VCPUs", "%d exceeds the supported maximum %d", vcpus, maxVCPUs)
+	}
+	if vmCores > maxCores {
+		return specErr("VMCores", "%d exceeds the supported maximum %d", vmCores, maxCores)
+	}
+	if vhostCores > maxCores {
+		return specErr("VhostCores", "%d exceeds the supported maximum %d", vhostCores, maxCores)
+	}
+	if vcpus > vmCores*4 {
+		return specErr("VCPUs", "%d vCPUs over %d cores exceeds supported multiplexing", vcpus, vmCores)
+	}
+	if queues > maxQueues {
+		return specErr("Queues", "%d exceeds the supported maximum %d", queues, maxQueues)
 	}
 	return nil
 }
