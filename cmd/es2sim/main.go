@@ -44,7 +44,6 @@ func main() {
 		queues   = flag.Int("queues", 1, "virtio-net queue pairs per VM")
 		direct   = flag.Bool("direct", false, "SR-IOV direct assignment (exit-less doorbells)")
 		sidecore = flag.Bool("sidecore", false, "ELVIS-style dedicated-core polling back-end")
-		traceCap = flag.Int("trace", 0, "enable event tracing, retaining N events")
 		pathOn   = flag.Bool("path", false, "enable event-path span tracing (per-stage latency breakdown)")
 		timeline = flag.String("timeline", "", "write a Perfetto/Chrome-trace JSON timeline to FILE (implies -path)")
 		cpuprof  = flag.String("cpuprofile", "", "write a pprof CPU profile of the simulated cores to FILE (go tool pprof / speedscope)")
@@ -130,7 +129,7 @@ func main() {
 		},
 		VMs: *vms, VCPUs: *vcpus, VMCores: *vmCores, Queues: *queues,
 		CoalesceCount: *coalCnt, CoalesceTimer: *coalTim,
-		DirectAssign: *direct, Sidecore: *sidecore, TraceCapacity: *traceCap,
+		DirectAssign: *direct, Sidecore: *sidecore,
 		PathTrace: *pathOn,
 		Warmup:    *warmup, Duration: *dur,
 		Check:  *check,
@@ -337,9 +336,6 @@ func run(spec es2.ScenarioSpec, out outputFlags) {
 	}
 	if res.EngineReport != nil {
 		fmt.Print(res.EngineReport.Render())
-	}
-	if res.TraceSummary != "" {
-		fmt.Print(res.TraceSummary)
 	}
 	if res.CPUReport != nil {
 		fmt.Print(res.CPUReport.Render())

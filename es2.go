@@ -249,11 +249,6 @@ type ScenarioSpec struct {
 	// when idle. Mutually exclusive with Config.Hybrid.
 	Sidecore bool
 
-	// TraceCapacity, when positive, enables perf-kvm-style event
-	// tracing on the tested host: the last TraceCapacity events are
-	// retained, and Result.TraceSummary/TraceEvents report them.
-	TraceCapacity int
-
 	// PathTrace enables event-path span tracing: every notification
 	// unit's stage transitions (notify, back-end service, signal,
 	// pi-wait, sched-in, ring-wait, deliver) are timed over the
@@ -395,20 +390,6 @@ func (s ScenarioSpec) Validate() error {
 	return s.withDefaults().validate()
 }
 
-// TraceEvent is one recorded event-path event (see ScenarioSpec.
-// TraceCapacity).
-type TraceEvent struct {
-	// AtSeconds is the simulated timestamp.
-	AtSeconds float64 `json:"at"`
-	// Kind is the event kind name ("exit", "irq-deliver", "sched-in"...).
-	Kind string `json:"kind"`
-	// VM and VCPU identify the subject.
-	VM   int `json:"vm"`
-	VCPU int `json:"vcpu"`
-	// Detail is kind-specific (exit reason name, vector, core id).
-	Detail string `json:"detail"`
-}
-
 // PathStage is one (stage, mechanism) cell of the event-path latency
 // breakdown (see ScenarioSpec.PathTrace). Stages appear in path order:
 // notify, backend-tx, backend-rx, signal, pi-wait, sched-in, ring-wait,
@@ -422,11 +403,13 @@ type PathStage struct {
 	Mechanism string `json:"mechanism,omitempty"`
 	// Count is the number of traversals observed in the window.
 	Count uint64 `json:"count"`
-	// Mean, P50, P99 and Max summarize the stage latency.
-	Mean time.Duration `json:"mean"`
-	P50  time.Duration `json:"p50"`
-	P99  time.Duration `json:"p99"`
-	Max  time.Duration `json:"max"`
+	// Mean, P50, P99 and Max summarize the stage latency. Mean and Max
+	// are exact; the percentiles carry the log-bucketed histogram's
+	// sub-1% relative error.
+	Mean time.Duration `json:"mean_ns"`
+	P50  time.Duration `json:"p50_ns"`
+	P99  time.Duration `json:"p99_ns"`
+	Max  time.Duration `json:"max_ns"`
 }
 
 // ProbePoint is one sample of a periodic state probe.
@@ -508,11 +491,6 @@ type Result struct {
 
 	// RTTSeries is the per-probe trace for Ping workloads.
 	RTTSeries []RTTPoint `json:"rtt_series,omitempty"`
-
-	// TraceSummary and TraceEvents are filled when
-	// ScenarioSpec.TraceCapacity > 0.
-	TraceSummary string       `json:"trace_summary,omitempty"`
-	TraceEvents  []TraceEvent `json:"trace_events,omitempty"`
 
 	// PathBreakdown attributes event-path latency to stages (filled
 	// when ScenarioSpec.PathTrace or Timeline is set), ordered

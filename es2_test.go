@@ -313,35 +313,6 @@ func TestDirectAssignEliminatesIOExits(t *testing.T) {
 	}
 }
 
-func TestTraceCapture(t *testing.T) {
-	spec := short(Baseline(), WorkloadSpec{Kind: NetperfTCPSend, MsgBytes: 1024})
-	spec.TraceCapacity = 4096
-	r := mustRun(t, spec)
-	if r.TraceSummary == "" {
-		t.Fatal("trace summary missing")
-	}
-	if len(r.TraceEvents) == 0 {
-		t.Fatal("no trace events captured")
-	}
-	kinds := map[string]bool{}
-	for _, e := range r.TraceEvents {
-		kinds[e.Kind] = true
-		if e.AtSeconds < 0 {
-			t.Fatal("negative timestamp")
-		}
-	}
-	for _, want := range []string{"exit", "irq-deliver", "irq-eoi"} {
-		if !kinds[want] {
-			t.Fatalf("trace lacks %q events (got %v)", want, kinds)
-		}
-	}
-	// Tracing off by default.
-	r2 := mustRun(t, short(Baseline(), WorkloadSpec{Kind: NetperfTCPSend, MsgBytes: 1024}))
-	if r2.TraceSummary != "" || len(r2.TraceEvents) != 0 {
-		t.Fatal("trace should be off by default")
-	}
-}
-
 func TestModerationTradeoff(t *testing.T) {
 	// The Section II-C argument: interrupt moderation saves interrupt
 	// (and, in the baseline, exit) load but costs latency. Compare ping

@@ -4,9 +4,6 @@
 // still traps without VT-d posted interrupts, and responsiveness under
 // core multiplexing still needs intelligent interrupt redirection.
 //
-// The run also demonstrates the perf-kvm-style tracer: set
-// TraceCapacity and the result carries an event summary.
-//
 //	go run ./examples/sriov
 package main
 
@@ -61,24 +58,5 @@ func main() {
 		}
 		fmt.Printf("%-22s mean RTT %v (p99 %v)\n", c.name,
 			res.MeanLatency.Round(time.Microsecond), res.P99Latency.Round(time.Microsecond))
-	}
-
-	fmt.Println("\n== Event trace excerpt (perf-kvm style)")
-	res, err := es2.Run(es2.ScenarioSpec{
-		Name: "sriov/trace", Seed: 21, Config: es2.PIOnly(),
-		Workload:      es2.WorkloadSpec{Kind: es2.NetperfTCPSend, MsgBytes: 1024},
-		DirectAssign:  true,
-		TraceCapacity: 1 << 12,
-		Duration:      200 * time.Millisecond,
-	})
-	if err != nil {
-		log.Fatal(err)
-	}
-	fmt.Print(res.TraceSummary)
-	for i, e := range res.TraceEvents {
-		if i >= 5 {
-			break
-		}
-		fmt.Printf("  %9.6fs vm%d/vcpu%d %-12s %s\n", e.AtSeconds, e.VM, e.VCPU, e.Kind, e.Detail)
 	}
 }

@@ -101,7 +101,6 @@ func goldenScenarios() []es2.ScenarioSpec {
 	obs := goldenSpec("single/observers-faults", es2.Full(4), es2.WorkloadSpec{Kind: es2.Memcached})
 	obs.VMs, obs.VCPUs, obs.VMCores = 2, 2, 2
 	obs.PathTrace, obs.Timeline = true, true
-	obs.TraceCapacity = 256
 	obs.CPUProfile = true
 	obs.Telemetry, obs.TelemetryWindow = true, 5*time.Millisecond
 	obs.CritPath = true

@@ -74,14 +74,8 @@ func (l *LocalAPIC) EOI() Vector {
 	return v
 }
 
-// InService returns the highest in-service vector, if any.
-func (l *LocalAPIC) InService() (Vector, bool) { return l.isr.Highest() }
-
 // InServiceDepth returns the number of nested in-service vectors.
 func (l *LocalAPIC) InServiceDepth() int { return l.isr.Count() }
-
-// IRR exposes a copy of the pending bitmap (for tests and tracing).
-func (l *LocalAPIC) IRR() Bitmap256 { return l.irr }
 
 // ISR exposes a copy of the in-service bitmap.
 func (l *LocalAPIC) ISR() Bitmap256 { return l.isr }

@@ -72,9 +72,6 @@ func (d *PIDescriptor) Outstanding() bool { return d.on }
 // stops running and clears it before VM entry.
 func (d *PIDescriptor) SetSuppress(s bool) { d.sn = s }
 
-// Suppressed reports the SN bit.
-func (d *PIDescriptor) Suppressed() bool { return d.sn }
-
 // SetAvailable marks the PI facility working (true) or broken (false).
 func (d *PIDescriptor) SetAvailable(ok bool) { d.unavailable = !ok }
 

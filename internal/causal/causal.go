@@ -227,7 +227,6 @@ func (p *Probe) Start(flow int, seq int64, now sim.Time) *Chain {
 	if p == nil || p.t == nil {
 		return nil
 	}
-	p.t.started++
 	return &Chain{flow: flow, seq: seq, start: now}
 }
 
@@ -261,7 +260,6 @@ type Tracker struct {
 	Degraded func() bool
 
 	exemplars int // retained slowest chains
-	started   uint64
 	recs      []record
 	tail      []*Chain // k slowest completed chains, sorted slowest-first
 	tailE2E   []sim.Time
@@ -319,7 +317,6 @@ func (t *Tracker) Reset() {
 	if t == nil {
 		return
 	}
-	t.started = 0
 	t.recs = t.recs[:0]
 	t.tail = t.tail[:0]
 	t.tailE2E = t.tailE2E[:0]
@@ -330,14 +327,6 @@ func (t *Tracker) Reset() {
 	t.degCount = [NumStages]uint64{}
 	t.degReqs = 0
 	t.degE2E = 0
-}
-
-// Started returns the number of chains opened since the last Reset.
-func (t *Tracker) Started() uint64 {
-	if t == nil {
-		return 0
-	}
-	return t.started
 }
 
 // Completed returns the number of chains recorded since the last

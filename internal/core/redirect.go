@@ -6,7 +6,6 @@ import (
 
 	"es2/internal/apic"
 	"es2/internal/sim"
-	"es2/internal/trace"
 	"es2/internal/vmm"
 )
 
@@ -145,7 +144,6 @@ func (r *Redirector) note(vm *vmm.VM, target *vmm.VCPU, msi apic.MSIMessage) {
 	} else {
 		r.KeptAffinity++
 	}
-	vm.K.Trace.Record(vm.K.Eng.Now(), trace.KindRedirect, vm.Index, target.ID, int64(msi.Vector))
 }
 
 // ES2 bundles an installed ES2 instance.

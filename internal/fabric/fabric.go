@@ -201,9 +201,6 @@ func (p *Port) SetBlackhole(until sim.Time) {
 	}
 }
 
-// LinkDown reports whether the port's link is down right now.
-func (p *Port) LinkDown() bool { return p.sw.eng.Now() < p.downUntil }
-
 // Impaired reports whether frames routed to this port are currently
 // being discarded (down link or blackholed egress). A degraded port is
 // slow, not impaired.

@@ -92,9 +92,6 @@ func (k *Kernel) JitterCost(c sim.Time) sim.Time { return k.rng.Jitter(c, 0.25) 
 // RegisterFlow binds a flow id to its guest-side handler.
 func (k *Kernel) RegisterFlow(id int, h FlowHandler) { k.flows[id] = h }
 
-// UnregisterFlow removes a flow binding.
-func (k *Kernel) UnregisterFlow(id int) { delete(k.flows, id) }
-
 // SetDefaultHandler installs the handler for flows without an explicit
 // registration (server applications accepting new connections).
 func (k *Kernel) SetDefaultHandler(h FlowHandler) { k.defaultFlo = h }

@@ -261,9 +261,6 @@ func (d *NetDev) TransmitOrDrop(v *vmm.VCPU, p *netsim.Packet) bool {
 // WaitTXFlow registers fn on the queue pair the flow hashes to.
 func (d *NetDev) WaitTXFlow(flow int, fn func()) { d.PairFor(flow).WaitTX(fn) }
 
-// TXFullFor reports whether the flow's TX ring is full.
-func (d *NetDev) TXFullFor(flow int) bool { return d.PairFor(flow).TX.Full() }
-
 // ReclaimTX reclaims completed descriptors on the first pair
 // (single-queue convenience).
 func (d *NetDev) ReclaimTX() int { return d.Pairs[0].ReclaimTX() }

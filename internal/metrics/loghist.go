@@ -24,9 +24,10 @@ const (
 // LogHistogram is an HDR-style log-bucketed latency histogram: O(1)
 // insertion, fixed memory (~57KB once touched) regardless of sample
 // count, exact count/sum/min/max (hence exact Mean), and quantiles
-// within the bucket's relative error bound (< 1%). It replaces the
-// sorted-sample Histogram where unbounded high-rate runs must not grow
-// memory, and backs the telemetry latency spectra.
+// within the bucket's relative error bound (< 1%). It is the
+// simulator's one latency histogram: workload request latencies, the
+// span tracer's per-stage cells, the telemetry latency spectra and
+// their OpenMetrics exposition all use it.
 type LogHistogram struct {
 	counts   []uint64 // allocated on first Observe
 	count    uint64

@@ -7,13 +7,7 @@
 // happens at the harness layer after the engines have finished.
 package metrics
 
-import (
-	"fmt"
-	"math"
-	"sort"
-
-	"es2/internal/sim"
-)
+import "es2/internal/sim"
 
 // Counter is a monotonically increasing event count.
 type Counter struct {
@@ -80,114 +74,6 @@ func (g *Gauge) Reset() {
 		return
 	}
 	g.min, g.max = g.v, g.v
-}
-
-// Histogram records a distribution of durations with exact storage up to
-// a bounded sample count; beyond the bound it keeps a deterministic
-// 1-in-k subsample plus exact count/sum/min/max. This keeps memory flat
-// for multi-second simulations with millions of samples while preserving
-// exact means and accurate tails.
-type Histogram struct {
-	samples  []sim.Time
-	stride   uint64 // keep every stride-th sample once full
-	seen     uint64
-	count    uint64
-	sum      sim.Time
-	min, max sim.Time
-	maxKeep  int
-	sorted   bool
-}
-
-// NewHistogram returns a histogram retaining at most maxKeep samples
-// (subsampled deterministically beyond that). maxKeep <= 0 selects a
-// default of 64k samples.
-func NewHistogram(maxKeep int) *Histogram {
-	if maxKeep <= 0 {
-		maxKeep = 1 << 16
-	}
-	return &Histogram{maxKeep: maxKeep, stride: 1}
-}
-
-// Observe records one duration.
-func (h *Histogram) Observe(d sim.Time) {
-	h.count++
-	h.sum += d
-	if h.count == 1 || d < h.min {
-		h.min = d
-	}
-	if h.count == 1 || d > h.max {
-		h.max = d
-	}
-	if h.seen%h.stride == 0 {
-		if len(h.samples) >= h.maxKeep {
-			// Decimate in place: keep every other retained sample and
-			// double the stride, preserving determinism.
-			kept := h.samples[:0]
-			for i := 0; i < len(h.samples); i += 2 {
-				kept = append(kept, h.samples[i])
-			}
-			h.samples = kept
-			h.stride *= 2
-		}
-		h.samples = append(h.samples, d)
-		h.sorted = false
-	}
-	h.seen++
-}
-
-// Count returns the number of observations.
-func (h *Histogram) Count() uint64 { return h.count }
-
-// Reset discards all observations (used at measurement-window
-// boundaries).
-func (h *Histogram) Reset() {
-	h.samples = h.samples[:0]
-	h.stride = 1
-	h.seen, h.count = 0, 0
-	h.sum, h.min, h.max = 0, 0, 0
-	h.sorted = false
-}
-
-// Mean returns the exact mean of all observations (0 when empty).
-func (h *Histogram) Mean() sim.Time {
-	if h.count == 0 {
-		return 0
-	}
-	return sim.Time(float64(h.sum) / float64(h.count))
-}
-
-// Min returns the smallest observation (0 when empty).
-func (h *Histogram) Min() sim.Time { return h.min }
-
-// Max returns the largest observation (0 when empty).
-func (h *Histogram) Max() sim.Time { return h.max }
-
-// Quantile returns the q-quantile (0 <= q <= 1) over retained samples.
-func (h *Histogram) Quantile(q float64) sim.Time {
-	if len(h.samples) == 0 {
-		return 0
-	}
-	if !h.sorted {
-		sort.Slice(h.samples, func(i, j int) bool { return h.samples[i] < h.samples[j] })
-		h.sorted = true
-	}
-	if q <= 0 {
-		return h.samples[0]
-	}
-	if q >= 1 {
-		return h.samples[len(h.samples)-1]
-	}
-	idx := int(math.Ceil(q*float64(len(h.samples)))) - 1
-	if idx < 0 {
-		idx = 0
-	}
-	return h.samples[idx]
-}
-
-// Summary formats count/mean/p50/p99/max for reports.
-func (h *Histogram) Summary() string {
-	return fmt.Sprintf("n=%d mean=%v p50=%v p99=%v max=%v",
-		h.count, h.Mean(), h.Quantile(0.5), h.Quantile(0.99), h.max)
 }
 
 // Point is one (time, value) sample of a Series.

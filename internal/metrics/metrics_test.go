@@ -1,9 +1,7 @@
 package metrics
 
 import (
-	"math"
 	"testing"
-	"testing/quick"
 
 	"es2/internal/sim"
 )
@@ -30,90 +28,6 @@ func TestGauge(t *testing.T) {
 	g.Set(4)
 	if g.Value() != 4 || g.Min() != -3 || g.Max() != 10 {
 		t.Fatalf("gauge: v=%d min=%d max=%d", g.Value(), g.Min(), g.Max())
-	}
-}
-
-func TestHistogramExactSmall(t *testing.T) {
-	h := NewHistogram(1000)
-	for i := 1; i <= 100; i++ {
-		h.Observe(sim.Time(i))
-	}
-	if h.Count() != 100 {
-		t.Fatalf("Count = %d", h.Count())
-	}
-	if h.Mean() != sim.Time(50) { // exact mean 50.5 truncated by float→Time conversion
-		t.Fatalf("Mean = %v, want 50", h.Mean())
-	}
-	if h.Min() != 1 || h.Max() != 100 {
-		t.Fatalf("min/max = %v/%v", h.Min(), h.Max())
-	}
-	if q := h.Quantile(0.5); q != 50 {
-		t.Fatalf("p50 = %v, want 50", q)
-	}
-	if q := h.Quantile(1); q != 100 {
-		t.Fatalf("p100 = %v, want 100", q)
-	}
-	if q := h.Quantile(0); q != 1 {
-		t.Fatalf("p0 = %v, want 1", q)
-	}
-}
-
-func TestHistogramEmpty(t *testing.T) {
-	h := NewHistogram(0)
-	if h.Mean() != 0 || h.Quantile(0.5) != 0 || h.Count() != 0 {
-		t.Fatal("empty histogram should report zeros")
-	}
-}
-
-func TestHistogramSubsampling(t *testing.T) {
-	h := NewHistogram(128)
-	const n = 100000
-	for i := 0; i < n; i++ {
-		h.Observe(sim.Time(i))
-	}
-	if h.Count() != n {
-		t.Fatalf("Count = %d, want %d", h.Count(), n)
-	}
-	// Exact stats survive subsampling.
-	wantMean := float64(n-1) / 2
-	if m := float64(h.Mean()); math.Abs(m-wantMean) > 1 {
-		t.Fatalf("Mean = %v, want ~%v", m, wantMean)
-	}
-	if h.Max() != n-1 || h.Min() != 0 {
-		t.Fatalf("min/max wrong: %v/%v", h.Min(), h.Max())
-	}
-	// Quantiles should stay roughly accurate despite decimation.
-	p50 := float64(h.Quantile(0.5))
-	if p50 < 0.4*n || p50 > 0.6*n {
-		t.Fatalf("p50 = %v, want ~%v", p50, n/2)
-	}
-	if len(h.samples) > 129 {
-		t.Fatalf("retained %d samples, budget 128", len(h.samples))
-	}
-}
-
-// Property: quantiles are monotone in q and bounded by min/max.
-func TestHistogramQuantileMonotone(t *testing.T) {
-	f := func(vals []uint32) bool {
-		if len(vals) == 0 {
-			return true
-		}
-		h := NewHistogram(256)
-		for _, v := range vals {
-			h.Observe(sim.Time(v))
-		}
-		prev := h.Quantile(0)
-		for q := 0.1; q <= 1.0; q += 0.1 {
-			cur := h.Quantile(q)
-			if cur < prev || cur < h.Min() || cur > h.Max() {
-				return false
-			}
-			prev = cur
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
-		t.Fatal(err)
 	}
 }
 

@@ -259,9 +259,6 @@ func (s *Scheduler) Requery(t *Thread) {
 	c.requeryCurrent(t)
 }
 
-// CurrentOn returns the thread running on coreID, or nil when idle.
-func (s *Scheduler) CurrentOn(coreID int) *Thread { return s.cores[coreID].cur }
-
 // RunnableCount returns the number of runnable+running threads on core.
 func (s *Scheduler) RunnableCount(coreID int) int {
 	c := s.cores[coreID]
@@ -302,9 +299,6 @@ func (s *Scheduler) Unfreeze() {
 		c.kick()
 	}
 }
-
-// Frozen reports whether the scheduler is currently frozen.
-func (s *Scheduler) Frozen() bool { return s.frozen }
 
 // Now returns the scheduler's engine clock (convenience for sources).
 func (s *Scheduler) Now() sim.Time { return s.eng.Now() }

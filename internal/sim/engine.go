@@ -35,10 +35,6 @@ func (h *Handle) Cancel() {
 // Active reports whether the event is still pending.
 func (h *Handle) Active() bool { return h != nil && !h.canceled && h.index >= 0 }
 
-// When returns the instant the event is scheduled for. The value is
-// meaningless once the event has fired or been cancelled.
-func (h *Handle) When() Time { return h.t }
-
 // eventQueue is a binary min-heap of *Handle ordered by (time, seq).
 type eventQueue []*Handle
 

@@ -1,3 +1,11 @@
+// Package trace holds the simulator's event-path observers: a span
+// tracer (PathTracer) that attributes latency to each stage a
+// notification unit crosses, and an execution timeline (Timeline),
+// exported as Perfetto/Chrome-trace JSON, that records VM exits,
+// interrupt deliveries, redirections and vCPU scheduling.
+//
+// Both are optional and nil-safe, so model components hold them
+// unconditionally and pay nothing when tracing is disabled.
 package trace
 
 import (
@@ -130,13 +138,13 @@ type StageStats struct {
 
 // PathTracer derives per-stage latency histograms from stage-transition
 // timestamps recorded by the instrumented layers, and optionally feeds
-// a Timeline. Like Buffer, a nil *PathTracer is safe to call (no-op),
-// so every component can hold one unconditionally at zero cost when
-// tracing is disabled.
+// a Timeline. A nil *PathTracer is safe to call (no-op), so every
+// component can hold one unconditionally at zero cost when tracing is
+// disabled.
 //
 // All state is owned by one simulation engine; no locking.
 type PathTracer struct {
-	hist [NumStages][NumMechanisms]*metrics.Histogram
+	hist [NumStages][NumMechanisms]*metrics.LogHistogram
 	// open tracks in-flight interrupt-signal spans keyed by
 	// (vm, vector); a second signal for a vector whose span is still
 	// open coalesces into it, as the interrupt itself coalesces in the
@@ -175,7 +183,7 @@ func (p *PathTracer) Observe(s Stage, m Mechanism, d sim.Time) {
 	}
 	h := p.hist[s][m]
 	if h == nil {
-		h = metrics.NewHistogram(0)
+		h = metrics.NewLogHistogram()
 		p.hist[s][m] = h
 	}
 	h.Observe(d)
@@ -256,7 +264,7 @@ func (p *PathTracer) Stats() []StageStats {
 
 // Hist exposes the histogram of one cell (nil when never observed) for
 // tests and custom reports.
-func (p *PathTracer) Hist(s Stage, m Mechanism) *metrics.Histogram {
+func (p *PathTracer) Hist(s Stage, m Mechanism) *metrics.LogHistogram {
 	if p == nil {
 		return nil
 	}

@@ -156,17 +156,17 @@ func TestTimelineWriteJSON(t *testing.T) {
 		t.Fatal(err)
 	}
 	var doc struct {
-		TraceEvents []map[string]any `json:"traceEvents"`
+		Events []map[string]any `json:"traceEvents"`
 	}
 	if err := json.Unmarshal(buf.Bytes(), &doc); err != nil {
 		t.Fatalf("output is not valid JSON: %v\n%s", err, buf.String())
 	}
 	// 2 process_name + 3 thread_name metadata records + 4 events.
-	if len(doc.TraceEvents) != 9 {
-		t.Fatalf("got %d records, want 9", len(doc.TraceEvents))
+	if len(doc.Events) != 9 {
+		t.Fatalf("got %d records, want 9", len(doc.Events))
 	}
 	var slices, instants, counters int
-	for _, e := range doc.TraceEvents {
+	for _, e := range doc.Events {
 		switch e["ph"] {
 		case "X":
 			slices++

@@ -35,13 +35,12 @@ type Desc struct {
 	// SpanT and SpanMech carry event-path span-tracing state across the
 	// ring: the instant the descriptor entered its current stage and
 	// the mechanism tag of that transition (see internal/trace). Zero
-	// when tracing is disabled; opaque to the queue itself.
+	// when tracing is disabled. The queue itself touches SpanT only
+	// when its residency probe is installed: Add stamps the publish
+	// instant, the same one the guest stamps at the doorbell, and Pop
+	// reads it.
 	SpanT    sim.Time
 	SpanMech uint8
-
-	// resT is the avail-publish instant, stamped by Add when the
-	// queue's residency probe is installed (telemetry runs).
-	resT sim.Time
 }
 
 // CausalChain returns the per-request causal chain riding the
@@ -81,8 +80,8 @@ type Virtqueue struct {
 	DropSignal func() bool
 
 	// resLat/resNow implement the residency probe: when installed,
-	// every descriptor is stamped at Add and its avail-ring residency
-	// (publish → device dequeue) observed at Pop. Purely
+	// every descriptor's SpanT is stamped at Add and its avail-ring
+	// residency (publish → device dequeue) observed at Pop. Purely
 	// observational; nil in normal operation.
 	resLat *metrics.LogHistogram
 	resNow func() sim.Time
@@ -156,7 +155,7 @@ func (q *Virtqueue) Add(d Desc) bool {
 		return false
 	}
 	if q.resLat != nil {
-		d.resT = q.resNow()
+		d.SpanT = q.resNow()
 	}
 	q.avail = append(q.avail, d)
 	q.Added++
@@ -235,7 +234,7 @@ func (q *Virtqueue) Pop() (Desc, bool) {
 	q.inflight++
 	q.Popped++
 	if q.resLat != nil {
-		q.resLat.Observe(q.resNow() - d.resT)
+		q.resLat.Observe(q.resNow() - d.SpanT)
 	}
 	return d, true
 }

@@ -29,9 +29,6 @@ type KVM struct {
 	UsePI bool
 	// Router, when non-nil, intercepts MSI routing (ES2 redirection).
 	Router MSIRouter
-	// Trace, when non-nil, records event-path activity (perf-kvm
-	// style). A nil buffer costs nothing.
-	Trace *trace.Buffer
 	// Path, when non-nil, attributes per-stage event-path latency
 	// (signal delivery, pi-wait). Nil costs nothing.
 	Path *trace.PathTracer

@@ -141,7 +141,6 @@ func (v *VCPU) schedIn(coreID int) {
 	v.PID.SetSuppress(false)
 	v.needEntrySync = true
 	v.lastSchedIn = v.VM.K.Eng.Now()
-	v.VM.K.Trace.Record(v.VM.K.Eng.Now(), trace.KindSchedIn, v.VM.Index, v.ID, int64(coreID))
 	for _, fn := range v.schedInHooks {
 		fn(coreID)
 	}
@@ -149,7 +148,6 @@ func (v *VCPU) schedIn(coreID int) {
 
 func (v *VCPU) schedOut() {
 	v.PID.SetSuppress(true)
-	v.VM.K.Trace.Record(v.VM.K.Eng.Now(), trace.KindSchedOut, v.VM.Index, v.ID, int64(v.Thread.Core()))
 	for _, fn := range v.schedOutHooks {
 		fn()
 	}
@@ -184,10 +182,6 @@ func (v *VCPU) enqueueTaskFront(t *Task) {
 	v.tasks[t.Prio] = q
 }
 
-// QueuedTasks returns the number of queued guest tasks at prio
-// (including a partially executed head task).
-func (v *VCPU) QueuedTasks(p Prio) int { return len(v.tasks[p]) }
-
 // BeginExit queues a VM exit of the given reason on this vCPU: the
 // thread will spend the cost-model-defined interval in root mode before
 // returning to guest execution. onDone (optional) runs when the
@@ -198,7 +192,7 @@ func (v *VCPU) QueuedTasks(p Prio) int { return len(v.tasks[p]) }
 func (v *VCPU) BeginExit(reason ExitReason, onDone func()) {
 	cost := v.VM.K.exitCost(reason)
 	v.hostQ = append(v.hostQ, &hostInterval{reason: reason, remaining: cost, onDone: onDone})
-	v.VM.recordExit(v, reason)
+	v.VM.Exits.Inc(int(reason))
 }
 
 // poke makes the scheduler re-evaluate this vCPU: wake it if sleeping,
@@ -329,7 +323,9 @@ func (v *VCPU) LastSchedIn() sim.Time { return v.lastSchedIn }
 func (v *VCPU) completeIRQ() {
 	vec := v.VAPIC.EOI()
 	v.IRQCompleted++
-	v.VM.noteCompleted(v, vec)
+	if v.VM.IsDeviceVector(vec) {
+		v.VM.DevIRQCompleted.Inc()
+	}
 	if !v.VM.K.UsePI {
 		v.BeginExit(ExitAPICAccess, nil)
 	}

@@ -6,7 +6,6 @@ import (
 	"es2/internal/apic"
 	"es2/internal/metrics"
 	"es2/internal/sim"
-	"es2/internal/trace"
 )
 
 // IRQHandler is a guest interrupt handler registered in the IDT: it
@@ -130,29 +129,16 @@ func (vm *VM) startTimer(v *VCPU, period, phase sim.Time) {
 	vm.timerEvts[v.ID] = vm.K.Eng.After(period+phase, tick)
 }
 
-func (vm *VM) recordExit(v *VCPU, r ExitReason) {
-	vm.Exits.Inc(int(r))
-	vm.K.Trace.Record(vm.K.Eng.Now(), trace.KindExit, vm.Index, v.ID, int64(r))
-}
-
 func (vm *VM) noteAccepted(v *VCPU, vec apic.Vector) {
 	if vm.IsDeviceVector(vec) {
 		vm.DevIRQDelivered.Inc()
 	}
-	vm.K.Trace.Record(vm.K.Eng.Now(), trace.KindIRQDeliver, vm.Index, v.ID, int64(vec))
 	if vm.K.Path != nil {
 		vm.K.Path.CloseSignal(vm.Index, uint8(vec), vm.K.Eng.Now())
 	}
 	if tl := vm.K.Timeline; tl.Active() {
 		tl.Instant(v.track, fmt.Sprintf("irq%#x", vec), vm.K.Eng.Now())
 	}
-}
-
-func (vm *VM) noteCompleted(v *VCPU, vec apic.Vector) {
-	if vm.IsDeviceVector(vec) {
-		vm.DevIRQCompleted.Inc()
-	}
-	vm.K.Trace.Record(vm.K.Eng.Now(), trace.KindIRQEOI, vm.Index, v.ID, int64(vec))
 }
 
 // TIG returns the VM-wide time-in-guest fraction.

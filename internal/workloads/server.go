@@ -130,18 +130,6 @@ func (s *Server) HandleRX(p *netsim.Packet, v *vmm.VCPU) {
 	}
 }
 
-// QueuedRequests reports requests waiting in worker queues.
-func (s *Server) QueuedRequests() int {
-	n := 0
-	for _, w := range s.workers {
-		n += len(w.q)
-		if w.busy {
-			n++
-		}
-	}
-	return n
-}
-
 // worker is one per-vCPU application process.
 type worker struct {
 	srv  *Server

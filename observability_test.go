@@ -3,6 +3,7 @@ package es2
 import (
 	"bytes"
 	"encoding/json"
+	"strings"
 	"testing"
 	"time"
 )
@@ -98,54 +99,109 @@ func TestObservabilityOffByDefault(t *testing.T) {
 	}
 }
 
+// TestTimelineDeterministicAndValid checks that the timeline replays
+// byte-identically and records every event-path event kind: an
+// exit:<reason> slice for each reason the run counted, interrupt
+// deliveries as irq instants and, on a multiplexed host, redirections
+// and vCPU slices on the core tracks. (An emulated EOI is its
+// APICAccess exit slice; the completions themselves are counted in
+// IRQCompleted.)
 func TestTimelineDeterministicAndValid(t *testing.T) {
-	spec := shortPath(Full(0), WorkloadSpec{Kind: NetperfUDPRecv, MsgBytes: 1024})
-	spec.Timeline = true
+	smp := shortPath(Full(4), WorkloadSpec{Kind: Memcached})
+	smp.VMs, smp.VCPUs, smp.VMCores = 2, 2, 2
+	smp.Warmup, smp.Duration = 20*time.Millisecond, 50*time.Millisecond
+	for _, tc := range []struct {
+		name string
+		spec ScenarioSpec
+	}{
+		{"full-udp-recv", shortPath(Full(0), WorkloadSpec{Kind: NetperfUDPRecv, MsgBytes: 1024})},
+		{"baseline-tcp-send", shortPath(Baseline(), WorkloadSpec{Kind: NetperfTCPSend, MsgBytes: 1024})},
+		{"full-memcached-2x2x2", smp},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			spec := tc.spec
+			spec.Timeline = true
+			run := func() (*Result, []byte) {
+				t.Helper()
+				r := mustRun(t, spec)
+				if r.Timeline == nil || r.Timeline.Len() == 0 {
+					t.Fatal("timeline empty")
+				}
+				var buf bytes.Buffer
+				if err := r.Timeline.WriteJSON(&buf); err != nil {
+					t.Fatal(err)
+				}
+				return r, buf.Bytes()
+			}
+			r, a := run()
+			if _, b := run(); !bytes.Equal(a, b) {
+				t.Fatal("identical spec+seed produced different timeline bytes")
+			}
 
-	serialize := func() []byte {
-		t.Helper()
-		r := mustRun(t, spec)
-		if r.Timeline == nil || r.Timeline.Len() == 0 {
-			t.Fatal("timeline empty")
-		}
-		var buf bytes.Buffer
-		if err := r.Timeline.WriteJSON(&buf); err != nil {
-			t.Fatal(err)
-		}
-		return buf.Bytes()
+			var doc struct {
+				Events []struct {
+					Ph   string `json:"ph"`
+					Pid  int    `json:"pid"`
+					Name string `json:"name"`
+					Args struct {
+						Name string `json:"name"`
+					} `json:"args"`
+				} `json:"traceEvents"`
+			}
+			if err := json.Unmarshal(a, &doc); err != nil {
+				t.Fatalf("timeline is not valid JSON: %v", err)
+			}
+			phases := map[string]int{}
+			slices, instants := map[string]bool{}, map[string]bool{}
+			corePid, coreSlices := 0, map[string]bool{}
+			for _, e := range doc.Events {
+				phases[e.Ph]++
+				switch {
+				case e.Ph == "M" && e.Name == "process_name" && e.Args.Name == "cores":
+					corePid = e.Pid
+				case e.Ph == "X":
+					slices[e.Name] = true
+					if e.Pid == corePid {
+						coreSlices[e.Name] = true
+					}
+				case e.Ph == "i":
+					instants[e.Name] = true
+				}
+			}
+			// Track metadata, exit/worker slices, irq instants and probe
+			// counters.
+			for _, ph := range []string{"M", "X", "i", "C"} {
+				if phases[ph] == 0 {
+					t.Fatalf("timeline lacks %q events: %v", ph, phases)
+				}
+			}
+			for reason, rate := range r.ExitRates {
+				if rate > 0 && !slices["exit:"+reason] {
+					t.Errorf("%s exits at %.0f/s but no exit:%s slice", reason, rate, reason)
+				}
+			}
+			if !hasPrefix(instants, "irq0x") {
+				t.Error("no irq delivery instants")
+			}
+			if spec.VMs > 1 {
+				if !hasPrefix(instants, "redirect irq0x") {
+					t.Error("no redirect instants")
+				}
+				if !hasPrefix(coreSlices, "vm0/vcpu") || !hasPrefix(coreSlices, "vm1/vcpu") {
+					t.Errorf("core tracks lack vCPU slices of both VMs: %v", coreSlices)
+				}
+			}
+		})
 	}
-	a := serialize()
-	b := serialize()
-	if !bytes.Equal(a, b) {
-		t.Fatal("identical spec+seed produced different timeline bytes")
-	}
+}
 
-	var doc struct {
-		TraceEvents []map[string]any `json:"traceEvents"`
-	}
-	if err := json.Unmarshal(a, &doc); err != nil {
-		t.Fatalf("timeline is not valid JSON: %v", err)
-	}
-	// The export must carry track metadata plus the three event types
-	// the instrumentation emits: exit/worker slices, irq instants, and
-	// probe counters.
-	var meta, slices, instants, counters int
-	for _, e := range doc.TraceEvents {
-		switch e["ph"] {
-		case "M":
-			meta++
-		case "X":
-			slices++
-		case "i":
-			instants++
-		case "C":
-			counters++
+func hasPrefix(names map[string]bool, prefix string) bool {
+	for n := range names {
+		if strings.HasPrefix(n, prefix) {
+			return true
 		}
 	}
-	if meta == 0 || slices == 0 || instants == 0 || counters == 0 {
-		t.Fatalf("timeline lacks event types: meta=%d slices=%d instants=%d counters=%d",
-			meta, slices, instants, counters)
-	}
+	return false
 }
 
 func TestTimelineImpliesPathTrace(t *testing.T) {
@@ -185,27 +241,5 @@ func TestProbesRecorded(t *testing.T) {
 		if !names[want] {
 			t.Fatalf("probe %q missing (got %v)", want, names)
 		}
-	}
-}
-
-func TestTraceRingWraparound(t *testing.T) {
-	// A deliberately tiny capacity forces the ring to wrap many times;
-	// the exported events must be the LAST N, in chronological order.
-	spec := short(Baseline(), WorkloadSpec{Kind: NetperfTCPSend, MsgBytes: 1024})
-	spec.TraceCapacity = 64
-	r := mustRun(t, spec)
-	if len(r.TraceEvents) != 64 {
-		t.Fatalf("got %d events, want the full ring of 64", len(r.TraceEvents))
-	}
-	for i := 1; i < len(r.TraceEvents); i++ {
-		if r.TraceEvents[i].AtSeconds < r.TraceEvents[i-1].AtSeconds {
-			t.Fatalf("wrapped ring out of order at %d: %v after %v",
-				i, r.TraceEvents[i].AtSeconds, r.TraceEvents[i-1].AtSeconds)
-		}
-	}
-	// The retained tail must come from the end of the run (warmup
-	// 200ms + 400ms window = 600ms total), not the start.
-	if r.TraceEvents[0].AtSeconds < 0.3 {
-		t.Fatalf("ring retained early events: first at %vs", r.TraceEvents[0].AtSeconds)
 	}
 }

@@ -179,6 +179,21 @@ func TestResultJSONStable(t *testing.T) {
 			t.Errorf("cpu_report lacks %q; got keys %v", key, keysOf(rep))
 		}
 	}
+	stages, ok := doc["path_breakdown"].([]any)
+	if !ok || len(stages) == 0 {
+		t.Fatal("PathTrace run produced no path_breakdown")
+	}
+	for _, st := range stages {
+		cell, ok := st.(map[string]any)
+		if !ok {
+			t.Fatal("path_breakdown element is not an object")
+		}
+		for _, key := range []string{"stage", "count", "mean_ns", "p50_ns", "p99_ns", "max_ns"} {
+			if _, ok := cell[key]; !ok {
+				t.Errorf("path_breakdown cell lacks %q; got keys %v", key, keysOf(cell))
+			}
+		}
+	}
 	if rtts, ok := doc["rtt_series"].([]any); !ok || len(rtts) == 0 {
 		t.Fatal("ping run produced no rtt_series")
 	} else if pt, ok := rtts[0].(map[string]any); !ok {

@@ -273,21 +273,6 @@ func Run(spec ScenarioSpec) (*Result, error) {
 	}
 	tb.addVMCounters(r, 0, window)
 	tb.fillHost(r, window)
-	if tb.k.Trace != nil {
-		r.TraceSummary = tb.k.Trace.Summary(warmup+window, func(reason int64) string {
-			return vmm.ExitReason(reason).String()
-		})
-		for _, e := range tb.k.Trace.Events() {
-			detail := fmt.Sprintf("%d", e.Arg)
-			if e.Kind == trace.KindExit {
-				detail = vmm.ExitReason(e.Arg).String()
-			}
-			r.TraceEvents = append(r.TraceEvents, TraceEvent{
-				AtSeconds: e.T.Seconds(), Kind: e.Kind.String(),
-				VM: e.VM, VCPU: e.VCPU, Detail: detail,
-			})
-		}
-	}
 	if tb.path != nil {
 		for _, p := range tb.probes {
 			ps := ProbeSeries{Name: p.series.Name}
@@ -422,9 +407,6 @@ func build(spec ScenarioSpec) (*testbed, error) {
 		pathTrace: spec.PathTrace || spec.Timeline, timeline: tb.tl,
 		cpuProfile: spec.CPUProfile, causal: tb.crit.Probe(0),
 	})
-	if spec.TraceCapacity > 0 {
-		tb.k.Trace = trace.New(spec.TraceCapacity)
-	}
 	if spec.EngineStats {
 		// Attach before any VM exists so build-time registrations sample
 		// like everything else. The wall clock only starts at the first

@@ -57,9 +57,6 @@ func (s ScenarioSpec) validate() error {
 	if s.CoalesceTimer < 0 || s.CoalesceTimer > time.Second {
 		return specErr("CoalesceTimer", "%v outside [0, 1s]", s.CoalesceTimer)
 	}
-	if s.TraceCapacity < 0 || s.TraceCapacity > maxBytes {
-		return specErr("TraceCapacity", "%d outside [0, %d]", s.TraceCapacity, maxBytes)
-	}
 	if s.CritPathExemplars < 0 || s.CritPathExemplars > 1024 {
 		return specErr("CritPathExemplars", "%d outside [0, 1024]", s.CritPathExemplars)
 	}
