@@ -104,10 +104,18 @@ func TestEngineReportContents(t *testing.T) {
 	if er.SampledEvents == 0 || len(er.Subsystems) == 0 {
 		t.Fatalf("no sampled subsystem attribution: sampled=%d rows=%d", er.SampledEvents, len(er.Subsystems))
 	}
+	haveSched := false
 	for _, row := range er.Subsystems {
 		if row.Name == "" || row.Samples == 0 {
 			t.Fatalf("degenerate subsystem row: %+v", row)
 		}
+		haveSched = haveSched || row.Name == "sched"
+	}
+	// The scheduler's chunk and slice timers schedule most events. With
+	// no sched row, SampleSite's caller walk is charging them to the
+	// engine itself (sim.Engine.At must stay SampleSite's direct caller).
+	if !haveSched {
+		t.Fatalf("no sched row in subsystem attribution: %+v", er.Subsystems)
 	}
 	if er.AllocBytes == 0 || er.Mallocs == 0 {
 		t.Fatalf("memstats deltas not populated: %+v", er)

@@ -31,7 +31,7 @@ type TCPSender struct {
 	// default). curRTO carries the exponential backoff.
 	rto    sim.Time
 	curRTO sim.Time
-	rtoEvt *sim.Handle
+	rtoEvt sim.Handle
 
 	// SentSegs and AckedSegs count stream progress. Retransmits counts
 	// go-back-N timeouts.
@@ -81,7 +81,7 @@ func (f *TCPSender) NextSegment() *netsim.Packet {
 // armRTO starts the retransmission timer if loss recovery is enabled
 // and no timer is already pending.
 func (f *TCPSender) armRTO() {
-	if f.rto <= 0 || f.rtoEvt != nil {
+	if f.rto <= 0 || f.rtoEvt.Active() {
 		return
 	}
 	f.rtoEvt = f.Kern.Engine().After(f.curRTO, f.onRTO)
@@ -91,7 +91,6 @@ func (f *TCPSender) armRTO() {
 // cumulative ACK, restart from a slow-start window, and back off the
 // timer exponentially (capped at 8x the base RTO).
 func (f *TCPSender) onRTO() {
-	f.rtoEvt = nil
 	if f.inFlight <= 0 {
 		return
 	}
@@ -140,10 +139,7 @@ func (f *TCPSender) HandleRX(p *netsim.Packet, v *vmm.VCPU) {
 	// Forward progress: reset the backoff and re-arm for what remains.
 	if f.rto > 0 {
 		f.curRTO = f.rto
-		if f.rtoEvt != nil {
-			f.rtoEvt.Cancel()
-			f.rtoEvt = nil
-		}
+		f.rtoEvt.Cancel()
 		if f.inFlight > 0 {
 			f.armRTO()
 		}

@@ -15,16 +15,20 @@ type core struct {
 	// a tree and is trivially deterministic.
 	rq []*Thread
 
-	cur         *Thread
-	chunkEvt    *sim.Handle
-	sliceEvt    *sim.Handle
-	runStart    sim.Time // when cur last started being charged
-	curStart    sim.Time // when cur was dispatched (timeline slice start)
-	sliceStart  sim.Time // when cur's current timeslice budget opened
-	sliceExpiry sim.Time // when the armed slice event fires
-	minVr       int64    // floor of vruntime on this core
-	dispatching bool
-	needResched bool
+	cur      *Thread
+	chunkEvt sim.Handle
+	sliceEvt sim.Handle
+	// chunkDoneFn and sliceExpiredFn are the timer callbacks, bound
+	// once so arming a timer allocates no method value.
+	chunkDoneFn    func()
+	sliceExpiredFn func()
+	runStart       sim.Time // when cur last started being charged
+	curStart       sim.Time // when cur was dispatched (timeline slice start)
+	sliceStart     sim.Time // when cur's current timeslice budget opened
+	sliceExpiry    sim.Time // when the armed slice event fires
+	minVr          int64    // floor of vruntime on this core
+	dispatching    bool
+	needResched    bool
 }
 
 // minVruntime returns the smallest plausible vruntime on the core, used
@@ -203,14 +207,12 @@ func (c *core) dispatch() {
 }
 
 func (c *core) armSlice() {
-	if c.sliceEvt != nil {
-		c.sliceEvt.Cancel()
-	}
+	c.sliceEvt.Cancel()
 	now := c.s.eng.Now()
 	d := c.sliceLength()
 	c.sliceStart = now
 	c.sliceExpiry = now + d
-	c.sliceEvt = c.s.eng.After(d, c.sliceExpired)
+	c.sliceEvt = c.s.eng.After(d, c.sliceExpiredFn)
 }
 
 // resizeSlice re-fits the running thread's timeslice to the current
@@ -223,7 +225,7 @@ func (c *core) armSlice() {
 // whole latency period (24ms) while late-arriving runnable threads
 // starve.
 func (c *core) resizeSlice() {
-	if c.cur == nil || c.sliceEvt == nil {
+	if c.cur == nil || !c.sliceEvt.Active() {
 		return
 	}
 	expiry := c.sliceStart + c.sliceLength()
@@ -235,7 +237,6 @@ func (c *core) resizeSlice() {
 	if expiry <= now {
 		// Budget already overdrawn under the new occupancy: preempt.
 		c.sliceEvt.Cancel()
-		c.sliceEvt = nil
 		if c.dispatching {
 			c.needResched = true
 			return
@@ -244,14 +245,12 @@ func (c *core) resizeSlice() {
 		return
 	}
 	c.sliceEvt.Cancel()
-	c.sliceEvt = c.s.eng.After(expiry-now, c.sliceExpired)
+	c.sliceEvt = c.s.eng.After(expiry-now, c.sliceExpiredFn)
 }
 
 func (c *core) armChunk(chunk sim.Time) {
-	if c.chunkEvt != nil {
-		c.chunkEvt.Cancel()
-	}
-	c.chunkEvt = c.s.eng.After(chunk, c.chunkDone)
+	c.chunkEvt.Cancel()
+	c.chunkEvt = c.s.eng.After(chunk, c.chunkDoneFn)
 }
 
 // stopCurrent charges cur, fires SchedOut, and transitions it to the
@@ -262,14 +261,8 @@ func (c *core) stopCurrent(to State) {
 	if c.s.tl != nil {
 		c.s.tl.Slice(c.s.coreTracks[c.id], t.Name, c.curStart, c.s.eng.Now())
 	}
-	if c.chunkEvt != nil {
-		c.chunkEvt.Cancel()
-		c.chunkEvt = nil
-	}
-	if c.sliceEvt != nil {
-		c.sliceEvt.Cancel()
-		c.sliceEvt = nil
-	}
+	c.chunkEvt.Cancel()
+	c.sliceEvt.Cancel()
 	c.cur = nil
 	t.state = to
 	if to == Runnable {
@@ -302,7 +295,6 @@ func (c *core) preemptLocked() {
 
 // chunkDone fires when the current chunk ran to completion.
 func (c *core) chunkDone() {
-	c.chunkEvt = nil
 	if c.cur == nil {
 		return
 	}
@@ -328,7 +320,6 @@ func (c *core) chunkDone() {
 
 // sliceExpired fires at timeslice end: preempt if anyone is waiting.
 func (c *core) sliceExpired() {
-	c.sliceEvt = nil
 	if c.cur == nil {
 		return
 	}
@@ -354,10 +345,7 @@ func (c *core) requeryCurrent(t *Thread) {
 		return
 	}
 	c.chargeCurrent()
-	if c.chunkEvt != nil {
-		c.chunkEvt.Cancel()
-		c.chunkEvt = nil
-	}
+	c.chunkEvt.Cancel()
 	c.dispatching = true
 	chunk := t.Source.NextChunk()
 	if chunk > 0 {

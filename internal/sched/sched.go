@@ -183,7 +183,9 @@ func New(eng *sim.Engine, nCores int, params Params) *Scheduler {
 	}
 	s := &Scheduler{eng: eng, params: params, rng: eng.Rand().Fork()}
 	for i := 0; i < nCores; i++ {
-		s.cores = append(s.cores, &core{id: i, s: s})
+		c := &core{id: i, s: s}
+		c.chunkDoneFn, c.sliceExpiredFn = c.chunkDone, c.sliceExpired
+		s.cores = append(s.cores, c)
 	}
 	return s
 }

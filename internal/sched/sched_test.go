@@ -454,3 +454,45 @@ func TestSchedConservationProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// oneChunkSource has one 1µs chunk of work per wakeup.
+type oneChunkSource struct{ pending bool }
+
+func (o *oneChunkSource) NextChunk() sim.Time {
+	if o.pending {
+		return sim.Microsecond
+	}
+	return 0
+}
+func (o *oneChunkSource) Ran(sim.Time) {}
+func (o *oneChunkSource) ChunkDone()   { o.pending = false }
+
+// Arming chunk and slice timers allocates nothing: the timer callbacks
+// are bound once per core, and the engine recycles their events.
+func TestTimerArmingAllocs(t *testing.T) {
+	eng, s := newSched(1)
+	src := &oneChunkSource{}
+	th := s.NewThread("w", 0, 0, src)
+	wake := testing.AllocsPerRun(1000, func() {
+		src.pending = true
+		s.Wake(th)
+		eng.RunAll()
+	})
+	if wake != 0 {
+		t.Errorf("wake -> dispatch -> block: %v allocs/op, want 0", wake)
+	}
+
+	eng = sim.NewEngine(1)
+	s = New(eng, 1, Params{Latency: 20 * sim.Microsecond, MinGranularity: 10 * sim.Microsecond})
+	for _, name := range []string{"a", "b"} {
+		s.Wake(s.NewThread(name, 0, 0, busySource(sim.Millisecond)))
+	}
+	preempt := testing.AllocsPerRun(1000, func() {
+		for target := s.ContextSwitches + 1; s.ContextSwitches < target; {
+			eng.Step()
+		}
+	})
+	if preempt != 0 {
+		t.Errorf("preemption: %v allocs/op, want 0", preempt)
+	}
+}

@@ -1,68 +1,104 @@
 package sim
 
 import (
-	"container/heap"
 	"fmt"
 
 	"es2/internal/enginestats"
 )
 
-// Handle identifies a scheduled event and allows it to be cancelled or
-// rescheduled. Handles are returned by Engine.At and Engine.After.
+// Handle identifies a scheduled event and allows it to be cancelled.
+// Handles are values returned by Engine.At and Engine.After; the zero
+// Handle refers to no event. The engine recycles an event once it fires
+// or its cancellation is popped, so a Handle also records the event's
+// generation: once the event has left the queue, methods on the Handle
+// are no-ops, even after the engine reuses the event for another
+// callback.
 type Handle struct {
-	t        Time
-	seq      uint64
-	index    int // position in the heap, -1 when not queued
-	fn       func()
-	canceled bool
+	ev  *event
+	gen uint64
+}
+
+// Cancel prevents the event from firing. Cancelling an event that has
+// already fired or been cancelled is a no-op, as is cancelling the zero
+// Handle. Cancel must be called from the engine goroutine (i.e. from
+// inside event callbacks), like every other engine method.
+func (h Handle) Cancel() {
+	if h.Active() {
+		h.ev.fn = nil // marks the event cancelled and releases the closure
+	}
+}
+
+// Active reports whether the event is still pending.
+func (h Handle) Active() bool { return h.ev != nil && h.ev.gen == h.gen && h.ev.fn != nil }
+
+// event is one queue entry. A queued event with a nil fn has been
+// cancelled and is dropped when it reaches the top of the heap (lazy
+// cancellation).
+type event struct {
+	t   Time
+	seq uint64
+	fn  func()
+	// gen advances each time the event leaves the queue; see Handle.
+	gen uint64
 	// perfLabel is the enginestats subsystem label of a sampled event
 	// (0 for the unsampled majority and when stats are off).
 	perfLabel int32
 }
 
-// Cancel prevents the event from firing. Cancelling an event that has
-// already fired or been cancelled is a no-op. Cancel must be called from
-// the engine goroutine (i.e. from inside event callbacks), like every
-// other engine method.
-func (h *Handle) Cancel() {
-	if h == nil {
-		return
+// before orders events by (time, seq). seq is unique, so the order is
+// total and every heap pops events in the same sequence.
+func (a *event) before(b *event) bool {
+	if a.t != b.t {
+		return a.t < b.t
 	}
-	h.canceled = true
-	h.fn = nil // release the closure promptly
+	return a.seq < b.seq
 }
 
-// Active reports whether the event is still pending.
-func (h *Handle) Active() bool { return h != nil && !h.canceled && h.index >= 0 }
+// eventQueue is a binary min-heap of events ordered by before.
+type eventQueue []*event
 
-// eventQueue is a binary min-heap of *Handle ordered by (time, seq).
-type eventQueue []*Handle
-
-func (q eventQueue) Len() int { return len(q) }
-func (q eventQueue) Less(i, j int) bool {
-	if q[i].t != q[j].t {
-		return q[i].t < q[j].t
+func (q *eventQueue) push(ev *event) {
+	h := append(*q, ev)
+	i := len(h) - 1
+	for i > 0 {
+		p := (i - 1) / 2
+		if !ev.before(h[p]) {
+			break
+		}
+		h[i] = h[p]
+		i = p
 	}
-	return q[i].seq < q[j].seq
+	h[i] = ev
+	*q = h
 }
-func (q eventQueue) Swap(i, j int) {
-	q[i], q[j] = q[j], q[i]
-	q[i].index = i
-	q[j].index = j
-}
-func (q *eventQueue) Push(x any) {
-	h := x.(*Handle)
-	h.index = len(*q)
-	*q = append(*q, h)
-}
-func (q *eventQueue) Pop() any {
-	old := *q
-	n := len(old)
-	h := old[n-1]
-	old[n-1] = nil
-	h.index = -1
-	*q = old[:n-1]
-	return h
+
+// pop removes and returns the earliest event; q must not be empty.
+func (q *eventQueue) pop() *event {
+	h := *q
+	n := len(h) - 1
+	top, last := h[0], h[n]
+	h[n] = nil
+	h = h[:n]
+	if n > 0 {
+		i := 0
+		for {
+			c := 2*i + 1
+			if c >= n {
+				break
+			}
+			if r := c + 1; r < n && h[r].before(h[c]) {
+				c = r
+			}
+			if !h[c].before(last) {
+				break
+			}
+			h[i] = h[c]
+			i = c
+		}
+		h[i] = last
+	}
+	*q = h
+	return top
 }
 
 // Engine is a discrete-event simulation executive. The zero value is not
@@ -71,6 +107,7 @@ type Engine struct {
 	now     Time
 	seq     uint64
 	queue   eventQueue
+	free    []*event // events that left the queue, ready for reuse
 	rng     *Rand
 	stopped bool
 
@@ -135,16 +172,23 @@ func (e *Engine) Stats() *enginestats.Collector { return e.stats }
 
 // At schedules fn to run at instant t. Scheduling in the past panics:
 // it always indicates a model bug, and silently clamping would hide it.
-func (e *Engine) At(t Time, fn func()) *Handle {
+func (e *Engine) At(t Time, fn func()) Handle {
 	if fn == nil {
 		panic("sim: At called with nil fn")
 	}
 	if t < e.now {
 		panic(fmt.Sprintf("sim: event scheduled in the past: now=%v t=%v", e.now, t))
 	}
-	h := &Handle{t: t, seq: e.seq, fn: fn}
+	var ev *event
+	if n := len(e.free); n > 0 {
+		ev = e.free[n-1]
+		e.free = e.free[:n-1]
+	} else {
+		ev = new(event)
+	}
+	*ev = event{t: t, seq: e.seq, fn: fn, gen: ev.gen}
 	e.seq++
-	heap.Push(&e.queue, h)
+	e.queue.push(ev)
 	e.heapPushes++
 	n := len(e.queue)
 	if n > e.maxDepth {
@@ -152,17 +196,27 @@ func (e *Engine) At(t Time, fn func()) *Handle {
 	}
 	e.depthSum += uint64(n)
 	if e.stats != nil {
-		h.perfLabel = e.stats.SampleSite()
+		ev.perfLabel = e.stats.SampleSite()
 	}
-	return h
+	return Handle{ev, ev.gen}
 }
 
 // After schedules fn to run d nanoseconds from now. Negative d panics.
-func (e *Engine) After(d Time, fn func()) *Handle {
+func (e *Engine) After(d Time, fn func()) Handle {
 	if d < 0 {
 		panic(fmt.Sprintf("sim: negative delay %v", d))
 	}
 	return e.At(e.now+d, fn)
+}
+
+// pop removes the earliest event from the queue and recycles it. The
+// caller reads the event's fields before scheduling anything else.
+func (e *Engine) pop() *event {
+	ev := e.queue.pop()
+	e.heapPops++
+	ev.gen++
+	e.free = append(e.free, ev)
+	return ev
 }
 
 // Step executes the single earliest pending event. It returns false when
@@ -172,20 +226,19 @@ func (e *Engine) Step() bool {
 		if e.stopped || len(e.queue) == 0 {
 			return false
 		}
-		h := heap.Pop(&e.queue).(*Handle)
-		e.heapPops++
-		if h.canceled {
-			continue
+		ev := e.pop()
+		fn := ev.fn
+		if fn == nil {
+			continue // cancelled
 		}
-		if h.t < e.now {
+		ev.fn = nil
+		if ev.t < e.now {
 			panic("sim: time went backwards")
 		}
-		e.now = h.t
-		fn := h.fn
-		h.fn = nil
+		e.now = ev.t
 		e.fired++
 		if e.stats != nil {
-			e.stats.RunEvent(int64(h.t), h.perfLabel, fn)
+			e.stats.RunEvent(int64(ev.t), ev.perfLabel, fn)
 		} else {
 			fn()
 		}
@@ -201,9 +254,8 @@ func (e *Engine) Run(until Time) {
 		// Peek without popping so an over-horizon event survives for a
 		// later Run call.
 		next := e.queue[0]
-		if next.canceled {
-			heap.Pop(&e.queue)
-			e.heapPops++
+		if next.fn == nil {
+			e.pop()
 			continue
 		}
 		if next.t > until {

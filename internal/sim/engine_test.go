@@ -387,3 +387,64 @@ func TestEngineSetStats(t *testing.T) {
 		t.Fatalf("SetStats(nil) did not detach")
 	}
 }
+
+// A handle whose event fired, or was cancelled and dropped from the
+// queue, stays inert after the engine reuses the event for a new one.
+func TestEngineStaleHandleAfterReuse(t *testing.T) {
+	for _, cancel := range []bool{false, true} {
+		e := NewEngine(1)
+		old := e.At(1, func() {})
+		if cancel {
+			old.Cancel()
+		}
+		e.RunAll()
+		fired := false
+		h := e.At(2, func() { fired = true })
+		if h.ev != old.ev {
+			t.Fatalf("cancel=%t: the new event did not reuse the freed one", cancel)
+		}
+		old.Cancel()
+		if old.Active() {
+			t.Fatalf("cancel=%t: stale handle reports Active", cancel)
+		}
+		if !h.Active() {
+			t.Fatalf("cancel=%t: cancelling a stale handle deactivated its successor", cancel)
+		}
+		e.RunAll()
+		if !fired {
+			t.Fatalf("cancel=%t: cancelling a stale handle cancelled its successor", cancel)
+		}
+	}
+}
+
+// Scheduling, cancelling and firing events allocates nothing once the
+// queue and the free list have grown to the working depth.
+func TestEngineSteadyStateAllocs(t *testing.T) {
+	e := NewEngine(1)
+	fn := func() {}
+	for i := 0; i < 64; i++ {
+		e.At(Second+Time(i), fn)
+	}
+	cases := []struct {
+		name string
+		op   func()
+	}{
+		{"At+Step", func() {
+			e.After(1, fn)
+			e.Step()
+		}},
+		{"After.Cancel+Step", func() {
+			e.After(1, fn).Cancel()
+			e.After(2, fn)
+			e.Step()
+		}},
+	}
+	for _, c := range cases {
+		if got := testing.AllocsPerRun(1000, c.op); got != 0 {
+			t.Errorf("%s: %v allocs/op, want 0", c.name, got)
+		}
+	}
+	if e.Pending() != 64 {
+		t.Fatalf("Pending = %d, want the 64 far events", e.Pending())
+	}
+}

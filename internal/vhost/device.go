@@ -54,7 +54,7 @@ type Device struct {
 	CoalesceTimer sim.Time
 
 	coalesced   int
-	coalesceEvt *sim.Handle
+	coalesceEvt sim.Handle
 	// CoalesceFlushes counts timer-driven signals.
 	CoalesceFlushes uint64
 
@@ -162,7 +162,6 @@ func (d *Device) noteRxPacket() {
 
 // flushCoalesce is the moderation timer: signal whatever accumulated.
 func (d *Device) flushCoalesce() {
-	d.coalesceEvt = nil
 	if d.coalesced == 0 {
 		return
 	}
@@ -179,10 +178,7 @@ func (d *Device) takeSignal() bool {
 	}
 	if d.coalesced >= d.CoalesceCount && d.CoalesceCount > 0 {
 		d.coalesced = 0
-		if d.coalesceEvt != nil {
-			d.coalesceEvt.Cancel()
-			d.coalesceEvt = nil
-		}
+		d.coalesceEvt.Cancel()
 		return true
 	}
 	return false

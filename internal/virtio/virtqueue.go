@@ -59,9 +59,10 @@ type Virtqueue struct {
 	name string
 	size int
 
-	avail    []Desc // posted by the driver, not yet consumed by the device
-	used     []Desc // completed by the device, not yet reclaimed by the driver
+	avail    ring   // posted by the driver, not yet consumed by the device
+	used     ring   // completed by the device, not yet reclaimed by the driver
 	inflight int    // popped by the device, not yet pushed used
+	batch    []Desc // CollectUsed's result, reused by its next call
 
 	noNotify    bool // device->driver: suppress guest kicks
 	noInterrupt bool // driver->device: suppress device interrupts
@@ -131,7 +132,7 @@ func (q *Virtqueue) OnInterrupt(fn func()) { q.interrupt = fn }
 
 // outstanding is the number of descriptors the driver cannot reuse yet:
 // still available, held by the device, or completed but unreclaimed.
-func (q *Virtqueue) outstanding() int { return len(q.avail) + q.inflight + len(q.used) }
+func (q *Virtqueue) outstanding() int { return q.avail.n + q.inflight + q.used.n }
 
 // Full reports whether the ring has no free descriptor.
 func (q *Virtqueue) Full() bool { return q.outstanding() >= q.size }
@@ -140,11 +141,11 @@ func (q *Virtqueue) Full() bool { return q.outstanding() >= q.size }
 func (q *Virtqueue) Free() int { return q.size - q.outstanding() }
 
 // AvailLen returns the number of descriptors awaiting the device.
-func (q *Virtqueue) AvailLen() int { return len(q.avail) }
+func (q *Virtqueue) AvailLen() int { return q.avail.n }
 
 // UsedLen returns the number of completed descriptors awaiting the
 // driver.
-func (q *Virtqueue) UsedLen() int { return len(q.used) }
+func (q *Virtqueue) UsedLen() int { return q.used.n }
 
 // --- driver (guest front-end) side ---
 
@@ -157,7 +158,7 @@ func (q *Virtqueue) Add(d Desc) bool {
 	if q.resLat != nil {
 		d.SpanT = q.resNow()
 	}
-	q.avail = append(q.avail, d)
+	q.avail.push(d)
 	q.Added++
 	return true
 }
@@ -197,20 +198,19 @@ func (q *Virtqueue) ForceKick() {
 func (q *Virtqueue) KickSuppressed() bool { return q.noNotify }
 
 // CollectUsed reclaims up to max completed descriptors (max <= 0 means
-// all).
+// all). The returned slice is owned by the queue and overwritten by the
+// next CollectUsed call, so the driver consumes it before collecting
+// again.
 func (q *Virtqueue) CollectUsed(max int) []Desc {
-	n := len(q.used)
+	n := q.used.n
 	if max > 0 && max < n {
 		n = max
 	}
-	out := make([]Desc, n)
-	copy(out, q.used[:n])
-	rest := copy(q.used, q.used[n:])
-	for i := rest; i < len(q.used); i++ {
-		q.used[i] = Desc{}
+	q.batch = q.batch[:0]
+	for i := 0; i < n; i++ {
+		q.batch = append(q.batch, q.used.pop())
 	}
-	q.used = q.used[:rest]
-	return out
+	return q.batch
 }
 
 // SetNoInterrupt lets the driver suppress (true) or re-enable (false)
@@ -224,13 +224,10 @@ func (q *Virtqueue) InterruptSuppressed() bool { return q.noInterrupt }
 
 // Pop consumes the next available descriptor.
 func (q *Virtqueue) Pop() (Desc, bool) {
-	if len(q.avail) == 0 {
+	if q.avail.n == 0 {
 		return Desc{}, false
 	}
-	d := q.avail[0]
-	rest := copy(q.avail, q.avail[1:])
-	q.avail[rest] = Desc{}
-	q.avail = q.avail[:rest]
+	d := q.avail.pop()
 	q.inflight++
 	q.Popped++
 	if q.resLat != nil {
@@ -245,7 +242,7 @@ func (q *Virtqueue) PushUsed(d Desc) {
 		panic("virtio: PushUsed without matching Pop")
 	}
 	q.inflight--
-	q.used = append(q.used, d)
+	q.used.push(d)
 }
 
 // Signal raises the queue's interrupt toward the guest. It reports
@@ -275,8 +272,8 @@ func (q *Virtqueue) CheckInvariants() error {
 	if out := q.outstanding(); out > q.size {
 		return fmt.Errorf("vq %s: %d descriptors outstanding exceeds ring size %d", q.name, out, q.size)
 	}
-	if q.Added-q.Popped != uint64(len(q.avail)) {
-		return fmt.Errorf("vq %s: Added-Popped=%d but avail holds %d", q.name, q.Added-q.Popped, len(q.avail))
+	if q.Added-q.Popped != uint64(q.avail.n) {
+		return fmt.Errorf("vq %s: Added-Popped=%d but avail holds %d", q.name, q.Added-q.Popped, q.avail.n)
 	}
 	return nil
 }
@@ -300,5 +297,43 @@ func (q *Virtqueue) SetNoNotify(no bool) { q.noNotify = no }
 
 // String summarizes the queue state.
 func (q *Virtqueue) String() string {
-	return fmt.Sprintf("vq(%s: avail=%d used=%d free=%d)", q.name, len(q.avail), len(q.used), q.Free())
+	return fmt.Sprintf("vq(%s: avail=%d used=%d free=%d)", q.name, q.avail.n, q.used.n, q.Free())
+}
+
+// ring is a FIFO of descriptors: n entries starting at buf[head],
+// wrapping at the end of buf. Like a split ring's index pair, consuming
+// an entry only advances head. buf grows by doubling when a push finds
+// it full rather than being sized to the queue up front: only pre-posted
+// RX avail rings ever fill, while used rings and TX avail rings hold a
+// handful of descriptors at a time.
+type ring struct {
+	buf  []Desc // len is zero or a power of two
+	head int
+	n    int
+}
+
+func (r *ring) push(d Desc) {
+	if r.n == len(r.buf) {
+		r.grow()
+	}
+	r.buf[(r.head+r.n)&(len(r.buf)-1)] = d
+	r.n++
+}
+
+// pop removes the oldest entry; the ring must not be empty. The slot is
+// cleared so the ring does not keep the payload alive.
+func (r *ring) pop() Desc {
+	d := r.buf[r.head]
+	r.buf[r.head] = Desc{}
+	r.head = (r.head + 1) & (len(r.buf) - 1)
+	r.n--
+	return d
+}
+
+// grow doubles buf, unwrapping the entries to start at index 0.
+func (r *ring) grow() {
+	buf := make([]Desc, max(2*len(r.buf), 4))
+	k := copy(buf, r.buf[r.head:])
+	copy(buf[k:], r.buf[:r.head])
+	r.buf, r.head = buf, 0
 }

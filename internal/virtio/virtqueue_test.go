@@ -147,12 +147,15 @@ func mustPanic(t *testing.T, f func()) {
 }
 
 // Property: under any interleaving of operations the queue neither
-// loses nor duplicates descriptors, and outstanding never exceeds size.
+// loses nor duplicates descriptors, outstanding never exceeds size, and
+// both rings are FIFO: Pop returns descriptors in Add order and
+// CollectUsed in PushUsed order.
 func TestVirtqueueConservationProperty(t *testing.T) {
 	type op byte
 	f := func(ops []byte) bool {
 		q := New("p", 8)
 		next := 0        // next descriptor id to add
+		nextPop := 0     // id the next Pop must return
 		inFlight := 0    // popped but not yet pushed used
 		var popped []int // ids held by the device
 		seen := make(map[int]bool)
@@ -164,6 +167,10 @@ func TestVirtqueueConservationProperty(t *testing.T) {
 				}
 			case 1: // pop
 				if d, ok := q.Pop(); ok {
+					if d.Len != nextPop {
+						return false // out of order
+					}
+					nextPop++
 					popped = append(popped, d.Len)
 					inFlight++
 				}
@@ -176,8 +183,8 @@ func TestVirtqueueConservationProperty(t *testing.T) {
 				}
 			case 3: // collect
 				for _, d := range q.CollectUsed(0) {
-					if seen[d.Len] {
-						return false // duplicate
+					if seen[d.Len] || d.Len != len(seen) {
+						return false // duplicate or out of order
 					}
 					seen[d.Len] = true
 				}
@@ -189,22 +196,27 @@ func TestVirtqueueConservationProperty(t *testing.T) {
 				return false
 			}
 		}
-		// Drain everything and verify all added ids come back once.
-		for {
-			d, ok := q.Pop()
-			if !ok {
-				break
-			}
-			q.PushUsed(d)
-		}
+		// Drain everything and verify all added ids come back once, in
+		// order.
 		for inFlight > 0 {
 			id := popped[0]
 			popped = popped[1:]
 			q.PushUsed(Desc{Len: id})
 			inFlight--
 		}
+		for {
+			d, ok := q.Pop()
+			if !ok {
+				break
+			}
+			if d.Len != nextPop {
+				return false
+			}
+			nextPop++
+			q.PushUsed(d)
+		}
 		for _, d := range q.CollectUsed(0) {
-			if seen[d.Len] {
+			if seen[d.Len] || d.Len != len(seen) {
 				return false
 			}
 			seen[d.Len] = true
@@ -216,5 +228,54 @@ func TestVirtqueueConservationProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// A ring that fills while its head is mid-storage grows without
+// reordering: the wrapped entries come out first, then the new ones.
+func TestRingGrowsWhileWrapped(t *testing.T) {
+	q := New("tx", 64)
+	for i := 0; i < 3; i++ {
+		q.Add(Desc{Len: -1})
+		d, _ := q.Pop()
+		q.PushUsed(d)
+	}
+	q.CollectUsed(0)
+	next := 0
+	for q.AvailLen() < len(q.avail.buf) {
+		q.Add(Desc{Len: next})
+		next++
+	}
+	if q.avail.head == 0 {
+		t.Fatalf("precondition: avail ring head at 0 (storage %d)", len(q.avail.buf))
+	}
+	for i := 0; i < 5; i++ {
+		q.Add(Desc{Len: next})
+		next++
+	}
+	for want := 0; want < next; want++ {
+		if d, ok := q.Pop(); !ok || d.Len != want {
+			t.Fatalf("Pop %d = %+v,%t", want, d, ok)
+		}
+	}
+	if q.AvailLen() != 0 {
+		t.Fatalf("AvailLen = %d after draining", q.AvailLen())
+	}
+}
+
+// A descriptor's round trip through the queue allocates nothing once
+// both rings and the used batch have grown to the working depth.
+func TestRoundTripAllocs(t *testing.T) {
+	q := New("tx", 256)
+	q.OnKick(func() {})
+	got := testing.AllocsPerRun(1000, func() {
+		q.Add(Desc{Len: 1024})
+		q.Kick()
+		d, _ := q.Pop()
+		q.PushUsed(d)
+		q.CollectUsed(0)
+	})
+	if got != 0 {
+		t.Fatalf("Add/Kick/Pop/PushUsed/CollectUsed: %v allocs/op, want 0", got)
 	}
 }

@@ -99,8 +99,6 @@ type VCPU struct {
 	profGuest *profile.Node
 	profPrio  [numPrios]*profile.Node
 	profExit  [NumExitReasons]*profile.Node
-
-	otherExitEvt *sim.Handle
 }
 
 // newVCPU wires a vCPU to its host thread on the given core.
@@ -264,6 +262,16 @@ func clampChunk(r sim.Time) sim.Time {
 	return r
 }
 
+// irqNames holds each vector's interrupt-handler task name, which is
+// also its profiler leaf and timeline instant name. Building them once
+// keeps a string format off every interrupt dispatch.
+var irqNames = func() (names [apic.NumVectors]string) {
+	for v := range names {
+		names[v] = fmt.Sprintf("irq%#x", apic.Vector(v))
+	}
+	return names
+}()
+
 // startHandler accepts vector vec and queues its guest interrupt
 // handler at PrioIRQ.
 func (v *VCPU) startHandler(vec apic.Vector) {
@@ -293,7 +301,7 @@ func (v *VCPU) startHandler(vec apic.Vector) {
 	}
 	total := v.VM.K.Cost.IRQEntryExit + cost
 	v.enqueueTaskFront(&Task{
-		Name:      fmt.Sprintf("irq%#x", vec),
+		Name:      irqNames[vec],
 		Prio:      PrioIRQ,
 		Remaining: total,
 		OnComplete: func() {
@@ -441,7 +449,7 @@ func (v *VCPU) startBackgroundExits() {
 		if d < sim.Microsecond {
 			d = sim.Microsecond
 		}
-		v.otherExitEvt = k.Eng.After(d, func() {
+		k.Eng.After(d, func() {
 			if v.InGuestMode() {
 				v.BeginExit(ExitOther, nil)
 				v.poke()

@@ -48,8 +48,6 @@ type VM struct {
 	// deliveries and EOIs.
 	DevIRQDelivered metrics.Counter
 	DevIRQCompleted metrics.Counter
-
-	timerEvts []*sim.Handle
 }
 
 // NewVM creates a VM with nvcpus vCPUs pinned to cores[i]. len(cores)
@@ -121,12 +119,9 @@ func (vm *VM) startTimer(v *VCPU, period, phase sim.Time) {
 	var tick func()
 	tick = func() {
 		vm.K.DeliverLocal(v, TimerVector)
-		vm.timerEvts[v.ID] = vm.K.Eng.After(period, tick)
+		vm.K.Eng.After(period, tick)
 	}
-	if len(vm.timerEvts) < len(vm.VCPUs) {
-		vm.timerEvts = make([]*sim.Handle, len(vm.VCPUs))
-	}
-	vm.timerEvts[v.ID] = vm.K.Eng.After(period+phase, tick)
+	vm.K.Eng.After(period+phase, tick)
 }
 
 func (vm *VM) noteAccepted(v *VCPU, vec apic.Vector) {
@@ -137,7 +132,7 @@ func (vm *VM) noteAccepted(v *VCPU, vec apic.Vector) {
 		vm.K.Path.CloseSignal(vm.Index, uint8(vec), vm.K.Eng.Now())
 	}
 	if tl := vm.K.Timeline; tl.Active() {
-		tl.Instant(v.track, fmt.Sprintf("irq%#x", vec), vm.K.Eng.Now())
+		tl.Instant(v.track, irqNames[vec], vm.K.Eng.Now())
 	}
 }
 

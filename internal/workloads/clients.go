@@ -118,7 +118,7 @@ type abWorker struct {
 	synSent   sim.Time
 	gotBytes  int
 	state     int // 0 idle, 1 awaiting SYNACK, 2 awaiting response
-	retxTimer *sim.Handle
+	retxTimer sim.Handle
 }
 
 // StartApacheBench launches the load generator with the given
@@ -163,9 +163,7 @@ func (w *abWorker) PeerReceive(p *netsim.Packet) {
 			return
 		}
 		w.state = 2
-		if w.retxTimer != nil {
-			w.retxTimer.Cancel()
-		}
+		w.retxTimer.Cancel()
 		w.ab.ConnTime.Observe(w.ab.peer.Eng.Now() - w.synSent)
 		w.reqID = w.ab.seq
 		w.ab.seq++

@@ -180,7 +180,7 @@ type TCPSource struct {
 	// the guest-side TCPSender (zero rto disables it).
 	rto    sim.Time
 	curRTO sim.Time
-	rtoEvt *sim.Handle
+	rtoEvt sim.Handle
 
 	// SentSegs counts transmitted segments; Retransmits counts
 	// retransmission timeouts.
@@ -200,7 +200,7 @@ func (s *TCPSource) pump() {
 }
 
 func (s *TCPSource) armRTO() {
-	if s.rto <= 0 || s.rtoEvt != nil || s.inFlight == 0 {
+	if s.rto <= 0 || s.rtoEvt.Active() || s.inFlight == 0 {
 		return
 	}
 	s.rtoEvt = s.peer.Eng.After(s.curRTO, s.onRTO)
@@ -209,7 +209,6 @@ func (s *TCPSource) armRTO() {
 // onRTO is the go-back-N retransmission timeout: rewind to the last
 // cumulative ACK and back off exponentially (capped at 8x base).
 func (s *TCPSource) onRTO() {
-	s.rtoEvt = nil
 	if s.inFlight == 0 {
 		return
 	}
@@ -240,10 +239,7 @@ func (s *TCPSource) PeerReceive(p *netsim.Packet) {
 	// Forward progress: reset the backoff and re-time what remains.
 	if s.rto > 0 {
 		s.curRTO = s.rto
-		if s.rtoEvt != nil {
-			s.rtoEvt.Cancel()
-			s.rtoEvt = nil
-		}
+		s.rtoEvt.Cancel()
 	}
 	s.pump()
 }

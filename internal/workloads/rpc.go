@@ -95,7 +95,7 @@ type RPCFlow struct {
 	// from livelocking the flow (every attempt's response arriving
 	// "stale" forever — retry-storm congestion collapse).
 	attemptBase int64
-	deadline    *sim.Handle
+	deadline    sim.Handle
 	attempts    int
 	backoff     sim.Time
 
@@ -191,7 +191,6 @@ func (f *RPCFlow) expired(id int64) {
 	if id != f.reqID {
 		return // stale deadline for a completed attempt
 	}
-	f.deadline = nil
 	f.Timeouts++
 	f.c.Timeouts++
 	f.attempts++
@@ -268,10 +267,7 @@ func (f *RPCFlow) HandleRX(p *netsim.Packet, v *vmm.VCPU) {
 	if r == nil || r.ReqID < f.attemptBase || r.ReqID > f.reqID || r.Seg != r.Segs-1 {
 		return
 	}
-	if f.deadline != nil {
-		f.deadline.Cancel()
-		f.deadline = nil
-	}
+	f.deadline.Cancel()
 	now := f.c.Kern.Engine().Now()
 	// The response rode the request's chain back; the final guest-rx
 	// segment closes at the same instant the latency clock stops.
