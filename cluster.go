@@ -135,8 +135,8 @@ type ClusterSpec struct {
 	// CPUProfile enables one simulated-CPU profiler per host
 	// (PerHost[i].CPUProfile / CPUReport).
 	CPUProfile bool
-	// PathTrace enables per-host event-path span tracing
-	// (PerHost[i].PathBreakdown).
+	// PathTrace enables per-host event-path spectra
+	// (PerHost[i].PathBreakdown; see ScenarioSpec.PathTrace).
 	PathTrace bool
 	// CritPath enables the causal critical-path analyzer across the
 	// rack: every completed RPC threads one chain through both hosts

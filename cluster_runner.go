@@ -110,7 +110,7 @@ func (s ClusterSpec) hostSpec(i int, probe *causal.Probe) hostSpec {
 	hs := hostSpec{
 		cfg: s.Config, costs: vmm.DefaultCosts(),
 		vcpus: s.VCPUs, vmCores: s.VMCores, vhostCores: s.VhostCores, queues: s.Queues,
-		direct: s.DirectAssign, pathTrace: s.PathTrace, cpuProfile: s.CPUProfile, causal: probe,
+		direct: s.DirectAssign, cpuProfile: s.CPUProfile, probe: probe,
 	}
 	if len(s.HostConfigs) > 0 {
 		hs.cfg = s.HostConfigs[i]
@@ -212,7 +212,7 @@ func buildCluster(spec ClusterSpec) (*clusterBed, error) {
 
 	for hi := 0; hi < spec.Hosts; hi++ {
 		name := fmt.Sprintf("h%d", hi)
-		h := &clusterHost{index: hi, hostBed: newHostBed(eng, name, spec.hostSpec(hi, cb.crit.Probe(uint8(hi))))}
+		h := &clusterHost{index: hi, hostBed: newHostBed(eng, name, spec.hostSpec(hi, causal.NewProbe(cb.crit, uint8(hi), spec.PathTrace)))}
 		h.demux = &hostDemux{byFlow: make(map[int]*vhost.Device)}
 		h.port = cb.sw.AddPort(name, h.demux)
 		h.lat = metrics.NewLogHistogram()

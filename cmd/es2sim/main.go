@@ -44,7 +44,7 @@ func main() {
 		queues   = flag.Int("queues", 1, "virtio-net queue pairs per VM")
 		direct   = flag.Bool("direct", false, "SR-IOV direct assignment (exit-less doorbells)")
 		sidecore = flag.Bool("sidecore", false, "ELVIS-style dedicated-core polling back-end")
-		pathOn   = flag.Bool("path", false, "enable event-path span tracing (per-stage latency breakdown)")
+		pathOn   = flag.Bool("path", false, "enable event-path spectra (per-stage latency breakdown in the critical-path stages)")
 		timeline = flag.String("timeline", "", "write a Perfetto/Chrome-trace JSON timeline to FILE (implies -path)")
 		cpuprof  = flag.String("cpuprofile", "", "write a pprof CPU profile of the simulated cores to FILE (go tool pprof / speedscope)")
 		folded   = flag.String("folded", "", "write folded flamegraph stacks of the simulated cores to FILE")
@@ -310,10 +310,9 @@ func run(spec es2.ScenarioSpec, out outputFlags) {
 	}
 	if len(res.PathBreakdown) > 0 {
 		fmt.Printf("event path stage breakdown:\n")
-		fmt.Printf("  %-12s %-10s %10s %12s %12s %12s\n", "stage", "mech", "count", "mean", "p50", "p99")
+		fmt.Printf("  %-12s %10s %12s %12s %12s\n", "stage", "count", "mean", "p50", "p99")
 		for _, st := range res.PathBreakdown {
-			fmt.Printf("  %-12s %-10s %10d %12v %12v %12v\n",
-				st.Stage, st.Mechanism, st.Count, st.Mean, st.P50, st.P99)
+			fmt.Printf("  %-12s %10d %12v %12v %12v\n", st.Stage, st.Count, st.Mean, st.P50, st.P99)
 		}
 	}
 	if len(res.LatencyProfiles) > 0 {

@@ -249,14 +249,17 @@ type ScenarioSpec struct {
 	// when idle. Mutually exclusive with Config.Hybrid.
 	Sidecore bool
 
-	// PathTrace enables event-path span tracing: every notification
-	// unit's stage transitions (notify, back-end service, signal,
-	// pi-wait, sched-in, ring-wait, deliver) are timed over the
-	// measurement window and reported as Result.PathBreakdown, split by
-	// traversal mechanism. Periodic state probes (queue depths, backlog,
-	// online/offline list lengths, runqueue lengths) are sampled into
-	// Result.Probes. Off by default; when off, the instrumentation
-	// compiles to nil-receiver no-ops and costs nothing.
+	// PathTrace enables the event-path spectra: every packet carries an
+	// open span that the host's event-path probe closes at each stage
+	// boundary (doorbell, vhost dequeue, wire send and arrival, used-ring
+	// publish, interrupt injection, vCPU on-core, handler entry, NAPI
+	// collect, protocol dispatch), so stream workloads are timed in the
+	// same stages as ScenarioSpec.CritPath's chains. Spans are
+	// histogrammed per stage over the measurement window and reported
+	// as Result.PathBreakdown. Periodic state probes (queue depths,
+	// backlog, online/offline list lengths, runqueue lengths) are
+	// sampled into Result.Probes. Off by default; without PathTrace,
+	// Timeline or CritPath the probe is nil and costs nothing.
 	PathTrace bool
 
 	// Timeline additionally records an execution timeline — one track
@@ -390,17 +393,14 @@ func (s ScenarioSpec) Validate() error {
 	return s.withDefaults().validate()
 }
 
-// PathStage is one (stage, mechanism) cell of the event-path latency
-// breakdown (see ScenarioSpec.PathTrace). Stages appear in path order:
-// notify, backend-tx, backend-rx, signal, pi-wait, sched-in, ring-wait,
-// deliver.
+// PathStage is one stage of the event-path latency breakdown (see
+// ScenarioSpec.PathTrace). Stages carry the critical-path stage names
+// and appear in path order: notify-exit, notify-poll, backend-tx, wire,
+// backend-rx, signal, wakeup, irq-posted, irq-emulated, ring-wait,
+// guest-rx. Stages no span crossed are omitted.
 type PathStage struct {
 	// Stage names the event-path stage.
 	Stage string `json:"stage"`
-	// Mechanism tags how the units traversed the stage (empty for
-	// single-mechanism stages): "exit" vs "polled" for notify,
-	// "emulated" vs "posted" vs "redirected" for signal.
-	Mechanism string `json:"mechanism,omitempty"`
 	// Count is the number of traversals observed in the window.
 	Count uint64 `json:"count"`
 	// Mean, P50, P99 and Max summarize the stage latency. Mean and Max
@@ -492,9 +492,9 @@ type Result struct {
 	// RTTSeries is the per-probe trace for Ping workloads.
 	RTTSeries []RTTPoint `json:"rtt_series,omitempty"`
 
-	// PathBreakdown attributes event-path latency to stages (filled
-	// when ScenarioSpec.PathTrace or Timeline is set), ordered
-	// stage-major in path order.
+	// PathBreakdown attributes event-path latency to the critical-path
+	// stages, one cell per stage in path order (filled when
+	// ScenarioSpec.PathTrace or Timeline is set).
 	PathBreakdown []PathStage `json:"path_breakdown,omitempty"`
 	// Probes holds the periodic state-probe series (PathTrace runs).
 	Probes []ProbeSeries `json:"probes,omitempty"`

@@ -118,8 +118,8 @@ func TestLostKickRecovery(t *testing.T) {
 
 // TestPIOutageFallback exercises ES2 graceful degradation: while a
 // vCPU's posted-interrupt facility is down, deliveries fall back to the
-// emulated path; when it recovers, the posted/redirected paths resume.
-// The path breakdown must attribute both mechanisms.
+// emulated path; when it recovers, the posted path resumes. The path
+// breakdown must attribute both mechanisms.
 func TestPIOutageFallback(t *testing.T) {
 	s := short(Full(8), WorkloadSpec{Kind: NetperfUDPRecv, MsgBytes: 1024, UDPRatePPS: 100_000})
 	s.Warmup = 100 * time.Millisecond
@@ -136,27 +136,24 @@ func TestPIOutageFallback(t *testing.T) {
 	if res.Faults.PIFallbacks == 0 {
 		t.Error("no posted->emulated fallbacks despite PI outages")
 	}
-	// The signal stage carries the delivery-mechanism attribution:
-	// emulated signals during outages, posted/redirected between them.
-	var emulated, fast uint64
+	// The interrupt stages carry the delivery-mechanism attribution:
+	// emulated injections during outages, posted ones between them.
+	var emulated, posted uint64
 	for _, st := range res.PathBreakdown {
-		if st.Stage != "signal" {
-			continue
-		}
-		switch st.Mechanism {
-		case "emulated":
+		switch st.Stage {
+		case "irq-emulated":
 			emulated += st.Count
-		case "posted", "redirected":
-			fast += st.Count
+		case "irq-posted":
+			posted += st.Count
 		}
 	}
-	t.Logf("signal: emulated=%d posted/redirected=%d fallbacks=%d outages=%d",
-		emulated, fast, res.Faults.PIFallbacks, res.Faults.PIOutages)
+	t.Logf("irq: emulated=%d posted=%d fallbacks=%d outages=%d",
+		emulated, posted, res.Faults.PIFallbacks, res.Faults.PIOutages)
 	if emulated == 0 {
-		t.Error("path breakdown shows no emulated signals during outages")
+		t.Error("path breakdown shows no emulated interrupts during outages")
 	}
-	if fast == 0 {
-		t.Error("path breakdown shows no posted/redirected signals between outages")
+	if posted == 0 {
+		t.Error("path breakdown shows no posted interrupts between outages")
 	}
 }
 

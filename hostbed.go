@@ -43,10 +43,11 @@ type hostSpec struct {
 	coalesceTimer sim.Time
 	sidecore      bool
 
-	pathTrace  bool
 	timeline   *trace.Timeline // nil unless the run records one
 	cpuProfile bool
-	causal     *causal.Probe // nil unless the run tracks critical paths
+	// probe is the host's event-path probe: nil unless the run keeps
+	// path spectra or tracks critical paths.
+	probe *causal.Probe
 }
 
 // hostBed is one simulated machine: its cores and CFS scheduler, KVM
@@ -78,7 +79,6 @@ type hostBed struct {
 	peers []*workloads.Peer
 
 	prof *profile.Profiler // nil unless hs.cpuProfile
-	path *trace.PathTracer // nil unless hs.pathTrace
 	inj  *faults.Injector  // nil unless faults are injected
 
 	// Warm-up-end baselines.
@@ -88,21 +88,17 @@ type hostBed struct {
 }
 
 // newHostBed creates the host's scheduler, KVM and ES2 installation,
-// each forking the engine RNG in that order, plus its span tracer and
-// profiler. The tracer and profiler exist before any VM so tracks and
-// profile contexts register in deterministic build order.
+// each forking the engine RNG in that order, and attaches its timeline
+// and profiler. Both are attached before any VM so tracks and profile
+// contexts register in deterministic build order.
 func newHostBed(eng *sim.Engine, name string, hs hostSpec) *hostBed {
 	h := &hostBed{hs: hs, name: name}
 	h.sch = sched.New(eng, hs.vmCores+hs.vhostCores, sched.DefaultParams())
 	h.k = vmm.NewKVM(eng, h.sch, hs.costs)
-	h.k.Causal = hs.causal
+	h.k.Causal = hs.probe
 	h.es = core.Install(h.k, hs.cfg)
-	if hs.pathTrace {
-		h.path = trace.NewPathTracer(hs.timeline)
-		h.sch.SetPathTracer(h.path)
-		h.k.Path = h.path
-		h.k.Timeline = hs.timeline
-	}
+	h.sch.SetTimeline(hs.timeline)
+	h.k.Timeline = hs.timeline
 	if hs.cpuProfile {
 		h.prof = profile.New(hs.vmCores + hs.vhostCores)
 		h.k.Prof = h.prof
@@ -141,7 +137,7 @@ func (h *hostBed) addVM(i int, out netsim.Sender) ([]*vhost.Device, error) {
 	for qi, pair := range kern.Dev.Pairs {
 		name := fmt.Sprintf("%s.%d", devPrefix, qi)
 		io := vhost.NewIOThread(name, h.sch, hs.vmCores+((i+qi)%hs.vhostCores), vhost.DefaultParams())
-		io.SetPath(h.path)
+		io.SetTimeline(hs.timeline)
 		if h.prof != nil {
 			io.EnableProfiling(h.prof)
 		}
@@ -149,8 +145,7 @@ func (h *hostBed) addVM(i int, out netsim.Sender) ([]*vhost.Device, error) {
 		if err != nil {
 			return nil, err
 		}
-		dev.Path = h.path
-		dev.Causal = hs.causal
+		dev.Causal = hs.probe
 		dev.CoalesceCount = hs.coalesceCount
 		dev.CoalesceTimer = hs.coalesceTimer
 		if hs.sidecore {
@@ -324,8 +319,8 @@ func (h *hostBed) vhostBusy() sim.Time {
 }
 
 // startWindow opens the measurement window: it zeroes the host's VM,
-// device, injector, span and profile statistics and snapshots the
-// cumulative counters the window's deltas are measured from.
+// device, injector, path spectra and profile statistics and snapshots
+// the cumulative counters the window's deltas are measured from.
 func (h *hostBed) startWindow() {
 	for _, vm := range h.vms {
 		vm.ResetStats()
@@ -339,9 +334,7 @@ func (h *hostBed) startWindow() {
 	if h.inj != nil {
 		h.inj.ResetCounters()
 	}
-	if h.path != nil {
-		h.path.Reset()
-	}
+	h.hs.probe.ResetSpectra()
 	if h.prof != nil {
 		// Zero the attribution tree at the same instant the stat
 		// counters reset, so the profile reconciles with TIG/VhostCPU
@@ -386,13 +379,12 @@ func vcpuTime(vms []*vmm.VM) (guest, total sim.Time) {
 func (h *hostBed) fillHost(r *Result, window sim.Time) {
 	r.VhostCPU = vhostCPU(h.vhostBusy()-h.vhostBusy0, window, h.hs.vhostCores)
 	h.redirects().minus(h.redir0).fill(r)
-	if h.path != nil {
-		for _, st := range h.path.Stats() {
+	for s := causal.Stage(0); s < causal.NumStages; s++ {
+		if sp := h.hs.probe.Spectrum(s); sp != nil && sp.Count() > 0 {
 			r.PathBreakdown = append(r.PathBreakdown, PathStage{
-				Stage: st.Stage.String(), Mechanism: st.Mechanism.String(),
-				Count: st.Count, Mean: time.Duration(st.Mean),
-				P50: time.Duration(st.P50), P99: time.Duration(st.P99),
-				Max: time.Duration(st.Max),
+				Stage: s.String(), Count: sp.Count(), Mean: time.Duration(sp.Mean()),
+				P50: time.Duration(sp.Quantile(0.5)), P99: time.Duration(sp.Quantile(0.99)),
+				Max: time.Duration(sp.Max()),
 			})
 		}
 	}

@@ -35,21 +35,18 @@ type PIDescriptor struct {
 	Notifications uint64
 }
 
-// Post records vector v as posted. notify reports whether a
-// notification IPI must be sent now (true exactly when neither ON nor
-// SN was set); newly reports whether v was newly latched into the PIR
-// (false means an earlier unprocessed post already pended it and the
-// interrupt coalesced in hardware — span tracing merges the two into
-// one delivery).
-func (d *PIDescriptor) Post(v Vector) (notify, newly bool) {
-	newly = d.pir.Set(v)
+// Post records vector v as posted (a vector already pending in the PIR
+// coalesces in hardware). It reports whether a notification IPI must
+// be sent now: true exactly when neither ON nor SN was set.
+func (d *PIDescriptor) Post(v Vector) bool {
+	d.pir.Set(v)
 	d.Posts++
 	if d.on || d.sn {
-		return false, newly
+		return false
 	}
 	d.on = true
 	d.Notifications++
-	return true, newly
+	return true
 }
 
 // Sync performs the hardware PIR->vIRR synchronization into the vCPU's

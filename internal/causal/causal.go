@@ -1,27 +1,34 @@
-// Package causal reconstructs the causal chain of every completed
-// request/response pair threaded through the virtual I/O event path:
-// guest TX virtqueue → vhost handler → netsim/fabric transit → peer
-// service → return path → posted/emulated interrupt → wakeup-to-run →
-// guest RX completion.
+// Package causal is the simulator's one event-path probe. It times
+// the virtual I/O event path in one stage taxonomy (Stage) two ways:
 //
-// Each layer stamps the chain riding on the packet with a
-// (stage, host, time) mark at the instant the request leaves that
-// layer. Stage durations are the differences between consecutive
-// marks, so the per-stage contributions of a chain telescope to
-// exactly the end-to-end latency the workload measures — the
-// reconciliation invariant the tests assert. The closed-loop
-// request/response workloads are strictly sequential, so the chain is
-// the critical path.
+//   - Chains. The causal chain of every completed request/response
+//     pair threaded through the path: guest TX virtqueue → vhost
+//     handler → netsim/fabric transit → peer service → return path →
+//     posted/emulated interrupt → wakeup-to-run → guest RX completion.
+//     Each layer stamps the chain riding on the packet with a
+//     (stage, host, time) mark at the instant the request leaves that
+//     layer. Stage durations are the differences between consecutive
+//     marks, so the per-stage contributions of a chain telescope to
+//     exactly the end-to-end latency the workload measures — the
+//     reconciliation invariant the tests assert. The closed-loop
+//     request/response workloads are strictly sequential, so the
+//     chain is the critical path.
+//   - Spectra. Every packet also carries an open span, so workloads
+//     that open no chains (netperf streams) are timed too: the same
+//     probe calls that mark chains close each packet's span into a
+//     per-stage latency histogram kept by the host's probe.
 //
 // Everything here is observational: marks are clock reads at instants
 // the simulation already reaches, draw no randomness, and never
-// change behavior, so a run with causal tracking enabled is
-// bit-identical to a plain run. Like trace.PathTracer, every entry
-// point is a safe no-op on a nil receiver or nil chain, so call sites
-// need no guards.
+// change behavior, so a run with the probe enabled is bit-identical
+// to a plain run. Every entry point is a safe no-op on a nil probe or
+// nil chain, so call sites need no guards.
 package causal
 
-import "es2/internal/sim"
+import (
+	"es2/internal/metrics"
+	"es2/internal/sim"
+)
 
 // Stage identifies the event-path segment ending at a mark, in path
 // order. A request-direction and a response-direction traversal both
@@ -95,6 +102,23 @@ type Mark struct {
 	Stage Stage
 	Host  uint8
 	T     sim.Time
+}
+
+// Unit is the observer state one packet carries along the event path:
+// the causal chain of the request it belongs to, if any, and the
+// packet's own open span. Packets embed it by value, so a duplicate
+// delivered by a faulty wire times its own span while sharing the
+// chain.
+type Unit struct {
+	// Chain is the per-request causal chain (nil when causal tracking
+	// is off or the packet belongs to no tracked request).
+	Chain *Chain
+
+	// spanT is when the open span began; exit records whether the
+	// doorbell that opened it took an I/O-instruction exit.
+	spanT sim.Time
+	open  bool
+	exit  bool
 }
 
 // Chain is the causal record of one in-flight request. It rides the
@@ -189,36 +213,144 @@ func (c *Chain) lastT() sim.Time {
 	return c.start
 }
 
-// Probe is a host-bound handle layers use to stamp chains; the
-// single-host runner hands every layer host 0, the cluster runner one
-// probe per simulated host. All methods are nil-safe.
+// Probe is the host-bound event-path hook: the single-host runner
+// hands every layer host 0, the cluster runner one probe per simulated
+// host. Each boundary is one probe call that stamps the unit's chain
+// (when the run tracks chains) and closes the unit's span into the
+// probe's spectra (when it keeps them). All methods are nil-safe.
 type Probe struct {
 	t    *Tracker
 	host uint8
+	// spectra holds one span-latency histogram per stage (nil unless
+	// the probe was created with spectra).
+	spectra *[NumStages]metrics.LogHistogram
 }
 
-// Mark stamps stage at t on the probe's host.
-func (p *Probe) Mark(c *Chain, stage Stage, t sim.Time) {
+// NewProbe returns host's probe: it stamps chains for t (nil when the
+// run tracks none) and, with spectra, keeps a latency histogram per
+// stage of every span a unit closes on this host. It returns nil, a
+// valid no-op probe, when neither is wanted.
+func NewProbe(t *Tracker, host uint8, spectra bool) *Probe {
+	if t == nil && !spectra {
+		return nil
+	}
+	p := &Probe{t: t, host: host}
+	if spectra {
+		p.spectra = new([NumStages]metrics.LogHistogram)
+	}
+	return p
+}
+
+// Mark stamps stage at t on the probe's host: the unit's chain gets a
+// mark, and its open span closes into stage and reopens at t.
+func (p *Probe) Mark(u *Unit, stage Stage, t sim.Time) {
 	if p == nil {
 		return
 	}
-	c.Mark(stage, p.host, t)
+	u.Chain.Mark(stage, p.host, t)
+	p.span(u, stage, t)
 }
 
-// MarkSend stamps the TX doorbell (see Chain.MarkSend).
-func (p *Probe) MarkSend(c *Chain, t sim.Time, exitKick bool) {
+// MarkSend stamps the TX doorbell (see Chain.MarkSend) and opens the
+// unit's notify span, remembering whether this kick exits.
+func (p *Probe) MarkSend(u *Unit, t sim.Time, exitKick bool) {
 	if p == nil {
 		return
 	}
-	c.MarkSend(p.host, t, exitKick)
+	u.Chain.MarkSend(p.host, t, exitKick)
+	u.spanT, u.open, u.exit = t, true, exitKick
 }
 
-// MarkNotify stamps the vhost dequeue (see Chain.MarkNotify).
-func (p *Probe) MarkNotify(c *Chain, t sim.Time) {
+// MarkNotify stamps the vhost dequeue (see Chain.MarkNotify). The span
+// closes into notify-exit or notify-poll by the kick of the doorbell
+// that opened it.
+func (p *Probe) MarkNotify(u *Unit, t sim.Time) {
 	if p == nil {
 		return
 	}
-	c.MarkNotify(p.host, t)
+	u.Chain.MarkNotify(p.host, t)
+	stage := StageNotifyPoll
+	if u.exit {
+		stage = StageNotifyExit
+	}
+	p.span(u, stage, t)
+}
+
+// Episode is one captured RX interrupt delivery, snapshotted at
+// handler entry: the injection instant, the handling vCPU's last
+// sched-in, the handler entry and whether the vector was posted.
+type Episode struct {
+	Inject, SchedIn, Entry sim.Time
+	Posted                 bool
+	Valid                  bool
+}
+
+// Collect stamps NAPI collecting the unit's buffer at t. A unit
+// published at or before ep's injection was waiting in the used ring
+// when that interrupt fired, so the episode's spans belong on it:
+// signal (publish → injection), wakeup (→ the target vCPU on a core),
+// irq-posted or irq-emulated (→ handler entry), then ring-wait (→ t).
+// A unit published after the injection was merely coalesced into the
+// same poll and gets only ring-wait. The rule applies to the chain, by
+// its last mark, and to the span, by its start.
+func (p *Probe) Collect(u *Unit, ep Episode, t sim.Time) {
+	if p == nil {
+		return
+	}
+	irq := StageIRQEmulated
+	if ep.Posted {
+		irq = StageIRQPosted
+	}
+	if c := u.Chain; c != nil && ep.Valid && c.LastT() <= ep.Inject {
+		c.Mark(StageSignal, p.host, ep.Inject)
+		c.Mark(StageWakeup, p.host, ep.SchedIn)
+		c.Mark(irq, p.host, ep.Entry)
+	}
+	u.Chain.Mark(StageRingWait, p.host, t)
+	if u.open && ep.Valid && u.spanT <= ep.Inject {
+		p.span(u, StageSignal, ep.Inject)
+		p.span(u, StageWakeup, ep.SchedIn)
+		p.span(u, irq, ep.Entry)
+	}
+	p.span(u, StageRingWait, t)
+}
+
+// span closes the unit's open span at t into stage's spectrum and
+// opens the next one at t, clamping t as Chain.Mark does so spans
+// never run backwards. A unit without an open span (a packet from
+// outside the simulated hosts) only opens one.
+func (p *Probe) span(u *Unit, stage Stage, t sim.Time) {
+	if p.spectra == nil {
+		return
+	}
+	if u.open {
+		if t < u.spanT {
+			t = u.spanT
+		}
+		p.spectra[stage].Observe(t - u.spanT)
+	}
+	u.spanT, u.open = t, true
+}
+
+// ResetSpectra drops every span observation (at the measurement-window
+// boundary). Open spans ride their units and survive, closing into the
+// window as in-flight chains do.
+func (p *Probe) ResetSpectra() {
+	if p == nil || p.spectra == nil {
+		return
+	}
+	for s := range p.spectra {
+		p.spectra[s].Reset()
+	}
+}
+
+// Spectrum returns the span-latency histogram of stage, or nil when
+// the probe keeps no spectra.
+func (p *Probe) Spectrum(s Stage) *metrics.LogHistogram {
+	if p == nil || p.spectra == nil {
+		return nil
+	}
+	return &p.spectra[s]
 }
 
 // Start opens a chain for one request at its latency-clock start.
@@ -301,14 +433,10 @@ func NewTracker(exemplars int) *Tracker {
 	return &Tracker{exemplars: exemplars}
 }
 
-// Probe returns a stamping handle bound to host. Safe on a nil
-// tracker (returns a nil, no-op probe).
-func (t *Tracker) Probe(host uint8) *Probe {
-	if t == nil {
-		return nil
-	}
-	return &Probe{t: t, host: host}
-}
+// Probe returns a chain-stamping handle bound to host, without
+// spectra (the workloads' handle). Safe on a nil tracker (returns a
+// nil, no-op probe).
+func (t *Tracker) Probe(host uint8) *Probe { return NewProbe(t, host, false) }
 
 // Reset drops everything recorded so far (called at warmup end).
 // Chains still in flight keep their warm-up marks and are recorded on

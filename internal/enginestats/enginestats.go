@@ -155,6 +155,8 @@ type Collector struct {
 
 	allocSample [1]metrics.Sample
 
+	// now reads the wall clock (time.Now; tests substitute a fake).
+	now     func() time.Time
 	running bool
 	t0      time.Time
 	wallNs  int64
@@ -174,6 +176,7 @@ func New(sampleN int) *Collector {
 		labelIDs: make(map[string]int32),
 		sites:    make(map[uintptr]int32),
 		subs:     make([]subsystem, 1),
+		now:      time.Now,
 	}
 	c.allocSample[0].Name = heapAllocsMetric
 	return c
@@ -190,7 +193,7 @@ func (c *Collector) Start() {
 	}
 	runtime.ReadMemStats(&c.mem0)
 	c.running = true
-	c.t0 = time.Now()
+	c.t0 = c.now()
 }
 
 // Stop closes the wall-clock measurement. Start/Stop may bracket
@@ -199,7 +202,7 @@ func (c *Collector) Stop() {
 	if c == nil || !c.running {
 		return
 	}
-	c.wallNs += time.Since(c.t0).Nanoseconds()
+	c.wallNs += c.now().Sub(c.t0).Nanoseconds()
 	c.running = false
 	runtime.ReadMemStats(&c.mem1)
 }
@@ -282,9 +285,9 @@ func (c *Collector) RunEvent(tick int64, label int32, fn func()) {
 		return
 	}
 	a0 := c.readAllocBytes()
-	t0 := time.Now()
+	t0 := c.now()
 	fn()
-	d := time.Since(t0).Nanoseconds()
+	d := c.now().Sub(t0).Nanoseconds()
 	a1 := c.readAllocBytes()
 	c.sampled++
 	s := &c.subs[label]

@@ -51,15 +51,32 @@ func TestSampleSiteLabelsThisPackage(t *testing.T) {
 	}
 }
 
+// fakeClock stands in for the wall clock: it reads a fixed instant
+// that moves only when a test advances it, so timed callbacks charge
+// exact durations.
+type fakeClock struct{ t time.Time }
+
+func (f *fakeClock) now() time.Time          { return f.t }
+func (f *fakeClock) advance(d time.Duration) { f.t = f.t.Add(d) }
+
+// newFake returns a collector sampling one event in sampleN whose
+// clock is a fake.
+func newFake(sampleN int) (*Collector, *fakeClock) {
+	clk := &fakeClock{t: time.Unix(1000, 0)}
+	c := New(sampleN)
+	c.now = clk.now
+	return c, clk
+}
+
 func TestRunEventChargesLabel(t *testing.T) {
-	c := New(1)
+	c, clk := newFake(1)
 	id := c.intern("vhost")
 	ran := false
 	c.RunEvent(10, id, func() {
 		ran = true
-		time.Sleep(time.Millisecond)
+		clk.advance(time.Millisecond)
 	})
-	c.RunEvent(10, 0, func() {}) // unsampled: counted in tick run only
+	c.RunEvent(10, 0, func() { clk.advance(time.Millisecond) }) // unsampled: counted in tick run only
 	if !ran {
 		t.Fatalf("callback did not run")
 	}
@@ -68,8 +85,8 @@ func TestRunEventChargesLabel(t *testing.T) {
 		t.Fatalf("subsystems = %+v, want one vhost row", r.Subsystems)
 	}
 	row := r.Subsystems[0]
-	if row.Samples != 1 || row.WallNs < int64(time.Millisecond/2) {
-		t.Fatalf("vhost row = %+v, want 1 sample with >=0.5ms wall", row)
+	if row.Samples != 1 || row.WallNs != int64(time.Millisecond) {
+		t.Fatalf("vhost row = %+v, want 1 sample with exactly 1ms wall", row)
 	}
 	if row.WallShare != 1 {
 		t.Fatalf("WallShare = %v, want 1 (only row)", row.WallShare)
@@ -106,62 +123,82 @@ func TestTickDistribution(t *testing.T) {
 }
 
 func TestReportRatesAndTopK(t *testing.T) {
-	c := New(1)
+	c, clk := newFake(1)
+	// Row i runs i+1 sampled events of 50µs each: a=50µs, b=100µs,
+	// c=150µs.
 	for i, name := range []string{"a", "b", "c"} {
 		id := c.intern(name)
 		for j := 0; j <= i; j++ {
-			c.RunEvent(int64(i), id, func() { time.Sleep(50 * time.Microsecond) })
+			c.RunEvent(int64(i), id, func() { clk.advance(50 * time.Microsecond) })
 		}
 	}
 	c.Start()
-	time.Sleep(2 * time.Millisecond)
+	clk.advance(2 * time.Millisecond)
 	r := c.Report(1000, HeapStats{Pushes: 1000, Pops: 1000}, 0.5, 2)
-	if r.WallNs <= 0 {
-		t.Fatalf("WallNs = %d, want > 0", r.WallNs)
+	if r.WallNs != int64(2*time.Millisecond) {
+		t.Fatalf("WallNs = %d, want exactly 2ms", r.WallNs)
 	}
-	if r.EventsPerSec <= 0 || r.SimSecondsPerWallSecond <= 0 {
-		t.Fatalf("rates not computed: %+v", r)
+	if r.EventsPerSec != 500_000 || r.SimSecondsPerWallSecond != 250 {
+		t.Fatalf("rates = %v events/s, %vx sim/wall; want 500000 and 250",
+			r.EventsPerSec, r.SimSecondsPerWallSecond)
 	}
-	if len(r.Subsystems) != 2 {
-		t.Fatalf("topK=2 kept %d rows", len(r.Subsystems))
+	// topK=2 keeps the two heaviest rows, wall-descending; shares stay
+	// relative to all sampled wall time (300µs), row "a" included.
+	want := []SubsystemRow{
+		{Name: "c", Samples: 3, WallNs: 150_000, WallShare: 150_000.0 / 300_000},
+		{Name: "b", Samples: 2, WallNs: 100_000, WallShare: 100_000.0 / 300_000},
 	}
-	// "c" ran 3 sampled events, "b" 2 — wall-descending keeps them.
-	if r.Subsystems[0].Samples < r.Subsystems[1].Samples {
-		t.Fatalf("rows not wall-sorted: %+v", r.Subsystems)
+	if len(r.Subsystems) != len(want) {
+		t.Fatalf("topK=2 kept %d rows: %+v", len(r.Subsystems), r.Subsystems)
+	}
+	for i, w := range want {
+		got := r.Subsystems[i]
+		got.AllocBytes = 0 // process-wide allocation counter: not the clock's to pin
+		if got != w {
+			t.Fatalf("row %d = %+v, want %+v", i, got, w)
+		}
 	}
 }
 
 func TestStartStopAccumulate(t *testing.T) {
-	c := New(1)
+	c, clk := newFake(1)
 	c.Start()
-	time.Sleep(time.Millisecond)
+	clk.advance(time.Millisecond)
 	c.Stop()
-	first := c.wallNs
-	if first <= 0 {
-		t.Fatalf("wallNs = %d after first interval", first)
+	if c.wallNs != int64(time.Millisecond) {
+		t.Fatalf("wallNs = %d after first interval, want 1ms", c.wallNs)
 	}
+	clk.advance(5 * time.Millisecond) // between intervals: not charged
 	c.Start()
-	time.Sleep(time.Millisecond)
+	clk.advance(3 * time.Millisecond)
 	c.Stop()
-	if c.wallNs <= first {
-		t.Fatalf("wallNs did not accumulate: %d then %d", first, c.wallNs)
+	if c.wallNs != int64(4*time.Millisecond) {
+		t.Fatalf("wallNs = %d after second interval, want 4ms", c.wallNs)
 	}
 	// Idempotent stop, nil-safe both.
+	clk.advance(time.Millisecond)
 	c.Stop()
+	if c.wallNs != int64(4*time.Millisecond) {
+		t.Fatalf("second Stop charged time: wallNs = %d", c.wallNs)
+	}
 	var nilC *Collector
 	nilC.Start()
 	nilC.Stop()
 }
 
 func TestRenderMentionsKeyFigures(t *testing.T) {
-	c := New(1)
+	c, clk := newFake(1)
 	id := c.intern("sched")
-	c.RunEvent(1, id, func() {})
+	c.RunEvent(1, id, func() { clk.advance(250 * time.Microsecond) })
 	c.Start()
-	time.Sleep(time.Millisecond)
+	clk.advance(time.Millisecond)
 	r := c.Report(42, HeapStats{Pushes: 42, Pops: 42, MaxDepth: 7}, 1, 0)
 	out := r.Render()
-	for _, want := range []string{"engine", "heap", "memory", "sched", "max depth 7"} {
+	for _, want := range []string{
+		"engine     1ms wall, 42 events (42k events/s, sim/wall 1000.00x)",
+		"heap", "memory", "max depth 7",
+		"sched", "250µs", "100.0%",
+	} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("Render() missing %q:\n%s", want, out)
 		}

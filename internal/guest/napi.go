@@ -1,11 +1,9 @@
 package guest
 
 import (
-	"es2/internal/apic"
 	"es2/internal/causal"
 	"es2/internal/netsim"
 	"es2/internal/sim"
-	"es2/internal/trace"
 	"es2/internal/virtio"
 	"es2/internal/vmm"
 )
@@ -102,7 +100,6 @@ func (n *NAPI) poll(v *vmm.VCPU) {
 		v.BeginExit(vmm.ExitIOInstruction, func() { rx.Kick() })
 	}
 	var cost sim.Time
-	path := n.pair.Dev.Kern.VM.K.Path
 	ca := n.pair.Dev.Kern.VM.K.Causal
 	pkts := make([]*netsim.Packet, 0, len(batch))
 	for _, d := range batch {
@@ -110,31 +107,10 @@ func (n *NAPI) poll(v *vmm.VCPU) {
 		if !ok {
 			continue
 		}
-		if path != nil {
-			// Ring-wait closes: the used buffer has been collected by
-			// the poller; the deliver span opens on the packet.
-			now := v.VM.K.Eng.Now()
-			path.Observe(trace.StageRingWait, trace.MechNone, now-d.SpanT)
-			p.SpanT = now
-		}
-		if ca != nil && p.Chain != nil {
-			now := v.VM.K.Eng.Now()
-			// A chain whose last mark predates the captured interrupt
-			// episode was waiting in the used ring when that interrupt
-			// fired, so the episode's signal → wakeup → delivery spans
-			// belong on it. Chains published after the injection were
-			// merely coalesced into the same poll and get only ring-wait.
-			if ep := n.pair.ep; ep.valid && p.Chain.LastT() <= ep.inject {
-				ca.Mark(p.Chain, causal.StageSignal, ep.inject)
-				ca.Mark(p.Chain, causal.StageWakeup, ep.schedIn)
-				st := causal.StageIRQEmulated
-				if ep.mech == apic.StampPosted {
-					st = causal.StageIRQPosted
-				}
-				ca.Mark(p.Chain, st, ep.entry)
-			}
-			ca.Mark(p.Chain, causal.StageRingWait, now)
-		}
+		// The poller has collected the used buffer: ring-wait closes,
+		// preceded by the captured interrupt episode's stages when the
+		// buffer was already waiting for that interrupt.
+		ca.Collect(&p.Unit, n.pair.ep, v.VM.K.Eng.Now())
 		pkts = append(pkts, p)
 		cost += n.pair.Dev.Kern.rxCost(p)
 	}
@@ -146,17 +122,11 @@ func (n *NAPI) poll(v *vmm.VCPU) {
 		name += ":" + protoLabel(pkts)
 	}
 	v.EnqueueTask(vmm.NewTask(name, n.prio(), cost, func() {
-		if path != nil {
-			now := v.VM.K.Eng.Now()
-			for _, p := range pkts {
-				path.Observe(trace.StageDeliver, trace.MechNone, now-p.SpanT)
-			}
-		}
 		if ca != nil {
 			// Guest receive stack: poll collect → protocol dispatch.
 			now := v.VM.K.Eng.Now()
 			for _, p := range pkts {
-				ca.Mark(p.Chain, causal.StageGuestRX, now)
+				ca.Mark(&p.Unit, causal.StageGuestRX, now)
 			}
 		}
 		var batchFlows []BatchHandler

@@ -2,9 +2,9 @@ package guest
 
 import (
 	"es2/internal/apic"
+	"es2/internal/causal"
 	"es2/internal/netsim"
 	"es2/internal/sim"
-	"es2/internal/trace"
 	"es2/internal/virtio"
 	"es2/internal/vmm"
 )
@@ -30,20 +30,11 @@ type QueuePair struct {
 	napi      *NAPI
 	txWaiters []func()
 
-	// ep snapshots the most recent RX interrupt episode for the causal
-	// analyzer: NAPI applies it to each collected chain that was
-	// already waiting when the interrupt fired (see napi.poll).
-	ep irqEpisode
-}
-
-// irqEpisode is one captured RX interrupt delivery: injection instant
-// and mechanism, the handling vCPU's last sched-in, and handler entry.
-type irqEpisode struct {
-	inject  sim.Time
-	schedIn sim.Time
-	entry   sim.Time
-	mech    apic.StampMech
-	valid   bool
+	// ep snapshots the most recent RX interrupt episode for the
+	// event-path probe, which applies it to each collected buffer that
+	// was already waiting when the interrupt fired (see
+	// causal.Probe.Collect).
+	ep causal.Episode
 }
 
 // NetDev is the guest's virtio-net front-end: one or more queue pairs
@@ -147,11 +138,9 @@ func (p *QueuePair) rxISR(v *vmm.VCPU) (cost sim.Time, fn func()) {
 		// signal/wakeup/delivery time to the buffers this interrupt
 		// covers.
 		if t0, mech, ok := v.LastInjection(); ok {
-			p.ep = irqEpisode{
-				inject: t0, mech: mech,
-				schedIn: v.LastSchedIn(),
-				entry:   p.Dev.Kern.Engine().Now(),
-				valid:   true,
+			p.ep = causal.Episode{
+				Inject: t0, SchedIn: v.LastSchedIn(), Entry: p.Dev.Kern.Engine().Now(),
+				Posted: mech == apic.StampPosted, Valid: true,
 			}
 		}
 	}
@@ -216,19 +205,7 @@ func (p *QueuePair) NAPI() *NAPI { return p.napi }
 func (d *NetDev) Transmit(v *vmm.VCPU, pkt *netsim.Packet) bool {
 	p := d.PairFor(pkt.Flow)
 	p.ReclaimTX()
-	desc := virtio.Desc{Len: pkt.Bytes, Payload: pkt}
-	if d.Kern.VM.K.Path != nil {
-		// Doorbell write: the notify span opens. The mechanism tag
-		// records, at ring time, whether this kick traps (exit-driven)
-		// or is elided (back-end polling / direct doorbell).
-		desc.SpanT = d.Kern.VM.K.Eng.Now()
-		if d.DoorbellNoExit || p.TX.KickSuppressed() {
-			desc.SpanMech = uint8(trace.MechPolled)
-		} else {
-			desc.SpanMech = uint8(trace.MechExit)
-		}
-	}
-	if !p.TX.Add(desc) {
+	if !p.TX.Add(virtio.Desc{Len: pkt.Bytes, Payload: pkt}) {
 		p.TX.SetNoInterrupt(false) // need a completion interrupt to make progress
 		return false
 	}
@@ -236,8 +213,9 @@ func (d *NetDev) Transmit(v *vmm.VCPU, pkt *netsim.Packet) bool {
 	if pr := d.Kern.VM.K.Causal; pr != nil {
 		// The doorbell closes the guest-side segment (client stack or
 		// server service) and opens the notify span the vhost dequeue
-		// will close.
-		pr.MarkSend(pkt.Chain, d.Kern.VM.K.Eng.Now(), exitKick)
+		// will close, remembering whether this kick traps (exit-driven)
+		// or is elided (back-end polling / direct doorbell).
+		pr.MarkSend(&pkt.Unit, d.Kern.VM.K.Eng.Now(), exitKick)
 	}
 	if !exitKick {
 		p.TX.Kick() // direct doorbell or suppressed: no exit

@@ -26,8 +26,8 @@ const (
 // count, exact count/sum/min/max (hence exact Mean), and quantiles
 // within the bucket's relative error bound (< 1%). It is the
 // simulator's one latency histogram: workload request latencies, the
-// span tracer's per-stage cells, the telemetry latency spectra and
-// their OpenMetrics exposition all use it.
+// event-path probe's per-stage spectra, the telemetry latency spectra
+// and their OpenMetrics exposition all use it.
 type LogHistogram struct {
 	counts   []uint64 // allocated on first Observe
 	count    uint64

@@ -25,14 +25,12 @@ type Packet struct {
 	Payload any
 	// Sent records when the packet entered the wire (stamped by Port.Send).
 	Sent sim.Time
-	// SpanT carries event-path span-tracing state: the instant the
-	// packet entered its current stage (see internal/trace). Zero when
-	// tracing is disabled; restamped at each stage boundary.
-	SpanT sim.Time
-	// Chain is the per-request causal chain riding this packet (nil
-	// when causal tracking is off). Shallow copies made for duplicate
-	// delivery share the pointer; Chain marks tolerate that.
-	Chain *causal.Chain
+	// Unit is the event-path probe's state riding this packet: the
+	// per-request causal chain (nil when causal tracking is off) and
+	// the packet's open span. Shallow copies made for duplicate
+	// delivery share the chain pointer, which chain marks tolerate,
+	// and time their own span.
+	causal.Unit
 }
 
 // FaultAction is the wire-fault decision for one frame (see the

@@ -1,9 +1,6 @@
 package sched
 
-import (
-	"es2/internal/sim"
-	"es2/internal/trace"
-)
+import "es2/internal/sim"
 
 // core is one physical CPU with its private runqueue.
 type core struct {
@@ -172,16 +169,12 @@ func (c *core) dispatch() {
 			c.cur = next
 			c.runStart = c.s.eng.Now()
 			c.s.ContextSwitches++
-			if c.s.path != nil {
+			if c.s.tl != nil {
 				c.curStart = c.runStart
 			}
 			if next.wakePending {
 				next.wakePending = false
-				d := c.runStart - next.wakeT
-				c.s.path.Observe(trace.StageSchedIn, trace.MechNone, d)
-				if next.WakeLat != nil {
-					next.WakeLat.Observe(d)
-				}
+				next.WakeLat.Observe(c.runStart - next.wakeT)
 			}
 			if next.SchedIn != nil {
 				next.SchedIn(c.id)

@@ -133,7 +133,7 @@ type Thread struct {
 	seq      uint64
 
 	// wakeT/wakePending track the last Sleeping->Runnable transition
-	// for the sched-in wakeup-latency span (set only while tracing).
+	// for the WakeLat spectrum (set only when WakeLat is).
 	wakeT       sim.Time
 	wakePending bool
 
@@ -163,9 +163,8 @@ type Scheduler struct {
 	seq    uint64
 	rng    *sim.Rand
 
-	// path/tl/coreTracks are the span-tracing hooks installed by
-	// SetPathTracer; all nil/empty (and cost-free) when tracing is off.
-	path       *trace.PathTracer
+	// tl/coreTracks are the timeline hooks installed by SetTimeline;
+	// nil/empty (and cost-free) when no timeline is recorded.
 	tl         *trace.Timeline
 	coreTracks []trace.TrackID
 
@@ -193,13 +192,12 @@ func New(eng *sim.Engine, nCores int, params Params) *Scheduler {
 // NumCores returns the number of cores.
 func (s *Scheduler) NumCores() int { return len(s.cores) }
 
-// SetPathTracer attaches an event-path span tracer: wakeup->running
-// latency is observed as the sched-in stage, and each continuous run of
-// a thread on a core becomes a slice on the timeline's per-core tracks.
-// Call during deterministic build, before the simulation runs.
-func (s *Scheduler) SetPathTracer(p *trace.PathTracer) {
-	s.path = p
-	if tl := p.TL(); tl != nil {
+// SetTimeline attaches an execution timeline: each continuous run of a
+// thread on a core becomes a slice on the timeline's per-core tracks.
+// Call during deterministic build, before the simulation runs; a nil
+// timeline is a no-op.
+func (s *Scheduler) SetTimeline(tl *trace.Timeline) {
+	if tl != nil {
 		s.tl = tl
 		s.coreTracks = make([]trace.TrackID, len(s.cores))
 		for i := range s.cores {
@@ -235,7 +233,7 @@ func (s *Scheduler) Wake(t *Thread) {
 	c := s.cores[t.home]
 	c.placeWakeup(t)
 	t.state = Runnable
-	if s.path != nil || t.WakeLat != nil {
+	if t.WakeLat != nil {
 		t.wakeT = s.eng.Now()
 		t.wakePending = true
 	}

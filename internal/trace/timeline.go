@@ -1,3 +1,10 @@
+// Package trace holds the simulator's execution timeline (Timeline):
+// VM exits, interrupt deliveries, redirections, vhost handler turns and
+// vCPU scheduling, exported as Perfetto/Chrome-trace JSON.
+//
+// The timeline is optional and nil-safe, so model components hold it
+// unconditionally and pay nothing when it is disabled. Per-stage
+// event-path latency lives with the event-path probe (internal/causal).
 package trace
 
 import (

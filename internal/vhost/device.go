@@ -6,7 +6,6 @@ import (
 	"es2/internal/causal"
 	"es2/internal/netsim"
 	"es2/internal/sim"
-	"es2/internal/trace"
 	"es2/internal/virtio"
 )
 
@@ -28,13 +27,9 @@ type Device struct {
 	Hybrid bool
 	Quota  int
 
-	// Path, when non-nil, attributes event-path stage latencies
-	// (notify, backend-tx, backend-rx). Nil costs nothing.
-	Path *trace.PathTracer
-
-	// Causal, when non-nil, stamps per-request causal chains at the
-	// back-end transitions (notify close, wire send, used-ring
-	// publish). Nil costs nothing.
+	// Causal, when non-nil, is the host's event-path probe, called at
+	// the back-end transitions (notify close, wire send, wire arrival,
+	// used-ring publish). Nil costs nothing.
 	Causal *causal.Probe
 
 	// Sidecore enables ELVIS-style dedicated-core polling (Har'El et
@@ -115,11 +110,9 @@ func (d *Device) Receive(p *netsim.Packet) {
 		d.BacklogDrops++
 		return
 	}
-	if d.Path != nil {
-		p.SpanT = d.IO.s.Now() // wire arrival: backend-rx span opens
-	}
-	// Wire/fabric transit (plus any peer turnaround) closes here.
-	d.Causal.Mark(p.Chain, causal.StageWire, d.IO.s.Now())
+	// Wire/fabric transit (plus any peer turnaround) closes here, and
+	// backend-rx opens.
+	d.Causal.Mark(&p.Unit, causal.StageWire, d.IO.s.Now())
 	d.backlog = append(d.backlog, p)
 	d.IO.enqueue(d.rx)
 }
@@ -289,16 +282,13 @@ func (h *txHandler) plan() (sim.Time, func()) {
 		return 0, nil
 	}
 	desc, ok := q.Pop()
-	if ok && dev.Path != nil {
-		// Notify stage closes: the guest's doorbell (or suppressed-kick
-		// post) has reached the back-end handler. The mechanism tag was
-		// stamped by the guest at Add time.
-		dev.Path.Observe(trace.StageNotify, trace.Mechanism(desc.SpanMech), dev.IO.s.Now()-desc.SpanT)
-	}
-	if ok {
-		// The chain remembers whether its doorbell took an exit, so the
-		// notify span lands on notify-exit or notify-poll accordingly.
-		dev.Causal.MarkNotify(desc.CausalChain(), dev.IO.s.Now())
+	pkt, _ := desc.Payload.(*netsim.Packet)
+	if pkt != nil {
+		// Notify closes: the guest's doorbell (or suppressed-kick post)
+		// has reached the back-end handler. The packet remembers whether
+		// its doorbell took an exit, so the span lands on notify-exit or
+		// notify-poll accordingly.
+		dev.Causal.MarkNotify(&pkt.Unit, dev.IO.s.Now())
 	}
 	if !ok {
 		if dev.Sidecore {
@@ -324,16 +314,9 @@ func (h *txHandler) plan() (sim.Time, func()) {
 	}
 	cost := dev.jitter(dev.Params.txCost(desc.Len))
 	dev.IO.act = actTX
-	var popT sim.Time
-	if dev.Path != nil {
-		popT = dev.IO.s.Now()
-	}
 	return cost, func() {
-		if pkt, okP := desc.Payload.(*netsim.Packet); okP {
-			if dev.Path != nil {
-				dev.Path.Observe(trace.StageBackendTX, trace.MechNone, dev.IO.s.Now()-popT)
-			}
-			dev.Causal.Mark(pkt.Chain, causal.StageBackendTX, dev.IO.s.Now())
+		if pkt != nil {
+			dev.Causal.Mark(&pkt.Unit, causal.StageBackendTX, dev.IO.s.Now())
 			dev.Port.Send(pkt)
 			dev.TxPkts++
 			dev.TxBytes += uint64(pkt.Bytes)
@@ -416,14 +399,9 @@ func (h *rxHandler) plan() (sim.Time, func()) {
 		}
 		desc.Len = pkt.Bytes
 		desc.Payload = pkt
-		if dev.Path != nil {
-			now := dev.IO.s.Now()
-			// Backend-rx closes (tap backlog wait + copy into the guest
-			// buffer); the ring-wait span opens on the used descriptor.
-			dev.Path.Observe(trace.StageBackendRX, trace.MechNone, now-pkt.SpanT)
-			desc.SpanT = now
-		}
-		dev.Causal.Mark(pkt.Chain, causal.StageBackendRX, dev.IO.s.Now())
+		// Backend-rx closes (tap backlog wait + copy into the guest
+		// buffer); the buffer now waits in the used ring.
+		dev.Causal.Mark(&pkt.Unit, causal.StageBackendRX, dev.IO.s.Now())
 		dev.RXQ.PushUsed(desc)
 		h.pendingSignal = true
 		dev.noteRxPacket()

@@ -67,7 +67,8 @@ type IOThread struct {
 	profSwitch *profile.Node
 	profActs   [numActivities]*profile.Node
 
-	// tl/track/turnT export handler turns as timeline slices (SetPath).
+	// tl/track/turnT export handler turns as timeline slices
+	// (SetTimeline).
 	tl    *trace.Timeline
 	track trace.TrackID
 	turnT sim.Time
@@ -88,11 +89,11 @@ func NewIOThread(name string, s *sched.Scheduler, core int, params Params) *IOTh
 	return t
 }
 
-// SetPath attaches the span tracer's timeline: each handler turn
+// SetTimeline attaches an execution timeline: each handler turn
 // becomes a slice on the worker's track. Call during deterministic
-// build; a nil tracer (or one without a timeline) is a no-op.
-func (t *IOThread) SetPath(p *trace.PathTracer) {
-	if tl := p.TL(); tl != nil {
+// build; a nil timeline is a no-op.
+func (t *IOThread) SetTimeline(tl *trace.Timeline) {
+	if tl != nil {
 		t.tl = tl
 		t.track = tl.Track("vhost", t.Name)
 	}

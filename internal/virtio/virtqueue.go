@@ -18,9 +18,7 @@ package virtio
 import (
 	"fmt"
 
-	"es2/internal/causal"
 	"es2/internal/metrics"
-	"es2/internal/netsim"
 	"es2/internal/sim"
 )
 
@@ -32,26 +30,9 @@ type Desc struct {
 	// Payload carries the model object (e.g. a *netsim.Packet).
 	Payload any
 
-	// SpanT and SpanMech carry event-path span-tracing state across the
-	// ring: the instant the descriptor entered its current stage and
-	// the mechanism tag of that transition (see internal/trace). Zero
-	// when tracing is disabled. The queue itself touches SpanT only
-	// when its residency probe is installed: Add stamps the publish
-	// instant, the same one the guest stamps at the doorbell, and Pop
-	// reads it.
-	SpanT    sim.Time
-	SpanMech uint8
-}
-
-// CausalChain returns the per-request causal chain riding the
-// descriptor's payload packet, or nil when the payload is not a
-// packet or causal tracking is off. Both ends of the ring use it to
-// stamp the chain without knowing the payload type.
-func (d Desc) CausalChain() *causal.Chain {
-	if p, ok := d.Payload.(*netsim.Packet); ok {
-		return p.Chain
-	}
-	return nil
+	// SpanT is the residency probe's publish stamp: when the probe is
+	// installed, Add stamps it and Pop reads it. Zero otherwise.
+	SpanT sim.Time
 }
 
 // Virtqueue is one split virtqueue.

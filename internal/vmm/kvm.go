@@ -29,9 +29,6 @@ type KVM struct {
 	UsePI bool
 	// Router, when non-nil, intercepts MSI routing (ES2 redirection).
 	Router MSIRouter
-	// Path, when non-nil, attributes per-stage event-path latency
-	// (signal delivery, pi-wait). Nil costs nothing.
-	Path *trace.PathTracer
 	// Timeline, when non-nil, receives per-vCPU exit slices and
 	// interrupt-delivery instants. Set before creating VMs so vCPU
 	// tracks register in deterministic build order.
@@ -47,10 +44,10 @@ type KVM struct {
 	IRQLatPosted   *metrics.LogHistogram
 	IRQLatEmulated *metrics.LogHistogram
 
-	// Causal, when non-nil, enables per-request causal-chain tracking
-	// for this host: injection stamps are kept even without telemetry,
-	// and the guest layers stamp chains through this probe. Purely
-	// observational; nil costs nothing.
+	// Causal, when non-nil, is the host's event-path probe: injection
+	// stamps are kept even without telemetry, and the guest layers
+	// stamp chains and spans through it. Purely observational; nil
+	// costs nothing.
 	Causal *causal.Probe
 
 	rng *sim.Rand
@@ -91,24 +88,10 @@ func (k *KVM) exitCost(r ExitReason) sim.Time {
 // virtual interrupts.
 func (k *KVM) InjectMSI(vm *VM, msi apic.MSIMessage) {
 	target := vm.VCPUs[msi.Dest]
-	redirected := false
 	if k.Router != nil {
 		if t := k.Router.Route(vm, msi); t != nil {
-			redirected = t != target
 			target = t
 		}
-	}
-	if k.Path != nil {
-		mech := trace.MechEmulated
-		switch {
-		case k.UsePI && !target.PID.Available():
-			// PI outage: delivery will fall back to the emulated path.
-		case redirected:
-			mech = trace.MechRedirected
-		case k.UsePI:
-			mech = trace.MechPosted
-		}
-		k.Path.OpenSignal(vm.Index, uint8(msi.Vector), mech, k.Eng.Now())
 	}
 	k.DeliverLocal(target, msi.Vector)
 }
@@ -141,16 +124,11 @@ func (k *KVM) DeliverLocal(v *VCPU, vec apic.Vector) {
 // hardware sync + exit-less delivery. Otherwise the PIR is synced at
 // the next VM entry.
 func (k *KVM) postInterrupt(v *VCPU, vec apic.Vector) {
-	notify, newly := v.PID.Post(vec)
-	if k.Path != nil && newly && !v.piPostPending {
-		v.piPostPending = true
-		v.piPostT = k.Eng.Now()
-	}
-	if notify {
+	if v.PID.Post(vec) {
 		k.IPIsSent++
 		k.Eng.After(k.Cost.PINotifyLatency, func() {
 			if v.InGuestMode() {
-				v.syncPIR()
+				v.PID.Sync(&v.VAPIC)
 				v.poke()
 			}
 			// Not in guest mode: the posted bits stay in the PIR and

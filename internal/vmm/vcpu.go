@@ -69,11 +69,6 @@ type VCPU struct {
 	// can sync.
 	needEntrySync bool
 
-	// piPostT/piPostPending track the earliest unsynchronized PIR post
-	// for the pi-wait span (set only while tracing).
-	piPostT       sim.Time
-	piPostPending bool
-
 	// irqStamps carries the per-vector injection timestamps for the
 	// interrupt-delivery latency histograms and the causal analyzer
 	// (stamped only when K.IRQLatPosted/IRQLatEmulated or K.Causal
@@ -230,7 +225,7 @@ func (v *VCPU) NextChunk() sim.Time {
 		if v.needEntrySync {
 			v.needEntrySync = false
 			if v.VM.K.UsePI && v.PID.HasPending() {
-				v.syncPIR()
+				v.PID.Sync(&v.VAPIC)
 			}
 		}
 		// Deliver the highest-priority pending virtual interrupt.
@@ -356,17 +351,6 @@ func (v *VCPU) Ran(d sim.Time) {
 	}
 }
 
-// syncPIR performs the hardware PIR->vIRR synchronization, closing any
-// open pi-wait span: the latency from the first unprocessed post to the
-// moment the vector became visible in the virtual APIC page.
-func (v *VCPU) syncPIR() {
-	v.PID.Sync(&v.VAPIC)
-	if v.piPostPending {
-		v.piPostPending = false
-		v.VM.K.Path.Observe(trace.StagePIWait, trace.MechPosted, v.VM.K.Eng.Now()-v.piPostT)
-	}
-}
-
 // SetPIAvailable marks this vCPU's posted-interrupt facility working or
 // broken (fault injection). On a break, any vectors already latched in
 // the PIR are flushed into the virtual APIC immediately — the hardware
@@ -378,7 +362,7 @@ func (v *VCPU) SetPIAvailable(ok bool) {
 	}
 	v.PID.SetAvailable(ok)
 	if !ok && v.PID.HasPending() {
-		v.syncPIR()
+		v.PID.Sync(&v.VAPIC)
 		v.poke()
 	}
 }

@@ -128,9 +128,6 @@ func (vm *VM) noteAccepted(v *VCPU, vec apic.Vector) {
 	if vm.IsDeviceVector(vec) {
 		vm.DevIRQDelivered.Inc()
 	}
-	if vm.K.Path != nil {
-		vm.K.Path.CloseSignal(vm.Index, uint8(vec), vm.K.Eng.Now())
-	}
 	if tl := vm.K.Timeline; tl.Active() {
 		tl.Instant(v.track, irqNames[vec], vm.K.Eng.Now())
 	}

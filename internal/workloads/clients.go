@@ -68,7 +68,7 @@ func (m *Memaslap) sendNext(flow int) {
 	m.peer.Send(&netsim.Packet{
 		Bytes: reqBytes, Kind: guest.KindRequest, Flow: flow,
 		Payload: &Req{ID: id, RespBytes: respBytes},
-		Chain:   m.Causal.Start(flow, id, m.peer.Eng.Now()),
+		Unit:    causal.Unit{Chain: m.Causal.Start(flow, id, m.peer.Eng.Now())},
 	})
 }
 

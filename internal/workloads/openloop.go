@@ -253,7 +253,7 @@ func (s *OpenLoopStream) transmit(flowID int, id int64, chain *causal.Chain) {
 	pkt := &netsim.Packet{
 		Bytes: s.reqBytes, Kind: guest.KindRequest, Flow: flowID,
 		Payload: &Req{ID: id, RespBytes: s.respBytes},
-		Chain:   chain,
+		Unit:    causal.Unit{Chain: chain},
 	}
 	if !s.c.Kern.Dev.Transmit(s.v, pkt) {
 		s.c.Kern.Dev.WaitTXFlow(flowID, func() { s.transmit(flowID, id, chain) })
@@ -464,7 +464,7 @@ func (s *olPeerStream) arrive() {
 	o.peer.Send(&netsim.Packet{
 		Bytes: s.reqBytes, Kind: guest.KindRequest, Flow: s.flow,
 		Payload: &Req{ID: id, RespBytes: s.respBytes},
-		Chain:   o.Causal.Start(s.flow, id, now),
+		Unit:    causal.Unit{Chain: o.Causal.Start(s.flow, id, now)},
 	})
 }
 

@@ -239,7 +239,7 @@ func (f *RPCFlow) transmit(id int64) {
 	pkt := &netsim.Packet{
 		Bytes: f.reqBytes, Kind: guest.KindRequest, Flow: f.ID,
 		Payload: &Req{ID: id, RespBytes: f.respBytes},
-		Chain:   f.chain,
+		Unit:    causal.Unit{Chain: f.chain},
 	}
 	if !f.c.Kern.Dev.Transmit(f.v, pkt) {
 		f.c.Kern.Dev.WaitTXFlow(f.ID, func() { f.transmit(id) })

@@ -8,7 +8,7 @@ import (
 	"time"
 )
 
-// shortPath returns a fast spec with event-path span tracing enabled.
+// shortPath returns a fast spec with the event-path spectra enabled.
 func shortPath(cfg Config, w WorkloadSpec) ScenarioSpec {
 	s := short(cfg, w)
 	s.Warmup, s.Duration = 100*time.Millisecond, 200*time.Millisecond
@@ -16,9 +16,9 @@ func shortPath(cfg Config, w WorkloadSpec) ScenarioSpec {
 	return s
 }
 
-func findStage(r *Result, stage, mech string) *PathStage {
+func findStage(r *Result, stage string) *PathStage {
 	for i := range r.PathBreakdown {
-		if r.PathBreakdown[i].Stage == stage && r.PathBreakdown[i].Mechanism == mech {
+		if r.PathBreakdown[i].Stage == stage {
 			return &r.PathBreakdown[i]
 		}
 	}
@@ -29,7 +29,7 @@ func TestPathBreakdownMechanismSplit(t *testing.T) {
 	// The breakdown's point: showing WHICH mechanism served each stage.
 	// Under the baseline every doorbell kick traps, so the notify stage
 	// is exit-driven; under ES2's hybrid polling the worker picks kicks
-	// up without exits, so the same stage flips to polled.
+	// up without exits, so the same span lands on notify-poll.
 	w := WorkloadSpec{Kind: NetperfUDPSend, MsgBytes: 1024}
 	base := mustRun(t, shortPath(Baseline(), w))
 	full := mustRun(t, shortPath(Full(0), w))
@@ -37,32 +37,31 @@ func TestPathBreakdownMechanismSplit(t *testing.T) {
 	if len(base.PathBreakdown) == 0 || len(full.PathBreakdown) == 0 {
 		t.Fatal("PathTrace produced no breakdown")
 	}
-	be := findStage(base, "notify", "exit")
+	be := findStage(base, "notify-exit")
 	if be == nil || be.Count == 0 {
 		t.Fatalf("baseline lacks exit-driven notify spans: %+v", base.PathBreakdown)
 	}
 	if be.Mean <= 0 || be.P99 < be.P50 || be.Max < be.P99 {
-		t.Fatalf("implausible notify/exit stats: %+v", *be)
+		t.Fatalf("implausible notify-exit stats: %+v", *be)
 	}
-	if fp := findStage(full, "notify", "polled"); fp == nil || fp.Count == 0 {
+	if fp := findStage(full, "notify-poll"); fp == nil || fp.Count == 0 {
 		t.Fatalf("full config lacks polled notify spans: %+v", full.PathBreakdown)
 	}
-	if fe := findStage(full, "notify", "exit"); fe != nil {
+	if fe := findStage(full, "notify-exit"); fe != nil {
 		t.Fatalf("full config still shows exit-driven kicks: %+v", *fe)
 	}
 
 	// Stage coverage: the TX path must at least cross notify and
 	// backend-tx, and the breakdown must not repeat a cell.
-	if findStage(base, "backend-tx", "") == nil {
+	if findStage(base, "backend-tx") == nil {
 		t.Fatalf("baseline lacks backend-tx spans: %+v", base.PathBreakdown)
 	}
-	seen := map[[2]string]bool{}
+	seen := map[string]bool{}
 	for _, st := range base.PathBreakdown {
-		k := [2]string{st.Stage, st.Mechanism}
-		if seen[k] {
-			t.Fatalf("duplicate breakdown cell %v", k)
+		if seen[st.Stage] {
+			t.Fatalf("duplicate breakdown cell %q", st.Stage)
 		}
-		seen[k] = true
+		seen[st.Stage] = true
 	}
 }
 
@@ -73,16 +72,73 @@ func TestPathBreakdownSignalMechanisms(t *testing.T) {
 	base := mustRun(t, shortPath(Baseline(), w))
 	full := mustRun(t, shortPath(Full(0), w))
 
-	if s := findStage(base, "signal", "emulated"); s == nil || s.Count == 0 {
-		t.Fatalf("baseline lacks emulated signal spans: %+v", base.PathBreakdown)
+	if s := findStage(base, "irq-emulated"); s == nil || s.Count == 0 {
+		t.Fatalf("baseline lacks emulated interrupt spans: %+v", base.PathBreakdown)
 	}
-	if s := findStage(full, "signal", "posted"); s == nil || s.Count == 0 {
-		t.Fatalf("full config lacks posted signal spans: %+v", full.PathBreakdown)
+	if s := findStage(full, "irq-posted"); s == nil || s.Count == 0 {
+		t.Fatalf("full config lacks posted interrupt spans: %+v", full.PathBreakdown)
 	}
-	for _, want := range []string{"backend-rx", "ring-wait", "deliver"} {
-		if s := findStage(full, want, ""); s == nil || s.Count == 0 {
+	for _, want := range []string{"backend-rx", "signal", "wakeup", "ring-wait", "guest-rx"} {
+		if s := findStage(full, want); s == nil || s.Count == 0 {
 			t.Fatalf("full config lacks %s spans: %+v", want, full.PathBreakdown)
 		}
+	}
+}
+
+// TestPathBreakdownMatchesCriticalPath pins the one taxonomy: on Ping,
+// where every packet belongs to a chain, the spans behind the path
+// breakdown and the chains behind the blame profile cross the same
+// boundaries, so every breakdown cell equals the blame row of its stage
+// in count and mean.
+func TestPathBreakdownMatchesCriticalPath(t *testing.T) {
+	for _, cfg := range []Config{Baseline(), Full(4)} {
+		t.Run(cfg.String(), func(t *testing.T) {
+			s := short(cfg, WorkloadSpec{Kind: Ping, PingInterval: time.Millisecond})
+			s.Warmup, s.Duration = 20*time.Millisecond, 200*time.Millisecond
+			s.PathTrace, s.CritPath = true, true
+			r := mustRun(t, s)
+			if len(r.PathBreakdown) == 0 || r.CriticalPath == nil {
+				t.Fatal("run produced no breakdown or no critical path")
+			}
+			blame := map[string]CriticalPathStage{}
+			for _, row := range r.CriticalPath.Stages {
+				blame[row.Stage] = row
+			}
+			for _, cell := range r.PathBreakdown {
+				row, ok := blame[cell.Stage]
+				if !ok {
+					t.Fatalf("breakdown cell %q has no blame row: %+v", cell.Stage, r.CriticalPath.Stages)
+				}
+				if cell.Count != row.Count || int64(cell.Mean) != row.MeanNs {
+					t.Errorf("%s: breakdown %d spans, mean %d ns; blame %d, mean %d ns",
+						cell.Stage, cell.Count, int64(cell.Mean), row.Count, row.MeanNs)
+				}
+			}
+		})
+	}
+}
+
+// TestPathBreakdownShowsRedirection: on a multiplexed host, ES2's
+// redirection sends device interrupts to a vCPU that is already on a
+// core, so the wakeup stage (injection → target vCPU running)
+// collapses. PI alone must wait for the affinity vCPU's next slice.
+func TestPathBreakdownShowsRedirection(t *testing.T) {
+	wakeup := func(cfg Config) time.Duration {
+		s := short(cfg, WorkloadSpec{Kind: Memcached})
+		s.VMs, s.VCPUs, s.VMCores = 4, 4, 4
+		s.Warmup, s.Duration = 50*time.Millisecond, 200*time.Millisecond
+		s.PathTrace = true
+		r := mustRun(t, s)
+		st := findStage(r, "wakeup")
+		if st == nil || st.Count == 0 {
+			t.Fatalf("%v: no wakeup spans: %+v", cfg, r.PathBreakdown)
+		}
+		return st.Mean
+	}
+	pi, full := wakeup(PIOnly()), wakeup(Full(4))
+	t.Logf("wakeup mean: PI %v, Full %v", pi, full)
+	if full*4 > pi {
+		t.Fatalf("redirection did not collapse wakeup: PI %v, Full %v (want Full <= PI/4)", pi, full)
 	}
 }
 

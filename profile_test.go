@@ -6,6 +6,8 @@ import (
 	"math"
 	"testing"
 	"time"
+
+	"es2/internal/causal"
 )
 
 // profSpec is short() with CPU profiling enabled.
@@ -183,6 +185,11 @@ func TestResultJSONStable(t *testing.T) {
 	if !ok || len(stages) == 0 {
 		t.Fatal("PathTrace run produced no path_breakdown")
 	}
+	// The breakdown speaks the critical path's one stage taxonomy.
+	stageNames := map[string]bool{}
+	for s := causal.Stage(0); s < causal.NumStages; s++ {
+		stageNames[s.String()] = true
+	}
 	for _, st := range stages {
 		cell, ok := st.(map[string]any)
 		if !ok {
@@ -192,6 +199,12 @@ func TestResultJSONStable(t *testing.T) {
 			if _, ok := cell[key]; !ok {
 				t.Errorf("path_breakdown cell lacks %q; got keys %v", key, keysOf(cell))
 			}
+		}
+		if _, ok := cell["mechanism"]; ok {
+			t.Errorf("path_breakdown cell has a mechanism key: %v", cell)
+		}
+		if name, _ := cell["stage"].(string); !stageNames[name] {
+			t.Errorf("path_breakdown stage %q is not a critical-path stage", name)
 		}
 	}
 	if rtts, ok := doc["rtt_series"].([]any); !ok || len(rtts) == 0 {

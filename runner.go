@@ -231,7 +231,8 @@ func Run(spec ScenarioSpec) (*Result, error) {
 	tb.perf.Start()
 	tb.eng.Run(warmup)
 	tb.startWindow()
-	if tb.path != nil {
+	traced := spec.PathTrace || spec.Timeline
+	if traced {
 		// Measurement window begins: start the timeline recording and
 		// the periodic state probes.
 		tb.tl.Activate()
@@ -273,7 +274,7 @@ func Run(spec ScenarioSpec) (*Result, error) {
 	}
 	tb.addVMCounters(r, 0, window)
 	tb.fillHost(r, window)
-	if tb.path != nil {
+	if traced {
 		for _, p := range tb.probes {
 			ps := ProbeSeries{Name: p.series.Name}
 			for _, pt := range p.series.Points {
@@ -404,8 +405,8 @@ func build(spec ScenarioSpec) (*testbed, error) {
 		vcpus: spec.VCPUs, vmCores: spec.VMCores, vhostCores: spec.VhostCores, queues: spec.Queues,
 		direct: spec.DirectAssign, coalesceCount: spec.CoalesceCount,
 		coalesceTimer: sim.DurationOf(spec.CoalesceTimer), sidecore: spec.Sidecore,
-		pathTrace: spec.PathTrace || spec.Timeline, timeline: tb.tl,
-		cpuProfile: spec.CPUProfile, causal: tb.crit.Probe(0),
+		timeline: tb.tl, cpuProfile: spec.CPUProfile,
+		probe: causal.NewProbe(tb.crit, 0, spec.PathTrace || spec.Timeline),
 	})
 	if spec.EngineStats {
 		// Attach before any VM exists so build-time registrations sample
