@@ -83,6 +83,7 @@ func goldenScenarios() []es2.ScenarioSpec {
 		}
 		load := goldenSpec("single/"+c.name+"/memcached-openloop", c.cfg, es2.WorkloadSpec{Kind: es2.Memcached})
 		load.VCPUs = 2
+		load.CritPath = true
 		load.Load = es2.LoadSpec{
 			Classes: []es2.LoadClass{
 				{Name: "web", Streams: 6, RatePerSec: 4000, ZipfS: 1.0,
