@@ -45,10 +45,8 @@ func (cb *clusterBed) sumClusterClients(get func(*workloads.RPCClient) uint64) f
 // client VM of the rack.
 func (cb *clusterBed) sumClusterLoads(get func(*workloads.OpenLoopClient) uint64) float64 {
 	var n uint64
-	for _, h := range cb.hosts {
-		for _, c := range h.loads {
-			n += get(c)
-		}
+	for _, c := range cb.loads {
+		n += get(c)
 	}
 	return float64(n)
 }

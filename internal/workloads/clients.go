@@ -194,8 +194,8 @@ func (w *abWorker) PeerReceive(p *netsim.Packet) {
 // connection train is open-loop — each established connection then
 // runs one closed-loop request like the other clients here. Sustained
 // open-loop request load (arrivals armed on the clock regardless of
-// completions, bursty processes, day-shaped profiles) is OpenLoopPeer
-// and OpenLoopClient in openloop.go, driven by internal/loadgen.
+// completions, bursty processes, day-shaped profiles) is OpenLoopClient
+// in openloop.go, driven by internal/loadgen.
 type Httperf struct {
 	peer *Peer
 

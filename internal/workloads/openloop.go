@@ -10,22 +10,28 @@ import (
 	"es2/internal/vmm"
 )
 
-// OpenLoopClient drives open-loop request streams from inside a guest
-// VM. Unlike RPCClient's closed loop — where each completion triggers
-// the next request, so the system can never be offered more load than
-// it absorbs — arrivals here are armed on the simulation clock by a
-// loadgen arrival process and fire regardless of outstanding work.
+// OpenLoopClient drives open-loop request streams. Unlike RPCClient's
+// closed loop — where each completion triggers the next request, so the
+// system can never be offered more load than it absorbs — arrivals here
+// are armed on the simulation clock by a loadgen arrival process and
+// fire regardless of outstanding work.
 // Offered load that the system cannot keep up with becomes backlog and,
 // past each stream's outstanding cap, shed requests: the generator can
 // push the host into queueing collapse and measure where that happens.
+//
+// A stream runs on either side of the wire. AddStream puts it inside a
+// guest VM, where each sub-request is work charged to a vCPU (the rack's
+// client VMs); AddPeerStream puts it on the external peer, which sends
+// requests toward the guest under test (the single-host testbed). Both
+// share one arrival, admission, shedding, gathering and billing path;
+// the side only decides how a sub-request is sent and at which stage
+// its response completes.
 //
 // Determinism: every stream samples interarrivals from a private RNG
 // fork that is independent of the engine's RNG and never observes
 // completions, so the arrival sequence is a pure function of the load
 // spec and seed — identical across configurations under test.
 type OpenLoopClient struct {
-	Kern *guest.Kernel
-
 	// Causal, when non-nil, opens a causal chain per sub-request and
 	// records it at completion.
 	Causal *causal.Probe
@@ -82,12 +88,12 @@ type StreamConfig struct {
 	Start sim.Time
 }
 
-// NewOpenLoopClient creates an open-loop client on kern. Completions
-// observe into phaseHists (indexed by phase, shared across clients) and
-// into every hist.
-func NewOpenLoopClient(kern *guest.Kernel, rt *loadgen.Runtime, phaseHists []*metrics.LogHistogram, hists ...*metrics.LogHistogram) *OpenLoopClient {
+// NewOpenLoopClient creates an open-loop client with rt's profile.
+// Completions observe into phaseHists (indexed by phase, shared across
+// clients) and into every hist.
+func NewOpenLoopClient(rt *loadgen.Runtime, phaseHists []*metrics.LogHistogram, hists ...*metrics.LogHistogram) *OpenLoopClient {
 	return &OpenLoopClient{
-		Kern: kern, RT: rt,
+		RT:             rt,
 		phaseHists:     phaseHists,
 		hists:          hists,
 		PhaseOffered:   make([]uint64, rt.NumPhases()),
@@ -104,11 +110,13 @@ type openReq struct {
 	phase     int
 }
 
-// OpenLoopStream is one arrival process. It implements
-// guest.FlowHandler for the response direction of all its flows.
+// OpenLoopStream is one arrival process. The constructor that built it
+// (AddStream or AddPeerStream) fixes its side of the wire through send.
 type OpenLoopStream struct {
-	c *OpenLoopClient
-	v *vmm.VCPU
+	c   *OpenLoopClient
+	eng *sim.Engine
+	// send issues one sub-request of logical request id on a flow.
+	send func(flowID int, id int64, chain *causal.Chain)
 
 	flows          []int
 	rate           float64
@@ -126,27 +134,99 @@ type OpenLoopStream struct {
 	pending     map[int64]*openReq
 }
 
-// AddStream registers one open-loop stream, pinned to the vCPU its
-// first flow hashes to, and arms its first arrival draw.
-func (c *OpenLoopClient) AddStream(cfg StreamConfig) *OpenLoopStream {
-	vcpus := c.Kern.VM.VCPUs
+// newStream registers one stream whose sub-requests go out through
+// send, and arms its first arrival draw.
+func (c *OpenLoopClient) newStream(eng *sim.Engine, cfg StreamConfig, send func(int, int64, *causal.Chain)) *OpenLoopStream {
 	s := &OpenLoopStream{
-		c: c, v: vcpus[cfg.Flows[0]%len(vcpus)],
+		c: c, eng: eng, send: send,
 		flows: cfg.Flows, rate: cfg.RatePerSec, sampler: cfg.Sampler,
 		reqBytes: cfg.ReqBytes, respBytes: cfg.RespBytes,
 		maxOutstanding: cfg.MaxOutstanding,
 		pending:        make(map[int64]*openReq),
 	}
-	for _, fid := range cfg.Flows {
-		c.Kern.RegisterFlow(fid, s)
-	}
 	c.streams = append(c.streams, s)
-	c.Kern.Engine().After(cfg.Start+1, s.scheduleNext)
+	eng.After(cfg.Start+1, s.scheduleNext)
 	return s
 }
 
-// Streams returns the registered streams in creation order.
-func (c *OpenLoopClient) Streams() []*OpenLoopStream { return c.streams }
+// guestStream is a stream inside a guest VM: each sub-request is a TX
+// task on the vCPU the stream is pinned to, and the stream is the
+// guest.FlowHandler of its flows.
+type guestStream struct {
+	*OpenLoopStream
+	kern *guest.Kernel
+	v    *vmm.VCPU
+}
+
+// AddStream registers a guest-side stream on kern, pinned to the vCPU
+// its first flow hashes to, and arms its first arrival draw. Responses
+// complete at guest-rx.
+func (c *OpenLoopClient) AddStream(kern *guest.Kernel, cfg StreamConfig) {
+	vcpus := kern.VM.VCPUs
+	g := &guestStream{kern: kern, v: vcpus[cfg.Flows[0]%len(vcpus)]}
+	g.OpenLoopStream = c.newStream(kern.Engine(), cfg, g.issue)
+	for _, fid := range cfg.Flows {
+		kern.RegisterFlow(fid, g)
+	}
+}
+
+// issue charges one sub-request's TX cost to the stream's vCPU,
+// mirroring RPCFlow.
+func (g *guestStream) issue(flowID int, id int64, chain *causal.Chain) {
+	cost := g.kern.JitterCost(g.kern.Costs.TXCost(g.reqBytes, true))
+	g.v.EnqueueTask(vmm.NewTask("openloop-req", vmm.PrioTask, cost, func() {
+		g.transmit(flowID, id, chain)
+	}))
+}
+
+// transmit posts the sub-request, resuming via WaitTX on a full ring.
+// There is no supersession: open-loop requests are never retried, a
+// full ring simply delays them (and the backlog shows it).
+func (g *guestStream) transmit(flowID int, id int64, chain *causal.Chain) {
+	if !g.kern.Dev.Transmit(g.v, g.request(flowID, id, chain)) {
+		g.kern.Dev.WaitTXFlow(flowID, func() { g.transmit(flowID, id, chain) })
+		return
+	}
+	g.c.Sent++
+}
+
+// RXCost implements guest.FlowHandler.
+func (g *guestStream) RXCost(p *netsim.Packet) sim.Time {
+	return g.kern.Costs.RXCost(p.Bytes)
+}
+
+// HandleRX implements guest.FlowHandler.
+func (g *guestStream) HandleRX(p *netsim.Packet, _ *vmm.VCPU) {
+	g.respond(p, causal.StageGuestRX)
+}
+
+// peerStream is a stream on the external peer: requests go out through
+// the peer at the arrival instant, and the stream is the PeerFlow of
+// its one flow.
+type peerStream struct {
+	*OpenLoopStream
+	pe *Peer
+}
+
+// AddPeerStream registers a peer-side stream on pe and arms its first
+// arrival draw. cfg.Flows must hold exactly one flow: there is one
+// host under test, so there is no fan-out. Responses complete at wire.
+func (c *OpenLoopClient) AddPeerStream(pe *Peer, cfg StreamConfig) {
+	p := &peerStream{pe: pe}
+	p.OpenLoopStream = c.newStream(pe.Eng, cfg, p.issue)
+	pe.Register(cfg.Flows[0], p)
+}
+
+// issue sends one request toward the guest.
+func (p *peerStream) issue(flowID int, id int64, chain *causal.Chain) {
+	p.pe.Send(p.request(flowID, id, chain))
+	p.c.Sent++
+}
+
+// PeerReceive implements PeerFlow.
+func (p *peerStream) PeerReceive(pkt *netsim.Packet) {
+	p.respond(pkt, causal.StageWire)
+}
 
 // Arrivals sums the per-stream arrival counts. Streams count arrivals
 // independently of the client's Offered counter, so the two reconcile
@@ -192,15 +272,14 @@ func (c *OpenLoopClient) ResetStats() {
 // stream (multiplier zero) re-polls on the runtime's tick instead of
 // dividing by zero.
 func (s *OpenLoopStream) scheduleNext() {
-	eng := s.c.Kern.Engine()
-	mult := s.c.RT.Multiplier(eng.Now())
+	mult := s.c.RT.Multiplier(s.eng.Now())
 	if mult <= 0 {
-		eng.After(s.c.RT.DormantTick(), s.scheduleNext)
+		s.eng.After(s.c.RT.DormantTick(), s.scheduleNext)
 		return
 	}
 	mean := sim.Time(1e9 / (s.rate * mult))
 	d := s.sampler.Interarrival(mean)
-	eng.After(d, func() {
+	s.eng.After(d, func() {
 		s.arrive()
 		s.scheduleNext()
 	})
@@ -208,10 +287,11 @@ func (s *OpenLoopStream) scheduleNext() {
 
 // arrive is one open-loop arrival: count it against the phase in
 // effect, shed it if the stream's outstanding cap is full, otherwise
-// admit and issue a sub-request on every fan-out leg.
+// admit it and send a sub-request on every fan-out leg, each with a
+// causal chain opened at the arrival instant.
 func (s *OpenLoopStream) arrive() {
 	c := s.c
-	now := c.Kern.Engine().Now()
+	now := s.eng.Now()
 	ph := c.RT.PhaseIndexAt(now)
 	s.Arrivals++
 	c.Offered++
@@ -231,46 +311,24 @@ func (s *OpenLoopStream) arrive() {
 	id := s.seq
 	s.pending[id] = &openReq{remaining: len(s.flows), started: now, phase: ph}
 	for _, fid := range s.flows {
-		s.issue(fid, id)
+		s.send(fid, id, c.Causal.Start(fid, id, now))
 	}
 }
 
-// issue charges one sub-request's TX cost to the stream's vCPU and
-// opens its causal chain at initiation, mirroring RPCFlow.
-func (s *OpenLoopStream) issue(flowID int, id int64) {
-	kern := s.c.Kern
-	chain := s.c.Causal.Start(flowID, id, kern.Engine().Now())
-	cost := kern.JitterCost(kern.Costs.TXCost(s.reqBytes, true))
-	s.v.EnqueueTask(vmm.NewTask("openloop-req", vmm.PrioTask, cost, func() {
-		s.transmit(flowID, id, chain)
-	}))
-}
-
-// transmit posts the sub-request, resuming via WaitTX on a full ring.
-// There is no supersession: open-loop requests are never retried, a
-// full ring simply delays them (and the backlog shows it).
-func (s *OpenLoopStream) transmit(flowID int, id int64, chain *causal.Chain) {
-	pkt := &netsim.Packet{
+// request builds one sub-request packet.
+func (s *OpenLoopStream) request(flowID int, id int64, chain *causal.Chain) *netsim.Packet {
+	return &netsim.Packet{
 		Bytes: s.reqBytes, Kind: guest.KindRequest, Flow: flowID,
 		Payload: &Req{ID: id, RespBytes: s.respBytes},
 		Unit:    causal.Unit{Chain: chain},
 	}
-	if !s.c.Kern.Dev.Transmit(s.v, pkt) {
-		s.c.Kern.Dev.WaitTXFlow(flowID, func() { s.transmit(flowID, id, chain) })
-		return
-	}
-	s.c.Sent++
 }
 
-// RXCost implements guest.FlowHandler.
-func (s *OpenLoopStream) RXCost(p *netsim.Packet) sim.Time {
-	return s.c.Kern.Costs.RXCost(p.Bytes)
-}
-
-// HandleRX implements guest.FlowHandler: a response's last segment
-// closes one fan-out leg; the last leg gathers the logical request and
-// records its latency against the arrival's phase.
-func (s *OpenLoopStream) HandleRX(p *netsim.Packet, v *vmm.VCPU) {
+// respond handles one response segment. The last segment of a response
+// closes its fan-out leg, completing the leg's chain at stage closes;
+// the last leg gathers the logical request and records its latency
+// against the arrival's phase.
+func (s *OpenLoopStream) respond(p *netsim.Packet, closes causal.Stage) {
 	if p.Kind != guest.KindResponse {
 		return
 	}
@@ -284,8 +342,8 @@ func (s *OpenLoopStream) HandleRX(p *netsim.Packet, v *vmm.VCPU) {
 	if !ok {
 		return
 	}
-	now := c.Kern.Engine().Now()
-	c.Causal.Complete(p.Chain, causal.StageGuestRX, now)
+	now := s.eng.Now()
+	c.Causal.Complete(p.Chain, closes, now)
 	req.remaining--
 	if req.remaining > 0 {
 		return // scatter/gather: wait for the other legs
@@ -305,197 +363,5 @@ func (s *OpenLoopStream) HandleRX(p *netsim.Packet, v *vmm.VCPU) {
 	}
 	if req.phase < len(c.phaseHists) && c.phaseHists[req.phase] != nil {
 		c.phaseHists[req.phase].Observe(d)
-	}
-}
-
-// OpenLoopPeer is the single-host analogue of OpenLoopClient: the
-// external generator (the testbed's second server) initiating requests
-// open-loop toward the guest, replacing the closed-loop Memaslap when a
-// load spec is active. Fan-out is always single — there is one host
-// under test.
-type OpenLoopPeer struct {
-	peer *Peer
-
-	// Causal, when non-nil, opens a causal chain per request.
-	Causal *causal.Probe
-
-	// RT resolves phase multipliers against the sim clock.
-	RT *loadgen.Runtime
-
-	// Counters as in OpenLoopClient.
-	Offered   uint64
-	Admitted  uint64
-	Shed      uint64
-	Completed uint64
-
-	PhaseOffered   []uint64
-	PhaseShed      []uint64
-	PhaseCompleted []uint64
-
-	// Lat aggregates all completions; PhaseLat splits them by the
-	// arrival's phase.
-	Lat      *metrics.LogHistogram
-	PhaseLat []*metrics.LogHistogram
-
-	streams []*olPeerStream
-}
-
-// olPeerStream is one peer-side arrival process on one connection.
-type olPeerStream struct {
-	o              *OpenLoopPeer
-	flow           int
-	rate           float64
-	sampler        *loadgen.Sampler
-	reqBytes       int
-	respBytes      int
-	maxOutstanding int
-
-	Arrivals uint64
-
-	outstanding int
-	seq         int64
-	pending     map[int64]*openReq
-}
-
-// NewOpenLoopPeer creates the generator on pe with rt's profile.
-func NewOpenLoopPeer(pe *Peer, rt *loadgen.Runtime) *OpenLoopPeer {
-	o := &OpenLoopPeer{
-		peer: pe, RT: rt,
-		Lat:            metrics.NewLogHistogram(),
-		PhaseOffered:   make([]uint64, rt.NumPhases()),
-		PhaseShed:      make([]uint64, rt.NumPhases()),
-		PhaseCompleted: make([]uint64, rt.NumPhases()),
-	}
-	o.PhaseLat = make([]*metrics.LogHistogram, rt.NumPhases())
-	for i := range o.PhaseLat {
-		o.PhaseLat[i] = metrics.NewLogHistogram()
-	}
-	return o
-}
-
-// AddStream opens one connection driven by cfg's arrival process
-// (cfg.Flows must hold exactly one id: single fan-out).
-func (o *OpenLoopPeer) AddStream(cfg StreamConfig) {
-	s := &olPeerStream{
-		o: o, flow: cfg.Flows[0], rate: cfg.RatePerSec, sampler: cfg.Sampler,
-		reqBytes: cfg.ReqBytes, respBytes: cfg.RespBytes,
-		maxOutstanding: cfg.MaxOutstanding,
-		pending:        make(map[int64]*openReq),
-	}
-	o.peer.Register(s.flow, s)
-	o.streams = append(o.streams, s)
-	o.peer.Eng.After(cfg.Start+1, s.scheduleNext)
-}
-
-// Backlog is the number of requests currently in flight.
-func (o *OpenLoopPeer) Backlog() int {
-	n := 0
-	for _, s := range o.streams {
-		n += s.outstanding
-	}
-	return n
-}
-
-// Arrivals sums the per-stream arrival counts (reconciles with
-// Offered).
-func (o *OpenLoopPeer) Arrivals() uint64 {
-	var n uint64
-	for _, s := range o.streams {
-		n += s.Arrivals
-	}
-	return n
-}
-
-// ResetStats zeroes the window counters and latency spectra. In-flight
-// requests are kept but unbilled, as in OpenLoopClient.ResetStats.
-func (o *OpenLoopPeer) ResetStats() {
-	o.Offered, o.Admitted, o.Shed, o.Completed = 0, 0, 0, 0
-	for i := range o.PhaseOffered {
-		o.PhaseOffered[i], o.PhaseShed[i], o.PhaseCompleted[i] = 0, 0, 0
-	}
-	o.Lat.Reset()
-	for _, h := range o.PhaseLat {
-		h.Reset()
-	}
-	for _, s := range o.streams {
-		s.Arrivals = 0
-		for _, r := range s.pending {
-			r.phase = -1
-		}
-	}
-}
-
-func (s *olPeerStream) scheduleNext() {
-	eng := s.o.peer.Eng
-	mult := s.o.RT.Multiplier(eng.Now())
-	if mult <= 0 {
-		eng.After(s.o.RT.DormantTick(), s.scheduleNext)
-		return
-	}
-	mean := sim.Time(1e9 / (s.rate * mult))
-	d := s.sampler.Interarrival(mean)
-	eng.After(d, func() {
-		s.arrive()
-		s.scheduleNext()
-	})
-}
-
-func (s *olPeerStream) arrive() {
-	o := s.o
-	now := o.peer.Eng.Now()
-	ph := o.RT.PhaseIndexAt(now)
-	s.Arrivals++
-	o.Offered++
-	if ph < len(o.PhaseOffered) {
-		o.PhaseOffered[ph]++
-	}
-	if s.maxOutstanding > 0 && s.outstanding >= s.maxOutstanding {
-		o.Shed++
-		if ph < len(o.PhaseShed) {
-			o.PhaseShed[ph]++
-		}
-		return
-	}
-	o.Admitted++
-	s.outstanding++
-	s.seq++
-	id := s.seq
-	s.pending[id] = &openReq{remaining: 1, started: now, phase: ph}
-	o.peer.Send(&netsim.Packet{
-		Bytes: s.reqBytes, Kind: guest.KindRequest, Flow: s.flow,
-		Payload: &Req{ID: id, RespBytes: s.respBytes},
-		Unit:    causal.Unit{Chain: o.Causal.Start(s.flow, id, now)},
-	})
-}
-
-// PeerReceive implements PeerFlow.
-func (s *olPeerStream) PeerReceive(p *netsim.Packet) {
-	if p.Kind != guest.KindResponse {
-		return
-	}
-	r, _ := p.Payload.(*Resp)
-	if r == nil || r.Seg != r.Segs-1 {
-		return
-	}
-	req, ok := s.pending[r.ReqID]
-	if !ok {
-		return
-	}
-	o := s.o
-	now := o.peer.Eng.Now()
-	o.Causal.Complete(p.Chain, causal.StageWire, now)
-	delete(s.pending, r.ReqID)
-	s.outstanding--
-	if req.phase < 0 {
-		return // admitted before the window: drains without billing
-	}
-	d := now - req.started
-	o.Completed++
-	if req.phase < len(o.PhaseCompleted) {
-		o.PhaseCompleted[req.phase]++
-	}
-	o.Lat.Observe(d)
-	if req.phase < len(o.PhaseLat) {
-		o.PhaseLat[req.phase].Observe(d)
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"es2/internal/loadgen"
 	"es2/internal/metrics"
 	"es2/internal/sim"
+	"es2/internal/workloads"
 )
 
 // LoadSpec declares an open-loop load profile for a run (see
@@ -105,76 +106,72 @@ type LoadReport struct {
 	Phases []LoadPhaseReport `json:"phases"`
 }
 
-// loadStream is one expanded stream of a LoadSpec: its class, the
-// class's (defaulted) parameters and its Zipf-weighted share of the
-// class rate.
+// loadStream is one expanded stream of a LoadSpec: its class and its
+// stream configuration with every field but Flows set.
 type loadStream struct {
 	class int
 	cls   LoadClass
-	rate  float64
+	cfg   workloads.StreamConfig
 }
 
 // expandLoadStreams flattens a defaulted LoadSpec into per-stream
-// parameters in deterministic (class, stream) order — the order RNG
-// forks and flow ids are assigned in.
-func expandLoadStreams(s LoadSpec) []loadStream {
+// configurations in deterministic (class, stream) order — the order
+// flow ids are assigned in. Each stream's base rate is its Zipf-weighted
+// share of its class rate, its sampler draws from its own fork of the
+// load RNG root (forked in that order, nothing else drawing from the
+// root in between), and its first arrival is staggered over spread.
+func expandLoadStreams(s LoadSpec, seed uint64, spread sim.Time) []loadStream {
+	root := sim.NewRand(seed ^ loadSeedSalt)
 	var out []loadStream
 	for ci, cls := range s.Classes {
 		w := loadgen.ZipfWeights(cls.Streams, cls.ZipfS)
 		classRate := cls.RatePerSec * float64(cls.Streams)
+		proc, _ := loadgen.ParseProcess(cls.Process)
 		for si := 0; si < cls.Streams; si++ {
-			out = append(out, loadStream{class: ci, cls: cls, rate: classRate * w[si]})
+			out = append(out, loadStream{class: ci, cls: cls, cfg: workloads.StreamConfig{
+				RatePerSec: classRate * w[si],
+				Sampler:    loadgen.NewSampler(proc, cls.Shape, root.Fork()),
+				ReqBytes:   cls.ReqBytes, RespBytes: cls.RespBytes,
+				MaxOutstanding: cls.MaxOutstanding,
+			}})
 		}
+	}
+	for i := range out {
+		out[i].cfg.Start = spread * sim.Time(i) / sim.Time(len(out))
 	}
 	return out
 }
 
-// newLoadSampler builds stream i's arrival sampler on a fork of the
-// load RNG root (callers fork in expandLoadStreams order).
-func newLoadSampler(cls LoadClass, rng *sim.Rand) *loadgen.Sampler {
-	proc, _ := loadgen.ParseProcess(cls.Process)
-	return loadgen.NewSampler(proc, cls.Shape, rng)
-}
-
-// loadTotals are the window counters a runner accumulates for the
-// report (summed over clients in the cluster case).
-type loadTotals struct {
-	arrivals                           uint64
-	offered, admitted, shed, completed uint64
-	phaseOffered                       []uint64
-	phaseShed                          []uint64
-	phaseCompleted                     []uint64
-	backlog                            int
-}
-
-// buildLoadReport assembles the LoadReport from the window counters,
-// the per-phase latency spectra and the resolved profile runtime.
-func buildLoadReport(rt *loadgen.Runtime, t loadTotals, phaseHists []*metrics.LogHistogram, streams int, window, horizon sim.Time) *LoadReport {
-	rep := &LoadReport{
-		TimeScale: rt.TimeScale(),
-		Streams:   streams,
-		Arrivals:  t.arrivals,
-		Offered:   t.offered, Admitted: t.admitted,
-		Shed: t.shed, Completed: t.completed,
-		BacklogEnd:      t.backlog,
-		OfferedPerSec:   rate(t.offered, window),
-		CompletedPerSec: rate(t.completed, window),
-	}
-	if t.offered > 0 {
-		rep.DeliveryRatio = float64(t.completed) / float64(t.offered)
-	}
-	for i := 0; i < rt.NumPhases(); i++ {
-		start, end := rt.PhaseSimWindow(i, horizon)
-		pr := LoadPhaseReport{
-			Name:       rt.PhaseName(i),
-			Multiplier: rt.PhaseMultiplier(i),
+// buildLoadReport assembles the LoadReport from the clients' window
+// counters, the per-phase latency spectra and the resolved profile
+// runtime.
+func buildLoadReport(rt *loadgen.Runtime, clients []*workloads.OpenLoopClient, phaseHists []*metrics.LogHistogram, streams int, window, horizon sim.Time) *LoadReport {
+	rep := &LoadReport{TimeScale: rt.TimeScale(), Streams: streams}
+	phases := make([]LoadPhaseReport, rt.NumPhases())
+	for _, c := range clients {
+		rep.Arrivals += c.Arrivals()
+		rep.Offered += c.Offered
+		rep.Admitted += c.Admitted
+		rep.Shed += c.Shed
+		rep.Completed += c.Completed
+		rep.BacklogEnd += c.Backlog()
+		for i := range phases {
+			phases[i].Offered += c.PhaseOffered[i]
+			phases[i].Shed += c.PhaseShed[i]
+			phases[i].Completed += c.PhaseCompleted[i]
 		}
-		if i < len(t.phaseOffered) {
-			pr.Offered, pr.Shed, pr.Completed = t.phaseOffered[i], t.phaseShed[i], t.phaseCompleted[i]
-		}
-		if span := end - start; span > 0 {
-			pr.OfferedPerSec = rate(pr.Offered, span)
-			pr.CompletedPerSec = rate(pr.Completed, span)
+	}
+	rep.OfferedPerSec = rate(rep.Offered, window)
+	rep.CompletedPerSec = rate(rep.Completed, window)
+	if rep.Offered > 0 {
+		rep.DeliveryRatio = float64(rep.Completed) / float64(rep.Offered)
+	}
+	for i := range phases {
+		pr := &phases[i]
+		pr.Name, pr.Multiplier = rt.PhaseName(i), rt.PhaseMultiplier(i)
+		if start, end := rt.PhaseSimWindow(i, horizon); end > start {
+			pr.OfferedPerSec = rate(pr.Offered, end-start)
+			pr.CompletedPerSec = rate(pr.Completed, end-start)
 		}
 		if pr.Offered > 0 {
 			pr.DeliveryRatio = float64(pr.Completed) / float64(pr.Offered)
@@ -186,7 +183,16 @@ func buildLoadReport(rt *loadgen.Runtime, t loadTotals, phaseHists []*metrics.Lo
 			pr.P50Latency = time.Duration(phaseHists[i].Quantile(0.50))
 			pr.P99Latency = time.Duration(phaseHists[i].Quantile(0.99))
 		}
-		rep.Phases = append(rep.Phases, pr)
 	}
+	rep.Phases = phases
 	return rep
+}
+
+// newPhaseHists returns one latency spectrum per profile phase of rt.
+func newPhaseHists(rt *loadgen.Runtime) []*metrics.LogHistogram {
+	hs := make([]*metrics.LogHistogram, rt.NumPhases())
+	for i := range hs {
+		hs[i] = metrics.NewLogHistogram()
+	}
+	return hs
 }
