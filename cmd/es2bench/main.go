@@ -13,10 +13,8 @@
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
-	"hash/fnv"
 	"os"
 	"path/filepath"
 	"strings"
@@ -24,6 +22,7 @@ import (
 
 	"es2"
 	"es2/experiments"
+	"es2/internal/cliflags"
 )
 
 func main() {
@@ -109,30 +108,10 @@ func main() {
 			os.Exit(1)
 		}
 		for i, r := range results {
-			base := fmt.Sprintf("%s-%02d-%s", e.ID, i, sanitize(r.Name))
-			if *timelineDir != "" {
-				if err := writeTimeline(filepath.Join(*timelineDir, base+".json"), r); err != nil {
-					fmt.Fprintf(os.Stderr, "es2bench: %v\n", err)
-					os.Exit(1)
-				}
-			}
-			if *profileDir != "" {
-				if err := writeProfiles(filepath.Join(*profileDir, base), r); err != nil {
-					fmt.Fprintf(os.Stderr, "es2bench: %v\n", err)
-					os.Exit(1)
-				}
-			}
-			if *telemetryDir != "" {
-				if err := writeTelemetry(filepath.Join(*telemetryDir, base), r); err != nil {
-					fmt.Fprintf(os.Stderr, "es2bench: %v\n", err)
-					os.Exit(1)
-				}
-			}
-			if *critDir != "" {
-				if err := writeCritPath(filepath.Join(*critDir, base+".json"), r); err != nil {
-					fmt.Fprintf(os.Stderr, "es2bench: %v\n", err)
-					os.Exit(1)
-				}
+			if err := writeArtifacts(fmt.Sprintf("%s-%02d-%s", e.ID, i, cliflags.Sanitize(r.Name)), r,
+				*timelineDir, *profileDir, *telemetryDir, *critDir); err != nil {
+				fmt.Fprintf(os.Stderr, "es2bench: %v\n", err)
+				os.Exit(1)
 			}
 		}
 		wall, events := engineWallSummary(results)
@@ -144,14 +123,14 @@ func main() {
 		}
 		fmt.Printf("=== %s — %s\n", e.ID, e.Title)
 		fmt.Printf("    paper: %s\n\n", e.PaperClaim)
-		fmt.Println(indent(e.Render(results), "    "))
+		fmt.Println(cliflags.Indent(e.Render(results), "    "))
 		if *engineStats {
 			for _, r := range results {
 				if r.EngineReport == nil {
 					continue
 				}
 				fmt.Printf("    --- %s\n", r.Name)
-				fmt.Println(indent(r.EngineReport.Render(), "    "))
+				fmt.Println(cliflags.Indent(r.EngineReport.Render(), "    "))
 			}
 		}
 		fmt.Printf("    (%d scenarios, %v engine wall time, %d events)\n\n",
@@ -159,7 +138,7 @@ func main() {
 	}
 
 	if *jsonOut != "" {
-		if err := writeJSONReport(*jsonOut, report); err != nil {
+		if err := cliflags.WriteJSON(*jsonOut, report); err != nil {
 			fmt.Fprintf(os.Stderr, "es2bench: %v\n", err)
 			os.Exit(1)
 		}
@@ -215,21 +194,6 @@ type jsonExperiment struct {
 	Results     []*es2.Result `json:"results"`
 }
 
-func writeJSONReport(path string, rep jsonReport) error {
-	out := os.Stdout
-	if path != "-" {
-		f, err := os.Create(path)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		out = f
-	}
-	enc := json.NewEncoder(out)
-	enc.SetIndent("", "  ")
-	return enc.Encode(rep)
-}
-
 // writeTable1Report extracts the table1 experiment from the full report
 // and writes it as BENCH_table1.json in the same directory as the -json
 // output. A run that did not include table1 writes nothing.
@@ -243,7 +207,7 @@ func writeTable1Report(jsonPath string, rep jsonReport) error {
 	if len(sub.Experiments) == 0 {
 		return nil
 	}
-	return writeJSONReport(filepath.Join(filepath.Dir(jsonPath), "BENCH_table1.json"), sub)
+	return cliflags.WriteJSON(filepath.Join(filepath.Dir(jsonPath), "BENCH_table1.json"), sub)
 }
 
 // writeCritpathReport extracts the critpath experiment from the full
@@ -259,112 +223,35 @@ func writeCritpathReport(jsonPath string, rep jsonReport) error {
 	if len(sub.Experiments) == 0 {
 		return nil
 	}
-	return writeJSONReport(filepath.Join(filepath.Dir(jsonPath), "BENCH_critpath.json"), sub)
+	return cliflags.WriteJSON(filepath.Join(filepath.Dir(jsonPath), "BENCH_critpath.json"), sub)
 }
 
-// writeCritPath writes one scenario's critical-path report as JSON.
-func writeCritPath(path string, r *es2.Result) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	enc := json.NewEncoder(f)
-	enc.SetIndent("", "  ")
-	err = enc.Encode(r.CriticalPath)
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	return err
-}
-
-// writeTelemetry writes base.prom (OpenMetrics exposition) and base.csv
-// (windowed series) for one scenario result.
-func writeTelemetry(base string, r *es2.Result) error {
-	f, err := os.Create(base + ".prom")
-	if err != nil {
-		return err
-	}
-	err = r.TelemetryRecorder.WriteOpenMetrics(f)
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	if err != nil {
-		return err
-	}
-	f, err = os.Create(base + ".csv")
-	if err != nil {
-		return err
-	}
-	err = r.TelemetryRecorder.WriteCSV(f)
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	return err
-}
-
-// writeProfiles writes base.pb.gz (pprof) and base.folded (flamegraph
-// stacks) for one scenario result.
-func writeProfiles(base string, r *es2.Result) error {
-	f, err := os.Create(base + ".pb.gz")
-	if err != nil {
-		return err
-	}
-	err = r.CPUProfile.WritePprof(f)
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	if err != nil {
-		return err
-	}
-	f, err = os.Create(base + ".folded")
-	if err != nil {
-		return err
-	}
-	err = r.CPUProfile.WriteFolded(f)
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	return err
-}
-
-// sanitize maps a scenario name to a safe file-name fragment. Names
-// that differ only in remapped runes (e.g. "a/b" and "a:b") get
-// distinct fragments — an FNV tag of the original is appended whenever
-// any rune was remapped — so no two scenarios can overwrite each
-// other's artifacts.
-func sanitize(s string) string {
-	mapped := strings.Map(func(r rune) rune {
-		switch {
-		case r >= 'a' && r <= 'z', r >= 'A' && r <= 'Z', r >= '0' && r <= '9', r == '-', r == '.':
-			return r
-		default:
-			return '_'
+// writeArtifacts writes one scenario's exports under base into each
+// requested directory: the timeline (.json), the CPU profile (.pb.gz
+// and .folded flamegraph stacks), the telemetry (.prom and .csv) and
+// the critical-path report (.json).
+func writeArtifacts(base string, r *es2.Result, timelineDir, profileDir, telemetryDir, critDir string) error {
+	if timelineDir != "" {
+		if err := cliflags.WriteFile(filepath.Join(timelineDir, base+".json"), r.Timeline.WriteJSON); err != nil {
+			return err
 		}
-	}, s)
-	if mapped == s {
-		return mapped
 	}
-	h := fnv.New32a()
-	h.Write([]byte(s))
-	return fmt.Sprintf("%s-%08x", mapped, h.Sum32())
-}
-
-func writeTimeline(path string, r *es2.Result) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
+	if profileDir != "" {
+		prefix := filepath.Join(profileDir, base)
+		if err := cliflags.WriteFile(prefix+".pb.gz", r.CPUProfile.WritePprof); err != nil {
+			return err
+		}
+		if err := cliflags.WriteFile(prefix+".folded", r.CPUProfile.WriteFolded); err != nil {
+			return err
+		}
 	}
-	err = r.Timeline.WriteJSON(f)
-	if cerr := f.Close(); err == nil {
-		err = cerr
+	if telemetryDir != "" {
+		if err := cliflags.WriteTelemetry(filepath.Join(telemetryDir, base), r.TelemetryRecorder); err != nil {
+			return err
+		}
 	}
-	return err
-}
-
-func indent(s, pre string) string {
-	lines := strings.Split(strings.TrimRight(s, "\n"), "\n")
-	for i, l := range lines {
-		lines[i] = pre + l
+	if critDir != "" {
+		return cliflags.WriteJSON(filepath.Join(critDir, base+".json"), r.CriticalPath)
 	}
-	return strings.Join(lines, "\n")
+	return nil
 }

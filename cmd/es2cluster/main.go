@@ -31,10 +31,9 @@
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
-	"hash/fnv"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -222,21 +221,12 @@ func main() {
 				os.Exit(1)
 			}
 		}
-		base := fmt.Sprintf("spec-00-%s", sanitize(r.Name))
-		if *telemetryDir != "" {
-			if err := writeTelemetry(filepath.Join(*telemetryDir, base), r); err != nil {
-				fmt.Fprintf(os.Stderr, "es2cluster: %v\n", err)
-				os.Exit(1)
-			}
-		}
-		if *critDir != "" {
-			if err := writeCritPath(filepath.Join(*critDir, base+".json"), r); err != nil {
-				fmt.Fprintf(os.Stderr, "es2cluster: %v\n", err)
-				os.Exit(1)
-			}
+		if err := writeArtifacts("spec-00-"+cliflags.Sanitize(r.Name), r, *telemetryDir, *critDir); err != nil {
+			fmt.Fprintf(os.Stderr, "es2cluster: %v\n", err)
+			os.Exit(1)
 		}
 		if *metricsOut != "" {
-			if err := writeMetricsFile(*metricsOut, r); err != nil {
+			if err := cliflags.WriteFile(*metricsOut, r.TelemetryRecorder.WriteOpenMetrics); err != nil {
 				fmt.Fprintf(os.Stderr, "es2cluster: %v\n", err)
 				os.Exit(1)
 			}
@@ -244,7 +234,7 @@ func main() {
 		if *jsonOut != "" {
 			rep := jsonReport{Schema: "es2cluster/v1", Seed: *seed, Scale: 1,
 				Experiments: []jsonExperiment{{ID: "spec", Title: spec.Name, Results: []*es2.ClusterResult{r}}}}
-			if err := writeJSONReport(*jsonOut, rep); err != nil {
+			if err := cliflags.WriteJSON(*jsonOut, rep); err != nil {
 				fmt.Fprintf(os.Stderr, "es2cluster: %v\n", err)
 				os.Exit(1)
 			}
@@ -317,18 +307,9 @@ func main() {
 		}
 		allResults = append(allResults, results...)
 		for i, r := range results {
-			base := fmt.Sprintf("%s-%02d-%s", e.ID, i, sanitize(r.Name))
-			if *telemetryDir != "" {
-				if err := writeTelemetry(filepath.Join(*telemetryDir, base), r); err != nil {
-					fmt.Fprintf(os.Stderr, "es2cluster: %v\n", err)
-					os.Exit(1)
-				}
-			}
-			if *critDir != "" {
-				if err := writeCritPath(filepath.Join(*critDir, base+".json"), r); err != nil {
-					fmt.Fprintf(os.Stderr, "es2cluster: %v\n", err)
-					os.Exit(1)
-				}
+			if err := writeArtifacts(fmt.Sprintf("%s-%02d-%s", e.ID, i, cliflags.Sanitize(r.Name)), r, *telemetryDir, *critDir); err != nil {
+				fmt.Fprintf(os.Stderr, "es2cluster: %v\n", err)
+				os.Exit(1)
 			}
 		}
 		if *jsonOut != "" {
@@ -338,14 +319,14 @@ func main() {
 		}
 		fmt.Printf("=== %s — %s\n", e.ID, e.Title)
 		fmt.Printf("    paper: %s\n\n", e.PaperClaim)
-		fmt.Println(indent(e.Render(results), "    "))
+		fmt.Println(cliflags.Indent(e.Render(results), "    "))
 		if *engStats {
 			for _, r := range results {
 				if r.EngineReport == nil {
 					continue
 				}
 				fmt.Printf("    --- %s\n", r.Name)
-				fmt.Println(indent(r.EngineReport.Render(), "    "))
+				fmt.Println(cliflags.Indent(r.EngineReport.Render(), "    "))
 			}
 		}
 		if *sloFlag != "" {
@@ -354,7 +335,7 @@ func main() {
 					continue
 				}
 				fmt.Printf("    --- %s\n", r.Name)
-				fmt.Println(indent(r.SLO.Render(), "    "))
+				fmt.Println(cliflags.Indent(r.SLO.Render(), "    "))
 			}
 		}
 		if *loadFlag != "" {
@@ -365,7 +346,7 @@ func main() {
 					continue
 				}
 				fmt.Printf("    --- %s\n", r.Name)
-				fmt.Println(indent(loadSummary(r.Load), "    "))
+				fmt.Println(cliflags.Indent(loadSummary(r.Load), "    "))
 			}
 		}
 		fmt.Printf("    (%d scenarios in %v wall time)\n\n", len(e.Specs), time.Since(start).Round(time.Millisecond))
@@ -376,7 +357,7 @@ func main() {
 			fmt.Fprintf(os.Stderr, "es2cluster: -metrics needs exactly one scenario, got %d (narrow -exp or use -spec)\n", len(allResults))
 			os.Exit(2)
 		}
-		if err := writeMetricsFile(*metricsOut, allResults[0]); err != nil {
+		if err := cliflags.WriteFile(*metricsOut, allResults[0].TelemetryRecorder.WriteOpenMetrics); err != nil {
 			fmt.Fprintf(os.Stderr, "es2cluster: %v\n", err)
 			os.Exit(1)
 		}
@@ -394,7 +375,7 @@ func main() {
 	}
 
 	if *jsonOut != "" {
-		if err := writeJSONReport(*jsonOut, report); err != nil {
+		if err := cliflags.WriteJSON(*jsonOut, report); err != nil {
 			fmt.Fprintf(os.Stderr, "es2cluster: %v\n", err)
 			os.Exit(1)
 		}
@@ -435,16 +416,26 @@ func reportRun(plane *ops.Server, r *es2.ClusterResult, seed uint64) {
 // writeEventLogFile writes the merged fault/alert JSONL timeline for
 // one scenario ('-' for stdout).
 func writeEventLogFile(path string, r *es2.ClusterResult) error {
-	out := os.Stdout
-	if path != "-" {
-		f, err := os.Create(path)
-		if err != nil {
+	write := func(w io.Writer) error { return es2.WriteEventLog(w, r.SLO, r.Recovery) }
+	if path == "-" {
+		return write(os.Stdout)
+	}
+	return cliflags.WriteFile(path, write)
+}
+
+// writeArtifacts writes one scenario's exports under base into each
+// requested directory: the telemetry (.prom and .csv) and the
+// critical-path report (.json).
+func writeArtifacts(base string, r *es2.ClusterResult, telemetryDir, critDir string) error {
+	if telemetryDir != "" {
+		if err := cliflags.WriteTelemetry(filepath.Join(telemetryDir, base), r.TelemetryRecorder); err != nil {
 			return err
 		}
-		defer f.Close()
-		out = f
 	}
-	return es2.WriteEventLog(out, r.SLO, r.Recovery)
+	if critDir != "" {
+		return cliflags.WriteJSON(filepath.Join(critDir, base+".json"), r.CriticalPath)
+	}
+	return nil
 }
 
 // runSoak is the -soak N harness: every scenario of every selected
@@ -536,7 +527,7 @@ func runSoak(exps []experiments.ClusterExperiment, n int, seedOverride uint64, p
 			Schema string    `json:"schema"`
 			Runs   []soakRun `json:"runs"`
 		}
-		if err := writeAnyJSON(jsonOut, soakReport{Schema: "es2cluster-soak/v1", Runs: runs}); err != nil {
+		if err := cliflags.WriteJSON(jsonOut, soakReport{Schema: "es2cluster-soak/v1", Runs: runs}); err != nil {
 			fmt.Fprintf(os.Stderr, "es2cluster: %v\n", err)
 			os.Exit(1)
 		}
@@ -548,8 +539,6 @@ func runSoak(exps []experiments.ClusterExperiment, n int, seedOverride uint64, p
 	fmt.Printf("soak ok: %d runs, zero violations\n", len(runs))
 }
 
-// printClusterSummary renders one -spec run: aggregate figures plus
-// the critical-path blame tables when enabled.
 // loadSummary renders the open-loop offered-vs-completed line and the
 // per-phase windows of one result's LoadReport.
 func loadSummary(l *es2.LoadReport) string {
@@ -565,6 +554,8 @@ func loadSummary(l *es2.LoadReport) string {
 	return strings.TrimRight(b.String(), "\n")
 }
 
+// printClusterSummary renders one -spec run: aggregate figures plus
+// the critical-path blame tables when enabled.
 func printClusterSummary(r *es2.ClusterResult) {
 	fmt.Printf("cluster    %s: hosts=%d vms=%d flows=%d window=%.3fs\n",
 		r.Name, r.Hosts, r.VMs, r.Flows, r.MeasuredSeconds)
@@ -629,35 +620,6 @@ func printClusterSummary(r *es2.ClusterResult) {
 	}
 }
 
-// writeCritPath writes one scenario's critical-path report as JSON.
-func writeCritPath(path string, r *es2.ClusterResult) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	enc := json.NewEncoder(f)
-	enc.SetIndent("", "  ")
-	err = enc.Encode(r.CriticalPath)
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	return err
-}
-
-// writeMetricsFile writes the single-scenario OpenMetrics exposition
-// (the -metrics contract: one file, one scenario).
-func writeMetricsFile(path string, r *es2.ClusterResult) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	err = r.TelemetryRecorder.WriteOpenMetrics(f)
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	return err
-}
-
 // jsonReport is the -json envelope ("Cluster scenarios" in
 // EXPERIMENTS.md).
 type jsonReport struct {
@@ -674,77 +636,4 @@ type jsonExperiment struct {
 	Title      string               `json:"title"`
 	PaperClaim string               `json:"paper_claim"`
 	Results    []*es2.ClusterResult `json:"results"`
-}
-
-func writeJSONReport(path string, rep jsonReport) error {
-	return writeAnyJSON(path, rep)
-}
-
-// writeAnyJSON writes v as indented JSON to path ('-' for stdout).
-func writeAnyJSON(path string, v any) error {
-	out := os.Stdout
-	if path != "-" {
-		f, err := os.Create(path)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		out = f
-	}
-	enc := json.NewEncoder(out)
-	enc.SetIndent("", "  ")
-	return enc.Encode(v)
-}
-
-// writeTelemetry writes base.prom (OpenMetrics exposition) and base.csv
-// (windowed series) for one cluster result.
-func writeTelemetry(base string, r *es2.ClusterResult) error {
-	f, err := os.Create(base + ".prom")
-	if err != nil {
-		return err
-	}
-	err = r.TelemetryRecorder.WriteOpenMetrics(f)
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	if err != nil {
-		return err
-	}
-	f, err = os.Create(base + ".csv")
-	if err != nil {
-		return err
-	}
-	err = r.TelemetryRecorder.WriteCSV(f)
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	return err
-}
-
-// sanitize maps a scenario name to a safe file-name fragment. Names
-// that differ only in remapped runes get distinct fragments (an FNV
-// tag of the original), so no two scenarios share an artifact path.
-func sanitize(s string) string {
-	mapped := strings.Map(func(r rune) rune {
-		switch {
-		case r >= 'a' && r <= 'z', r >= 'A' && r <= 'Z', r >= '0' && r <= '9', r == '-', r == '.':
-			return r
-		default:
-			return '_'
-		}
-	}, s)
-	if mapped == s {
-		return mapped
-	}
-	h := fnv.New32a()
-	h.Write([]byte(s))
-	return fmt.Sprintf("%s-%08x", mapped, h.Sum32())
-}
-
-func indent(s, pre string) string {
-	lines := strings.Split(strings.TrimRight(s, "\n"), "\n")
-	for i, l := range lines {
-		lines[i] = pre + l
-	}
-	return strings.Join(lines, "\n")
 }

@@ -9,9 +9,9 @@
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"time"
@@ -201,38 +201,20 @@ func run(spec es2.ScenarioSpec, out outputFlags) {
 	telDir, metrics, asJSON := &out.telDir, &out.metrics, &out.asJSON
 	kind := spec.Workload.Kind
 
-	if *timeline != "" {
-		f, ferr := os.Create(*timeline)
-		if ferr == nil {
-			ferr = res.Timeline.WriteJSON(f)
-			if cerr := f.Close(); ferr == nil {
-				ferr = cerr
-			}
-		}
-		if ferr != nil {
-			fmt.Fprintf(os.Stderr, "es2sim: writing timeline: %v\n", ferr)
+	writeFile := func(path, what string, write func(io.Writer) error) {
+		if err := cliflags.WriteFile(path, write); err != nil {
+			fmt.Fprintf(os.Stderr, "es2sim: writing %s: %v\n", what, err)
 			os.Exit(1)
 		}
 	}
-
-	writeFile := func(path, what string, write func(f *os.File) error) {
-		f, ferr := os.Create(path)
-		if ferr == nil {
-			ferr = write(f)
-			if cerr := f.Close(); ferr == nil {
-				ferr = cerr
-			}
-		}
-		if ferr != nil {
-			fmt.Fprintf(os.Stderr, "es2sim: writing %s: %v\n", what, ferr)
-			os.Exit(1)
-		}
+	if *timeline != "" {
+		writeFile(*timeline, "timeline", res.Timeline.WriteJSON)
 	}
 	if *cpuprof != "" {
-		writeFile(*cpuprof, "cpu profile", func(f *os.File) error { return res.CPUProfile.WritePprof(f) })
+		writeFile(*cpuprof, "cpu profile", res.CPUProfile.WritePprof)
 	}
 	if *folded != "" {
-		writeFile(*folded, "folded stacks", func(f *os.File) error { return res.CPUProfile.WriteFolded(f) })
+		writeFile(*folded, "folded stacks", res.CPUProfile.WriteFolded)
 	}
 	if *telDir != "" {
 		if err := os.MkdirAll(*telDir, 0o755); err != nil {
@@ -240,20 +222,15 @@ func run(spec es2.ScenarioSpec, out outputFlags) {
 			os.Exit(1)
 		}
 		rec := res.TelemetryRecorder
-		writeFile(filepath.Join(*telDir, "metrics.prom"), "telemetry exposition",
-			func(f *os.File) error { return rec.WriteOpenMetrics(f) })
-		writeFile(filepath.Join(*telDir, "windows.csv"), "telemetry windows",
-			func(f *os.File) error { return rec.WriteCSV(f) })
+		writeFile(filepath.Join(*telDir, "metrics.prom"), "telemetry exposition", rec.WriteOpenMetrics)
+		writeFile(filepath.Join(*telDir, "windows.csv"), "telemetry windows", rec.WriteCSV)
 	}
 	if *metrics != "" {
-		writeFile(*metrics, "metrics exposition",
-			func(f *os.File) error { return res.TelemetryRecorder.WriteOpenMetrics(f) })
+		writeFile(*metrics, "metrics exposition", res.TelemetryRecorder.WriteOpenMetrics)
 	}
 
 	if *asJSON {
-		enc := json.NewEncoder(os.Stdout)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(res); err != nil {
+		if err := cliflags.WriteJSON("-", res); err != nil {
 			fmt.Fprintf(os.Stderr, "es2sim: %v\n", err)
 			os.Exit(1)
 		}

@@ -1,8 +1,10 @@
-// Package cliflags registers the flag families shared by the es2
-// command-line tools. es2sim grew the -fault-* surface first; keeping
-// the registration here means es2cluster exposes the identical flags —
+// Package cliflags holds what the es2 command-line tools share: the
+// flag families they register and the writers for the artifacts they
+// export. es2sim grew the -fault-* surface first; keeping the
+// registration here means es2cluster exposes the identical flags —
 // same names, same help text, same parsing — instead of a drifting
-// copy.
+// copy. Likewise every tool names and writes its per-scenario files
+// through one Sanitize and one set of writers.
 package cliflags
 
 import (
