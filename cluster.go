@@ -150,15 +150,13 @@ type ClusterSpec struct {
 	CritPathExemplars int
 	// EngineStats enables wall-clock performance telemetry of the
 	// simulator itself (event-loop throughput, heap behaviour, sampled
-	// per-subsystem wall/allocation attribution) on the shared cluster
+	// per-subsystem wall/allocation attribution, sampled 1 in
+	// DefaultEngineStatsSampleN callbacks) on the shared cluster
 	// engine. It measures real time, not simulated time, so the
 	// resulting ClusterResult.EngineReport is machine-dependent and
 	// excluded from the deterministic JSON surface; simulated results
 	// are byte-identical with it on or off.
 	EngineStats bool
-	// EngineStatsSampleN is the 1-in-N event sampling rate for the
-	// per-subsystem attribution (default enginestats.DefaultSampleN).
-	EngineStatsSampleN int
 
 	// Faults configures deterministic micro-fault injection (wire
 	// loss, lost kicks, stalls, …), applied per host from one forked
@@ -254,8 +252,7 @@ func (s ClusterSpec) withClusterDefaults() ClusterSpec {
 			w.FailoverAfter = 3
 		}
 	}
-	observerDefaults(s.Telemetry, &s.TelemetryWindow, s.CritPath, &s.CritPathExemplars,
-		s.EngineStats, &s.EngineStatsSampleN)
+	observerDefaults(s.Telemetry, &s.TelemetryWindow, s.CritPath, &s.CritPathExemplars)
 	if s.Config.Hybrid && s.Config.Quota <= 0 {
 		s.Config.Quota = 4
 	}
@@ -307,9 +304,6 @@ func (s ClusterSpec) validate() error {
 	}
 	if s.CritPathExemplars < 0 || s.CritPathExemplars > 1024 {
 		return specErr("CritPathExemplars", "%d outside [0, 1024]", s.CritPathExemplars)
-	}
-	if s.EngineStatsSampleN < 0 || s.EngineStatsSampleN > 1<<20 {
-		return specErr("EngineStatsSampleN", "%d outside [0, %d]", s.EngineStatsSampleN, 1<<20)
 	}
 
 	f := s.Fabric

@@ -348,17 +348,14 @@ type ScenarioSpec struct {
 	// the event loop, heap push/pop counts and depth, the
 	// events-per-sim-tick distribution, and sampled per-subsystem
 	// wall/allocation attribution charged at event-callback boundaries
-	// (1-in-EngineStatsSampleN sampling bounds the overhead; EXPERIMENTS.md
-	// records the measured figure).
+	// (sampling 1 in DefaultEngineStatsSampleN callbacks bounds the
+	// overhead; EXPERIMENTS.md records the measured figure).
 	// Result.EngineReport carries the report. Stats never perturb the
 	// simulation: simulated results are byte-identical with and without
 	// them, only real-world timings are read. Wall-clock values are
 	// machine-dependent, so the report is excluded from Result's
 	// deterministic JSON; the CLIs render it separately.
 	EngineStats bool
-	// EngineStatsSampleN is the 1-in-N event-callback sampling interval
-	// (default 128).
-	EngineStatsSampleN int
 
 	// testCosts, when non-nil, overrides the hypervisor cost model.
 	// Unexported: only the what-if validation tests use it, to compare
@@ -665,8 +662,8 @@ type EngineHeapStats = enginestats.HeapStats
 // an EngineReport, labeled by the scheduling Go package.
 type EngineSubsystemRow = enginestats.SubsystemRow
 
-// DefaultEngineStatsSampleN is the default 1-in-N event sampling
-// interval behind EngineStats (see ScenarioSpec.EngineStatsSampleN).
+// DefaultEngineStatsSampleN is the 1-in-N event-callback sampling
+// interval behind EngineStats and ClusterSpec.EngineStats.
 const DefaultEngineStatsSampleN = enginestats.DefaultSampleN
 
 // FaultReport summarizes injected faults and the recovery work they

@@ -60,9 +60,6 @@ func (s ScenarioSpec) validate() error {
 	if s.CritPathExemplars < 0 || s.CritPathExemplars > 1024 {
 		return specErr("CritPathExemplars", "%d outside [0, 1024]", s.CritPathExemplars)
 	}
-	if s.EngineStatsSampleN < 0 || s.EngineStatsSampleN > 1<<20 {
-		return specErr("EngineStatsSampleN", "%d outside [0, %d]", s.EngineStatsSampleN, 1<<20)
-	}
 	if err := validateWindows(s.Warmup, s.Duration, s.Telemetry, s.TelemetryWindow); err != nil {
 		return err
 	}
