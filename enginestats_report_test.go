@@ -88,8 +88,16 @@ func TestEngineReportContents(t *testing.T) {
 	if er.Heap.Pushes == 0 || er.Heap.Pops == 0 || er.Heap.MaxDepth <= 0 || er.Heap.MeanDepth <= 0 {
 		t.Fatalf("heap stats not populated: %+v", er.Heap)
 	}
-	if er.Heap.Pops > er.Heap.Pushes {
-		t.Fatalf("more pops than pushes: %+v", er.Heap)
+	// Every pushed event fired, was cancelled or is still queued, and
+	// every pop fired its event.
+	if h := er.Heap; h.Pushes != h.Pops+h.Cancels+uint64(h.Pending) {
+		t.Fatalf("pushes != pops + cancels + pending: %+v", h)
+	}
+	if er.Heap.Pops != er.EventsFired {
+		t.Fatalf("pops %d != events fired %d", er.Heap.Pops, er.EventsFired)
+	}
+	if er.Heap.Cancels == 0 {
+		t.Fatalf("no cancels counted; the scheduler cancels its timers: %+v", er.Heap)
 	}
 	if er.Ticks == 0 || len(er.EventsPerTick) == 0 {
 		t.Fatalf("tick distribution empty: ticks=%d buckets=%d", er.Ticks, len(er.EventsPerTick))

@@ -53,18 +53,18 @@ const heapAllocsMetric = "/gc/heap/allocs:bytes"
 // these counters unconditionally (they are plain increments); the
 // wall-clock Collector is what costs anything and stays opt-in.
 type HeapStats struct {
-	// Pushes, Pops and Fixes count heap operations. Fixes counts
-	// in-place reorderings (none in the current binary-heap engine;
-	// the counter exists so calendar-queue/timer-wheel successors
-	// report through the same schema).
-	Pushes uint64 `json:"pushes"`
-	Pops   uint64 `json:"pops"`
-	Fixes  uint64 `json:"fixes"`
+	// Pushes counts scheduled events, Pops the fired ones and Cancels
+	// those Handle.Cancel removed before they fired, so Pushes always
+	// equals Pops + Cancels + Pending.
+	Pushes  uint64 `json:"pushes"`
+	Pops    uint64 `json:"pops"`
+	Cancels uint64 `json:"cancels"`
 	// MaxDepth is the deepest the queue ever got; MeanDepth is the
 	// mean queue length observed at push time.
 	MaxDepth  int     `json:"max_depth"`
 	MeanDepth float64 `json:"mean_depth"`
-	// Pending is the queue length at snapshot time.
+	// Pending is the queue length at snapshot time. Cancelled events
+	// leave the queue at once, so every queued event is live.
 	Pending int `json:"pending"`
 }
 
@@ -393,9 +393,9 @@ func (r *Report) Render() string {
 	fmt.Fprintf(&b, "engine     %s wall, %s events (%s events/s, sim/wall %.2fx)\n",
 		time.Duration(r.WallNs).Round(time.Millisecond), countStr(r.EventsFired),
 		countStr(uint64(r.EventsPerSec)), r.SimSecondsPerWallSecond)
-	fmt.Fprintf(&b, "  heap     %s pushes, %s pops, max depth %d, mean depth %.1f; %s ticks\n",
-		countStr(r.Heap.Pushes), countStr(r.Heap.Pops), r.Heap.MaxDepth, r.Heap.MeanDepth,
-		countStr(r.Ticks))
+	fmt.Fprintf(&b, "  heap     %s pushes, %s pops, %s cancels, max depth %d, mean depth %.1f; %s ticks\n",
+		countStr(r.Heap.Pushes), countStr(r.Heap.Pops), countStr(r.Heap.Cancels),
+		r.Heap.MaxDepth, r.Heap.MeanDepth, countStr(r.Ticks))
 	fmt.Fprintf(&b, "  memory   %s allocated in %s objects, %d GCs (%v paused)\n",
 		byteStr(r.AllocBytes), countStr(r.Mallocs), r.NumGC,
 		time.Duration(r.GCPauseNs).Round(time.Microsecond))

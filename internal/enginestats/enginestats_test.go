@@ -192,11 +192,11 @@ func TestRenderMentionsKeyFigures(t *testing.T) {
 	c.RunEvent(1, id, func() { clk.advance(250 * time.Microsecond) })
 	c.Start()
 	clk.advance(time.Millisecond)
-	r := c.Report(42, HeapStats{Pushes: 42, Pops: 42, MaxDepth: 7}, 1, 0)
+	r := c.Report(42, HeapStats{Pushes: 45, Pops: 42, Cancels: 3, MaxDepth: 7}, 1, 0)
 	out := r.Render()
 	for _, want := range []string{
 		"engine     1ms wall, 42 events (42k events/s, sim/wall 1000.00x)",
-		"heap", "memory", "max depth 7",
+		"heap     45 pushes, 42 pops, 3 cancels, max depth 7", "memory",
 		"sched", "250µs", "100.0%",
 	} {
 		if !strings.Contains(out, want) {

@@ -9,40 +9,44 @@ import (
 // Handle identifies a scheduled event and allows it to be cancelled.
 // Handles are values returned by Engine.At and Engine.After; the zero
 // Handle refers to no event. The engine recycles an event once it fires
-// or its cancellation is popped, so a Handle also records the event's
-// generation: once the event has left the queue, methods on the Handle
-// are no-ops, even after the engine reuses the event for another
-// callback.
+// or is cancelled, so a Handle also records the event's generation:
+// once the event has left the queue, methods on the Handle are no-ops,
+// even after the engine reuses the event for another callback.
 type Handle struct {
 	ev  *event
 	gen uint64
 }
 
-// Cancel prevents the event from firing. Cancelling an event that has
-// already fired or been cancelled is a no-op, as is cancelling the zero
-// Handle. Cancel must be called from the engine goroutine (i.e. from
-// inside event callbacks), like every other engine method.
+// Cancel removes the event from the queue at once, so it never fires
+// and no longer counts in Pending. Cancelling an event that has already
+// fired or been cancelled is a no-op, as is cancelling the zero Handle.
+// Cancel must be called from the engine goroutine (i.e. from inside
+// event callbacks), like every other engine method.
 func (h Handle) Cancel() {
 	if h.Active() {
-		h.ev.fn = nil // marks the event cancelled and releases the closure
+		h.ev.eng.cancel(h.ev)
 	}
 }
 
 // Active reports whether the event is still pending.
-func (h Handle) Active() bool { return h.ev != nil && h.ev.gen == h.gen && h.ev.fn != nil }
+func (h Handle) Active() bool { return h.ev != nil && h.ev.gen == h.gen }
 
-// event is one queue entry. A queued event with a nil fn has been
-// cancelled and is dropped when it reaches the top of the heap (lazy
-// cancellation).
+// event is one queue entry. Every queued event is live: Cancel takes an
+// event out of the heap rather than marking it.
 type event struct {
 	t   Time
 	seq uint64
 	fn  func()
 	// gen advances each time the event leaves the queue; see Handle.
 	gen uint64
+	// eng is the engine whose queue holds the event, so that a Handle
+	// can remove it.
+	eng *Engine
 	// perfLabel is the enginestats subsystem label of a sampled event
 	// (0 for the unsampled majority and when stats are off).
 	perfLabel int32
+	// idx is the event's slot in the heap while it is queued.
+	idx int32
 }
 
 // before orders events by (time, seq). seq is unique, so the order is
@@ -54,51 +58,70 @@ func (a *event) before(b *event) bool {
 	return a.seq < b.seq
 }
 
-// eventQueue is a binary min-heap of events ordered by before.
+// eventQueue is a binary min-heap of events ordered by before. Every
+// event records its slot in idx, so any entry can be removed in
+// O(log n), not only the earliest.
 type eventQueue []*event
 
 func (q *eventQueue) push(ev *event) {
-	h := append(*q, ev)
-	i := len(h) - 1
-	for i > 0 {
-		p := (i - 1) / 2
-		if !ev.before(h[p]) {
-			break
-		}
-		h[i] = h[p]
-		i = p
-	}
-	h[i] = ev
-	*q = h
+	*q = append(*q, ev)
+	q.up(ev, len(*q)-1)
 }
 
-// pop removes and returns the earliest event; q must not be empty.
-func (q *eventQueue) pop() *event {
+// remove takes the entry in slot i out of the heap: the last entry
+// moves into the slot and sifts whichever way restores the order.
+func (q *eventQueue) remove(i int) {
 	h := *q
 	n := len(h) - 1
-	top, last := h[0], h[n]
+	last := h[n]
 	h[n] = nil
 	h = h[:n]
-	if n > 0 {
-		i := 0
-		for {
-			c := 2*i + 1
-			if c >= n {
-				break
-			}
-			if r := c + 1; r < n && h[r].before(h[c]) {
-				c = r
-			}
-			if !h[c].before(last) {
-				break
-			}
-			h[i] = h[c]
-			i = c
-		}
-		h[i] = last
-	}
 	*q = h
-	return top
+	if i == n {
+		return
+	}
+	if i > 0 && last.before(h[(i-1)/2]) {
+		h.up(last, i)
+	} else {
+		h.down(last, i)
+	}
+}
+
+// up places ev at slot i or above it, moving later ancestors down.
+func (q eventQueue) up(ev *event, i int) {
+	for i > 0 {
+		p := (i - 1) / 2
+		if !ev.before(q[p]) {
+			break
+		}
+		q[i] = q[p]
+		q[i].idx = int32(i)
+		i = p
+	}
+	q[i] = ev
+	ev.idx = int32(i)
+}
+
+// down places ev at slot i or below it, moving earlier children up.
+func (q eventQueue) down(ev *event, i int) {
+	n := len(q)
+	for {
+		c := 2*i + 1
+		if c >= n {
+			break
+		}
+		if r := c + 1; r < n && q[r].before(q[c]) {
+			c = r
+		}
+		if !q[c].before(ev) {
+			break
+		}
+		q[i] = q[c]
+		q[i].idx = int32(i)
+		i = c
+	}
+	q[i] = ev
+	ev.idx = int32(i)
 }
 
 // Engine is a discrete-event simulation executive. The zero value is not
@@ -114,12 +137,12 @@ type Engine struct {
 	// Stats, useful for harness introspection and tests. The heap
 	// counters are maintained unconditionally — they are plain
 	// increments — and read through HeapStats.
-	fired      uint64
-	heapPushes uint64
-	heapPops   uint64
-	heapFixes  uint64
-	maxDepth   int
-	depthSum   uint64 // queue length summed at each push (mean depth)
+	fired       uint64
+	heapPushes  uint64
+	heapPops    uint64
+	heapCancels uint64
+	maxDepth    int
+	depthSum    uint64 // queue length summed at each push (mean depth)
 
 	// stats, when non-nil, receives the event stream for wall-clock
 	// performance telemetry (see SetStats).
@@ -141,16 +164,18 @@ func (e *Engine) Rand() *Rand { return e.rng }
 // EventsFired returns the number of events executed so far.
 func (e *Engine) EventsFired() uint64 { return e.fired }
 
-// Pending returns the number of events currently queued.
+// Pending returns the number of events waiting to fire. Cancel removes
+// an event from the queue at once, so every queued event counts.
 func (e *Engine) Pending() int { return len(e.queue) }
 
-// HeapStats snapshots the event-queue counters: pushes, pops, in-place
-// fixes, max and mean queue depth, and the current pending count.
+// HeapStats snapshots the event-queue counters: pushes, pops (one per
+// fired event), cancels, max and mean queue depth, and the current
+// pending count. Pushes always equals Pops + Cancels + Pending.
 func (e *Engine) HeapStats() enginestats.HeapStats {
 	hs := enginestats.HeapStats{
 		Pushes:   e.heapPushes,
 		Pops:     e.heapPops,
-		Fixes:    e.heapFixes,
+		Cancels:  e.heapCancels,
 		MaxDepth: e.maxDepth,
 		Pending:  len(e.queue),
 	}
@@ -186,7 +211,7 @@ func (e *Engine) At(t Time, fn func()) Handle {
 	} else {
 		ev = new(event)
 	}
-	*ev = event{t: t, seq: e.seq, fn: fn, gen: ev.gen}
+	*ev = event{t: t, seq: e.seq, fn: fn, gen: ev.gen, eng: e}
 	e.seq++
 	e.queue.push(ev)
 	e.heapPushes++
@@ -209,58 +234,53 @@ func (e *Engine) After(d Time, fn func()) Handle {
 	return e.At(e.now+d, fn)
 }
 
-// pop removes the earliest event from the queue and recycles it. The
-// caller reads the event's fields before scheduling anything else.
-func (e *Engine) pop() *event {
-	ev := e.queue.pop()
-	e.heapPops++
+// release recycles an event that has left the queue: it drops the
+// callback, advances the generation so outstanding Handles go stale,
+// and puts the event on the free list.
+func (e *Engine) release(ev *event) {
+	ev.fn = nil
 	ev.gen++
 	e.free = append(e.free, ev)
-	return ev
+}
+
+// cancel removes a queued event from the heap; see Handle.Cancel.
+func (e *Engine) cancel(ev *event) {
+	e.queue.remove(int(ev.idx))
+	e.heapCancels++
+	e.release(ev)
 }
 
 // Step executes the single earliest pending event. It returns false when
 // the queue is empty or the engine has been stopped.
 func (e *Engine) Step() bool {
-	for {
-		if e.stopped || len(e.queue) == 0 {
-			return false
-		}
-		ev := e.pop()
-		fn := ev.fn
-		if fn == nil {
-			continue // cancelled
-		}
-		ev.fn = nil
-		if ev.t < e.now {
-			panic("sim: time went backwards")
-		}
-		e.now = ev.t
-		e.fired++
-		if e.stats != nil {
-			e.stats.RunEvent(int64(ev.t), ev.perfLabel, fn)
-		} else {
-			fn()
-		}
-		return true
+	if e.stopped || len(e.queue) == 0 {
+		return false
 	}
+	ev := e.queue[0]
+	e.queue.remove(0)
+	e.heapPops++
+	t, fn, label := ev.t, ev.fn, ev.perfLabel
+	e.release(ev)
+	if t < e.now {
+		panic("sim: time went backwards")
+	}
+	e.now = t
+	e.fired++
+	if e.stats != nil {
+		e.stats.RunEvent(int64(t), label, fn)
+	} else {
+		fn()
+	}
+	return true
 }
 
 // Run executes events until the clock would pass the until instant, the
 // queue drains, or Stop is called. On return the clock reads exactly
 // until (if the horizon was hit) or the time of the last event executed.
 func (e *Engine) Run(until Time) {
-	for !e.stopped && len(e.queue) > 0 {
-		// Peek without popping so an over-horizon event survives for a
-		// later Run call.
-		next := e.queue[0]
-		if next.fn == nil {
-			e.pop()
-			continue
-		}
-		if next.t > until {
-			break
-		}
+	// Peek without popping so an over-horizon event survives for a
+	// later Run call.
+	for !e.stopped && len(e.queue) > 0 && e.queue[0].t <= until {
 		e.Step()
 	}
 	if !e.stopped && e.now < until {

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"math"
 	"testing"
 	"testing/quick"
 	"time"
@@ -30,6 +31,7 @@ func TestTimeString(t *testing.T) {
 		{2500 * Microsecond, "2.500ms"},
 		{3 * Second, "3.000000s"},
 		{-1500, "-1.500us"},
+		{math.MinInt64, "-9223372036.854776s"},
 	}
 	for _, c := range cases {
 		if got := c.t.String(); got != c.want {
@@ -315,14 +317,28 @@ func TestRandFork(t *testing.T) {
 	}
 }
 
+// checkHeapInvariants asserts the two identities the heap counters
+// keep: every pushed event is popped, cancelled or still pending, and
+// every pop fires its event.
+func checkHeapInvariants(t *testing.T, e *Engine) {
+	t.Helper()
+	hs := e.HeapStats()
+	if hs.Pushes != hs.Pops+hs.Cancels+uint64(hs.Pending) {
+		t.Fatalf("pushes %d != pops %d + cancels %d + pending %d", hs.Pushes, hs.Pops, hs.Cancels, hs.Pending)
+	}
+	if hs.Pops != e.EventsFired() {
+		t.Fatalf("pops %d != events fired %d", hs.Pops, e.EventsFired())
+	}
+}
+
 func TestEngineHeapStats(t *testing.T) {
 	e := NewEngine(1)
 	hs := e.HeapStats()
-	if hs.Pushes != 0 || hs.Pops != 0 || hs.MaxDepth != 0 || hs.MeanDepth != 0 || hs.Pending != 0 {
+	if hs != (enginestats.HeapStats{}) {
 		t.Fatalf("fresh engine heap stats not zero: %+v", hs)
 	}
 	e.At(10, func() {})
-	e.At(20, func() {})
+	h := e.At(20, func() {})
 	e.At(30, func() {})
 	hs = e.HeapStats()
 	if hs.Pushes != 3 || hs.MaxDepth != 3 || hs.Pending != 3 {
@@ -332,28 +348,37 @@ func TestEngineHeapStats(t *testing.T) {
 	if hs.MeanDepth != 2 {
 		t.Fatalf("MeanDepth = %v, want 2", hs.MeanDepth)
 	}
+	checkHeapInvariants(t, e)
+	h.Cancel()
+	checkHeapInvariants(t, e)
 	e.RunAll()
 	hs = e.HeapStats()
-	if hs.Pops != 3 || hs.Pending != 0 {
+	if hs.Pops != 2 || hs.Cancels != 1 || hs.Pending != 0 {
 		t.Fatalf("after drain: %+v", hs)
 	}
-	if hs.Fixes != 0 {
-		t.Fatalf("binary-heap engine reported fixes: %+v", hs)
-	}
+	checkHeapInvariants(t, e)
 }
 
-func TestEngineHeapStatsCountsCancelledPops(t *testing.T) {
+// Cancel takes its event out of the queue at once: Pending drops before
+// anything steps, and the removal counts in Cancels, not Pops.
+func TestEngineHeapStatsCountsCancels(t *testing.T) {
 	e := NewEngine(1)
-	h := e.At(10, func() {})
-	h.Cancel()
+	h := e.At(10, func() { t.Error("cancelled event fired") })
 	e.At(20, func() {})
+	h.Cancel()
+	if e.Pending() != 1 {
+		t.Fatalf("Pending = %d after Cancel, want 1", e.Pending())
+	}
+	if hs := e.HeapStats(); hs.Cancels != 1 || hs.Pops != 0 {
+		t.Fatalf("cancels/pops = %d/%d after Cancel, want 1/0", hs.Cancels, hs.Pops)
+	}
+	h.Cancel() // stale: counts nothing
 	e.Run(100)
 	hs := e.HeapStats()
-	// Both handles leave the heap: the cancelled one via the Run peek
-	// path or Step's skip loop, the live one via Step.
-	if hs.Pushes != 2 || hs.Pops != 2 {
-		t.Fatalf("pushes/pops = %d/%d, want 2/2", hs.Pushes, hs.Pops)
+	if hs.Pushes != 2 || hs.Pops != 1 || hs.Cancels != 1 || hs.Pending != 0 {
+		t.Fatalf("after Run: %+v, want 2 pushes, 1 pop, 1 cancel", hs)
 	}
+	checkHeapInvariants(t, e)
 }
 
 func TestEngineSetStats(t *testing.T) {
@@ -388,8 +413,8 @@ func TestEngineSetStats(t *testing.T) {
 	}
 }
 
-// A handle whose event fired, or was cancelled and dropped from the
-// queue, stays inert after the engine reuses the event for a new one.
+// A handle whose event fired or was cancelled stays inert after the
+// engine reuses the event for a new one.
 func TestEngineStaleHandleAfterReuse(t *testing.T) {
 	for _, cancel := range []bool{false, true} {
 		e := NewEngine(1)
@@ -425,6 +450,11 @@ func TestEngineSteadyStateAllocs(t *testing.T) {
 	for i := 0; i < 64; i++ {
 		e.At(Second+Time(i), fn)
 	}
+	const depth = 1 << 14
+	deep := NewEngine(1)
+	for i := 0; i < depth; i++ {
+		deep.At(Second+Time(i), fn)
+	}
 	cases := []struct {
 		name string
 		op   func()
@@ -438,6 +468,14 @@ func TestEngineSteadyStateAllocs(t *testing.T) {
 			e.After(2, fn)
 			e.Step()
 		}},
+		{"Cancel mid-heap+Step at depth 16k", func() {
+			mid := deep.queue[len(deep.queue)/2]
+			t := mid.t
+			Handle{mid, mid.gen}.Cancel()
+			deep.At(t, fn) // keeps the depth
+			deep.After(1, fn)
+			deep.Step()
+		}},
 	}
 	for _, c := range cases {
 		if got := testing.AllocsPerRun(1000, c.op); got != 0 {
@@ -447,4 +485,9 @@ func TestEngineSteadyStateAllocs(t *testing.T) {
 	if e.Pending() != 64 {
 		t.Fatalf("Pending = %d, want the 64 far events", e.Pending())
 	}
+	if deep.Pending() != depth {
+		t.Fatalf("deep Pending = %d, want the %d far events", deep.Pending(), depth)
+	}
+	checkHeapInvariants(t, e)
+	checkHeapInvariants(t, deep)
 }

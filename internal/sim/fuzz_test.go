@@ -1,0 +1,203 @@
+package sim
+
+import (
+	"sort"
+	"testing"
+)
+
+// refQueue is the reference FuzzEngineQueue checks the engine against:
+// lazy cancellation over a slice sorted by (time, seq). A cancelled
+// entry keeps its place until it reaches the front, where step and run
+// drop it. It shares neither code nor layout with the engine's heap.
+type refQueue struct {
+	now       Time
+	seq       uint64
+	entries   []refEntry
+	queued    []bool // by event id: still in entries
+	cancelled []bool // by event id
+	live      int    // queued and not cancelled
+}
+
+type refEntry struct {
+	t   Time
+	seq uint64
+	id  int
+}
+
+func (q *refQueue) active(id int) bool { return q.queued[id] && !q.cancelled[id] }
+
+// at schedules the next event id at t.
+func (q *refQueue) at(t Time) {
+	e := refEntry{t: t, seq: q.seq, id: len(q.queued)}
+	q.seq++
+	i := sort.Search(len(q.entries), func(i int) bool {
+		o := q.entries[i]
+		return o.t > t || (o.t == t && o.seq > e.seq)
+	})
+	q.entries = append(q.entries, refEntry{})
+	copy(q.entries[i+1:], q.entries[i:])
+	q.entries[i] = e
+	q.queued = append(q.queued, true)
+	q.cancelled = append(q.cancelled, false)
+	q.live++
+}
+
+func (q *refQueue) cancel(id int) {
+	if q.active(id) {
+		q.cancelled[id] = true
+		q.live--
+	}
+}
+
+// front drops cancelled entries at the front and reports whether a live
+// one remains.
+func (q *refQueue) front() bool {
+	for len(q.entries) > 0 && q.cancelled[q.entries[0].id] {
+		q.queued[q.entries[0].id] = false
+		q.entries = q.entries[1:]
+	}
+	return len(q.entries) > 0
+}
+
+// step fires the earliest live event and returns its id, or -1.
+func (q *refQueue) step() int {
+	if !q.front() {
+		return -1
+	}
+	e := q.entries[0]
+	q.entries = q.entries[1:]
+	q.queued[e.id] = false
+	q.live--
+	q.now = e.t
+	return e.id
+}
+
+// run fires every live event up to until, then advances the clock to it.
+func (q *refQueue) run(until Time, fired []int) []int {
+	for q.front() && q.entries[0].t <= until {
+		fired = append(fired, q.step())
+	}
+	if q.now < until {
+		q.now = until
+	}
+	return fired
+}
+
+// The op codes of FuzzEngineQueue's input: each op is an op byte
+// (taken mod 5) and a 16-bit big-endian argument.
+const (
+	opAt     = 0 // and 1: After(arg % 4096), so the queue builds up
+	opCancel = 2 // Cancel of handle arg % issued, stale ones included
+	opStep   = 3
+	opRun    = 4 // Run(now + arg%64)
+)
+
+// maxOps bounds one input: the per-op check of every handle issued is
+// quadratic in the op count, and the fuzzer grows inputs to megabytes.
+const maxOps = 1024
+
+// queueOps draws n ops for the seed corpus. At outweighs Step and Run,
+// so the heap grows about 200 deep over maxOps ops, and most cancels
+// pick one of the last 256 handles issued, so they remove live events
+// from the middle of the heap.
+func queueOps(seed uint64, n int) []byte {
+	r := NewRand(seed)
+	b := make([]byte, 0, 3*n)
+	issued := 0
+	for i := 0; i < n; i++ {
+		op, arg := byte(opAt), r.Intn(4096)
+		switch p := r.Intn(100); {
+		case p < 55:
+			issued++
+		case p < 77:
+			op, arg = opCancel, r.Intn(1<<16)
+			if issued > 0 {
+				arg = issued - 1 - r.Intn(min(issued, 256))
+			}
+		case p < 97:
+			op = opStep
+		default:
+			op, arg = opRun, r.Intn(64)
+		}
+		b = append(b, op, byte(arg>>8), byte(arg))
+	}
+	return b
+}
+
+// FuzzEngineQueue runs a stream of At, Cancel, Step and Run ops against
+// the engine and against refQueue. After every op the two must agree
+// on the events fired so far and their order, on every handle's Active,
+// and on the clock, and Pending must equal the live count.
+func FuzzEngineQueue(f *testing.F) {
+	f.Add([]byte{})
+	// Ties at one instant, a cancel of the first, a stale cancel after
+	// it fired, and a Step on an empty queue.
+	f.Add([]byte{
+		opAt, 0, 10, opAt, 0, 10, opAt, 0, 5, opCancel, 0, 0,
+		opStep, 0, 0, opStep, 0, 0, opCancel, 0, 2, opCancel, 0, 1,
+		opStep, 0, 0, opStep, 0, 0,
+	})
+	// A Run horizon on a tied instant: both tied events fire and the
+	// later one waits. Then cancels of handles whose events were reused.
+	f.Add([]byte{
+		opAt, 0, 3, opAt, 0, 3, opAt, 0, 9, opRun, 0, 3, opCancel, 0, 2,
+		opAt, 0, 1, opAt, 0, 1, opCancel, 0, 0, opCancel, 0, 4, opRun, 1, 255,
+	})
+	f.Add(queueOps(1, maxOps))
+	f.Add(queueOps(2, maxOps))
+
+	f.Fuzz(func(t *testing.T, ops []byte) {
+		e := NewEngine(1)
+		var ref refQueue
+		var handles []Handle
+		var fired, want []int
+		if len(ops) > 3*maxOps {
+			ops = ops[:3*maxOps]
+		}
+		for ; len(ops) >= 3; ops = ops[3:] {
+			arg := int(ops[1])<<8 | int(ops[2])
+			switch ops[0] % 5 {
+			case opAt, opAt + 1:
+				id := len(handles)
+				d := Time(arg % 4096)
+				handles = append(handles, e.After(d, func() { fired = append(fired, id) }))
+				ref.at(ref.now + d)
+			case opCancel:
+				if len(handles) > 0 {
+					id := arg % len(handles)
+					handles[id].Cancel()
+					ref.cancel(id)
+				}
+			case opStep:
+				if id := ref.step(); id >= 0 {
+					want = append(want, id)
+				}
+				e.Step()
+			case opRun:
+				until := ref.now + Time(arg%64)
+				want = ref.run(until, want)
+				e.Run(until)
+			}
+			if len(fired) != len(want) {
+				t.Fatalf("engine fired %v, reference %v", fired, want)
+			}
+			for i := range fired {
+				if fired[i] != want[i] {
+					t.Fatalf("engine fired %v, reference %v", fired, want)
+				}
+			}
+			for id, h := range handles {
+				if h.Active() != ref.active(id) {
+					t.Fatalf("event %d: Active = %t, reference %t", id, h.Active(), ref.active(id))
+				}
+			}
+			if e.Pending() != ref.live {
+				t.Fatalf("Pending = %d, want the %d live events", e.Pending(), ref.live)
+			}
+			if e.Now() != ref.now {
+				t.Fatalf("Now = %v, reference %v", e.Now(), ref.now)
+			}
+			checkHeapInvariants(t, e)
+		}
+	})
+}

@@ -48,16 +48,20 @@ func (t Time) Millis() float64 { return float64(t) / float64(Millisecond) }
 
 // String formats the instant with an adaptive unit, e.g. "1.500ms".
 func (t Time) String() string {
+	// Negate in uint64: in int64, -t overflows back to t for
+	// math.MinInt64.
+	sign, ns := "", uint64(t)
+	if t < 0 {
+		sign, ns = "-", -ns
+	}
 	switch {
-	case t < 0:
-		return fmt.Sprintf("-%v", -t)
-	case t < Microsecond:
-		return fmt.Sprintf("%dns", int64(t))
-	case t < Millisecond:
-		return fmt.Sprintf("%.3fus", t.Micros())
-	case t < Second:
-		return fmt.Sprintf("%.3fms", t.Millis())
+	case ns < uint64(Microsecond):
+		return fmt.Sprintf("%s%dns", sign, ns)
+	case ns < uint64(Millisecond):
+		return fmt.Sprintf("%s%.3fus", sign, float64(ns)/float64(Microsecond))
+	case ns < uint64(Second):
+		return fmt.Sprintf("%s%.3fms", sign, float64(ns)/float64(Millisecond))
 	default:
-		return fmt.Sprintf("%.6fs", t.Seconds())
+		return fmt.Sprintf("%s%.6fs", sign, float64(ns)/float64(Second))
 	}
 }
