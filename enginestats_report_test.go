@@ -109,26 +109,53 @@ func TestEngineReportContents(t *testing.T) {
 	if bucketTicks != er.Ticks {
 		t.Fatalf("events-per-tick buckets sum to %d, want %d", bucketTicks, er.Ticks)
 	}
-	if er.SampledEvents == 0 || len(er.Subsystems) == 0 {
-		t.Fatalf("no sampled subsystem attribution: sampled=%d rows=%d", er.SampledEvents, len(er.Subsystems))
-	}
-	haveSched := false
-	for _, row := range er.Subsystems {
-		if row.Name == "" || row.Samples == 0 {
-			t.Fatalf("degenerate subsystem row: %+v", row)
-		}
-		haveSched = haveSched || row.Name == "sched"
-	}
-	// The scheduler's chunk and slice timers schedule most events. With
-	// no sched row, SampleSite's caller walk is charging them to the
-	// engine itself (sim.Engine.At must stay SampleSite's direct caller).
-	if !haveSched {
-		t.Fatalf("no sched row in subsystem attribution: %+v", er.Subsystems)
-	}
+	// The scheduler's chunk and slice timers schedule most events, and
+	// the wire's deliveries go through netsim's sim.DelayLine.
+	requireSubsystems(t, er, "sched", "netsim")
 	if er.AllocBytes == 0 || er.Mallocs == 0 {
 		t.Fatalf("memstats deltas not populated: %+v", er)
 	}
 	if er.Render() == "" {
 		t.Fatalf("empty Render")
 	}
+}
+
+// requireSubsystems checks that every sampled subsystem row is sane and
+// that the named packages have rows. A missing row means SampleSite's
+// caller walk is charging the package's events to the engine itself:
+// sim.Engine.At must stay SampleSite's direct caller, and the walk must
+// skip sim's own wrappers such as sim.DelayLine.
+func requireSubsystems(t *testing.T, er *EngineReport, names ...string) {
+	t.Helper()
+	if er.SampledEvents == 0 || len(er.Subsystems) == 0 {
+		t.Fatalf("no sampled subsystem attribution: sampled=%d rows=%d", er.SampledEvents, len(er.Subsystems))
+	}
+	rows := make(map[string]bool)
+	for _, row := range er.Subsystems {
+		if row.Name == "" || row.Samples == 0 {
+			t.Fatalf("degenerate subsystem row: %+v", row)
+		}
+		rows[row.Name] = true
+	}
+	for _, name := range names {
+		if !rows[name] {
+			t.Fatalf("no %s row in subsystem attribution: %+v", name, er.Subsystems)
+		}
+	}
+}
+
+// TestEngineReportClusterAttribution is the cluster counterpart of the
+// attribution check above: the switch's deliveries go through the
+// fabric's sim.DelayLine and must still be charged to fabric.
+func TestEngineReportClusterAttribution(t *testing.T) {
+	spec := smallCluster(Full(4))
+	spec.EngineStats = true
+	res, err := RunCluster(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.EngineReport == nil {
+		t.Fatalf("no EngineReport")
+	}
+	requireSubsystems(t, res.EngineReport, "sched", "fabric")
 }

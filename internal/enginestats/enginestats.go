@@ -396,9 +396,9 @@ func (r *Report) Render() string {
 	fmt.Fprintf(&b, "  heap     %s pushes, %s pops, %s cancels, max depth %d, mean depth %.1f; %s ticks\n",
 		countStr(r.Heap.Pushes), countStr(r.Heap.Pops), countStr(r.Heap.Cancels),
 		r.Heap.MaxDepth, r.Heap.MeanDepth, countStr(r.Ticks))
-	fmt.Fprintf(&b, "  memory   %s allocated in %s objects, %d GCs (%v paused)\n",
-		byteStr(r.AllocBytes), countStr(r.Mallocs), r.NumGC,
-		time.Duration(r.GCPauseNs).Round(time.Microsecond))
+	fmt.Fprintf(&b, "  memory   %s allocated in %s objects (%.3f allocs/event, %.1f B/event), %d GCs (%v paused)\n",
+		byteStr(r.AllocBytes), countStr(r.Mallocs), r.perEvent(r.Mallocs), r.perEvent(r.AllocBytes),
+		r.NumGC, time.Duration(r.GCPauseNs).Round(time.Microsecond))
 	if len(r.Subsystems) > 0 {
 		fmt.Fprintf(&b, "  subsystems (1-in-%d sampled, %s samples):\n", r.SampleN, countStr(r.SampledEvents))
 		fmt.Fprintf(&b, "    %-14s %10s %12s %12s %7s\n", "package", "samples", "wall", "alloc", "share")
@@ -409,6 +409,15 @@ func (r *Report) Render() string {
 		}
 	}
 	return b.String()
+}
+
+// perEvent divides a whole-run total by the events fired (0 when none
+// fired).
+func (r *Report) perEvent(n uint64) float64 {
+	if r.EventsFired == 0 {
+		return 0
+	}
+	return float64(n) / float64(r.EventsFired)
 }
 
 func countStr(n uint64) string {

@@ -102,6 +102,7 @@ func (sw *Switch) SetRouter(r Router) { sw.router = r }
 // in creation order.
 func (sw *Switch) AddPort(name string, dst netsim.Endpoint) *Port {
 	p := &Port{sw: sw, index: len(sw.ports), name: name, dst: dst}
+	p.egress = sim.NewDelayLine(sw.eng, p.deliver)
 	sw.ports = append(sw.ports, p)
 	return p
 }
@@ -138,6 +139,10 @@ type Port struct {
 	ingressBusyUntil sim.Time
 	egressBusyUntil  sim.Time
 	egressQueued     int
+	// egress carries frames routed here to dst. Each frame's egress
+	// serialization ends after the previous one's, so delivery
+	// instants never decrease.
+	egress *sim.DelayLine[egressFrame]
 
 	// Chaos impairment windows (see SetLinkDown/SetDegraded/
 	// SetBlackhole). Each is an absolute instant; the impairment is
@@ -329,32 +334,37 @@ func (p *Port) Send(pkt *netsim.Packet) {
 	}
 
 	deliverAt := outDone + sw.params.Delay
-	dst := out.dst
 	if dup {
 		// Link-level duplication: the copy rides the same egress slot.
 		q := *pkt
-		sw.eng.At(deliverAt, func() {
-			if deliverAt < out.downUntil {
-				out.LinkDrops++
-				return
-			}
-			out.RxPkts++
-			out.RxBytes += uint64(q.Bytes)
-			dst.Receive(&q)
-		})
+		out.egress.At(deliverAt, egressFrame{pkt: &q, dup: true})
 	}
-	sw.eng.At(deliverAt, func() {
-		out.egressQueued--
-		// The link may have dropped while the frame was in flight on
-		// the egress wire; those bits are lost too.
-		if deliverAt < out.downUntil {
-			out.LinkDrops++
-			return
-		}
-		out.RxPkts++
-		out.RxBytes += uint64(pkt.Bytes)
-		dst.Receive(pkt)
-	})
+	out.egress.At(deliverAt, egressFrame{pkt: pkt})
+}
+
+// egressFrame is one frame on its way out of an egress port.
+type egressFrame struct {
+	pkt *netsim.Packet
+	// dup marks a link-level duplicate, which holds no egress queue
+	// slot of its own.
+	dup bool
+}
+
+// deliver hands a frame to the attached endpoint at the end of its
+// egress transit, which is the instant the delivery fires.
+func (p *Port) deliver(f egressFrame) {
+	if !f.dup {
+		p.egressQueued--
+	}
+	// The link may have dropped while the frame was in flight on the
+	// egress wire; those bits are lost too.
+	if p.sw.eng.Now() < p.downUntil {
+		p.LinkDrops++
+		return
+	}
+	p.RxPkts++
+	p.RxBytes += uint64(f.pkt.Bytes)
+	p.dst.Receive(f.pkt)
 }
 
 // QueueDelay reports how long a frame sent now would wait before its

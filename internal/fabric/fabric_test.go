@@ -173,6 +173,10 @@ func TestSendFaultHook(t *testing.T) {
 		t.Fatalf("unexpected sequence: %d %d %d",
 			sinks[1].pkts[0].Seq, sinks[1].pkts[1].Seq, sinks[1].pkts[2].Seq)
 	}
+	// The duplicate rode its original's egress slot and released none.
+	if q := sw.Port(1).EgressQueued(); q != 0 {
+		t.Fatalf("EgressQueued = %d after delivery, want 0", q)
+	}
 }
 
 // The same send pattern must produce identical delivery times on a
@@ -212,5 +216,32 @@ func TestResetStats(t *testing.T) {
 	sw.ResetStats()
 	if sw.Forwarded != 0 || sw.Port(0).TxPkts != 0 || sw.Port(1).RxPkts != 0 || sw.UplinkBusy != 0 {
 		t.Fatal("ResetStats left counters non-zero")
+	}
+}
+
+// counter is an endpoint that only counts, so it allocates nothing.
+type counter int
+
+func (c *counter) Receive(*netsim.Packet) { *c++ }
+
+// TestHopAllocs pins one hop through the switch, send to delivery, at
+// zero allocations: the egress delay line carries the frame.
+func TestHopAllocs(t *testing.T) {
+	eng := sim.NewEngine(1)
+	sw := New(eng, DefaultParams())
+	var delivered counter
+	src := sw.AddPort("h0", &delivered)
+	sw.AddPort("h1", &delivered)
+	sw.SetRouter(func(from *Port, _ *netsim.Packet) (int, bool) { return 1 - from.Index(), true })
+	pkt := &netsim.Packet{Bytes: 1024}
+	got := testing.AllocsPerRun(1000, func() {
+		src.Send(pkt)
+		eng.Step()
+	})
+	if got != 0 {
+		t.Errorf("fabric hop: %v allocs/op, want 0", got)
+	}
+	if delivered != 1001 || sw.Port(1).EgressQueued() != 0 {
+		t.Fatalf("delivered %d frames with %d queued, want 1001 and none", delivered, sw.Port(1).EgressQueued())
 	}
 }

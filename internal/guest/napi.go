@@ -23,6 +23,14 @@ type NAPI struct {
 	vcpu      *vmm.VCPU // vCPU the current poll cycle runs on
 	burst     int       // consecutive poll rounds in the current cycle
 
+	// pollFn and deliverFn are the two task callbacks of a poll round,
+	// bound once. A NAPI has at most one task queued at a time, so the
+	// batch it delivers waits in pkts, and flows collects the batch's
+	// handlers; both slices are reused round after round.
+	pollFn, deliverFn func()
+	pkts              []*netsim.Packet
+	flows             []BatchHandler
+
 	// Rounds counts poll rounds; Polled counts packets processed.
 	Rounds uint64
 	Polled uint64
@@ -41,7 +49,9 @@ type NAPI struct {
 const softirqRestartLimit = 10
 
 func newNAPI(p *QueuePair, weight int) *NAPI {
-	return &NAPI{pair: p, weight: weight}
+	n := &NAPI{pair: p, weight: weight}
+	n.pollFn, n.deliverFn = n.poll, n.deliver
+	return n
 }
 
 // schedule requests a poll cycle on vCPU v (idempotent while already
@@ -60,10 +70,7 @@ func (n *NAPI) schedule(v *vmm.VCPU) {
 // ksoftirqd handoff) once it has monopolized the vCPU for
 // softirqRestartLimit rounds — queued FIFO behind any starving tasks.
 func (n *NAPI) enqueuePoll() {
-	v := n.vcpu
-	v.EnqueueTask(vmm.NewTask("napi", n.prio(), n.pair.Dev.Kern.Costs.NAPIPoll, func() {
-		n.poll(v)
-	}))
+	n.vcpu.EnqueueTask(vmm.NewTask("napi", n.prio(), n.pair.Dev.Kern.Costs.NAPIPoll, n.pollFn))
 }
 
 // prio returns the priority the current poll round runs at.
@@ -76,7 +83,8 @@ func (n *NAPI) prio() vmm.Prio {
 
 // poll runs at the end of the fixed poll overhead: collect a batch,
 // charge its processing cost as one softirq task, then dispatch.
-func (n *NAPI) poll(v *vmm.VCPU) {
+func (n *NAPI) poll() {
+	v := n.vcpu
 	n.Rounds++
 	n.burst++
 	if n.burst > softirqRestartLimit {
@@ -96,12 +104,11 @@ func (n *NAPI) poll(v *vmm.VCPU) {
 	if n.pair.Dev.DoorbellNoExit || n.pair.RX.KickSuppressed() {
 		n.pair.RX.Kick()
 	} else {
-		rx := n.pair.RX
-		v.BeginExit(vmm.ExitIOInstruction, func() { rx.Kick() })
+		v.BeginExit(vmm.ExitIOInstruction, n.pair.rxKick)
 	}
 	var cost sim.Time
 	ca := n.pair.Dev.Kern.VM.K.Causal
-	pkts := make([]*netsim.Packet, 0, len(batch))
+	pkts := n.pkts[:0]
 	for _, d := range batch {
 		p, ok := d.Payload.(*netsim.Packet)
 		if !ok {
@@ -114,6 +121,7 @@ func (n *NAPI) poll(v *vmm.VCPU) {
 		pkts = append(pkts, p)
 		cost += n.pair.Dev.Kern.rxCost(p)
 	}
+	n.pkts = pkts
 	n.Polled += uint64(len(pkts))
 	name := "napi-rx"
 	if v.VM.K.Prof != nil {
@@ -121,40 +129,48 @@ func (n *NAPI) poll(v *vmm.VCPU) {
 		// never influence behaviour, so this cannot perturb the run.
 		name += ":" + protoLabel(pkts)
 	}
-	v.EnqueueTask(vmm.NewTask(name, n.prio(), cost, func() {
-		if ca != nil {
-			// Guest receive stack: poll collect → protocol dispatch.
-			now := v.VM.K.Eng.Now()
-			for _, p := range pkts {
-				ca.Mark(&p.Unit, causal.StageGuestRX, now)
+	v.EnqueueTask(vmm.NewTask(name, n.prio(), cost, n.deliverFn))
+}
+
+// deliver runs at the end of the batch's processing cost: it hands the
+// batch collected by poll to the protocol handlers.
+func (n *NAPI) deliver() {
+	v := n.vcpu
+	if ca := n.pair.Dev.Kern.VM.K.Causal; ca != nil {
+		// Guest receive stack: poll collect → protocol dispatch.
+		now := v.VM.K.Eng.Now()
+		for _, p := range n.pkts {
+			ca.Mark(&p.Unit, causal.StageGuestRX, now)
+		}
+	}
+	flows := n.flows[:0]
+	for _, p := range n.pkts {
+		if bh, ok := n.pair.Dev.Kern.lookup(p).(BatchHandler); ok {
+			dup := false
+			for _, b := range flows {
+				if b == bh {
+					dup = true
+					break
+				}
+			}
+			if !dup {
+				flows = append(flows, bh)
 			}
 		}
-		var batchFlows []BatchHandler
-		for _, p := range pkts {
-			if bh, ok := n.pair.Dev.Kern.lookup(p).(BatchHandler); ok {
-				dup := false
-				for _, b := range batchFlows {
-					if b == bh {
-						dup = true
-						break
-					}
-				}
-				if !dup {
-					batchFlows = append(batchFlows, bh)
-				}
-			}
-			n.pair.Dev.Kern.dispatch(p, v)
-		}
-		for _, bh := range batchFlows {
-			bh.BatchEnd(v)
-		}
-		if n.pair.RX.UsedLen() > 0 {
-			// Budget exhausted with work remaining: stay in polling.
-			n.enqueuePoll()
-			return
-		}
-		n.finish()
-	}))
+		n.pair.Dev.Kern.dispatch(p, v)
+	}
+	// The slots are cleared so the reused slice keeps no packet alive.
+	clear(n.pkts)
+	n.flows = flows
+	for _, bh := range flows {
+		bh.BatchEnd(v)
+	}
+	if n.pair.RX.UsedLen() > 0 {
+		// Budget exhausted with work remaining: stay in polling.
+		n.enqueuePoll()
+		return
+	}
+	n.finish()
 }
 
 // protoLabel classifies a poll batch by the protocol of its packets

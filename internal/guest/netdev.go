@@ -30,6 +30,12 @@ type QueuePair struct {
 	napi      *NAPI
 	txWaiters []func()
 
+	// The RX and TX kicks and the two ISRs' completion callbacks are
+	// bound once: rxDone holds one per vCPU, indexed by VCPU.ID.
+	rxKick, txKick func()
+	rxDone         []func()
+	txDone         func()
+
 	// ep snapshots the most recent RX interrupt episode for the
 	// event-path probe, which applies it to each collected buffer that
 	// was already waiting when the interrupt fired (see
@@ -81,6 +87,15 @@ func newNetDev(k *Kernel, ringSize, queues int) *NetDev {
 			Affinity: qi % len(k.VM.VCPUs),
 		}
 		p.napi = newNAPI(p, 64)
+		p.rxKick = func() { p.RX.Kick() }
+		p.txKick = func() { p.TX.Kick() }
+		for _, v := range k.VM.VCPUs {
+			p.rxDone = append(p.rxDone, func() {
+				p.RX.SetNoInterrupt(true)
+				p.napi.schedule(v)
+			})
+		}
+		p.txDone = p.txComplete
 
 		// Allocate MSI-X vectors and register the ISRs in the guest IDT.
 		p.RXVector = k.VM.AllocVector(vmm.ClassDevice, p.rxISR)
@@ -144,20 +159,20 @@ func (p *QueuePair) rxISR(v *vmm.VCPU) (cost sim.Time, fn func()) {
 			}
 		}
 	}
-	return p.Dev.Kern.Costs.IRQHandler, func() {
-		p.RX.SetNoInterrupt(true)
-		p.napi.schedule(v)
-	}
+	return p.Dev.Kern.Costs.IRQHandler, p.rxDone[v.ID]
 }
 
 // txISR handles the (rare) TX completion interrupt: reclaim and wake
 // blocked senders, then re-suppress.
-func (p *QueuePair) txISR(v *vmm.VCPU) (cost sim.Time, fn func()) {
-	return p.Dev.Kern.Costs.IRQHandler, func() {
-		p.TX.SetNoInterrupt(true)
-		p.ReclaimTX()
-		p.wakeTxWaiters()
-	}
+func (p *QueuePair) txISR(*vmm.VCPU) (cost sim.Time, fn func()) {
+	return p.Dev.Kern.Costs.IRQHandler, p.txDone
+}
+
+// txComplete is the TX completion interrupt handler's body.
+func (p *QueuePair) txComplete() {
+	p.TX.SetNoInterrupt(true)
+	p.ReclaimTX()
+	p.wakeTxWaiters()
 }
 
 // ReclaimTX frees completed TX descriptors. The (small) per-buffer cost
@@ -222,7 +237,7 @@ func (d *NetDev) Transmit(v *vmm.VCPU, pkt *netsim.Packet) bool {
 		return true
 	}
 	d.TxKickExits++
-	v.BeginExit(vmm.ExitIOInstruction, func() { p.TX.Kick() })
+	v.BeginExit(vmm.ExitIOInstruction, p.txKick)
 	return true
 }
 

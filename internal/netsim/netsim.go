@@ -82,6 +82,9 @@ type Port struct {
 	delay     sim.Time
 	busyUntil sim.Time
 	dst       Endpoint
+	// wire carries sent frames to dst: serialization makes each
+	// frame's delivery instant later than the previous one's.
+	wire *sim.DelayLine[*Packet]
 
 	// PacketsSent and BytesSent count traffic through this port.
 	PacketsSent uint64
@@ -100,11 +103,17 @@ func NewLink(eng *sim.Engine, gbps float64, delay sim.Time) *Link {
 		panic("netsim: rate must be positive")
 	}
 	bytesPerNs := gbps / 8.0 // Gbit/s == bit/ns; /8 for bytes
-	l := &Link{eng: eng}
-	l.a2b = &Port{eng: eng, rate: bytesPerNs, delay: delay}
-	l.b2a = &Port{eng: eng, rate: bytesPerNs, delay: delay}
-	return l
+	return &Link{eng: eng, a2b: newPort(eng, bytesPerNs, delay), b2a: newPort(eng, bytesPerNs, delay)}
 }
+
+func newPort(eng *sim.Engine, rate float64, delay sim.Time) *Port {
+	p := &Port{eng: eng, rate: rate, delay: delay}
+	p.wire = sim.NewDelayLine(eng, p.deliver)
+	return p
+}
+
+// deliver hands a frame that has crossed the wire to the endpoint.
+func (p *Port) deliver(pkt *Packet) { p.dst.Receive(pkt) }
 
 // Attach wires endpoint a to one side and b to the other. PortA sends
 // toward b; PortB sends toward a.
@@ -140,17 +149,16 @@ func (p *Port) Send(pkt *Packet) {
 	pkt.Sent = now
 	p.PacketsSent++
 	p.BytesSent += uint64(pkt.Bytes)
-	dst := p.dst
 	if p.SendFault != nil {
 		switch p.SendFault() {
 		case FaultDrop:
 			return
 		case FaultDup:
 			q := *pkt
-			p.eng.At(done+p.delay, func() { dst.Receive(&q) })
+			p.wire.At(done+p.delay, &q)
 		}
 	}
-	p.eng.At(done+p.delay, func() { dst.Receive(pkt) })
+	p.wire.At(done+p.delay, pkt)
 }
 
 // QueueDelay reports how long a packet sent now would wait before its

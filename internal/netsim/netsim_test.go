@@ -142,3 +142,24 @@ func TestPacketFieldsPreserved(t *testing.T) {
 		t.Fatalf("packet mangled: %+v", got)
 	}
 }
+
+// TestSendDeliverAllocs pins a frame's send and its delivery at zero
+// allocations: the port's delay line carries the frame, not a closure.
+func TestSendDeliverAllocs(t *testing.T) {
+	eng := sim.NewEngine(1)
+	l := NewLink(eng, 40, sim.Microsecond)
+	delivered := 0
+	sink := EndpointFunc(func(*Packet) { delivered++ })
+	l.Attach(sink, sink)
+	pkt := &Packet{Bytes: 1024}
+	got := testing.AllocsPerRun(1000, func() {
+		l.PortA().Send(pkt)
+		eng.Step()
+	})
+	if got != 0 {
+		t.Errorf("send+deliver: %v allocs/op, want 0", got)
+	}
+	if delivered != 1001 || eng.Pending() != 0 {
+		t.Fatalf("delivered %d frames with %d pending, want 1001 and none", delivered, eng.Pending())
+	}
+}

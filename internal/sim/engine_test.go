@@ -450,6 +450,7 @@ func TestEngineSteadyStateAllocs(t *testing.T) {
 	for i := 0; i < 64; i++ {
 		e.At(Second+Time(i), fn)
 	}
+	line := NewDelayLine(e, func(int) {})
 	const depth = 1 << 14
 	deep := NewEngine(1)
 	for i := 0; i < depth; i++ {
@@ -461,6 +462,10 @@ func TestEngineSteadyStateAllocs(t *testing.T) {
 	}{
 		{"At+Step", func() {
 			e.After(1, fn)
+			e.Step()
+		}},
+		{"DelayLine.After+Step", func() {
+			line.After(1, 7)
 			e.Step()
 		}},
 		{"After.Cancel+Step", func() {

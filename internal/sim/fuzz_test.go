@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"slices"
 	"sort"
 	"testing"
 )
@@ -198,6 +199,119 @@ func FuzzEngineQueue(f *testing.F) {
 				t.Fatalf("Now = %v, reference %v", e.Now(), ref.now)
 			}
 			checkHeapInvariants(t, e)
+		}
+	})
+}
+
+// The op codes of FuzzDelayLine's input, in the same 3-byte layout as
+// FuzzEngineQueue's (op byte taken mod 5).
+const (
+	lineSend   = 0 // and 1: send on line arg%numLines, (arg>>2)%64 past its last deadline
+	lineAt     = 2 // a plain At(now + arg%4096)
+	lineCancel = 3 // Cancel of plain event arg % issued
+	lineStep   = 4
+	numLines   = 3
+)
+
+// lineOps draws n ops for FuzzDelayLine's seed corpus: mostly sends,
+// with enough plain events, cancels and steps to interleave them.
+func lineOps(seed uint64, n int) []byte {
+	r := NewRand(seed)
+	b := make([]byte, 0, 3*n)
+	for i := 0; i < n; i++ {
+		op, arg := byte(lineSend), r.Intn(1<<16)
+		switch p := r.Intn(100); {
+		case p < 40:
+		case p < 60:
+			op = lineAt
+		case p < 70:
+			op = lineCancel
+		default:
+			op = lineStep
+		}
+		b = append(b, op, byte(arg>>8), byte(arg))
+	}
+	return b
+}
+
+// FuzzDelayLine runs a stream of sends on several delay lines,
+// interleaved with plain At events, Cancels and Steps, on one engine,
+// and the same stream with a closure per send on another. After every
+// op the two must agree on the events fired so far and their order,
+// on the line each value came from, on the clock and on Pending.
+func FuzzDelayLine(f *testing.F) {
+	f.Add([]byte{})
+	// Ties: two lines and a plain event at one instant, a send at the
+	// current instant from a later op, and a cancelled plain event.
+	f.Add([]byte{
+		lineSend, 0, 0, lineSend, 0, 1, lineAt, 0, 0, lineSend, 0, 4,
+		lineAt, 0, 0, lineCancel, 0, 1, lineStep, 0, 0, lineSend, 0, 0,
+		lineStep, 0, 0, lineStep, 0, 0, lineStep, 0, 0, lineStep, 0, 0,
+	})
+	f.Add(lineOps(1, maxOps))
+	f.Add(lineOps(2, maxOps))
+
+	f.Fuzz(func(t *testing.T, ops []byte) {
+		e, ref := NewEngine(1), NewEngine(1)
+		var fired, want []int
+		var sentOn []int // by op id: the line a value was sent on, or -1
+		var lines [numLines]*DelayLine[int]
+		var last [numLines]Time
+		for i := range lines {
+			lines[i] = NewDelayLine(e, func(id int) {
+				if sentOn[id] != i {
+					t.Fatalf("value %d delivered by line %d, sent on %d", id, i, sentOn[id])
+				}
+				fired = append(fired, id)
+			})
+		}
+		var handles, refHandles []Handle
+		if len(ops) > 3*maxOps {
+			ops = ops[:3*maxOps]
+		}
+		for ; len(ops) >= 3; ops = ops[3:] {
+			arg := int(ops[1])<<8 | int(ops[2])
+			id := len(sentOn)
+			sentOn = append(sentOn, -1)
+			switch ops[0] % 5 {
+			case lineSend, lineSend + 1:
+				l := arg % numLines
+				at := max(e.Now(), last[l]) + Time((arg>>2)%64)
+				last[l] = at
+				sentOn[id] = l
+				lines[l].At(at, id)
+				ref.At(at, func() { want = append(want, id) })
+			case lineAt:
+				at := e.Now() + Time(arg%4096)
+				handles = append(handles, e.At(at, func() { fired = append(fired, id) }))
+				refHandles = append(refHandles, ref.At(at, func() { want = append(want, id) }))
+			case lineCancel:
+				if len(handles) > 0 {
+					handles[arg%len(handles)].Cancel()
+					refHandles[arg%len(handles)].Cancel()
+				}
+			case lineStep:
+				// The logs agree up to n; one step adds at most one.
+				n := len(fired)
+				e.Step()
+				ref.Step()
+				if len(fired) != len(want) || len(fired) > n+1 || !slices.Equal(fired[n:], want[n:]) {
+					t.Fatalf("delay lines fired %v, closures %v", fired, want)
+				}
+			}
+			if e.Now() != ref.Now() || e.Pending() != ref.Pending() {
+				t.Fatalf("Now %v, Pending %d; closures: Now %v, Pending %d", e.Now(), e.Pending(), ref.Now(), ref.Pending())
+			}
+		}
+		e.RunAll()
+		ref.RunAll()
+		if !slices.Equal(fired, want) {
+			t.Fatalf("after draining: delay lines fired %v, closures %v", fired, want)
+		}
+		for i, l := range lines {
+			if l.n != 0 {
+				t.Fatalf("line %d holds %d values after draining", i, l.n)
+			}
 		}
 	})
 }

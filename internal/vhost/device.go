@@ -94,7 +94,10 @@ func NewDevice(name string, io *IOThread, txq, rxq *virtio.Virtqueue, port netsi
 		rng: io.s.Engine().Rand().Fork(),
 	}
 	d.tx = &txHandler{dev: d}
+	d.tx.send = d.tx.sendEffect
 	d.rx = &rxHandler{dev: d}
+	d.rx.recv = d.rx.recvEffect
+	d.rx.signal = func() { d.RXQ.Signal() }
 	txq.OnKick(d.tx.kicked)
 	rxq.OnKick(d.rx.kicked)
 	// vhost keeps RX-refill notifications suppressed unless starved for
@@ -255,6 +258,12 @@ type txHandler struct {
 	dev      *Device
 	workload int
 	requeued bool
+
+	// send is the effect plan returns for a descriptor, bound once.
+	// The I/O thread runs one effect at a time, so the descriptor waits
+	// here until send applies it.
+	send func()
+	desc virtio.Desc
 }
 
 // kicked is the ioeventfd callback: the guest's I/O request wakes the
@@ -314,22 +323,29 @@ func (h *txHandler) plan() (sim.Time, func()) {
 	}
 	cost := dev.jitter(dev.Params.txCost(desc.Len))
 	dev.IO.act = actTX
-	return cost, func() {
-		if pkt != nil {
-			dev.Causal.Mark(&pkt.Unit, causal.StageBackendTX, dev.IO.s.Now())
-			dev.Port.Send(pkt)
-			dev.TxPkts++
-			dev.TxBytes += uint64(pkt.Bytes)
-		}
-		q.PushUsed(desc)
-		q.Signal() // TX completion; normally suppressed by the guest
-		h.workload++
-		if dev.Hybrid && h.workload >= dev.Quota {
-			// Algorithm 1 line 16: wait for the next turn, keeping the
-			// guest's notifications disabled (polling mode persists).
-			h.requeued = true
-			dev.IO.requeue(h)
-		}
+	h.desc = desc
+	return cost, h.send
+}
+
+// sendEffect puts the planned descriptor's packet on the wire and
+// completes the descriptor to the used ring.
+func (h *txHandler) sendEffect() {
+	dev, q, desc := h.dev, h.dev.TXQ, h.desc
+	h.desc = virtio.Desc{}
+	if pkt, _ := desc.Payload.(*netsim.Packet); pkt != nil {
+		dev.Causal.Mark(&pkt.Unit, causal.StageBackendTX, dev.IO.s.Now())
+		dev.Port.Send(pkt)
+		dev.TxPkts++
+		dev.TxBytes += uint64(pkt.Bytes)
+	}
+	q.PushUsed(desc)
+	q.Signal() // TX completion; normally suppressed by the guest
+	h.workload++
+	if dev.Hybrid && h.workload >= dev.Quota {
+		// Algorithm 1 line 16: wait for the next turn, keeping the
+		// guest's notifications disabled (polling mode persists).
+		h.requeued = true
+		dev.IO.requeue(h)
 	}
 }
 
@@ -340,6 +356,12 @@ type rxHandler struct {
 	served        int
 	requeued      bool
 	pendingSignal bool
+
+	// recv and signal are the effects plan returns, bound once. The
+	// I/O thread runs one effect at a time, so the packet recv copies
+	// waits in pkt.
+	recv, signal func()
+	pkt          *netsim.Packet
 }
 
 // kicked is the guest's RX-refill notification.
@@ -366,7 +388,7 @@ func (h *rxHandler) plan() (sim.Time, func()) {
 			h.pendingSignal = false
 			if dev.takeSignal() {
 				dev.IO.act = actSignal
-				return dev.Params.SignalCost, func() { dev.RXQ.Signal() }
+				return dev.Params.SignalCost, h.signal
 			}
 		}
 		if h.requeued || len(dev.backlog) == 0 {
@@ -382,38 +404,44 @@ func (h *rxHandler) plan() (sim.Time, func()) {
 		}
 		return 0, nil
 	}
-	pkt := dev.backlog[0]
-	cost := dev.jitter(dev.Params.rxCost(pkt.Bytes))
+	h.pkt = dev.backlog[0]
+	cost := dev.jitter(dev.Params.rxCost(h.pkt.Bytes))
 	dev.IO.act = actRX
-	return cost, func() {
-		if len(dev.backlog) == 0 || dev.backlog[0] != pkt {
-			return // raced with a drop; nothing to do
-		}
-		copy(dev.backlog, dev.backlog[1:])
-		dev.backlog[len(dev.backlog)-1] = nil
-		dev.backlog = dev.backlog[:len(dev.backlog)-1]
-		desc, ok := dev.RXQ.Pop()
-		if !ok {
-			dev.BacklogDrops++
-			return
-		}
-		desc.Len = pkt.Bytes
-		desc.Payload = pkt
-		// Backend-rx closes (tap backlog wait + copy into the guest
-		// buffer); the buffer now waits in the used ring.
-		dev.Causal.Mark(&pkt.Unit, causal.StageBackendRX, dev.IO.s.Now())
-		dev.RXQ.PushUsed(desc)
-		h.pendingSignal = true
-		dev.noteRxPacket()
-		dev.RxPkts++
-		dev.RxBytes += uint64(pkt.Bytes)
-		h.served++
-		// The ES2 quota governs guest I/O-request polling (the TX
-		// virtqueue); wire ingress keeps vhost's own handle_rx budget
-		// so receive batching is unaffected by the hybrid scheme.
-		if h.served >= rxBudget && len(dev.backlog) > 0 {
-			h.requeued = true
-			dev.IO.requeue(h)
-		}
+	return cost, h.recv
+}
+
+// recvEffect copies the planned backlog packet into a guest RX buffer
+// and publishes it on the used ring.
+func (h *rxHandler) recvEffect() {
+	dev, pkt := h.dev, h.pkt
+	h.pkt = nil
+	if len(dev.backlog) == 0 || dev.backlog[0] != pkt {
+		return // raced with a drop; nothing to do
+	}
+	copy(dev.backlog, dev.backlog[1:])
+	dev.backlog[len(dev.backlog)-1] = nil
+	dev.backlog = dev.backlog[:len(dev.backlog)-1]
+	desc, ok := dev.RXQ.Pop()
+	if !ok {
+		dev.BacklogDrops++
+		return
+	}
+	desc.Len = pkt.Bytes
+	desc.Payload = pkt
+	// Backend-rx closes (tap backlog wait + copy into the guest
+	// buffer); the buffer now waits in the used ring.
+	dev.Causal.Mark(&pkt.Unit, causal.StageBackendRX, dev.IO.s.Now())
+	dev.RXQ.PushUsed(desc)
+	h.pendingSignal = true
+	dev.noteRxPacket()
+	dev.RxPkts++
+	dev.RxBytes += uint64(pkt.Bytes)
+	h.served++
+	// The ES2 quota governs guest I/O-request polling (the TX
+	// virtqueue); wire ingress keeps vhost's own handle_rx budget
+	// so receive batching is unaffected by the hybrid scheme.
+	if h.served >= rxBudget && len(dev.backlog) > 0 {
+		h.requeued = true
+		dev.IO.requeue(h)
 	}
 }

@@ -53,6 +53,12 @@ type KVM struct {
 	rng *sim.Rand
 	vms []*VM
 
+	// piNotify and ipiKick carry the posted path's notification IPI and
+	// the emulated path's kick IPI to their target vCPU. Both latencies
+	// are cost-model constants, so send instants never decrease.
+	piNotify *sim.DelayLine[*VCPU]
+	ipiKick  *sim.DelayLine[*VCPU]
+
 	// IPIsSent counts kick IPIs (baseline) and PI notification IPIs.
 	IPIsSent uint64
 	// PIFallbacks counts deliveries that wanted the posted path but
@@ -63,7 +69,10 @@ type KVM struct {
 
 // NewKVM creates the hypervisor on the given engine and scheduler.
 func NewKVM(eng *sim.Engine, s *sched.Scheduler, cost CostModel) *KVM {
-	return &KVM{Eng: eng, Sched: s, Cost: cost, rng: eng.Rand().Fork()}
+	k := &KVM{Eng: eng, Sched: s, Cost: cost, rng: eng.Rand().Fork()}
+	k.piNotify = sim.NewDelayLine(eng, k.notified)
+	k.ipiKick = sim.NewDelayLine(eng, k.kicked)
+	return k
 }
 
 // VMs returns all created VMs.
@@ -126,18 +135,21 @@ func (k *KVM) DeliverLocal(v *VCPU, vec apic.Vector) {
 func (k *KVM) postInterrupt(v *VCPU, vec apic.Vector) {
 	if v.PID.Post(vec) {
 		k.IPIsSent++
-		k.Eng.After(k.Cost.PINotifyLatency, func() {
-			if v.InGuestMode() {
-				v.PID.Sync(&v.VAPIC)
-				v.poke()
-			}
-			// Not in guest mode: the posted bits stay in the PIR and
-			// are synchronized at the next VM entry.
-		})
+		k.piNotify.After(k.Cost.PINotifyLatency, v)
 	}
 	if v.Thread.State() == sched.Sleeping {
 		k.Sched.Wake(v.Thread)
 	}
+}
+
+// notified is the PI notification IPI landing on v's core.
+func (k *KVM) notified(v *VCPU) {
+	if v.InGuestMode() {
+		v.PID.Sync(&v.VAPIC)
+		v.poke()
+	}
+	// Not in guest mode: the posted bits stay in the PIR and are
+	// synchronized at the next VM entry.
 }
 
 // injectEmulated implements the baseline path through the
@@ -150,16 +162,7 @@ func (k *KVM) injectEmulated(v *VCPU, vec apic.Vector) {
 	switch {
 	case v.InGuestMode():
 		k.IPIsSent++
-		k.Eng.After(k.Cost.IPILatency, func() {
-			// The kick only causes an exit if the vCPU is still in
-			// guest mode when the IPI lands; it may have exited for
-			// another reason meanwhile (then injection piggybacks on
-			// that exit's VM entry, costing nothing extra).
-			if v.InGuestMode() {
-				v.BeginExit(ExitExternalInterrupt, nil)
-				v.poke()
-			}
-		})
+		k.ipiKick.After(k.Cost.IPILatency, v)
 	case v.Thread.State() == sched.Sleeping:
 		k.Sched.Wake(v.Thread)
 	default:
@@ -167,5 +170,16 @@ func (k *KVM) injectEmulated(v *VCPU, vec apic.Vector) {
 		// pending interrupt is injected at the next VM entry with no
 		// dedicated exit — this is why the paper's Table I shows fewer
 		// delivery exits than completion exits.
+	}
+}
+
+// kicked is the emulated path's kick IPI landing on v's core. The kick
+// only causes an exit if the vCPU is still in guest mode when the IPI
+// lands; it may have exited for another reason meanwhile (then
+// injection piggybacks on that exit's VM entry, costing nothing extra).
+func (k *KVM) kicked(v *VCPU) {
+	if v.InGuestMode() {
+		v.BeginExit(ExitExternalInterrupt, nil)
+		v.poke()
 	}
 }

@@ -23,11 +23,11 @@ import "es2/internal/profile"
 // HostTime exactly.
 func (v *VCPU) enableProfiling(p *profile.Profiler, coreID int) {
 	v.profOcc = p.Core(coreID).ChildKind(v.Thread.Name, profile.KindVCPU, v.VM.Index)
-	v.profGuest = v.profOcc.ChildKind("guest", profile.KindGuestMode, v.VM.Index)
-	kernel := v.profGuest.Child("kernel")
+	guest := v.profOcc.ChildKind("guest", profile.KindGuestMode, v.VM.Index)
+	kernel := guest.Child("kernel")
 	irq := kernel.Child("irq")
 	softirq := kernel.Child("softirq")
-	user := v.profGuest.Child("user")
+	user := guest.Child("user")
 	v.profPrio[PrioIRQ] = irq
 	v.profPrio[PrioSoftirq] = softirq
 	v.profPrio[PrioTask] = user
@@ -40,20 +40,19 @@ func (v *VCPU) enableProfiling(p *profile.Profiler, coreID int) {
 
 // profLeaf resolves the context the vCPU is consuming CPU in right
 // now. Invoked by the scheduler at every charge point, before Ran, so
-// mode/curTask/hostCur still describe the span being charged.
+// mode, the current task and hostCur still describe the span being
+// charged.
 func (v *VCPU) profLeaf() *profile.Node {
 	switch v.mode {
 	case kindHost:
-		if v.hostCur != nil {
+		if v.inExit {
 			return v.profExit[v.hostCur.reason]
 		}
 	case kindGuest:
-		if v.curTask != nil {
-			// Interned per task name: the name set is small and static
-			// (irq vectors, workload task names).
-			return v.profPrio[v.curTask.Prio].Child(v.curTask.Name)
-		}
-		return v.profGuest
+		// Interned per task name: the name set is small and static
+		// (irq vectors, workload task names).
+		t := v.current()
+		return v.profPrio[t.Prio].Child(t.Name)
 	}
 	// kindNone never accumulates time (dispatch and NextChunk happen at
 	// the same instant); charge the occupant if it somehow does.

@@ -34,9 +34,13 @@ type Task struct {
 	// in guest context: it may enqueue tasks, send packets, trigger
 	// exits, and so on.
 	OnComplete func()
+
+	// irq marks an interrupt handler: its EOI follows OnComplete.
+	irq bool
 }
 
-// NewTask is a convenience constructor.
+// NewTask is a convenience constructor. The task it returns can stay
+// on the caller's stack: EnqueueTask copies it.
 func NewTask(name string, prio Prio, d sim.Time, fn func()) *Task {
 	return &Task{Name: name, Prio: prio, Remaining: d, OnComplete: fn}
 }

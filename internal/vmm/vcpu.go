@@ -43,10 +43,16 @@ type VCPU struct {
 	// UsePI set).
 	PID apic.PIDescriptor
 
-	hostCur *hostInterval
-	hostQ   []*hostInterval
-	tasks   [numPrios][]*Task
-	curTask *Task
+	// Queued work is held by value. hostCur is the exit being handled
+	// while inExit is set; hostQ holds the exits waiting behind it.
+	// The running guest task is the head of tasks[curPrio] while mode
+	// is kindGuest: only NextChunk changes a queue's head, and it
+	// re-picks curPrio when it does.
+	hostCur hostInterval
+	inExit  bool
+	hostQ   []hostInterval
+	tasks   [numPrios][]Task
+	curPrio Prio
 	mode    chunkKind
 
 	// GuestTime and HostTime accumulate non-root and root mode CPU
@@ -90,10 +96,9 @@ type VCPU struct {
 
 	// Profiling contexts, interned at build time when K.Prof is set
 	// (all nil otherwise; see profile.go in this package).
-	profOcc   *profile.Node
-	profGuest *profile.Node
-	profPrio  [numPrios]*profile.Node
-	profExit  [NumExitReasons]*profile.Node
+	profOcc  *profile.Node
+	profPrio [numPrios]*profile.Node
+	profExit [NumExitReasons]*profile.Node
 }
 
 // newVCPU wires a vCPU to its host thread on the given core.
@@ -158,22 +163,26 @@ func (v *VCPU) InGuestMode() bool {
 	return v.Thread.State() == sched.Running && v.mode == kindGuest
 }
 
-// EnqueueTask adds guest work to the vCPU and pokes the scheduler so
-// higher-priority work preempts promptly.
+// EnqueueTask adds a copy of the guest work *t to the vCPU and pokes
+// the scheduler so higher-priority work preempts promptly. The vCPU
+// keeps no reference to t.
 func (v *VCPU) EnqueueTask(t *Task) {
-	v.tasks[t.Prio] = append(v.tasks[t.Prio], t)
+	v.tasks[t.Prio] = append(v.tasks[t.Prio], *t)
 	v.poke()
 }
 
 // enqueueTaskFront pushes guest work at the head of its priority queue
 // (used for interrupt handlers, which nest LIFO).
-func (v *VCPU) enqueueTaskFront(t *Task) {
-	q := v.tasks[t.Prio]
-	q = append(q, nil)
+func (v *VCPU) enqueueTaskFront(t Task) {
+	q := append(v.tasks[t.Prio], Task{})
 	copy(q[1:], q)
 	q[0] = t
 	v.tasks[t.Prio] = q
 }
+
+// current returns the running guest task; call it only while mode is
+// kindGuest.
+func (v *VCPU) current() *Task { return &v.tasks[v.curPrio][0] }
 
 // BeginExit queues a VM exit of the given reason on this vCPU: the
 // thread will spend the cost-model-defined interval in root mode before
@@ -184,7 +193,7 @@ func (v *VCPU) enqueueTaskFront(t *Task) {
 // in task callbacks) or from KVM delivery paths that immediately poke.
 func (v *VCPU) BeginExit(reason ExitReason, onDone func()) {
 	cost := v.VM.K.exitCost(reason)
-	v.hostQ = append(v.hostQ, &hostInterval{reason: reason, remaining: cost, onDone: onDone})
+	v.hostQ = append(v.hostQ, hostInterval{reason: reason, remaining: cost, onDone: onDone})
 	v.VM.Exits.Inc(int(reason))
 }
 
@@ -204,14 +213,14 @@ func (v *VCPU) poke() {
 // at VM entry, then guest work by priority.
 func (v *VCPU) NextChunk() sim.Time {
 	for {
-		if v.hostCur != nil {
+		if v.inExit {
 			v.mode = kindHost
 			return clampChunk(v.hostCur.remaining)
 		}
 		if len(v.hostQ) > 0 {
-			v.hostCur = v.hostQ[0]
+			v.hostCur, v.inExit = v.hostQ[0], true
 			copy(v.hostQ, v.hostQ[1:])
-			v.hostQ[len(v.hostQ)-1] = nil
+			v.hostQ[len(v.hostQ)-1] = hostInterval{}
 			v.hostQ = v.hostQ[:len(v.hostQ)-1]
 			if v.VM.K.Timeline != nil {
 				v.hostCur.start = v.VM.K.Eng.Now()
@@ -233,15 +242,14 @@ func (v *VCPU) NextChunk() sim.Time {
 			v.startHandler(vec)
 			continue
 		}
-		for p := 0; p < numPrios; p++ {
+		for p := range v.tasks {
 			if len(v.tasks[p]) > 0 {
-				v.curTask = v.tasks[p][0]
+				v.curPrio = Prio(p)
 				v.mode = kindGuest
-				return clampChunk(v.curTask.Remaining)
+				return clampChunk(v.tasks[p][0].Remaining)
 			}
 		}
 		v.mode = kindNone
-		v.curTask = nil
 		return 0
 	}
 }
@@ -294,17 +302,12 @@ func (v *VCPU) startHandler(vec apic.Vector) {
 	if h != nil {
 		cost, fn = h(v)
 	}
-	total := v.VM.K.Cost.IRQEntryExit + cost
-	v.enqueueTaskFront(&Task{
-		Name:      irqNames[vec],
-		Prio:      PrioIRQ,
-		Remaining: total,
-		OnComplete: func() {
-			if fn != nil {
-				fn()
-			}
-			v.completeIRQ()
-		},
+	v.enqueueTaskFront(Task{
+		Name:       irqNames[vec],
+		Prio:       PrioIRQ,
+		Remaining:  v.VM.K.Cost.IRQEntryExit + cost,
+		OnComplete: fn,
+		irq:        true,
 	})
 }
 
@@ -340,14 +343,12 @@ func (v *VCPU) Ran(d sim.Time) {
 	switch v.mode {
 	case kindHost:
 		v.HostTime += d
-		if v.hostCur != nil {
+		if v.inExit {
 			v.hostCur.remaining -= d
 		}
 	case kindGuest:
 		v.GuestTime += d
-		if v.curTask != nil {
-			v.curTask.Remaining -= d
-		}
+		v.current().Remaining -= d
 	}
 }
 
@@ -371,32 +372,31 @@ func (v *VCPU) SetPIAvailable(ok bool) {
 func (v *VCPU) ChunkDone() {
 	switch v.mode {
 	case kindHost:
-		hi := v.hostCur
-		v.hostCur = nil
+		hi, ok := v.hostCur, v.inExit
+		v.hostCur, v.inExit = hostInterval{}, false
 		v.mode = kindNone
 		v.needEntrySync = true // exit handling done: next guest run is a VM entry
-		if tl := v.VM.K.Timeline; tl.Active() && hi != nil {
+		if tl := v.VM.K.Timeline; tl.Active() && ok {
 			tl.Slice(v.track, "exit:"+hi.reason.String(), hi.start, v.VM.K.Eng.Now())
 		}
-		if hi != nil && hi.onDone != nil {
+		if ok && hi.onDone != nil {
 			hi.onDone()
 		}
 	case kindGuest:
-		t := v.curTask
-		v.curTask = nil
 		v.mode = kindNone
-		if t == nil {
-			return
-		}
-		q := v.tasks[t.Prio]
-		if len(q) == 0 || q[0] != t {
+		q := v.tasks[v.curPrio]
+		if len(q) == 0 {
 			panic("vmm: completed task is not at its queue head")
 		}
+		t := q[0]
 		copy(q, q[1:])
-		q[len(q)-1] = nil
-		v.tasks[t.Prio] = q[:len(q)-1]
+		q[len(q)-1] = Task{}
+		v.tasks[v.curPrio] = q[:len(q)-1]
 		if t.OnComplete != nil {
 			t.OnComplete()
+		}
+		if t.irq {
+			v.completeIRQ()
 		}
 	}
 }
@@ -427,19 +427,21 @@ func (v *VCPU) startBackgroundExits() {
 	if k.UsePI {
 		period *= 2 // APICv removes interrupt-window/TPR background exits
 	}
+	// Both callbacks are bound once, so the timer allocates nothing.
 	var arm func()
+	fire := func() {
+		if v.InGuestMode() {
+			v.BeginExit(ExitOther, nil)
+			v.poke()
+		}
+		arm()
+	}
 	arm = func() {
 		d := k.rng.ExpDuration(period)
 		if d < sim.Microsecond {
 			d = sim.Microsecond
 		}
-		k.Eng.After(d, func() {
-			if v.InGuestMode() {
-				v.BeginExit(ExitOther, nil)
-				v.poke()
-			}
-			arm()
-		})
+		k.Eng.After(d, fire)
 	}
 	arm()
 }

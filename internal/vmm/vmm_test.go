@@ -508,3 +508,60 @@ func TestVCPUTigAggregation(t *testing.T) {
 		t.Fatalf("VM TIG = %v, want %v", got, want)
 	}
 }
+
+// TestExitEntryAllocs pins a guest task's I/O-instruction exit, through
+// its handling and back into the guest, at zero allocations: the task
+// and the exit interval are held by value. The test binds its own
+// callbacks once.
+func TestExitEntryAllocs(t *testing.T) {
+	e := newEnv(1, true)
+	v := e.k.NewVM("vm", []int{0}).VCPUs[0]
+	exits := 0
+	var io, handled func()
+	io = func() { v.BeginExit(ExitIOInstruction, handled) }
+	handled = func() {
+		exits++
+		v.EnqueueTask(NewTask("io", PrioTask, sim.Microsecond, io))
+	}
+	v.EnqueueTask(NewTask("io", PrioTask, sim.Microsecond, io))
+	got := testing.AllocsPerRun(1000, func() {
+		for target := exits + 1; exits < target && e.eng.Step(); {
+		}
+	})
+	if got != 0 {
+		t.Errorf("exit and re-entry: %v allocs/op, want 0", got)
+	}
+	if exits != 1001 {
+		t.Fatalf("exits = %d, want 1001", exits)
+	}
+}
+
+// TestMSIAllocs pins a device MSI to a busy vCPU, through the IDT
+// handler to its EOI, at zero allocations on both delivery paths: the
+// notification or kick IPI rides a delay line and the handler task
+// carries its EOI as a flag.
+func TestMSIAllocs(t *testing.T) {
+	for _, posted := range []bool{true, false} {
+		e := newEnv(1, posted)
+		vm := e.k.NewVM("vm", []int{0})
+		v := vm.VCPUs[0]
+		handled := 0
+		done := func() { handled++ }
+		vec := vm.AllocVector(ClassDevice, func(*VCPU) (sim.Time, func()) { return sim.Microsecond, done })
+		addBurn(v)
+		msg := apic.MSIMessage{Vector: vec, Dest: 0, Mode: apic.LowestPriority}
+		got := testing.AllocsPerRun(500, func() {
+			e.k.InjectMSI(vm, msg)
+			// The burner never lets the queue drain: bound the steps.
+			for i, target := 0, v.IRQCompleted+1; i < 1000 && v.IRQCompleted < target; i++ {
+				e.eng.Step()
+			}
+		})
+		if got != 0 {
+			t.Errorf("posted=%t: MSI to EOI: %v allocs/op, want 0", posted, got)
+		}
+		if handled != 501 || v.IRQCompleted != 501 {
+			t.Fatalf("posted=%t: handled %d, EOIs %d, want 501", posted, handled, v.IRQCompleted)
+		}
+	}
+}

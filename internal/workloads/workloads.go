@@ -25,6 +25,9 @@ type Peer struct {
 	Delay sim.Time
 
 	flows map[int]PeerFlow
+	// out holds packets for their processing delay. The delay is
+	// constant, so send instants never decrease.
+	out *sim.DelayLine[*netsim.Packet]
 
 	// RetransmitRTO, when positive, enables go-back-N loss recovery in
 	// peer-side TCP senders created afterwards (see TCPSource). Zero
@@ -45,7 +48,9 @@ type PeerFlow interface {
 // NewPeer creates the external endpoint. Attach it to the link's far
 // side and set Port to the direction toward the host under test.
 func NewPeer(eng *sim.Engine, port *netsim.Port, delay sim.Time) *Peer {
-	return &Peer{Eng: eng, Port: port, Delay: delay, flows: make(map[int]PeerFlow)}
+	pe := &Peer{Eng: eng, Port: port, Delay: delay, flows: make(map[int]PeerFlow)}
+	pe.out = sim.NewDelayLine(eng, pe.transmit)
+	return pe
 }
 
 // Register binds a flow id to its peer-side engine.
@@ -62,9 +67,10 @@ func (pe *Peer) Receive(p *netsim.Packet) {
 
 // Send transmits a packet toward the guest after the peer's processing
 // delay.
-func (pe *Peer) Send(p *netsim.Packet) {
-	pe.Eng.After(pe.Delay, func() { pe.Port.Send(p) })
-}
+func (pe *Peer) Send(p *netsim.Packet) { pe.out.After(pe.Delay, p) }
+
+// transmit puts a packet on the wire once its processing delay is over.
+func (pe *Peer) transmit(p *netsim.Packet) { pe.Port.Send(p) }
 
 // FlowIDs hands out unique flow identifiers within a scenario.
 type FlowIDs struct{ next int }
