@@ -346,7 +346,7 @@ func main() {
 					continue
 				}
 				fmt.Printf("    --- %s\n", r.Name)
-				fmt.Println(cliflags.Indent(loadSummary(r.Load), "    "))
+				fmt.Println(cliflags.Indent(r.Load.Render(), "    "))
 			}
 		}
 		fmt.Printf("    (%d scenarios in %v wall time)\n\n", len(e.Specs), time.Since(start).Round(time.Millisecond))
@@ -539,21 +539,6 @@ func runSoak(exps []experiments.ClusterExperiment, n int, seedOverride uint64, p
 	fmt.Printf("soak ok: %d runs, zero violations\n", len(runs))
 }
 
-// loadSummary renders the open-loop offered-vs-completed line and the
-// per-phase windows of one result's LoadReport.
-func loadSummary(l *es2.LoadReport) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "load       offered=%.0f/s done=%.0f/s delivery=%.1f%% shed=%d backlog=%d knee=%.0f/s (%d streams, %.0fx compression)\n",
-		l.OfferedPerSec, l.CompletedPerSec, 100*l.DeliveryRatio,
-		l.Shed, l.BacklogEnd, l.KneeOfferedPerSec, l.Streams, l.TimeScale)
-	for _, p := range l.Phases {
-		fmt.Fprintf(&b, "  %-10s %5.2fx offered=%.0f/s delivery=%.1f%% p99=%v\n",
-			p.Name, p.Multiplier, p.OfferedPerSec, 100*p.DeliveryRatio,
-			p.P99Latency.Round(time.Microsecond))
-	}
-	return strings.TrimRight(b.String(), "\n")
-}
-
 // printClusterSummary renders one -spec run: aggregate figures plus
 // the critical-path blame tables when enabled.
 func printClusterSummary(r *es2.ClusterResult) {
@@ -564,7 +549,7 @@ func printClusterSummary(r *es2.ClusterResult) {
 			a.OpsPerSec, a.ThroughputMbps, a.MeanLatency, a.P99Latency, a.Drops)
 	}
 	if l := r.Load; l != nil {
-		fmt.Println(loadSummary(l))
+		fmt.Print(l.Render())
 	}
 	if s := r.SLO; s != nil {
 		fmt.Print(s.Render())

@@ -263,14 +263,7 @@ func run(spec es2.ScenarioSpec, out outputFlags) {
 		fmt.Printf("drops      %d\n", res.Drops)
 	}
 	if l := res.Load; l != nil {
-		fmt.Printf("load       offered=%.0f/s done=%.0f/s delivery=%.1f%% shed=%d backlog=%d knee=%.0f/s (%d streams, %.0fx compression)\n",
-			l.OfferedPerSec, l.CompletedPerSec, 100*l.DeliveryRatio,
-			l.Shed, l.BacklogEnd, l.KneeOfferedPerSec, l.Streams, l.TimeScale)
-		for _, p := range l.Phases {
-			fmt.Printf("  %-10s %5.2fx offered=%.0f/s delivery=%.1f%% p99=%v\n",
-				p.Name, p.Multiplier, p.OfferedPerSec, 100*p.DeliveryRatio,
-				p.P99Latency.Round(time.Microsecond))
-		}
+		fmt.Print(l.Render())
 	}
 	if res.VhostCPU > 0 {
 		fmt.Printf("vhost CPU  %.1f%%\n", 100*res.VhostCPU)

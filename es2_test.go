@@ -392,6 +392,26 @@ func TestMultiqueueScalesReceive(t *testing.T) {
 	}
 }
 
+// TestMultiqueueTCPSendResumesOnItsPair streams TCP from a two-queue
+// VM whose flow hashes to pair 1, with a window larger than the ring.
+// Vhost stalls hold the worker long enough for the ring to fill, so
+// the sender must park until completions free it. It has to park on
+// the pair it transmits on: parked on pair 0, which its flow never
+// uses, it never resumes and the window reads zero.
+func TestMultiqueueTCPSendResumesOnItsPair(t *testing.T) {
+	s := ScenarioSpec{
+		Name: "mq-tcp", Seed: 1, Config: PIOnly(),
+		Workload: WorkloadSpec{Kind: NetperfTCPSend, Window: 4096},
+		VCPUs:    2, VMCores: 2, VhostCores: 2, Queues: 2,
+		Warmup: 50 * time.Millisecond, Duration: 200 * time.Millisecond,
+		Faults: FaultSpec{VhostStallEvery: 5 * time.Millisecond, VhostStall: 3 * time.Millisecond},
+	}
+	r := mustRun(t, s)
+	if r.PktRate == 0 || r.ThroughputMbps < 1000 {
+		t.Fatalf("stream wedged: %.1f Mbps, %.0f pkt/s over the window", r.ThroughputMbps, r.PktRate)
+	}
+}
+
 func TestQuotaDefaultsByProtocol(t *testing.T) {
 	// The paper's Section VI-B selection: 8 for UDP streams, 4 for TCP.
 	udp := mustRun(t, short(Config{PI: true, Hybrid: true}, WorkloadSpec{Kind: NetperfUDPSend, MsgBytes: 256}))

@@ -35,14 +35,14 @@ func newRig(usePI bool) *rig {
 // pushRX emulates the back-end delivering a packet into the RX ring and
 // signaling the queue.
 func (r *rig) pushRX(p *netsim.Packet) bool {
-	d, ok := r.kern.Dev.RX.Pop()
+	d, ok := r.kern.Dev.Pairs[0].RX.Pop()
 	if !ok {
 		return false
 	}
 	d.Len = p.Bytes
 	d.Payload = p
-	r.kern.Dev.RX.PushUsed(d)
-	r.kern.Dev.RX.Signal()
+	r.kern.Dev.Pairs[0].RX.PushUsed(d)
+	r.kern.Dev.Pairs[0].RX.Signal()
 	return true
 }
 
@@ -126,7 +126,7 @@ func TestTCPReceiverStretchAck(t *testing.T) {
 	if f.AcksSent != 1 {
 		t.Fatalf("AcksSent = %d, want 1 (stretch ACK per batch)", f.AcksSent)
 	}
-	d, ok := r.kern.Dev.TX.Pop()
+	d, ok := r.kern.Dev.Pairs[0].TX.Pop()
 	if !ok {
 		t.Fatal("ACK not on TX ring")
 	}
@@ -176,7 +176,7 @@ func TestPingResponder(t *testing.T) {
 	if f.Replies != 1 {
 		t.Fatal("no reply generated")
 	}
-	d, ok := r.kern.Dev.TX.Pop()
+	d, ok := r.kern.Dev.Pairs[0].TX.Pop()
 	if !ok {
 		t.Fatal("reply not on TX ring")
 	}
@@ -201,15 +201,15 @@ func TestTransmitKickExit(t *testing.T) {
 	if got := r.vm.Exits.Count(int(vmm.ExitIOInstruction)); got != 1 {
 		t.Fatalf("IOInstruction exits = %d, want 1 (notification-mode kick)", got)
 	}
-	if r.kern.Dev.TX.Kicks != 1 {
-		t.Fatalf("delivered kicks = %d, want 1", r.kern.Dev.TX.Kicks)
+	if r.kern.Dev.Pairs[0].TX.Kicks != 1 {
+		t.Fatalf("delivered kicks = %d, want 1", r.kern.Dev.Pairs[0].TX.Kicks)
 	}
 }
 
 func TestTransmitSuppressedKickNoExit(t *testing.T) {
 	r := newRig(true)
 	v := r.vm.VCPUs[0]
-	r.kern.Dev.TX.SetNoNotify(true) // back-end is polling
+	r.kern.Dev.Pairs[0].TX.SetNoNotify(true) // back-end is polling
 	v.EnqueueTask(vmm.NewTask("send", vmm.PrioTask, sim.Microsecond, func() {
 		r.kern.Dev.Transmit(v, &netsim.Packet{Bytes: 100, Kind: KindUDP})
 	}))
@@ -217,7 +217,7 @@ func TestTransmitSuppressedKickNoExit(t *testing.T) {
 	if got := r.vm.Exits.Count(int(vmm.ExitIOInstruction)); got != 0 {
 		t.Fatalf("IOInstruction exits = %d, want 0 (suppressed)", got)
 	}
-	if r.kern.Dev.TX.SuppressedKicks != 1 {
+	if r.kern.Dev.Pairs[0].TX.SuppressedKicks != 1 {
 		t.Fatal("suppressed kick not counted")
 	}
 }
@@ -233,20 +233,20 @@ func TestTransmitRingFull(t *testing.T) {
 	if filled != 256 {
 		t.Fatalf("ring accepted %d packets, want 256", filled)
 	}
-	if dev.TX.InterruptSuppressed() {
+	if dev.Pairs[0].TX.InterruptSuppressed() {
 		t.Fatal("ring-full must enable the TX completion interrupt")
 	}
 	// Back-end completes everything and signals.
 	woken := false
-	dev.WaitTX(func() { woken = true })
+	dev.Pairs[0].WaitTX(func() { woken = true })
 	for {
-		d, ok := dev.TX.Pop()
+		d, ok := dev.Pairs[0].TX.Pop()
 		if !ok {
 			break
 		}
-		dev.TX.PushUsed(d)
+		dev.Pairs[0].TX.PushUsed(d)
 	}
-	dev.TX.Signal()
+	dev.Pairs[0].TX.Signal()
 	r.eng.Run(10 * sim.Millisecond)
 	if !woken {
 		t.Fatal("TX waiter not woken by completion interrupt")
@@ -282,7 +282,7 @@ func TestNAPICycle(t *testing.T) {
 	if recv.Pkts != 100 {
 		t.Fatalf("received %d packets, want 100", recv.Pkts)
 	}
-	napi := r.kern.Dev.NAPI()
+	napi := r.kern.Dev.Pairs[0].NAPI()
 	if napi.Scheduled() {
 		t.Fatal("NAPI should be idle after draining")
 	}
@@ -290,12 +290,12 @@ func TestNAPICycle(t *testing.T) {
 	if napi.Rounds < 2 {
 		t.Fatalf("poll rounds = %d, want >= 2", napi.Rounds)
 	}
-	if r.kern.Dev.RX.InterruptSuppressed() {
+	if r.kern.Dev.Pairs[0].RX.InterruptSuppressed() {
 		t.Fatal("RX interrupts must be re-enabled after the cycle")
 	}
 	// Ring must be refilled.
-	if r.kern.Dev.RX.AvailLen() != 256 {
-		t.Fatalf("RX ring refilled to %d, want 256", r.kern.Dev.RX.AvailLen())
+	if r.kern.Dev.Pairs[0].RX.AvailLen() != 256 {
+		t.Fatalf("RX ring refilled to %d, want 256", r.kern.Dev.Pairs[0].RX.AvailLen())
 	}
 	// One burst, NAPI masked: at most two device interrupts (one may
 	// slip in between the wake-up delivery and the ISR masking).
@@ -311,11 +311,11 @@ func TestNAPIMasksDuringPoll(t *testing.T) {
 	// Run just past the ISR (~1.75us: PI notify + IRQ entry + handler)
 	// but before the poll cycle finishes (~3.4us).
 	r.eng.Run(2 * sim.Microsecond)
-	if !r.kern.Dev.RX.InterruptSuppressed() {
+	if !r.kern.Dev.Pairs[0].RX.InterruptSuppressed() {
 		t.Fatal("RX interrupts should be masked while NAPI is scheduled")
 	}
 	r.eng.Run(50 * sim.Millisecond)
-	if r.kern.Dev.RX.InterruptSuppressed() {
+	if r.kern.Dev.Pairs[0].RX.InterruptSuppressed() {
 		t.Fatal("RX interrupts should be unmasked when idle")
 	}
 }
@@ -403,10 +403,6 @@ func TestMultiqueuePairs(t *testing.T) {
 	if len(covered) != 4 {
 		t.Fatalf("flows covered %d pairs, want 4", len(covered))
 	}
-	// Compatibility aliases point at pair 0.
-	if kern.Dev.TX != kern.Dev.Pairs[0].TX || kern.Dev.RX != kern.Dev.Pairs[0].RX {
-		t.Fatal("single-queue aliases broken")
-	}
 }
 
 func TestMultiqueueTransmitRouting(t *testing.T) {
@@ -480,7 +476,7 @@ func TestTCPSenderWindowProperty(t *testing.T) {
 func TestNAPIRoundAllocs(t *testing.T) {
 	r := newRig(true)
 	recv := NewUDPReceiver(r.kern, 4)
-	napi := r.kern.Dev.NAPI()
+	napi := r.kern.Dev.Pairs[0].NAPI()
 	pkt := &netsim.Packet{Kind: KindUDP, Flow: 4, Bytes: 256}
 	got := testing.AllocsPerRun(500, func() {
 		r.pushRX(pkt)

@@ -44,17 +44,11 @@ type QueuePair struct {
 }
 
 // NetDev is the guest's virtio-net front-end: one or more queue pairs
-// plus the device-level policy flags.
+// plus the device-level policy flags. It has no default pair: a flow
+// transmits, waits and reclaims on the pair PairFor hashes it to.
 type NetDev struct {
 	Kern  *Kernel
 	Pairs []*QueuePair
-
-	// TX and RX alias the first queue pair's rings for the common
-	// single-queue case.
-	TX *virtio.Virtqueue
-	RX *virtio.Virtqueue
-	// Affinity aliases the first pair's affinity setting.
-	Affinity int
 
 	// DoorbellNoExit models direct device assignment (SR-IOV,
 	// Section VII): the guest rings the VF's doorbell with a plain
@@ -125,9 +119,6 @@ func newNetDev(k *Kernel, ringSize, queues int) *NetDev {
 		}
 		d.Pairs = append(d.Pairs, p)
 	}
-	d.TX = d.Pairs[0].TX
-	d.RX = d.Pairs[0].RX
-	d.Affinity = d.Pairs[0].Affinity
 	return d
 }
 
@@ -253,14 +244,3 @@ func (d *NetDev) TransmitOrDrop(v *vmm.VCPU, p *netsim.Packet) bool {
 
 // WaitTXFlow registers fn on the queue pair the flow hashes to.
 func (d *NetDev) WaitTXFlow(flow int, fn func()) { d.PairFor(flow).WaitTX(fn) }
-
-// ReclaimTX reclaims completed descriptors on the first pair
-// (single-queue convenience).
-func (d *NetDev) ReclaimTX() int { return d.Pairs[0].ReclaimTX() }
-
-// WaitTX registers fn on the first pair (single-queue convenience).
-func (d *NetDev) WaitTX(fn func()) { d.Pairs[0].WaitTX(fn) }
-
-// NAPI returns the first pair's NAPI context (single-queue
-// convenience).
-func (d *NetDev) NAPI() *NAPI { return d.Pairs[0].napi }

@@ -1,23 +1,17 @@
 package metrics
 
-import (
-	"fmt"
-	"strings"
-
-	"es2/internal/sim"
-)
+import "es2/internal/sim"
 
 // Breakdown tallies events by a small integer category (e.g. VM exit
-// reason) and renders the percentage/rate tables that the paper reports
+// reason), for the count and rate tables that the paper reports
 // (Table I, Fig. 5).
 type Breakdown struct {
-	labels []string
 	counts []uint64
 }
 
-// NewBreakdown creates a breakdown over the given category labels.
-func NewBreakdown(labels ...string) *Breakdown {
-	return &Breakdown{labels: labels, counts: make([]uint64, len(labels))}
+// NewBreakdown creates a breakdown over n categories, numbered from 0.
+func NewBreakdown(n int) *Breakdown {
+	return &Breakdown{counts: make([]uint64, n)}
 }
 
 // Inc adds one event to category i.
@@ -42,16 +36,6 @@ func (b *Breakdown) Total() uint64 {
 	return t
 }
 
-// Percent returns category i's share of the total, in percent
-// (0 when the breakdown is empty).
-func (b *Breakdown) Percent(i int) float64 {
-	t := b.Total()
-	if t == 0 {
-		return 0
-	}
-	return 100 * float64(b.counts[i]) / float64(t)
-}
-
 // Rate returns category i's events per second of elapsed virtual time.
 func (b *Breakdown) Rate(i int, elapsed sim.Time) float64 {
 	if elapsed <= 0 {
@@ -66,29 +50,4 @@ func (b *Breakdown) TotalRate(elapsed sim.Time) float64 {
 		return 0
 	}
 	return float64(b.Total()) / elapsed.Seconds()
-}
-
-// Labels returns the category labels.
-func (b *Breakdown) Labels() []string { return b.labels }
-
-// Table renders a two-row table (percent and events/s), in the style of
-// the paper's Table I.
-func (b *Breakdown) Table(elapsed sim.Time) string {
-	var sb strings.Builder
-	fmt.Fprintf(&sb, "%-22s", "Category")
-	for _, l := range b.labels {
-		fmt.Fprintf(&sb, "%16s", l)
-	}
-	fmt.Fprintf(&sb, "%16s\n", "Total")
-	fmt.Fprintf(&sb, "%-22s", "Share (%)")
-	for i := range b.labels {
-		fmt.Fprintf(&sb, "%15.1f%%", b.Percent(i))
-	}
-	fmt.Fprintf(&sb, "%15.1f%%\n", 100.0)
-	fmt.Fprintf(&sb, "%-22s", "Events/s")
-	for i := range b.labels {
-		fmt.Fprintf(&sb, "%16.0f", b.Rate(i, elapsed))
-	}
-	fmt.Fprintf(&sb, "%16.0f\n", b.TotalRate(elapsed))
-	return sb.String()
 }

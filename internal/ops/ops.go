@@ -22,6 +22,8 @@ import (
 	"strings"
 	"sync"
 	"time"
+
+	"es2/internal/telemetry"
 )
 
 // maxRecentRuns bounds the per-run history kept for /progress.
@@ -219,30 +221,11 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		for _, k := range keys {
 			u := last[k]
 			fmt.Fprintf(&b, "es2_ops_run_events_per_sec{run=\"%s\",seed=\"%d\"} %g\n",
-				escapeLabelValue(u.Name), u.Seed, u.EventsPerSec)
+				telemetry.EscapeLabel(u.Name), u.Seed, u.EventsPerSec)
 		}
 	}
 	b.WriteString("# EOF\n")
 
 	w.Header().Set("Content-Type", "application/openmetrics-text; version=1.0.0; charset=utf-8")
 	fmt.Fprint(w, b.String()) //nolint:errcheck // best-effort HTTP response
-}
-
-// escapeLabelValue applies the OpenMetrics label-value escapes:
-// backslash, double quote and line feed.
-func escapeLabelValue(v string) string {
-	var b strings.Builder
-	for i := 0; i < len(v); i++ {
-		switch v[i] {
-		case '\\':
-			b.WriteString(`\\`)
-		case '"':
-			b.WriteString(`\"`)
-		case '\n':
-			b.WriteString(`\n`)
-		default:
-			b.WriteByte(v[i])
-		}
-	}
-	return b.String()
 }

@@ -17,12 +17,9 @@ import "fmt"
 type DelayLine[T any] struct {
 	eng  *Engine
 	fn   func(T)
-	fire func() // d.deliver, bound once
-	last Time   // deadline of the latest value sent
-
-	buf  []T // FIFO storage; len is zero or a power of two
-	head int
-	n    int
+	fire func()  // d.deliver, bound once
+	last Time    // deadline of the latest value sent
+	q    Ring[T] // values sent and not yet delivered
 }
 
 // NewDelayLine returns an empty line that delivers values to fn.
@@ -44,11 +41,7 @@ func (d *DelayLine[T]) At(t Time, v T) {
 	}
 	d.eng.At(t, d.fire) // first: a deadline in the past panics here
 	d.last = t
-	if d.n == len(d.buf) {
-		d.grow()
-	}
-	d.buf[(d.head+d.n)&(len(d.buf)-1)] = v
-	d.n++
+	d.q.Push(v)
 }
 
 // After sends v to be delivered delay from now.
@@ -61,20 +54,4 @@ func (d *DelayLine[T]) After(delay Time, v T) {
 
 // deliver pops the head value and hands it to the callback. The slot
 // is cleared first, so the line does not keep the value alive.
-func (d *DelayLine[T]) deliver() {
-	v := d.buf[d.head]
-	var zero T
-	d.buf[d.head] = zero
-	d.head = (d.head + 1) & (len(d.buf) - 1)
-	d.n--
-	d.fn(v)
-}
-
-// grow doubles buf from a few slots, unwrapping the values to start at
-// index 0.
-func (d *DelayLine[T]) grow() {
-	buf := make([]T, max(2*len(d.buf), 4))
-	k := copy(buf, d.buf[d.head:])
-	copy(buf[k:], d.buf[:d.head])
-	d.buf, d.head = buf, 0
-}
+func (d *DelayLine[T]) deliver() { d.fn(d.q.Pop()) }

@@ -309,8 +309,8 @@ func FuzzDelayLine(f *testing.F) {
 			t.Fatalf("after draining: delay lines fired %v, closures %v", fired, want)
 		}
 		for i, l := range lines {
-			if l.n != 0 {
-				t.Fatalf("line %d holds %d values after draining", i, l.n)
+			if l.q.Len() != 0 {
+				t.Fatalf("line %d holds %d values after draining", i, l.q.Len())
 			}
 		}
 	})

@@ -1,0 +1,221 @@
+package sim
+
+import (
+	"slices"
+	"testing"
+)
+
+// drain pops every value off r, in order.
+func drain[T any](r *Ring[T]) []T {
+	var out []T
+	for r.Len() > 0 {
+		out = append(out, r.Pop())
+	}
+	return out
+}
+
+// A ring that fills while its head is mid-storage grows without
+// reordering: the wrapped values come out first, then the new ones.
+func TestRingGrowsWhileWrapped(t *testing.T) {
+	var r Ring[int]
+	for i := 0; i < 3; i++ {
+		r.Push(-1)
+		r.Pop()
+	}
+	next := 0
+	for r.Len() < len(r.buf) {
+		r.Push(next)
+		next++
+	}
+	if r.head == 0 {
+		t.Fatalf("precondition: head at 0 (storage %d)", len(r.buf))
+	}
+	for i := 0; i < 5; i++ {
+		r.Push(next)
+		next++
+	}
+	for want := 0; want < next; want++ {
+		if got := r.Pop(); got != want {
+			t.Fatalf("Pop %d = %d", want, got)
+		}
+	}
+	if r.Len() != 0 {
+		t.Fatalf("Len = %d after draining", r.Len())
+	}
+}
+
+// PushFront puts a value ahead of every value already queued, also when
+// it wraps head below index 0 and when it finds the ring full.
+func TestRingPushFront(t *testing.T) {
+	var r Ring[int]
+	r.Push(1)
+	r.Push(2)
+	r.PushFront(0)
+	r.Push(3)
+	r.PushFront(-1) // full: grows, then wraps head to the last slot
+	if f := *r.Front(); f != -1 {
+		t.Fatalf("Front = %d, want -1", f)
+	}
+	*r.Front() = -2 // Front points at the head in place
+	if got, want := drain(&r), []int{-2, 0, 1, 2, 3}; !slices.Equal(got, want) {
+		t.Fatalf("drained %v, want %v", got, want)
+	}
+}
+
+// Popped and cleared slots hold the zero value, so the ring keeps no
+// popped value alive.
+func TestRingClearsSlots(t *testing.T) {
+	var r Ring[*int]
+	vals := make([]int, 40)
+	for i := 0; i < 3; i++ {
+		r.Push(&vals[i])
+	}
+	r.Pop()
+	r.Pop()
+	for i := 3; i < len(vals); i++ {
+		r.Push(&vals[i])
+	}
+	for i, p := range drain(&r) {
+		if p != &vals[i+2] {
+			t.Fatalf("value %d out of order", i)
+		}
+	}
+	for i, p := range r.buf {
+		if p != nil {
+			t.Fatalf("slot %d still holds a popped value", i)
+		}
+	}
+	for i := range 6 {
+		r.Push(&vals[i])
+	}
+	r.Pop()
+	r.Clear()
+	if r.Len() != 0 {
+		t.Fatalf("Len = %d after Clear", r.Len())
+	}
+	for i, p := range r.buf {
+		if p != nil {
+			t.Fatalf("slot %d still holds a value after Clear", i)
+		}
+	}
+	r.Push(&vals[7])
+	if r.Pop() != &vals[7] || r.Len() != 0 {
+		t.Fatal("ring unusable after Clear")
+	}
+}
+
+func TestRingEmptyPanics(t *testing.T) {
+	var used Ring[int]
+	used.Push(1)
+	used.Pop()
+	for _, c := range []struct {
+		what string
+		f    func()
+	}{
+		{"Pop of a zero ring", func() { var r Ring[int]; r.Pop() }},
+		{"Front of a zero ring", func() { var r Ring[int]; r.Front() }},
+		{"Pop of an emptied ring", func() { used.Pop() }},
+		{"Front of an emptied ring", func() { used.Front() }},
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s did not panic", c.what)
+				}
+			}()
+			c.f()
+		}()
+	}
+	if used.Len() != 0 {
+		t.Fatalf("Len = %d after the refused pops", used.Len())
+	}
+}
+
+// A push and a pop allocate nothing once the ring has grown to the
+// working depth.
+func TestRingAllocs(t *testing.T) {
+	var r Ring[*int]
+	v := new(int)
+	for range 3 {
+		r.Push(v)
+	}
+	got := testing.AllocsPerRun(1000, func() {
+		r.Push(v)
+		r.PushFront(v)
+		r.Pop()
+		r.Pop()
+	})
+	if got != 0 {
+		t.Fatalf("Push/PushFront/Pop: %v allocs/op, want 0", got)
+	}
+}
+
+// The op codes of FuzzRing's input, one byte per op (taken mod 8), so
+// pushes outweigh pops and the ring wraps and grows.
+const (
+	ringPush      = 0 // and 1, 2
+	ringPushFront = 3 // and 4
+	ringPop       = 5 // and 6
+	ringClear     = 7
+)
+
+// FuzzRing runs a stream of Push, PushFront, Pop and Clear ops against
+// a ring and a slice. After every op the two must hold the same values
+// in the same order, and every slot outside the ring's values must be
+// zero.
+func FuzzRing(f *testing.F) {
+	f.Add([]byte{})
+	// Wrap with pops, then grow while wrapped, then drain.
+	f.Add([]byte{0, 0, 0, 5, 5, 0, 0, 0, 0, 0, 0, 5, 5, 5, 5, 5, 5, 5, 5})
+	// PushFront wrapping head below 0 and growing, pops on an empty
+	// ring, then a Clear and reuse.
+	f.Add([]byte{3, 3, 3, 3, 3, 0, 4, 5, 5, 5, 5, 5, 5, 5, 6, 0, 3, 7, 0, 5})
+	r := NewRand(1)
+	long := make([]byte, 512)
+	for i := range long {
+		long[i] = byte(r.Intn(256))
+	}
+	f.Add(long)
+
+	f.Fuzz(func(t *testing.T, ops []byte) {
+		var r Ring[int]
+		var ref []int
+		for i, op := range ops {
+			v := i + 1 // zero marks a cleared slot
+			switch op % 8 {
+			case ringPush, ringPush + 1, ringPush + 2:
+				r.Push(v)
+				ref = append(ref, v)
+			case ringPushFront, ringPushFront + 1:
+				r.PushFront(v)
+				ref = slices.Insert(ref, 0, v)
+			case ringPop, ringPop + 1:
+				if len(ref) == 0 {
+					continue
+				}
+				if got := r.Pop(); got != ref[0] {
+					t.Fatalf("op %d: Pop = %d, want %d", i, got, ref[0])
+				}
+				ref = ref[1:]
+			case ringClear:
+				r.Clear()
+				ref = ref[:0]
+			}
+			if r.Len() != len(ref) {
+				t.Fatalf("op %d: Len = %d, want %d", i, r.Len(), len(ref))
+			}
+			for j, slot := range r.buf {
+				k := (j - r.head) & (len(r.buf) - 1) // position from the head
+				if k < len(ref) && slot != ref[k] {
+					t.Fatalf("op %d: value %d is %d, want %d", i, k, slot, ref[k])
+				}
+				if k >= len(ref) && slot != 0 {
+					t.Fatalf("op %d: free slot %d holds %d", i, j, slot)
+				}
+			}
+		}
+		if got := drain(&r); !slices.Equal(got, ref) {
+			t.Fatalf("drained %v, want %v", got, ref)
+		}
+	})
+}

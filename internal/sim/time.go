@@ -40,9 +40,6 @@ func DurationOf(d time.Duration) Time { return Time(d.Nanoseconds()) }
 // Seconds reports t as a floating-point number of seconds.
 func (t Time) Seconds() float64 { return float64(t) / float64(Second) }
 
-// Micros reports t as a floating-point number of microseconds.
-func (t Time) Micros() float64 { return float64(t) / float64(Microsecond) }
-
 // Millis reports t as a floating-point number of milliseconds.
 func (t Time) Millis() float64 { return float64(t) / float64(Millisecond) }
 

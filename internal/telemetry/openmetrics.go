@@ -139,7 +139,7 @@ func renderLabels(labels []Label, extraKey, extraVal string) string {
 		}
 		b.WriteString(l.Key)
 		b.WriteString("=\"")
-		b.WriteString(escapeLabel(l.Value))
+		b.WriteString(EscapeLabel(l.Value))
 		b.WriteByte('"')
 	}
 	if extraKey != "" {
@@ -148,16 +148,17 @@ func renderLabels(labels []Label, extraKey, extraVal string) string {
 		}
 		b.WriteString(extraKey)
 		b.WriteString("=\"")
-		b.WriteString(escapeLabel(extraVal))
+		b.WriteString(EscapeLabel(extraVal))
 		b.WriteByte('"')
 	}
 	b.WriteByte('}')
 	return b.String()
 }
 
-// escapeLabel applies the OpenMetrics label-value escapes: backslash,
-// double quote and line feed.
-func escapeLabel(v string) string {
+// EscapeLabel applies the OpenMetrics label-value escapes: backslash,
+// double quote and line feed. Every exposition in the tree escapes
+// label values through it.
+func EscapeLabel(v string) string {
 	var b strings.Builder
 	for i := 0; i < len(v); i++ {
 		switch v[i] {
@@ -174,7 +175,7 @@ func escapeLabel(v string) string {
 	return b.String()
 }
 
-// UnescapeLabel reverses escapeLabel (used by the exposition lint
+// UnescapeLabel reverses EscapeLabel (used by the exposition lint
 // test's parser).
 func UnescapeLabel(v string) string {
 	var b strings.Builder

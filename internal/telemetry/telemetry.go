@@ -66,7 +66,7 @@ func (p *probe) column() string {
 		if i > 0 {
 			s += ","
 		}
-		s += l.Key + "=\"" + escapeLabel(l.Value) + "\""
+		s += l.Key + "=\"" + EscapeLabel(l.Value) + "\""
 	}
 	return s + "}"
 }

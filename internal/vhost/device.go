@@ -57,7 +57,7 @@ type Device struct {
 	rx  *rxHandler
 	rng *sim.Rand
 
-	backlog []*netsim.Packet
+	backlog sim.Ring[*netsim.Packet] // the tap buffer
 
 	// Wire-side statistics.
 	TxPkts, TxBytes uint64
@@ -109,19 +109,19 @@ func NewDevice(name string, io *IOThread, txq, rxq *virtio.Virtqueue, port netsi
 // Receive implements netsim.Endpoint: ingress from the wire lands in
 // the tap backlog and schedules the RX handler.
 func (d *Device) Receive(p *netsim.Packet) {
-	if len(d.backlog) >= d.Params.BacklogCap {
+	if d.backlog.Len() >= d.Params.BacklogCap {
 		d.BacklogDrops++
 		return
 	}
 	// Wire/fabric transit (plus any peer turnaround) closes here, and
 	// backend-rx opens.
 	d.Causal.Mark(&p.Unit, causal.StageWire, d.IO.s.Now())
-	d.backlog = append(d.backlog, p)
+	d.backlog.Push(p)
 	d.IO.enqueue(d.rx)
 }
 
 // Backlog returns the current ingress backlog length.
-func (d *Device) Backlog() int { return len(d.backlog) }
+func (d *Device) Backlog() int { return d.backlog.Len() }
 
 // DropBacklog discards every queued ingress frame, counting them as
 // backlog drops. Used by host-crash injection: the tap buffer does not
@@ -129,11 +129,8 @@ func (d *Device) Backlog() int { return len(d.backlog) }
 // does. In-flight RX handler plans notice the head changed and abort
 // safely.
 func (d *Device) DropBacklog() int {
-	n := len(d.backlog)
-	for i := range d.backlog {
-		d.backlog[i] = nil
-	}
-	d.backlog = d.backlog[:0]
+	n := d.backlog.Len()
+	d.backlog.Clear()
 	d.BacklogDrops += uint64(n)
 	return n
 }
@@ -229,20 +226,20 @@ func (d *Device) StartRePoll(period sim.Time) {
 			txStrikes = 0
 		}
 		lastTxPopped = d.TXQ.Popped
-		if txStrikes >= 2 && !d.IO.queued[d.tx] {
+		if txStrikes >= 2 && !d.tx.queued {
 			txStrikes = 0
 			d.RePolls++
 			d.IO.enqueue(d.tx)
 		}
 		// RX: wire packets wait in the backlog, guest buffers exist,
 		// yet nothing has been delivered.
-		if len(d.backlog) > 0 && d.RXQ.AvailLen() > 0 && d.RxPkts == lastRxPkts {
+		if d.backlog.Len() > 0 && d.RXQ.AvailLen() > 0 && d.RxPkts == lastRxPkts {
 			rxStrikes++
 		} else {
 			rxStrikes = 0
 		}
 		lastRxPkts = d.RxPkts
-		if rxStrikes >= 2 && !d.IO.queued[d.rx] {
+		if rxStrikes >= 2 && !d.rx.queued {
 			rxStrikes = 0
 			d.RePolls++
 			d.IO.enqueue(d.rx)
@@ -255,6 +252,7 @@ func (d *Device) StartRePoll(period sim.Time) {
 // --- TX handler: Algorithm 1 ---
 
 type txHandler struct {
+	workBit
 	dev      *Device
 	workload int
 	requeued bool
@@ -352,6 +350,7 @@ func (h *txHandler) sendEffect() {
 // --- RX handler ---
 
 type rxHandler struct {
+	workBit
 	dev           *Device
 	served        int
 	requeued      bool
@@ -379,7 +378,7 @@ func (h *rxHandler) turnStart() {
 
 func (h *rxHandler) plan() (sim.Time, func()) {
 	dev := h.dev
-	if h.requeued || len(dev.backlog) == 0 || dev.RXQ.AvailLen() == 0 {
+	if h.requeued || dev.backlog.Len() == 0 || dev.RXQ.AvailLen() == 0 {
 		// The turn is ending (quota, drained, or buffer-starved):
 		// signal the guest once for the whole batch, as
 		// vhost_signal does at the end of handle_rx — unless interrupt
@@ -391,7 +390,7 @@ func (h *rxHandler) plan() (sim.Time, func()) {
 				return dev.Params.SignalCost, h.signal
 			}
 		}
-		if h.requeued || len(dev.backlog) == 0 {
+		if h.requeued || dev.backlog.Len() == 0 {
 			return 0, nil // wake on next Receive (or next turn)
 		}
 		// No guest buffers: ask the guest to kick us after refilling.
@@ -404,7 +403,7 @@ func (h *rxHandler) plan() (sim.Time, func()) {
 		}
 		return 0, nil
 	}
-	h.pkt = dev.backlog[0]
+	h.pkt = *dev.backlog.Front()
 	cost := dev.jitter(dev.Params.rxCost(h.pkt.Bytes))
 	dev.IO.act = actRX
 	return cost, h.recv
@@ -415,12 +414,10 @@ func (h *rxHandler) plan() (sim.Time, func()) {
 func (h *rxHandler) recvEffect() {
 	dev, pkt := h.dev, h.pkt
 	h.pkt = nil
-	if len(dev.backlog) == 0 || dev.backlog[0] != pkt {
+	if dev.backlog.Len() == 0 || *dev.backlog.Front() != pkt {
 		return // raced with a drop; nothing to do
 	}
-	copy(dev.backlog, dev.backlog[1:])
-	dev.backlog[len(dev.backlog)-1] = nil
-	dev.backlog = dev.backlog[:len(dev.backlog)-1]
+	dev.backlog.Pop()
 	desc, ok := dev.RXQ.Pop()
 	if !ok {
 		dev.BacklogDrops++
@@ -440,7 +437,7 @@ func (h *rxHandler) recvEffect() {
 	// The ES2 quota governs guest I/O-request polling (the TX
 	// virtqueue); wire ingress keeps vhost's own handle_rx budget
 	// so receive batching is unaffected by the hybrid scheme.
-	if h.served >= rxBudget && len(dev.backlog) > 0 {
+	if h.served >= rxBudget && dev.backlog.Len() > 0 {
 		h.requeued = true
 		dev.IO.requeue(h)
 	}

@@ -39,7 +39,18 @@ type handler interface {
 	plan() (cost sim.Time, effect func())
 	// label names the handler on timeline turn slices ("tx", "rx").
 	label() string
+	// bit returns the handler's work-queue bit.
+	bit() *workBit
 }
+
+// workBit is the work-queue membership every handler embeds, as
+// Linux's vhost_work carries VHOST_WORK_QUEUED. queued is set while
+// the handler waits in the work queue and cleared when its turn is
+// dispatched, so a handler waits in the queue at most once, and a kick
+// during its own turn queues it for the next.
+type workBit struct{ queued bool }
+
+func (w *workBit) bit() *workBit { return w }
 
 // IOThread is the vhost worker: one host thread draining a FIFO work
 // queue of handlers, exactly one turn at a time.
@@ -50,10 +61,7 @@ type IOThread struct {
 	Thread *sched.Thread
 	params Params
 
-	work []handler
-	// queued tracks membership in work (or the running slot) so a
-	// handler is never double-queued.
-	queued map[handler]bool
+	work sim.Ring[handler] // handlers whose queued bit is set
 
 	cur       handler
 	inSwitch  bool // the HandlerSwitch overhead chunk is in flight
@@ -84,7 +92,7 @@ type IOThread struct {
 
 // NewIOThread creates the worker pinned to the given core.
 func NewIOThread(name string, s *sched.Scheduler, core int, params Params) *IOThread {
-	t := &IOThread{Name: name, s: s, params: params, queued: make(map[handler]bool), track: trace.NoTrack}
+	t := &IOThread{Name: name, s: s, params: params, track: trace.NoTrack}
 	t.Thread = s.NewThread(name, core, 0, t)
 	return t
 }
@@ -138,11 +146,9 @@ func (t *IOThread) profLeaf() *profile.Node {
 // enqueue appends h to the work queue (idempotent) and wakes the
 // thread.
 func (t *IOThread) enqueue(h handler) {
-	if t.queued[h] {
+	if !t.requeue(h) {
 		return
 	}
-	t.queued[h] = true
-	t.work = append(t.work, h)
 	if t.Thread.State() == sched.Sleeping {
 		t.needWake = true
 		t.s.Wake(t.Thread)
@@ -181,15 +187,12 @@ func (t *IOThread) NextChunk() sim.Time {
 			}
 			return t.remaining
 		}
-		if len(t.work) == 0 {
+		if t.work.Len() == 0 {
 			return 0 // sleep
 		}
 		// Dispatch the next handler turn.
-		next := t.work[0]
-		copy(t.work, t.work[1:])
-		t.work[len(t.work)-1] = nil
-		t.work = t.work[:len(t.work)-1]
-		delete(t.queued, next)
+		next := t.work.Pop()
+		next.bit().queued = false
 		t.cur = next
 		t.Turns++
 		if t.tl != nil {
@@ -239,6 +242,7 @@ func (t *IOThread) InjectStall(d sim.Time) {
 
 // stallHandler burns a fixed amount of worker CPU once.
 type stallHandler struct {
+	workBit
 	io     *IOThread
 	d      sim.Time
 	burned bool
@@ -257,13 +261,18 @@ func (h *stallHandler) plan() (sim.Time, func()) {
 
 func (h *stallHandler) label() string { return "stall" }
 
-// requeue puts the current handler back at the tail of the work queue
-// (Algorithm 1's "goto schedule").
-func (t *IOThread) requeue(h handler) {
-	if !t.queued[h] {
-		t.queued[h] = true
-		t.work = append(t.work, h)
+// requeue appends h to the tail of the work queue unless its queued
+// bit says it already waits there, and reports whether it did. A
+// handler whose turn ends early puts itself back this way (Algorithm
+// 1's "goto schedule"); enqueue also wakes the thread.
+func (t *IOThread) requeue(h handler) bool {
+	w := h.bit()
+	if w.queued {
+		return false
 	}
+	w.queued = true
+	t.work.Push(h)
+	return true
 }
 
 // clampChunk guards a zero remainder after a boundary-exact preemption.

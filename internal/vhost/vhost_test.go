@@ -351,3 +351,37 @@ func TestTXTurnAllocs(t *testing.T) {
 		t.Fatalf("sent %d packets in %d turns, want %d in 501", r.dev.TxPkts, r.io.Turns, 4*501)
 	}
 }
+
+// A handler waits in the work queue at most once: a second kick while
+// it is queued folds into the same turn. Each injected stall is a
+// handler of its own, so two stalls injected back to back both run.
+func TestQueuedHandlerTakesOneTurn(t *testing.T) {
+	const stall = 100 * sim.Microsecond
+	r := newRig(false, 0)
+	r.io.InjectStall(stall) // the worker is busy when the kicks land
+	r.dev.TXQ.Add(virtio.Desc{Len: 1000, Payload: &netsim.Packet{Bytes: 1000}})
+	r.dev.TXQ.Kick()
+	r.dev.TXQ.Kick()
+	if !r.dev.tx.queued || r.io.work.Len() != 1 {
+		t.Fatalf("after two kicks: queued %t, %d handlers waiting, want true and 1", r.dev.tx.queued, r.io.work.Len())
+	}
+	r.eng.RunAll()
+	if r.dev.TXQ.Kicks != 2 || r.io.Turns != 2 || len(r.wire) != 1 {
+		t.Fatalf("a stall and %d kicks gave %d turns and %d packets, want 2, 2 and 1",
+			r.dev.TXQ.Kicks, r.io.Turns, len(r.wire))
+	}
+	if r.dev.tx.queued {
+		t.Fatal("queued bit still set after the turn")
+	}
+
+	busy := r.io.Thread.SumExec()
+	r.io.InjectStall(stall)
+	r.io.InjectStall(stall)
+	r.eng.RunAll()
+	if r.io.Stalls != 3 || r.io.Turns != 4 {
+		t.Fatalf("%d stalls injected and %d turns in all, want 3 and 4", r.io.Stalls, r.io.Turns)
+	}
+	if ran := r.io.Thread.SumExec() - busy; ran < 2*stall {
+		t.Fatalf("worker ran %v for two %v stalls", ran, stall)
+	}
+}

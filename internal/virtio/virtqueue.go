@@ -40,10 +40,13 @@ type Virtqueue struct {
 	name string
 	size int
 
-	avail    ring   // posted by the driver, not yet consumed by the device
-	used     ring   // completed by the device, not yet reclaimed by the driver
-	inflight int    // popped by the device, not yet pushed used
-	batch    []Desc // CollectUsed's result, reused by its next call
+	// avail and used grow with the descriptors they hold, not with the
+	// queue size: only pre-posted RX avail rings ever fill, while used
+	// rings and TX avail rings hold a handful at a time.
+	avail    sim.Ring[Desc] // posted by the driver, not yet consumed by the device
+	used     sim.Ring[Desc] // completed by the device, not yet reclaimed by the driver
+	inflight int            // popped by the device, not yet pushed used
+	batch    []Desc         // CollectUsed's result, reused by its next call
 
 	noNotify    bool // device->driver: suppress guest kicks
 	noInterrupt bool // driver->device: suppress device interrupts
@@ -113,7 +116,7 @@ func (q *Virtqueue) OnInterrupt(fn func()) { q.interrupt = fn }
 
 // outstanding is the number of descriptors the driver cannot reuse yet:
 // still available, held by the device, or completed but unreclaimed.
-func (q *Virtqueue) outstanding() int { return q.avail.n + q.inflight + q.used.n }
+func (q *Virtqueue) outstanding() int { return q.avail.Len() + q.inflight + q.used.Len() }
 
 // Full reports whether the ring has no free descriptor.
 func (q *Virtqueue) Full() bool { return q.outstanding() >= q.size }
@@ -122,11 +125,11 @@ func (q *Virtqueue) Full() bool { return q.outstanding() >= q.size }
 func (q *Virtqueue) Free() int { return q.size - q.outstanding() }
 
 // AvailLen returns the number of descriptors awaiting the device.
-func (q *Virtqueue) AvailLen() int { return q.avail.n }
+func (q *Virtqueue) AvailLen() int { return q.avail.Len() }
 
 // UsedLen returns the number of completed descriptors awaiting the
 // driver.
-func (q *Virtqueue) UsedLen() int { return q.used.n }
+func (q *Virtqueue) UsedLen() int { return q.used.Len() }
 
 // --- driver (guest front-end) side ---
 
@@ -139,7 +142,7 @@ func (q *Virtqueue) Add(d Desc) bool {
 	if q.resLat != nil {
 		d.SpanT = q.resNow()
 	}
-	q.avail.push(d)
+	q.avail.Push(d)
 	q.Added++
 	return true
 }
@@ -183,13 +186,13 @@ func (q *Virtqueue) KickSuppressed() bool { return q.noNotify }
 // next CollectUsed call, so the driver consumes it before collecting
 // again.
 func (q *Virtqueue) CollectUsed(max int) []Desc {
-	n := q.used.n
+	n := q.used.Len()
 	if max > 0 && max < n {
 		n = max
 	}
 	q.batch = q.batch[:0]
 	for i := 0; i < n; i++ {
-		q.batch = append(q.batch, q.used.pop())
+		q.batch = append(q.batch, q.used.Pop())
 	}
 	return q.batch
 }
@@ -205,10 +208,10 @@ func (q *Virtqueue) InterruptSuppressed() bool { return q.noInterrupt }
 
 // Pop consumes the next available descriptor.
 func (q *Virtqueue) Pop() (Desc, bool) {
-	if q.avail.n == 0 {
+	if q.avail.Len() == 0 {
 		return Desc{}, false
 	}
-	d := q.avail.pop()
+	d := q.avail.Pop()
 	q.inflight++
 	q.Popped++
 	if q.resLat != nil {
@@ -223,7 +226,7 @@ func (q *Virtqueue) PushUsed(d Desc) {
 		panic("virtio: PushUsed without matching Pop")
 	}
 	q.inflight--
-	q.used.push(d)
+	q.used.Push(d)
 }
 
 // Signal raises the queue's interrupt toward the guest. It reports
@@ -253,8 +256,8 @@ func (q *Virtqueue) CheckInvariants() error {
 	if out := q.outstanding(); out > q.size {
 		return fmt.Errorf("vq %s: %d descriptors outstanding exceeds ring size %d", q.name, out, q.size)
 	}
-	if q.Added-q.Popped != uint64(q.avail.n) {
-		return fmt.Errorf("vq %s: Added-Popped=%d but avail holds %d", q.name, q.Added-q.Popped, q.avail.n)
+	if q.Added-q.Popped != uint64(q.avail.Len()) {
+		return fmt.Errorf("vq %s: Added-Popped=%d but avail holds %d", q.name, q.Added-q.Popped, q.avail.Len())
 	}
 	return nil
 }
@@ -278,43 +281,5 @@ func (q *Virtqueue) SetNoNotify(no bool) { q.noNotify = no }
 
 // String summarizes the queue state.
 func (q *Virtqueue) String() string {
-	return fmt.Sprintf("vq(%s: avail=%d used=%d free=%d)", q.name, q.avail.n, q.used.n, q.Free())
-}
-
-// ring is a FIFO of descriptors: n entries starting at buf[head],
-// wrapping at the end of buf. Like a split ring's index pair, consuming
-// an entry only advances head. buf grows by doubling when a push finds
-// it full rather than being sized to the queue up front: only pre-posted
-// RX avail rings ever fill, while used rings and TX avail rings hold a
-// handful of descriptors at a time.
-type ring struct {
-	buf  []Desc // len is zero or a power of two
-	head int
-	n    int
-}
-
-func (r *ring) push(d Desc) {
-	if r.n == len(r.buf) {
-		r.grow()
-	}
-	r.buf[(r.head+r.n)&(len(r.buf)-1)] = d
-	r.n++
-}
-
-// pop removes the oldest entry; the ring must not be empty. The slot is
-// cleared so the ring does not keep the payload alive.
-func (r *ring) pop() Desc {
-	d := r.buf[r.head]
-	r.buf[r.head] = Desc{}
-	r.head = (r.head + 1) & (len(r.buf) - 1)
-	r.n--
-	return d
-}
-
-// grow doubles buf, unwrapping the entries to start at index 0.
-func (r *ring) grow() {
-	buf := make([]Desc, max(2*len(r.buf), 4))
-	k := copy(buf, r.buf[r.head:])
-	copy(buf[k:], r.buf[:r.head])
-	r.buf, r.head = buf, 0
+	return fmt.Sprintf("vq(%s: avail=%d used=%d free=%d)", q.name, q.avail.Len(), q.used.Len(), q.Free())
 }

@@ -231,38 +231,6 @@ func TestVirtqueueConservationProperty(t *testing.T) {
 	}
 }
 
-// A ring that fills while its head is mid-storage grows without
-// reordering: the wrapped entries come out first, then the new ones.
-func TestRingGrowsWhileWrapped(t *testing.T) {
-	q := New("tx", 64)
-	for i := 0; i < 3; i++ {
-		q.Add(Desc{Len: -1})
-		d, _ := q.Pop()
-		q.PushUsed(d)
-	}
-	q.CollectUsed(0)
-	next := 0
-	for q.AvailLen() < len(q.avail.buf) {
-		q.Add(Desc{Len: next})
-		next++
-	}
-	if q.avail.head == 0 {
-		t.Fatalf("precondition: avail ring head at 0 (storage %d)", len(q.avail.buf))
-	}
-	for i := 0; i < 5; i++ {
-		q.Add(Desc{Len: next})
-		next++
-	}
-	for want := 0; want < next; want++ {
-		if d, ok := q.Pop(); !ok || d.Len != want {
-			t.Fatalf("Pop %d = %+v,%t", want, d, ok)
-		}
-	}
-	if q.AvailLen() != 0 {
-		t.Fatalf("AvailLen = %d after draining", q.AvailLen())
-	}
-}
-
 // A descriptor's round trip through the queue allocates nothing once
 // both rings and the used batch have grown to the working depth.
 func TestRoundTripAllocs(t *testing.T) {

@@ -52,12 +52,3 @@ func (r ExitReason) String() string {
 		return fmt.Sprintf("ExitReason(%d)", int(r))
 	}
 }
-
-// ExitLabels returns the labels in ExitReason order, for breakdowns.
-func ExitLabels() []string {
-	ls := make([]string, NumExitReasons)
-	for i := 0; i < NumExitReasons; i++ {
-		ls[i] = ExitReason(i).String()
-	}
-	return ls
-}

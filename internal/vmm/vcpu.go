@@ -50,8 +50,8 @@ type VCPU struct {
 	// re-picks curPrio when it does.
 	hostCur hostInterval
 	inExit  bool
-	hostQ   []hostInterval
-	tasks   [numPrios][]Task
+	hostQ   sim.Ring[hostInterval]
+	tasks   [numPrios]sim.Ring[Task]
 	curPrio Prio
 	mode    chunkKind
 
@@ -167,22 +167,13 @@ func (v *VCPU) InGuestMode() bool {
 // the scheduler so higher-priority work preempts promptly. The vCPU
 // keeps no reference to t.
 func (v *VCPU) EnqueueTask(t *Task) {
-	v.tasks[t.Prio] = append(v.tasks[t.Prio], *t)
+	v.tasks[t.Prio].Push(*t)
 	v.poke()
-}
-
-// enqueueTaskFront pushes guest work at the head of its priority queue
-// (used for interrupt handlers, which nest LIFO).
-func (v *VCPU) enqueueTaskFront(t Task) {
-	q := append(v.tasks[t.Prio], Task{})
-	copy(q[1:], q)
-	q[0] = t
-	v.tasks[t.Prio] = q
 }
 
 // current returns the running guest task; call it only while mode is
 // kindGuest.
-func (v *VCPU) current() *Task { return &v.tasks[v.curPrio][0] }
+func (v *VCPU) current() *Task { return v.tasks[v.curPrio].Front() }
 
 // BeginExit queues a VM exit of the given reason on this vCPU: the
 // thread will spend the cost-model-defined interval in root mode before
@@ -193,7 +184,7 @@ func (v *VCPU) current() *Task { return &v.tasks[v.curPrio][0] }
 // in task callbacks) or from KVM delivery paths that immediately poke.
 func (v *VCPU) BeginExit(reason ExitReason, onDone func()) {
 	cost := v.VM.K.exitCost(reason)
-	v.hostQ = append(v.hostQ, hostInterval{reason: reason, remaining: cost, onDone: onDone})
+	v.hostQ.Push(hostInterval{reason: reason, remaining: cost, onDone: onDone})
 	v.VM.Exits.Inc(int(reason))
 }
 
@@ -217,11 +208,8 @@ func (v *VCPU) NextChunk() sim.Time {
 			v.mode = kindHost
 			return clampChunk(v.hostCur.remaining)
 		}
-		if len(v.hostQ) > 0 {
-			v.hostCur, v.inExit = v.hostQ[0], true
-			copy(v.hostQ, v.hostQ[1:])
-			v.hostQ[len(v.hostQ)-1] = hostInterval{}
-			v.hostQ = v.hostQ[:len(v.hostQ)-1]
+		if v.hostQ.Len() > 0 {
+			v.hostCur, v.inExit = v.hostQ.Pop(), true
 			if v.VM.K.Timeline != nil {
 				v.hostCur.start = v.VM.K.Eng.Now()
 			}
@@ -243,10 +231,10 @@ func (v *VCPU) NextChunk() sim.Time {
 			continue
 		}
 		for p := range v.tasks {
-			if len(v.tasks[p]) > 0 {
+			if v.tasks[p].Len() > 0 {
 				v.curPrio = Prio(p)
 				v.mode = kindGuest
-				return clampChunk(v.tasks[p][0].Remaining)
+				return clampChunk(v.tasks[p].Front().Remaining)
 			}
 		}
 		v.mode = kindNone
@@ -302,7 +290,9 @@ func (v *VCPU) startHandler(vec apic.Vector) {
 	if h != nil {
 		cost, fn = h(v)
 	}
-	v.enqueueTaskFront(Task{
+	// Interrupt handlers nest LIFO: this one runs ahead of any handler
+	// it interrupted.
+	v.tasks[PrioIRQ].PushFront(Task{
 		Name:       irqNames[vec],
 		Prio:       PrioIRQ,
 		Remaining:  v.VM.K.Cost.IRQEntryExit + cost,
@@ -384,14 +374,11 @@ func (v *VCPU) ChunkDone() {
 		}
 	case kindGuest:
 		v.mode = kindNone
-		q := v.tasks[v.curPrio]
-		if len(q) == 0 {
+		q := &v.tasks[v.curPrio]
+		if q.Len() == 0 {
 			panic("vmm: completed task is not at its queue head")
 		}
-		t := q[0]
-		copy(q, q[1:])
-		q[len(q)-1] = Task{}
-		v.tasks[v.curPrio] = q[:len(q)-1]
+		t := q.Pop()
 		if t.OnComplete != nil {
 			t.OnComplete()
 		}

@@ -60,7 +60,7 @@ func (k *KVM) NewVM(name string, cores []int) *VM {
 		idt:     make(map[apic.Vector]IRQHandler),
 		vclass:  make(map[apic.Vector]VectorClass),
 		nextVec: 0x31, // Linux external vectors start above 0x30
-		Exits:   metrics.NewBreakdown(ExitLabels()...),
+		Exits:   metrics.NewBreakdown(NumExitReasons),
 	}
 	for i, c := range cores {
 		vm.VCPUs = append(vm.VCPUs, newVCPU(vm, i, c))

@@ -383,10 +383,6 @@ func TestExitReasonStrings(t *testing.T) {
 	if ExitIOInstruction.String() != "IOInstruction" {
 		t.Fatal("exit name wrong")
 	}
-	labels := ExitLabels()
-	if len(labels) != NumExitReasons {
-		t.Fatalf("labels = %v", labels)
-	}
 	if ExitReason(99).String() == "" {
 		t.Fatal("unknown reason should format")
 	}

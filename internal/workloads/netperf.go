@@ -18,14 +18,16 @@ func NetperfSendTCP(kern *guest.Kernel, v *vmm.VCPU, pe *Peer, flowID, msgBytes,
 	sink := &TCPSink{peer: pe, flowID: flowID, ackEvery: 4}
 	pe.Register(flowID, sink)
 
-	dev := kern.Dev
+	// The stream transmits on the queue pair its flow hashes to, so it
+	// checks and waits on that pair's ring.
+	pair := kern.Dev.PairFor(flowID)
 	prep := kern.Costs.TXCost(msgBytes, true)
 	var pending *netsim.Packet
 	var loop func()
 	loop = func() {
 		if pending != nil {
-			if !dev.Transmit(v, pending) {
-				dev.WaitTX(loop)
+			if !pair.Dev.Transmit(v, pending) {
+				pair.WaitTX(loop)
 				return
 			}
 			pending = nil
@@ -34,15 +36,15 @@ func NetperfSendTCP(kern *guest.Kernel, v *vmm.VCPU, pe *Peer, flowID, msgBytes,
 			f.WaitWindow(loop) // netperf blocks in send(): window closed
 			return
 		}
-		if dev.TX.Full() {
-			dev.WaitTX(loop)
+		if pair.TX.Full() {
+			pair.WaitTX(loop)
 			return
 		}
 		v.EnqueueTask(vmm.NewTask("netperf-tcp-tx", vmm.PrioTask, kern.JitterCost(prep), func() {
 			seg := f.NextSegment()
-			if !dev.Transmit(v, seg) {
+			if !pair.Dev.Transmit(v, seg) {
 				pending = seg
-				dev.WaitTX(loop)
+				pair.WaitTX(loop)
 				return
 			}
 			loop()

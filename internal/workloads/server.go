@@ -134,12 +134,12 @@ func (s *Server) HandleRX(p *netsim.Packet, v *vmm.VCPU) {
 type worker struct {
 	srv  *Server
 	v    *vmm.VCPU
-	q    []*netsim.Packet
+	q    sim.Ring[*netsim.Packet]
 	busy bool
 }
 
 func (w *worker) enqueue(p *netsim.Packet) {
-	w.q = append(w.q, p)
+	w.q.Push(p)
 	if !w.busy {
 		w.busy = true
 		w.next()
@@ -147,14 +147,11 @@ func (w *worker) enqueue(p *netsim.Packet) {
 }
 
 func (w *worker) next() {
-	if len(w.q) == 0 {
+	if w.q.Len() == 0 {
 		w.busy = false
 		return
 	}
-	p := w.q[0]
-	copy(w.q, w.q[1:])
-	w.q[len(w.q)-1] = nil
-	w.q = w.q[:len(w.q)-1]
+	p := w.q.Pop()
 
 	// The worker accepting the request frees the connection's backlog
 	// slot (accept(2) semantics).
@@ -212,8 +209,8 @@ func (w *worker) sendResponse(flow int, chain *causal.Chain, req *Req, segs, fro
 		}
 		if !w.srv.Kern.Dev.Transmit(w.v, pkt) {
 			i := i
-			// Park on the pair the flow actually hashes to: the pair-0
-			// convenience would never wake on a multi-queue device.
+			// Park on the pair the flow hashes to: only its completions
+			// free the ring this segment is waiting for.
 			w.srv.Kern.Dev.WaitTXFlow(flow, func() { w.sendResponse(flow, chain, req, segs, i) })
 			return
 		}

@@ -40,7 +40,7 @@ func newRig(t *testing.T, usePI bool, vcpus int) *rig {
 	link := netsim.NewLink(eng, 40, 2*sim.Microsecond)
 	peer := NewPeer(eng, link.PortB(), 2*sim.Microsecond)
 	io := vhost.NewIOThread("io", s, vcpus, vhost.DefaultParams())
-	dev, err := vhost.NewDevice("dev", io, kern.Dev.TX, kern.Dev.RX, link.PortA(), false, 0)
+	dev, err := vhost.NewDevice("dev", io, kern.Dev.Pairs[0].TX, kern.Dev.Pairs[0].RX, link.PortA(), false, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

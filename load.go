@@ -1,6 +1,8 @@
 package es2
 
 import (
+	"fmt"
+	"strings"
 	"time"
 
 	"es2/internal/loadgen"
@@ -104,6 +106,21 @@ type LoadReport struct {
 
 	// Phases lists the per-phase windows in profile order.
 	Phases []LoadPhaseReport `json:"phases"`
+}
+
+// Render formats the report for the CLI summary: the offered-vs-
+// completed line, then one line per phase.
+func (l *LoadReport) Render() string {
+	var b strings.Builder
+	fmt.Fprintf(&b, "load       offered=%.0f/s done=%.0f/s delivery=%.1f%% shed=%d backlog=%d knee=%.0f/s (%d streams, %.0fx compression)\n",
+		l.OfferedPerSec, l.CompletedPerSec, 100*l.DeliveryRatio,
+		l.Shed, l.BacklogEnd, l.KneeOfferedPerSec, l.Streams, l.TimeScale)
+	for _, p := range l.Phases {
+		fmt.Fprintf(&b, "  %-10s %5.2fx offered=%.0f/s delivery=%.1f%% p99=%v\n",
+			p.Name, p.Multiplier, p.OfferedPerSec, 100*p.DeliveryRatio,
+			p.P99Latency.Round(time.Microsecond))
+	}
+	return b.String()
 }
 
 // loadStream is one expanded stream of a LoadSpec: its class and its
