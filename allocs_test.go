@@ -1,0 +1,89 @@
+package es2_test
+
+import (
+	"testing"
+	"time"
+
+	"es2"
+	"es2/experiments"
+)
+
+// maxAllocsPerEvent bounds the heap allocations per fired event of a
+// steady-state run: packets come from per-kernel and per-peer pools,
+// request headers ride in the packet by value, and per-request
+// callbacks are bound once per flow, worker or stream, so what is left
+// is one-time growth of pools, rings and maps.
+const maxAllocsPerEvent = 0.1
+
+// TestEventPathAllocs runs golden-size scenarios of every workload
+// whose event path is meant to allocate nothing, plus both racks
+// scaled down 16×, and bounds Mallocs/EventsFired from the engine
+// report. Apache and Httperf open a connection per request and
+// allocate per-connection state by design; Ping fires too few events
+// per window for one-time growth not to dominate.
+func TestEventPathAllocs(t *testing.T) {
+	// The invariant checker's sweeps allocate; the bound is the
+	// model's own.
+	t.Setenv("ES2_CHECK", "")
+	check := func(name string, mallocs, events uint64) {
+		t.Helper()
+		per := float64(mallocs) / float64(events)
+		t.Logf("%s: %d allocations over %d events = %.4f per event", name, mallocs, events, per)
+		if per >= maxAllocsPerEvent {
+			t.Errorf("%s: %d allocations over %d events = %.3f per event, want < %g",
+				name, mallocs, events, per, maxAllocsPerEvent)
+		}
+	}
+
+	var single []es2.ScenarioSpec
+	for _, c := range []struct {
+		name string
+		cfg  es2.Config
+	}{{"baseline", es2.Baseline()}, {"full", es2.Full(4)}} {
+		for _, w := range []es2.WorkloadSpec{
+			{Kind: es2.NetperfTCPSend},
+			{Kind: es2.NetperfTCPRecv},
+			{Kind: es2.NetperfUDPSend, MsgBytes: 256},
+			{Kind: es2.NetperfUDPRecv, MsgBytes: 256},
+			{Kind: es2.Memcached},
+		} {
+			single = append(single, goldenSpec(c.name+"/"+w.Kind.String(), c.cfg, w))
+		}
+		load := goldenSpec(c.name+"/memcached-openloop", c.cfg, es2.WorkloadSpec{Kind: es2.Memcached})
+		load.VCPUs = 2
+		load.Load = es2.LoadSpec{
+			Classes: []es2.LoadClass{
+				{Name: "web", Streams: 6, RatePerSec: 4000, ZipfS: 1.0,
+					Process: "weibull", Shape: 0.7, MaxOutstanding: 32},
+			},
+			Profile: es2.LoadProfile{Phases: []es2.LoadPhase{
+				{Name: "low", Start: 0, Multiplier: 0.5},
+				{Name: "high", Start: 12 * time.Hour, Multiplier: 1.5},
+			}},
+		}
+		single = append(single, load)
+	}
+	// One scenario at a time: the report's memory figures are
+	// process-wide.
+	for _, spec := range single {
+		spec.EngineStats = true
+		r, err := es2.Run(spec)
+		if err != nil {
+			t.Fatalf("%s: %v", spec.Name, err)
+		}
+		check(spec.Name, r.EngineReport.Mallocs, r.EngineReport.EventsFired)
+	}
+	for _, e := range []experiments.ClusterExperiment{
+		experiments.ScaleCluster(experiments.Rack1(), 16),
+		experiments.ScaleCluster(experiments.Daycycle(), 16),
+	} {
+		for _, spec := range e.Specs {
+			spec.EngineStats = true
+			r, err := es2.RunCluster(spec)
+			if err != nil {
+				t.Fatalf("%s: %v", spec.Name, err)
+			}
+			check(spec.Name, r.EngineReport.Mallocs, r.EngineReport.EventsFired)
+		}
+	}
+}

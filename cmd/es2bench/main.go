@@ -35,9 +35,14 @@ func main() {
 	critDir := flag.String("critpath-dir", "", "enable the causal critical-path analyzer and write one blame/exemplar/what-if JSON per scenario into DIR")
 	jsonOut := flag.String("json", "", "write all experiment results as machine-readable JSON to FILE ('-' for stdout; schema in EXPERIMENTS.md)")
 	check := flag.Bool("check", false, "enable the runtime invariant checker in every scenario (also: ES2_CHECK=1)")
-	engineStats := flag.Bool("engine-stats", false, "print the engine performance report per scenario")
+	engineStats := flag.Bool("engine-stats", false, "print the engine performance report per scenario; scenarios then run one at a time, since the report's memory figures are process-wide")
 	list := flag.Bool("list", false, "list experiment ids and exit")
 	flag.Parse()
+	if *engineStats {
+		// Concurrent scenarios would fold their neighbours' allocations
+		// and GC pauses into each report's memory line.
+		*parallel = 1
+	}
 
 	if *list {
 		for _, e := range experiments.All() {

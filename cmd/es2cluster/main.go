@@ -14,7 +14,9 @@
 //
 // -scale F (> 1) divides each scenario's flow count and measurement
 // window by F, for smoke runs on constrained CI. -engine-stats prints
-// the simulator's own wall-clock performance report per scenario;
+// the simulator's own wall-clock performance report per scenario and
+// runs the scenarios one at a time, so each report's memory figures
+// are its own;
 // -progress emits a per-scenario (and per-seed, under -soak) stderr
 // heartbeat with wall time and events/sec.
 //
@@ -66,10 +68,15 @@ func main() {
 	sloLog := flag.String("slo-log", "", "write the merged fault/alert timeline as JSONL to FILE ('-' for stdout; the run must produce exactly one scenario)")
 	serveFlag := flag.String("serve", "", "serve the live ops plane on ADDR (e.g. :9090): Prometheus /metrics, /healthz, /progress JSON, /debug/pprof")
 	serveWait := flag.Duration("serve-wait", 0, "with -serve: keep serving this long after the runs finish, so scrapers can collect final state")
-	engStats := flag.Bool("engine-stats", false, "measure the simulator itself (wall time, events/sec, heap, per-subsystem cost) and print the report per scenario")
+	engStats := flag.Bool("engine-stats", false, "measure the simulator itself (wall time, events/sec, heap, per-subsystem cost) and print the report per scenario; scenarios then run one at a time, since the report's memory figures are process-wide")
 	list := flag.Bool("list", false, "list cluster experiment ids and exit")
 	faultFlags := cliflags.RegisterFaultFlags(flag.CommandLine)
 	flag.Parse()
+	if *engStats {
+		// Concurrent scenarios would fold their neighbours' allocations
+		// and GC pauses into each report's memory line.
+		*parallel = 1
+	}
 
 	if *list {
 		for _, e := range experiments.ClusterExperiments() {

@@ -181,17 +181,17 @@ func remove(s []*vmm.VCPU, v *vmm.VCPU) []*vmm.VCPU {
 	return s
 }
 
-// Online returns a snapshot of vm's online vCPUs.
-func (w *SchedWatcher) Online(vm *vmm.VM) []*vmm.VCPU {
+// AppendOnline appends vm's online vCPUs to dst and returns the
+// extended slice. Appending into a caller-owned buffer lets the
+// redirector read the list on every interrupt without a copy of its
+// own.
+func (w *SchedWatcher) AppendOnline(dst []*vmm.VCPU, vm *vmm.VM) []*vmm.VCPU {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	l := w.vms[vm]
-	if l == nil {
-		return nil
+	if l := w.vms[vm]; l != nil {
+		dst = append(dst, l.online...)
 	}
-	out := make([]*vmm.VCPU, len(l.online))
-	copy(out, l.online)
-	return out
+	return dst
 }
 
 // ListLens returns the current online/offline list lengths for vm
@@ -243,16 +243,13 @@ func (w *SchedWatcher) CheckConsistency(vm *vmm.VM) error {
 	return nil
 }
 
-// Offline returns a snapshot of vm's offline vCPUs in descheduling
-// order (head = longest offline).
-func (w *SchedWatcher) Offline(vm *vmm.VM) []*vmm.VCPU {
+// AppendOffline appends vm's offline vCPUs to dst in descheduling
+// order (head = longest offline) and returns the extended slice.
+func (w *SchedWatcher) AppendOffline(dst []*vmm.VCPU, vm *vmm.VM) []*vmm.VCPU {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	l := w.vms[vm]
-	if l == nil {
-		return nil
+	if l := w.vms[vm]; l != nil {
+		dst = append(dst, l.offline...)
 	}
-	out := make([]*vmm.VCPU, len(l.offline))
-	copy(out, l.offline)
-	return out
+	return dst
 }

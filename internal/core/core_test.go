@@ -83,8 +83,8 @@ func TestSchedWatcherPartitionInvariant(t *testing.T) {
 	var check func()
 	check = func() {
 		for _, vm := range vms {
-			on := w.Online(vm)
-			off := w.Offline(vm)
+			on := w.AppendOnline(nil, vm)
+			off := w.AppendOffline(nil, vm)
 			if len(on)+len(off) != len(vm.VCPUs) {
 				violations++
 			}
@@ -138,7 +138,7 @@ func TestSchedWatcherOfflineOrder(t *testing.T) {
 	// Exactly one of the three runs; per-VM lists each hold one vCPU.
 	online := 0
 	for _, vm := range vms {
-		online += len(w.Online(vm))
+		online += len(w.AppendOnline(nil, vm))
 	}
 	if online != 1 {
 		t.Fatalf("online across VMs = %d, want 1", online)
@@ -269,7 +269,7 @@ func TestInstallWiresRouter(t *testing.T) {
 	}
 	vm := k.NewVM("vm", []int{0, 1})
 	e.AttachVM(vm)
-	if got := len(e.Watcher.Offline(vm)); got != 2 {
+	if got := len(e.Watcher.AppendOffline(nil, vm)); got != 2 {
 		t.Fatalf("attached VM should start fully offline, got %d", got)
 	}
 
@@ -353,12 +353,12 @@ func TestWatcherListsSurviveHeavyChurn(t *testing.T) {
 	}
 	eng.Run(3 * sim.Second)
 	for _, vm := range vms {
-		for _, v := range w.Online(vm) {
+		for _, v := range w.AppendOnline(nil, vm) {
 			if !v.Online() {
 				t.Fatal("stale online entry")
 			}
 		}
-		off := w.Offline(vm)
+		off := w.AppendOffline(nil, vm)
 		for _, v := range off {
 			if v.Online() {
 				t.Fatal("stale offline entry")
@@ -376,5 +376,44 @@ func TestRedirectorNoVCPUsReturnsNil(t *testing.T) {
 	// VM never attached to the watcher: no lists → keep affinity.
 	if got := r.Route(vm, apic.MSIMessage{Vector: dev, Dest: 0, Mode: apic.LowestPriority}); got != nil {
 		t.Fatal("unattached VM should fall back to affinity")
+	}
+}
+
+// TestRouteAllocs pins a non-sticky route with posted interrupts on at
+// zero allocations: against an online list with one PI-degraded vCPU,
+// and when every vCPU is offline.
+func TestRouteAllocs(t *testing.T) {
+	eng, k := newTestKVM(2, true)
+	w := NewSchedWatcher()
+	busy := k.NewVM("busy", []int{0, 1, 0, 1})
+	idle := k.NewVM("idle", []int{0, 1})
+	w.Attach(busy)
+	w.Attach(idle)
+	for _, v := range busy.VCPUs {
+		addBurn(v)
+	}
+	eng.Run(10 * sim.Millisecond)
+	online := w.AppendOnline(nil, busy)
+	if len(online) != 2 {
+		t.Fatalf("%d busy vCPUs online on two cores, want 2", len(online))
+	}
+	online[0].SetPIAvailable(false)
+
+	r := NewRedirector(w, PolicyLeastLoaded, sim.NewRand(1))
+	for _, vm := range []*vmm.VM{busy, idle} {
+		msi := apic.MSIMessage{Vector: vm.AllocVector(vmm.ClassDevice, nil), Dest: 0, Mode: apic.LowestPriority}
+		route := func() {
+			delete(r.sticky, vm) // every call takes the non-sticky path
+			if r.Route(vm, msi) == nil {
+				t.Fatalf("%s: no target", vm.Name)
+			}
+		}
+		route() // grow the scratch lists
+		if got := testing.AllocsPerRun(100, route); got != 0 {
+			t.Errorf("%s: Route = %v allocs/op, want 0", vm.Name, got)
+		}
+	}
+	if r.PIDegraded == 0 || r.OfflinePredicts == 0 {
+		t.Fatalf("PIDegraded = %d, OfflinePredicts = %d: both paths must be taken", r.PIDegraded, r.OfflinePredicts)
 	}
 }

@@ -26,6 +26,9 @@ type Redirector struct {
 	sticky map[*vmm.VM]*vmm.VCPU
 	rr     map[*vmm.VM]int
 	rng    *sim.Rand
+	// lists and avail are scratch buffers, reused under mu: the
+	// watcher list Route reads and its PI-available subset.
+	lists, avail []*vmm.VCPU
 
 	// Stats.
 	Redirected      uint64 // routed to a different vCPU than affinity
@@ -69,16 +72,18 @@ func (r *Redirector) Route(vm *vmm.VM, msi apic.MSIMessage) *vmm.VCPU {
 	}
 	delete(r.sticky, vm)
 
-	online := r.Watcher.Online(vm)
+	r.lists = r.Watcher.AppendOnline(r.lists[:0], vm)
+	online := r.lists
 	if vm.K.UsePI && len(online) > 0 {
 		// Prefer candidates whose PI facility works; if some (but not
 		// all) are degraded, steer around them.
-		avail := online[:0:0]
+		avail := r.avail[:0]
 		for _, v := range online {
 			if v.PID.Available() {
 				avail = append(avail, v)
 			}
 		}
+		r.avail = avail
 		if len(avail) > 0 && len(avail) < len(online) {
 			r.PIDegraded++
 		}
@@ -97,7 +102,8 @@ func (r *Redirector) Route(vm *vmm.VM, msi apic.MSIMessage) *vmm.VCPU {
 	// No vCPU is online: predict the next one to run. The offline list
 	// is ordered by descheduling time, so its head has waited longest
 	// and — under fair scheduling — runs next.
-	offline := r.Watcher.Offline(vm)
+	r.lists = r.Watcher.AppendOffline(r.lists[:0], vm)
+	offline := r.lists
 	if len(offline) == 0 {
 		return nil
 	}

@@ -335,7 +335,8 @@ func (p *Port) Send(pkt *netsim.Packet) {
 
 	deliverAt := outDone + sw.params.Delay
 	if dup {
-		// Link-level duplication: the copy rides the same egress slot.
+		// Link-level duplication: the copy rides the same egress slot
+		// and is released on its own by whichever endpoint consumes it.
 		q := *pkt
 		out.egress.At(deliverAt, egressFrame{pkt: &q, dup: true})
 	}

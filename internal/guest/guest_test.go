@@ -4,6 +4,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"es2/internal/causal"
 	"es2/internal/netsim"
 	"es2/internal/sched"
 	"es2/internal/sim"
@@ -172,17 +173,23 @@ func TestUDPFlows(t *testing.T) {
 func TestPingResponder(t *testing.T) {
 	r := newRig(true)
 	f := NewPingResponder(r.kern, 5)
-	f.HandleRX(&netsim.Packet{Kind: KindEcho, Flow: 5, Seq: 42, Bytes: 64, Payload: "stamp"}, r.vm.VCPUs[0])
+	chain := &causal.Chain{}
+	echo := r.kern.Pool.Get()
+	echo.Kind, echo.Flow, echo.Seq, echo.Bytes, echo.Chain = KindEcho, 5, 42, 64, chain
+	f.HandleRX(echo, r.vm.VCPUs[0])
 	if f.Replies != 1 {
 		t.Fatal("no reply generated")
+	}
+	if !echo.Released() {
+		t.Fatal("the responder must release the echo request it consumed")
 	}
 	d, ok := r.kern.Dev.Pairs[0].TX.Pop()
 	if !ok {
 		t.Fatal("reply not on TX ring")
 	}
 	reply := d.Payload.(*netsim.Packet)
-	if reply.Kind != KindEchoReply || reply.Seq != 42 || reply.Payload != "stamp" {
-		t.Fatalf("reply = %+v", reply)
+	if reply.Kind != KindEchoReply || reply.Seq != 42 || reply.Bytes != 64 || reply.Chain != chain {
+		t.Fatalf("reply = %+v, want the echo's Seq, size and causal chain", reply)
 	}
 }
 

@@ -23,7 +23,9 @@ const (
 // FlowHandler is the guest-side protocol endpoint of one flow. RXCost
 // is consulted while NAPI accounts the poll batch's CPU time; HandleRX
 // performs the protocol action afterwards (in softirq context on vCPU
-// v — outbound replies are transmitted from there).
+// v — outbound replies are transmitted from there). HandleRX is the
+// packet's terminal consumer: it releases p after its last read, or
+// hands p on to an owner that does.
 type FlowHandler interface {
 	RXCost(p *netsim.Packet) sim.Time
 	HandleRX(p *netsim.Packet, v *vmm.VCPU)
@@ -42,6 +44,9 @@ type Kernel struct {
 	VM    *vmm.VM
 	Costs Costs
 	Dev   *NetDev
+	// Pool recycles the packets this kernel's flows and applications
+	// build; each returns here when its terminal consumer releases it.
+	Pool netsim.Pool
 
 	flows      map[int]FlowHandler
 	defaultFlo FlowHandler
@@ -112,8 +117,12 @@ func (k *Kernel) rxCost(p *netsim.Packet) sim.Time {
 	return k.Costs.RXCost(p.Bytes)
 }
 
-// dispatch routes one received packet to its flow handler.
+// dispatch routes one received packet to its flow handler, which
+// releases it. A packet for an unknown flow is dropped unreleased.
 func (k *Kernel) dispatch(p *netsim.Packet, v *vmm.VCPU) {
+	if p.Released() {
+		panic("guest: released packet reached dispatch")
+	}
 	if h := k.lookup(p); h != nil {
 		h.HandleRX(p, v)
 		return

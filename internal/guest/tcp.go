@@ -70,7 +70,8 @@ func (f *TCPSender) InFlight() int { return f.inFlight }
 // NextSegment builds the next data segment and accounts it in flight.
 // The caller transmits it via the NetDev.
 func (f *TCPSender) NextSegment() *netsim.Packet {
-	p := &netsim.Packet{Bytes: f.SegBytes, Kind: KindTCPData, Flow: f.FlowID, Seq: f.nextSeq}
+	p := f.Kern.Pool.Get()
+	p.Bytes, p.Kind, p.Flow, p.Seq = f.SegBytes, KindTCPData, f.FlowID, f.nextSeq
 	f.nextSeq++
 	f.inFlight++
 	f.SentSegs++
@@ -123,14 +124,16 @@ func (f *TCPSender) RXCost(p *netsim.Packet) sim.Time { return f.Kern.Costs.AckR
 
 // HandleRX implements FlowHandler: cumulative ACK processing.
 func (f *TCPSender) HandleRX(p *netsim.Packet, v *vmm.VCPU) {
-	if p.Kind != KindTCPAck {
+	kind, seq := p.Kind, p.Seq
+	p.Release()
+	if kind != KindTCPAck {
 		return
 	}
-	acked := p.Seq - f.lastAcked
+	acked := seq - f.lastAcked
 	if acked <= 0 {
 		return
 	}
-	f.lastAcked = p.Seq
+	f.lastAcked = seq
 	f.inFlight -= int(acked)
 	if f.inFlight < 0 {
 		f.inFlight = 0
@@ -178,6 +181,11 @@ type TCPReceiver struct {
 	appPendingPkts  int
 	appPendingBytes int
 	appBusy         bool
+	// appV, appPkts and appBytes describe the one copy task in flight;
+	// copyDone, its completion, is bound once.
+	appV              *vmm.VCPU
+	appPkts, appBytes int
+	copyDone          func()
 
 	// BytesReceived and Segs count goodput (counted when the copy to
 	// the application completes).
@@ -192,6 +200,7 @@ type TCPReceiver struct {
 // NewTCPReceiver registers and returns a receiver flow.
 func NewTCPReceiver(k *Kernel, flowID int) *TCPReceiver {
 	f := &TCPReceiver{Kern: k, FlowID: flowID}
+	f.copyDone = f.copied
 	k.RegisterFlow(flowID, f)
 	return f
 }
@@ -204,19 +213,21 @@ func (f *TCPReceiver) RXCost(p *netsim.Packet) sim.Time {
 
 // HandleRX implements FlowHandler.
 func (f *TCPReceiver) HandleRX(p *netsim.Packet, v *vmm.VCPU) {
-	if p.Kind != KindTCPData {
+	kind, seq, bytes := p.Kind, p.Seq, p.Bytes
+	p.Release()
+	if kind != KindTCPData {
 		return
 	}
 	// Every data segment earns a (possibly duplicate) cumulative ACK at
 	// batch end; only the in-order one advances the stream toward the
 	// application.
 	f.pendingAck++
-	if p.Seq != f.expected {
+	if seq != f.expected {
 		return
 	}
 	f.expected++
 	f.appPendingPkts++
-	f.appPendingBytes += p.Bytes
+	f.appPendingBytes += bytes
 }
 
 // BatchEnd implements BatchHandler: one cumulative ACK per poll batch
@@ -225,7 +236,8 @@ func (f *TCPReceiver) HandleRX(p *netsim.Packet, v *vmm.VCPU) {
 func (f *TCPReceiver) BatchEnd(v *vmm.VCPU) {
 	if f.pendingAck > 0 {
 		f.pendingAck = 0
-		ack := &netsim.Packet{Bytes: 66, Kind: KindTCPAck, Flow: f.FlowID, Seq: f.expected}
+		ack := f.Kern.Pool.Get()
+		ack.Bytes, ack.Kind, ack.Flow, ack.Seq = 66, KindTCPAck, f.FlowID, f.expected
 		if f.Kern.Dev.Transmit(v, ack) {
 			f.AcksSent++
 		} else {
@@ -242,14 +254,18 @@ func (f *TCPReceiver) runApp(v *vmm.VCPU) {
 		return
 	}
 	f.appBusy = true
-	pkts, bytes := f.appPendingPkts, f.appPendingBytes
+	f.appV, f.appPkts, f.appBytes = v, f.appPendingPkts, f.appPendingBytes
 	f.appPendingPkts, f.appPendingBytes = 0, 0
 	c := f.Kern.Costs
-	cost := sim.Time(pkts)*c.RXCopyBase + sim.Time(c.RXCopyPerByte*float64(bytes))
-	v.EnqueueTask(vmm.NewTask("recv-copy", vmm.PrioTask, f.Kern.JitterCost(cost), func() {
-		f.BytesReceived += uint64(bytes)
-		f.Segs += uint64(pkts)
-		f.appBusy = false
-		f.runApp(v)
-	}))
+	cost := sim.Time(f.appPkts)*c.RXCopyBase + sim.Time(c.RXCopyPerByte*float64(f.appBytes))
+	v.EnqueueTask(vmm.NewTask("recv-copy", vmm.PrioTask, f.Kern.JitterCost(cost), f.copyDone))
+}
+
+// copied completes the copy task: the application has the data, and
+// whatever arrived meanwhile is drained on the same vCPU.
+func (f *TCPReceiver) copied() {
+	f.BytesReceived += uint64(f.appBytes)
+	f.Segs += uint64(f.appPkts)
+	f.appBusy = false
+	f.runApp(f.appV)
 }

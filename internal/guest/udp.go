@@ -28,7 +28,8 @@ func NewUDPSender(k *Kernel, flowID, pktBytes int) *UDPSender {
 
 // NextPacket builds the next datagram.
 func (f *UDPSender) NextPacket() *netsim.Packet {
-	p := &netsim.Packet{Bytes: f.PktBytes, Kind: KindUDP, Flow: f.FlowID, Seq: f.nextSeq}
+	p := f.Kern.Pool.Get()
+	p.Bytes, p.Kind, p.Flow, p.Seq = f.PktBytes, KindUDP, f.FlowID, f.nextSeq
 	f.nextSeq++
 	f.SentPkts++
 	return p
@@ -38,7 +39,7 @@ func (f *UDPSender) NextPacket() *netsim.Packet {
 func (f *UDPSender) RXCost(p *netsim.Packet) sim.Time { return f.Kern.Costs.RXBase }
 
 // HandleRX implements FlowHandler (UDP send flows receive nothing).
-func (f *UDPSender) HandleRX(p *netsim.Packet, v *vmm.VCPU) {}
+func (f *UDPSender) HandleRX(p *netsim.Packet, v *vmm.VCPU) { p.Release() }
 
 // UDPReceiver counts an inbound UDP stream.
 type UDPReceiver struct {
@@ -65,11 +66,12 @@ func (f *UDPReceiver) RXCost(p *netsim.Packet) sim.Time {
 func (f *UDPReceiver) HandleRX(p *netsim.Packet, v *vmm.VCPU) {
 	f.BytesReceived += uint64(p.Bytes)
 	f.Pkts++
+	p.Release()
 }
 
 // PingResponder answers ICMP echo requests from softirq context,
 // mirroring the kernel's in-stack ICMP handling. The reply carries the
-// request's Seq and Payload so the prober can match and time it.
+// request's Seq so the prober can match and time it.
 type PingResponder struct {
 	Kern   *Kernel
 	FlowID int
@@ -93,10 +95,13 @@ func (f *PingResponder) RXCost(p *netsim.Packet) sim.Time {
 // HandleRX implements FlowHandler.
 func (f *PingResponder) HandleRX(p *netsim.Packet, v *vmm.VCPU) {
 	if p.Kind != KindEcho {
+		p.Release()
 		return
 	}
-	reply := &netsim.Packet{Bytes: p.Bytes, Kind: KindEchoReply, Flow: f.FlowID, Seq: p.Seq, Payload: p.Payload}
+	reply := f.Kern.Pool.Get()
+	reply.Bytes, reply.Kind, reply.Flow, reply.Seq = p.Bytes, KindEchoReply, f.FlowID, p.Seq
 	reply.Chain = p.Chain // the echo continues the prober's causal chain
+	p.Release()
 	if f.Kern.Dev.Transmit(v, reply) {
 		f.Replies++
 	} else {

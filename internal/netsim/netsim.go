@@ -11,7 +11,13 @@ import (
 )
 
 // Packet is one frame on the wire. Protocol semantics are carried by
-// Kind/Flow/Payload and interpreted by the endpoints.
+// Kind/Flow/Seq and the application header, and interpreted by the
+// endpoints.
+//
+// A packet taken from a Pool lives until its terminal consumer — the
+// endpoint handler that reads it last — calls Release. Every other
+// holder, drop paths included, lets go of it without releasing (see
+// DESIGN.md, "Packet lifetime").
 type Packet struct {
 	// Bytes is the frame length used for serialization timing.
 	Bytes int
@@ -19,10 +25,15 @@ type Packet struct {
 	Kind int
 	// Flow identifies the connection/stream the packet belongs to.
 	Flow int
-	// Seq is an endpoint-defined sequence number.
+	// Seq is an endpoint-defined sequence number; a response segment's
+	// index within its response.
 	Seq int64
-	// Payload carries an arbitrary model object.
-	Payload any
+	// ReqID, RespBytes and Segs are the request/response header: the
+	// request id both directions carry, the response size a request
+	// asks for, and a response's segment count.
+	ReqID     int64
+	RespBytes int
+	Segs      int
 	// Sent records when the packet entered the wire (stamped by Port.Send).
 	Sent sim.Time
 	// Unit is the event-path probe's state riding this packet: the
@@ -31,7 +42,53 @@ type Packet struct {
 	// delivery share the chain pointer, which chain marks tolerate,
 	// and time their own span.
 	causal.Unit
+
+	// pool is the free list the packet returns to (nil for a packet
+	// built as a literal); free marks a packet sitting in it.
+	pool *Pool
+	free bool
 }
+
+// Pool is a LIFO free list of packets. It grows on demand and is never
+// sized up front. Each guest kernel and the external peer own one; a
+// pool is not safe for concurrent use, which a scenario's single event
+// loop never needs.
+type Pool struct {
+	free []*Packet
+}
+
+// Get returns a zeroed packet from the free list, or a new one.
+func (p *Pool) Get() *Packet {
+	n := len(p.free)
+	if n == 0 {
+		return &Packet{pool: p}
+	}
+	pkt := p.free[n-1]
+	p.free[n-1] = nil
+	p.free = p.free[:n-1]
+	pkt.free = false
+	return pkt
+}
+
+// Release zeroes the packet and returns it to the pool it came from.
+// It is a no-op for a packet built as a literal, and panics on a
+// packet already released: only a bug can release one twice.
+func (pkt *Packet) Release() {
+	pool := pkt.pool
+	if pool == nil {
+		return
+	}
+	if pkt.free {
+		panic("netsim: packet released twice")
+	}
+	*pkt = Packet{pool: pool, free: true}
+	pool.free = append(pool.free, pkt)
+}
+
+// Released reports whether the packet sits in its pool's free list.
+// Endpoints check it on arrival: a released packet on the event path
+// means some holder outlived the terminal consumer.
+func (pkt *Packet) Released() bool { return pkt.free }
 
 // FaultAction is the wire-fault decision for one frame (see the
 // SendFault hook on Port).
@@ -154,6 +211,8 @@ func (p *Port) Send(pkt *Packet) {
 		case FaultDrop:
 			return
 		case FaultDup:
+			// The copy shares the original's pool and is released on
+			// its own by whichever endpoint consumes it.
 			q := *pkt
 			p.wire.At(done+p.delay, &q)
 		}

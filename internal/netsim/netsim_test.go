@@ -3,6 +3,7 @@ package netsim
 import (
 	"testing"
 
+	"es2/internal/causal"
 	"es2/internal/sim"
 )
 
@@ -135,10 +136,10 @@ func TestPacketFieldsPreserved(t *testing.T) {
 	l := NewLink(eng, 40, 0)
 	var got *Packet
 	l.Attach(EndpointFunc(func(*Packet) {}), EndpointFunc(func(p *Packet) { got = p }))
-	sent := &Packet{Bytes: 512, Kind: 3, Flow: 7, Seq: 99, Payload: "x"}
+	sent := &Packet{Bytes: 512, Kind: 3, Flow: 7, Seq: 99, ReqID: 5, RespBytes: 1024, Segs: 2}
 	l.PortA().Send(sent)
 	eng.RunAll()
-	if got != sent || got.Kind != 3 || got.Flow != 7 || got.Seq != 99 || got.Payload != "x" {
+	if got != sent || got.Kind != 3 || got.Flow != 7 || got.Seq != 99 || got.ReqID != 5 || got.RespBytes != 1024 || got.Segs != 2 {
 		t.Fatalf("packet mangled: %+v", got)
 	}
 }
@@ -161,5 +162,72 @@ func TestSendDeliverAllocs(t *testing.T) {
 	}
 	if delivered != 1001 || eng.Pending() != 0 {
 		t.Fatalf("delivered %d frames with %d pending, want 1001 and none", delivered, eng.Pending())
+	}
+}
+
+// TestPoolRecycles: Get after Release hands back the released packet,
+// zeroed, causal state included.
+func TestPoolRecycles(t *testing.T) {
+	var pool Pool
+	p := pool.Get()
+	p.Bytes, p.Kind, p.Flow, p.Seq = 100, 1, 2, 3
+	p.ReqID, p.RespBytes, p.Segs, p.Sent = 4, 5, 6, 7
+	p.Chain = &causal.Chain{}
+	p.Release()
+	if !p.Released() {
+		t.Fatal("a released packet must report Released")
+	}
+	q := pool.Get()
+	if q != p {
+		t.Fatal("Get after Release must return the released packet")
+	}
+	if q.Released() || *q != (Packet{pool: &pool}) {
+		t.Fatalf("recycled packet not zeroed: %+v", *q)
+	}
+}
+
+// TestPoolDuplicateReleasedOnItsOwn: a FaultDup copy belongs to the
+// original's pool, and each copy's consumer releases its own.
+func TestPoolDuplicateReleasedOnItsOwn(t *testing.T) {
+	eng := sim.NewEngine(1)
+	l := NewLink(eng, 40, 0)
+	var got []*Packet
+	l.Attach(EndpointFunc(func(*Packet) {}), EndpointFunc(func(p *Packet) {
+		got = append(got, p)
+		p.Release()
+	}))
+	l.PortA().SendFault = func() FaultAction { return FaultDup }
+	var pool Pool
+	orig := pool.Get()
+	orig.Bytes, orig.Seq = 512, 1
+	l.PortA().Send(orig)
+	eng.RunAll()
+	if len(got) != 2 || got[0] == got[1] {
+		t.Fatalf("want two distinct deliveries, got %d", len(got))
+	}
+	a, b := pool.Get(), pool.Get()
+	if a == b || (a != got[0] && a != got[1]) || (b != got[0] && b != got[1]) {
+		t.Fatal("both copies must return to the original's pool")
+	}
+}
+
+func TestPoolDoubleReleasePanics(t *testing.T) {
+	var pool Pool
+	p := pool.Get()
+	p.Release()
+	defer func() {
+		if recover() == nil {
+			t.Fatal("a second Release must panic")
+		}
+	}()
+	p.Release()
+}
+
+func TestReleaseLiteralIsNoop(t *testing.T) {
+	p := &Packet{Bytes: 64, Seq: 9}
+	p.Release()
+	p.Release()
+	if p.Released() || p.Bytes != 64 || p.Seq != 9 {
+		t.Fatalf("Release changed a pool-less packet: %+v", *p)
 	}
 }

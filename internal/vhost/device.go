@@ -332,9 +332,9 @@ func (h *txHandler) sendEffect() {
 	h.desc = virtio.Desc{}
 	if pkt, _ := desc.Payload.(*netsim.Packet); pkt != nil {
 		dev.Causal.Mark(&pkt.Unit, causal.StageBackendTX, dev.IO.s.Now())
-		dev.Port.Send(pkt)
 		dev.TxPkts++
 		dev.TxBytes += uint64(pkt.Bytes)
+		dev.Port.Send(pkt) // the wire owns the packet from here
 	}
 	q.PushUsed(desc)
 	q.Signal() // TX completion; normally suppressed by the guest

@@ -38,8 +38,10 @@ type VM struct {
 	K     *KVM
 	VCPUs []*VCPU
 
-	idt     map[apic.Vector]IRQHandler
-	vclass  map[apic.Vector]VectorClass
+	// idt and vclass are indexed by vector. An unregistered vector has
+	// a nil handler and reads as ClassLocal, the zero value.
+	idt     [apic.NumVectors]IRQHandler
+	vclass  [apic.NumVectors]VectorClass
 	nextVec apic.Vector
 
 	// Exits tallies VM exits by reason across all vCPUs.
@@ -57,8 +59,6 @@ func (k *KVM) NewVM(name string, cores []int) *VM {
 		Name:    name,
 		Index:   len(k.vms),
 		K:       k,
-		idt:     make(map[apic.Vector]IRQHandler),
-		vclass:  make(map[apic.Vector]VectorClass),
 		nextVec: 0x31, // Linux external vectors start above 0x30
 		Exits:   metrics.NewBreakdown(NumExitReasons),
 	}
@@ -101,7 +101,7 @@ func (vm *VM) IsDeviceVector(vec apic.Vector) bool {
 // Start arms per-vCPU background machinery: guest timer ticks and the
 // miscellaneous-exit background. Call once after guest setup.
 func (vm *VM) Start() {
-	if _, ok := vm.idt[TimerVector]; !ok {
+	if vm.idt[TimerVector] == nil {
 		vm.RegisterIDT(TimerVector, ClassLocal, func(*VCPU) (sim.Time, func()) {
 			return 1200 * sim.Nanosecond, nil
 		})

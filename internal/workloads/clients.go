@@ -64,26 +64,24 @@ func (m *Memaslap) sendNext(flow int) {
 	}
 	id := m.seq
 	m.seq++
-	m.started[id] = m.peer.Eng.Now()
-	m.peer.Send(&netsim.Packet{
-		Bytes: reqBytes, Kind: guest.KindRequest, Flow: flow,
-		Payload: &Req{ID: id, RespBytes: respBytes},
-		Unit:    causal.Unit{Chain: m.Causal.Start(flow, id, m.peer.Eng.Now())},
-	})
+	now := m.peer.Eng.Now()
+	m.started[id] = now
+	p := m.peer.Pool.Get()
+	p.Bytes, p.Kind, p.Flow = reqBytes, guest.KindRequest, flow
+	p.ReqID, p.RespBytes = id, respBytes
+	p.Chain = m.Causal.Start(flow, id, now)
+	m.peer.Send(p)
 }
 
 // PeerReceive implements PeerFlow: a response completes one request and
 // immediately issues the next on the same connection (closed loop).
 func (m *Memaslap) PeerReceive(p *netsim.Packet) {
-	if p.Kind != guest.KindResponse {
-		return
-	}
-	r, _ := p.Payload.(*Resp)
-	if r == nil || r.Seg != r.Segs-1 {
+	defer p.Release()
+	if p.Kind != guest.KindResponse || p.Seq != int64(p.Segs-1) {
 		return // wait for the last segment
 	}
-	if t0, ok := m.started[r.ReqID]; ok {
-		delete(m.started, r.ReqID)
+	if t0, ok := m.started[p.ReqID]; ok {
+		delete(m.started, p.ReqID)
 		// The response's wire leg back to the generator closes the chain.
 		m.Causal.Complete(p.Chain, causal.StageWire, m.peer.Eng.Now())
 		m.Lat.Observe(m.peer.Eng.Now() - t0)
@@ -147,7 +145,9 @@ func (w *abWorker) connect() {
 
 func (w *abWorker) sendSYN() {
 	seq := w.connSeq
-	w.ab.peer.Port.Send(&netsim.Packet{Bytes: 74, Kind: guest.KindSYN, Flow: w.flow, Seq: seq})
+	syn := w.ab.peer.Pool.Get()
+	syn.Bytes, syn.Kind, syn.Flow, syn.Seq = 74, guest.KindSYN, w.flow, seq
+	w.ab.peer.Port.Send(syn)
 	w.retxTimer = w.ab.peer.Eng.After(w.ab.SYNTimeout, func() {
 		if w.state == 1 && w.connSeq == seq {
 			w.sendSYN() // SYN lost or unanswered: retransmit
@@ -157,6 +157,7 @@ func (w *abWorker) sendSYN() {
 
 // PeerReceive implements PeerFlow.
 func (w *abWorker) PeerReceive(p *netsim.Packet) {
+	defer p.Release()
 	switch p.Kind {
 	case guest.KindSYNACK:
 		if w.state != 1 || p.Seq != w.connSeq {
@@ -167,21 +168,17 @@ func (w *abWorker) PeerReceive(p *netsim.Packet) {
 		w.ab.ConnTime.Observe(w.ab.peer.Eng.Now() - w.synSent)
 		w.reqID = w.ab.seq
 		w.ab.seq++
-		w.ab.peer.Send(&netsim.Packet{
-			Bytes: w.ab.ReqBytes, Kind: guest.KindRequest, Flow: w.flow,
-			Payload: &Req{ID: w.reqID, RespBytes: w.ab.PageBytes},
-		})
+		req := w.ab.peer.Pool.Get()
+		req.Bytes, req.Kind, req.Flow = w.ab.ReqBytes, guest.KindRequest, w.flow
+		req.ReqID, req.RespBytes = w.reqID, w.ab.PageBytes
+		w.ab.peer.Send(req)
 	case guest.KindResponse:
-		if w.state != 2 {
-			return
-		}
-		r, _ := p.Payload.(*Resp)
-		if r == nil || r.ReqID != w.reqID {
+		if w.state != 2 || p.ReqID != w.reqID {
 			return
 		}
 		w.gotBytes += p.Bytes
 		w.ab.BytesReceived += uint64(p.Bytes)
-		if r.Seg == r.Segs-1 {
+		if p.Seq == int64(p.Segs-1) {
 			w.ab.Completed++
 			w.connect() // next request, new connection (ab default)
 		}
@@ -253,7 +250,9 @@ func (h *Httperf) initiate() {
 }
 
 func (c *httperfConn) sendSYN() {
-	c.h.peer.Port.Send(&netsim.Packet{Bytes: 74, Kind: guest.KindSYN, Flow: c.flow, Seq: 1})
+	syn := c.h.peer.Pool.Get()
+	syn.Bytes, syn.Kind, syn.Flow, syn.Seq = 74, guest.KindSYN, c.flow, 1
+	c.h.peer.Port.Send(syn)
 	c.h.peer.Eng.After(c.h.SYNTimeout, func() {
 		if c.state == 1 {
 			c.sendSYN()
@@ -263,6 +262,7 @@ func (c *httperfConn) sendSYN() {
 
 // PeerReceive implements PeerFlow.
 func (c *httperfConn) PeerReceive(p *netsim.Packet) {
+	defer p.Release()
 	switch p.Kind {
 	case guest.KindSYNACK:
 		if c.state != 1 {
@@ -273,15 +273,15 @@ func (c *httperfConn) PeerReceive(p *netsim.Packet) {
 		c.h.ConnTime.Observe(c.h.peer.Eng.Now() - c.synSent)
 		c.reqID = c.h.seq
 		c.h.seq++
-		c.h.peer.Send(&netsim.Packet{
-			Bytes: 110, Kind: guest.KindRequest, Flow: c.flow,
-			Payload: &Req{ID: c.reqID, RespBytes: c.h.PageBytes},
-		})
+		req := c.h.peer.Pool.Get()
+		req.Bytes, req.Kind, req.Flow = 110, guest.KindRequest, c.flow
+		req.ReqID, req.RespBytes = c.reqID, c.h.PageBytes
+		c.h.peer.Send(req)
 	case guest.KindResponse:
 		if c.state != 2 {
 			return
 		}
-		if r, _ := p.Payload.(*Resp); r != nil && r.ReqID == c.reqID && r.Seg == r.Segs-1 {
+		if p.ReqID == c.reqID && p.Seq == int64(p.Segs-1) {
 			c.state = 3
 			c.h.Responses++
 		}

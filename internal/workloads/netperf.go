@@ -23,7 +23,7 @@ func NetperfSendTCP(kern *guest.Kernel, v *vmm.VCPU, pe *Peer, flowID, msgBytes,
 	pair := kern.Dev.PairFor(flowID)
 	prep := kern.Costs.TXCost(msgBytes, true)
 	var pending *netsim.Packet
-	var loop func()
+	var loop, send func()
 	loop = func() {
 		if pending != nil {
 			if !pair.Dev.Transmit(v, pending) {
@@ -40,15 +40,18 @@ func NetperfSendTCP(kern *guest.Kernel, v *vmm.VCPU, pe *Peer, flowID, msgBytes,
 			pair.WaitTX(loop)
 			return
 		}
-		v.EnqueueTask(vmm.NewTask("netperf-tcp-tx", vmm.PrioTask, kern.JitterCost(prep), func() {
-			seg := f.NextSegment()
-			if !pair.Dev.Transmit(v, seg) {
-				pending = seg
-				pair.WaitTX(loop)
-				return
-			}
-			loop()
-		}))
+		v.EnqueueTask(vmm.NewTask("netperf-tcp-tx", vmm.PrioTask, kern.JitterCost(prep), send))
+	}
+	// send ends one message's preparation task; it is bound once, as
+	// the stream has at most one such task queued.
+	send = func() {
+		seg := f.NextSegment()
+		if !pair.Dev.Transmit(v, seg) {
+			pending = seg
+			pair.WaitTX(loop)
+			return
+		}
+		loop()
 	}
 	loop()
 	return f, sink
@@ -64,12 +67,13 @@ func NetperfSendUDP(kern *guest.Kernel, v *vmm.VCPU, pe *Peer, flowID, msgBytes 
 
 	dev := kern.Dev
 	prep := kern.Costs.TXCost(msgBytes, false)
-	var loop func()
+	var loop, send func()
 	loop = func() {
-		v.EnqueueTask(vmm.NewTask("netperf-udp-tx", vmm.PrioTask, kern.JitterCost(prep), func() {
-			dev.TransmitOrDrop(v, f.NextPacket())
-			loop()
-		}))
+		v.EnqueueTask(vmm.NewTask("netperf-udp-tx", vmm.PrioTask, kern.JitterCost(prep), send))
+	}
+	send = func() {
+		dev.TransmitOrDrop(v, f.NextPacket())
+		loop()
 	}
 	loop()
 	return f, sink
@@ -88,11 +92,10 @@ func NetperfSendUDPPaced(kern *guest.Kernel, v *vmm.VCPU, pe *Peer, flowID, msgB
 	prep := kern.Costs.TXCost(msgBytes, false)
 	interval := sim.Time(1e9 / pps)
 	eng := kern.Engine()
+	send := func() { dev.TransmitOrDrop(v, f.NextPacket()) }
 	var tick func()
 	tick = func() {
-		v.EnqueueTask(vmm.NewTask("netperf-udp-paced", vmm.PrioTask, kern.JitterCost(prep), func() {
-			dev.TransmitOrDrop(v, f.NextPacket())
-		}))
+		v.EnqueueTask(vmm.NewTask("netperf-udp-paced", vmm.PrioTask, kern.JitterCost(prep), send))
 		eng.After(interval, tick)
 	}
 	eng.After(interval, tick)
@@ -121,21 +124,30 @@ type TCPSink struct {
 
 // PeerReceive implements PeerFlow.
 func (s *TCPSink) PeerReceive(p *netsim.Packet) {
-	if p.Kind != guest.KindTCPData {
+	kind, seq, bytes := p.Kind, p.Seq, p.Bytes
+	p.Release()
+	if kind != guest.KindTCPData {
 		return
 	}
-	if p.Seq != s.expected {
-		s.peer.Send(&netsim.Packet{Bytes: 66, Kind: guest.KindTCPAck, Flow: s.flowID, Seq: s.expected})
+	if seq != s.expected {
+		s.ack()
 		return
 	}
 	s.expected++
-	s.Bytes += uint64(p.Bytes)
+	s.Bytes += uint64(bytes)
 	s.Segs++
 	s.pending++
 	if s.pending >= s.ackEvery {
 		s.pending = 0
-		s.peer.Send(&netsim.Packet{Bytes: 66, Kind: guest.KindTCPAck, Flow: s.flowID, Seq: s.expected})
+		s.ack()
 	}
+}
+
+// ack sends the cumulative ACK for the in-order stream so far.
+func (s *TCPSink) ack() {
+	a := s.peer.Pool.Get()
+	a.Bytes, a.Kind, a.Flow, a.Seq = 66, guest.KindTCPAck, s.flowID, s.expected
+	s.peer.Send(a)
 }
 
 // UDPSink counts a guest-to-peer UDP stream at the receiver.
@@ -146,11 +158,11 @@ type UDPSink struct {
 
 // PeerReceive implements PeerFlow.
 func (s *UDPSink) PeerReceive(p *netsim.Packet) {
-	if p.Kind != guest.KindUDP {
-		return
+	if p.Kind == guest.KindUDP {
+		s.Bytes += uint64(p.Bytes)
+		s.Pkts++
 	}
-	s.Bytes += uint64(p.Bytes)
-	s.Pkts++
+	p.Release()
 }
 
 // NetperfRecvTCP runs a netperf TCP_STREAM receive test: the peer
@@ -193,7 +205,9 @@ type TCPSource struct {
 // pump sends while the window admits.
 func (s *TCPSource) pump() {
 	for s.inFlight < s.window {
-		s.peer.Send(&netsim.Packet{Bytes: s.segBytes, Kind: guest.KindTCPData, Flow: s.flowID, Seq: s.nextSeq})
+		seg := s.peer.Pool.Get()
+		seg.Bytes, seg.Kind, seg.Flow, seg.Seq = s.segBytes, guest.KindTCPData, s.flowID, s.nextSeq
+		s.peer.Send(seg)
 		s.nextSeq++
 		s.inFlight++
 		s.SentSegs++
@@ -227,17 +241,19 @@ func (s *TCPSource) onRTO() {
 
 // PeerReceive implements PeerFlow: guest ACKs open the window.
 func (s *TCPSource) PeerReceive(p *netsim.Packet) {
-	if p.Kind != guest.KindTCPAck {
+	kind, seq := p.Kind, p.Seq
+	p.Release()
+	if kind != guest.KindTCPAck {
 		return
 	}
-	if p.Seq <= s.acked {
+	if seq <= s.acked {
 		return
 	}
-	s.inFlight -= int(p.Seq - s.acked)
+	s.inFlight -= int(seq - s.acked)
 	if s.inFlight < 0 {
 		s.inFlight = 0
 	}
-	s.acked = p.Seq
+	s.acked = seq
 	// Forward progress: reset the backoff and re-time what remains.
 	if s.rto > 0 {
 		s.curRTO = s.rto
@@ -275,7 +291,9 @@ func (s *UDPSource) start() {
 		if s.stopped {
 			return
 		}
-		s.peer.Port.Send(&netsim.Packet{Bytes: s.pktBytes, Kind: guest.KindUDP, Flow: s.flowID, Seq: s.nextSeq})
+		p := s.peer.Pool.Get()
+		p.Bytes, p.Kind, p.Flow, p.Seq = s.pktBytes, guest.KindUDP, s.flowID, s.nextSeq
+		s.peer.Port.Send(p)
 		s.nextSeq++
 		s.SentPkts++
 		s.peer.Eng.After(s.interval, tick)
@@ -287,4 +305,4 @@ func (s *UDPSource) start() {
 func (s *UDPSource) Stop() { s.stopped = true }
 
 // PeerReceive implements PeerFlow (nothing flows back on UDP).
-func (s *UDPSource) PeerReceive(p *netsim.Packet) {}
+func (s *UDPSource) PeerReceive(p *netsim.Packet) { p.Release() }

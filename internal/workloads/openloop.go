@@ -104,6 +104,7 @@ func NewOpenLoopClient(rt *loadgen.Runtime, phaseHists []*metrics.LogHistogram, 
 
 // openReq is one logical in-flight request: fan-out legs still
 // outstanding, the arrival instant, and the phase it is billed to.
+// A stream's pending map holds it by value.
 type openReq struct {
 	remaining int
 	started   sim.Time
@@ -131,7 +132,11 @@ type OpenLoopStream struct {
 
 	outstanding int
 	seq         int64
-	pending     map[int64]*openReq
+	pending     map[int64]openReq
+
+	// onArrival (an arrival event) and redraw (a dormant re-poll) are
+	// the stream's two timer callbacks, bound once.
+	onArrival, redraw func()
 }
 
 // newStream registers one stream whose sub-requests go out through
@@ -142,8 +147,13 @@ func (c *OpenLoopClient) newStream(eng *sim.Engine, cfg StreamConfig, send func(
 		flows: cfg.Flows, rate: cfg.RatePerSec, sampler: cfg.Sampler,
 		reqBytes: cfg.ReqBytes, respBytes: cfg.RespBytes,
 		maxOutstanding: cfg.MaxOutstanding,
-		pending:        make(map[int64]*openReq),
+		pending:        make(map[int64]openReq),
 	}
+	s.onArrival = func() {
+		s.arrive()
+		s.scheduleNext()
+	}
+	s.redraw = s.scheduleNext
 	c.streams = append(c.streams, s)
 	eng.After(cfg.Start+1, s.scheduleNext)
 	return s
@@ -156,6 +166,20 @@ type guestStream struct {
 	*OpenLoopStream
 	kern *guest.Kernel
 	v    *vmm.VCPU
+
+	// queued holds the sub-requests whose TX tasks wait on v, in
+	// enqueue order. A vCPU runs one priority's tasks FIFO, so sent,
+	// the tasks' completion bound once, pops its own task's entry.
+	queued sim.Ring[subRequest]
+	sent   func()
+}
+
+// subRequest is one queued sub-request: its flow, logical request id
+// and causal chain.
+type subRequest struct {
+	flow  int
+	id    int64
+	chain *causal.Chain
 }
 
 // AddStream registers a guest-side stream on kern, pinned to the vCPU
@@ -164,6 +188,7 @@ type guestStream struct {
 func (c *OpenLoopClient) AddStream(kern *guest.Kernel, cfg StreamConfig) {
 	vcpus := kern.VM.VCPUs
 	g := &guestStream{kern: kern, v: vcpus[cfg.Flows[0]%len(vcpus)]}
+	g.sent = g.transmitHead
 	g.OpenLoopStream = c.newStream(kern.Engine(), cfg, g.issue)
 	for _, fid := range cfg.Flows {
 		kern.RegisterFlow(fid, g)
@@ -174,16 +199,21 @@ func (c *OpenLoopClient) AddStream(kern *guest.Kernel, cfg StreamConfig) {
 // mirroring RPCFlow.
 func (g *guestStream) issue(flowID int, id int64, chain *causal.Chain) {
 	cost := g.kern.JitterCost(g.kern.Costs.TXCost(g.reqBytes, true))
-	g.v.EnqueueTask(vmm.NewTask("openloop-req", vmm.PrioTask, cost, func() {
-		g.transmit(flowID, id, chain)
-	}))
+	g.queued.Push(subRequest{flow: flowID, id: id, chain: chain})
+	g.v.EnqueueTask(vmm.NewTask("openloop-req", vmm.PrioTask, cost, g.sent))
+}
+
+// transmitHead ends the head sub-request's TX task.
+func (g *guestStream) transmitHead() {
+	r := g.queued.Pop()
+	g.transmit(r.flow, r.id, r.chain)
 }
 
 // transmit posts the sub-request, resuming via WaitTX on a full ring.
 // There is no supersession: open-loop requests are never retried, a
 // full ring simply delays them (and the backlog shows it).
 func (g *guestStream) transmit(flowID int, id int64, chain *causal.Chain) {
-	if !g.kern.Dev.Transmit(g.v, g.request(flowID, id, chain)) {
+	if !g.kern.Dev.Transmit(g.v, g.request(&g.kern.Pool, flowID, id, chain)) {
 		g.kern.Dev.WaitTXFlow(flowID, func() { g.transmit(flowID, id, chain) })
 		return
 	}
@@ -219,7 +249,7 @@ func (c *OpenLoopClient) AddPeerStream(pe *Peer, cfg StreamConfig) {
 
 // issue sends one request toward the guest.
 func (p *peerStream) issue(flowID int, id int64, chain *causal.Chain) {
-	p.pe.Send(p.request(flowID, id, chain))
+	p.pe.Send(p.request(&p.pe.Pool, flowID, id, chain))
 	p.c.Sent++
 }
 
@@ -261,8 +291,9 @@ func (c *OpenLoopClient) ResetStats() {
 	}
 	for _, s := range c.streams {
 		s.Arrivals = 0
-		for _, r := range s.pending {
+		for id, r := range s.pending {
 			r.phase = -1
+			s.pending[id] = r
 		}
 	}
 }
@@ -274,15 +305,12 @@ func (c *OpenLoopClient) ResetStats() {
 func (s *OpenLoopStream) scheduleNext() {
 	mult := s.c.RT.Multiplier(s.eng.Now())
 	if mult <= 0 {
-		s.eng.After(s.c.RT.DormantTick(), s.scheduleNext)
+		s.eng.After(s.c.RT.DormantTick(), s.redraw)
 		return
 	}
 	mean := sim.Time(1e9 / (s.rate * mult))
 	d := s.sampler.Interarrival(mean)
-	s.eng.After(d, func() {
-		s.arrive()
-		s.scheduleNext()
-	})
+	s.eng.After(d, s.onArrival)
 }
 
 // arrive is one open-loop arrival: count it against the phase in
@@ -309,19 +337,19 @@ func (s *OpenLoopStream) arrive() {
 	s.outstanding++
 	s.seq++
 	id := s.seq
-	s.pending[id] = &openReq{remaining: len(s.flows), started: now, phase: ph}
+	s.pending[id] = openReq{remaining: len(s.flows), started: now, phase: ph}
 	for _, fid := range s.flows {
 		s.send(fid, id, c.Causal.Start(fid, id, now))
 	}
 }
 
-// request builds one sub-request packet.
-func (s *OpenLoopStream) request(flowID int, id int64, chain *causal.Chain) *netsim.Packet {
-	return &netsim.Packet{
-		Bytes: s.reqBytes, Kind: guest.KindRequest, Flow: flowID,
-		Payload: &Req{ID: id, RespBytes: s.respBytes},
-		Unit:    causal.Unit{Chain: chain},
-	}
+// request builds one sub-request packet from pool.
+func (s *OpenLoopStream) request(pool *netsim.Pool, flowID int, id int64, chain *causal.Chain) *netsim.Packet {
+	p := pool.Get()
+	p.Bytes, p.Kind, p.Flow = s.reqBytes, guest.KindRequest, flowID
+	p.ReqID, p.RespBytes = id, s.respBytes
+	p.Chain = chain
+	return p
 }
 
 // respond handles one response segment. The last segment of a response
@@ -329,16 +357,16 @@ func (s *OpenLoopStream) request(flowID int, id int64, chain *causal.Chain) *net
 // the last leg gathers the logical request and records its latency
 // against the arrival's phase.
 func (s *OpenLoopStream) respond(p *netsim.Packet, closes causal.Stage) {
+	defer p.Release()
 	if p.Kind != guest.KindResponse {
 		return
 	}
 	c := s.c
 	c.BytesReceived += uint64(p.Bytes)
-	r, _ := p.Payload.(*Resp)
-	if r == nil || r.Seg != r.Segs-1 {
+	if p.Seq != int64(p.Segs-1) {
 		return
 	}
-	req, ok := s.pending[r.ReqID]
+	req, ok := s.pending[p.ReqID]
 	if !ok {
 		return
 	}
@@ -346,9 +374,10 @@ func (s *OpenLoopStream) respond(p *netsim.Packet, closes causal.Stage) {
 	c.Causal.Complete(p.Chain, closes, now)
 	req.remaining--
 	if req.remaining > 0 {
+		s.pending[p.ReqID] = req
 		return // scatter/gather: wait for the other legs
 	}
-	delete(s.pending, r.ReqID)
+	delete(s.pending, p.ReqID)
 	s.outstanding--
 	if req.phase < 0 {
 		return // admitted before the window: drains without billing

@@ -51,12 +51,13 @@ func olConfigs(n int, rate float64, maxOutstanding int) []StreamConfig {
 type echoPeer struct{ pe *Peer }
 
 func (e echoPeer) PeerReceive(p *netsim.Packet) {
-	if q, ok := p.Payload.(*Req); ok {
-		e.pe.Send(&netsim.Packet{
-			Bytes: q.RespBytes, Kind: guest.KindResponse, Flow: p.Flow,
-			Payload: &Resp{ReqID: q.ID, Segs: 1},
-		})
+	if p.Kind == guest.KindRequest {
+		r := e.pe.Pool.Get()
+		r.Bytes, r.Kind, r.Flow = p.RespBytes, guest.KindResponse, p.Flow
+		r.ReqID, r.Segs = p.ReqID, 1
+		e.pe.Send(r)
 	}
+	p.Release()
 }
 
 // addPeerStreams puts each stream on the peer, one flow each, against

@@ -23,6 +23,8 @@ type Pinger struct {
 
 	nextSeq int64
 	sentAt  map[int64]sim.Time
+	// next re-arms tick, bound once.
+	next func()
 
 	// RTTs is the time series of round-trip times, in milliseconds
 	// (one point per reply, timestamped at the reply's arrival).
@@ -44,6 +46,7 @@ func StartPing(kern *guest.Kernel, pe *Peer, flowID int, interval sim.Time) *Pin
 		sentAt: make(map[int64]sim.Time),
 		Hist:   metrics.NewLogHistogram(),
 	}
+	p.next = p.tick
 	pe.Register(flowID, p)
 	p.tick()
 	return p
@@ -57,10 +60,11 @@ func (p *Pinger) tick() {
 	p.nextSeq++
 	p.sentAt[seq] = p.peer.Eng.Now()
 	p.Sent++
-	pkt := &netsim.Packet{Bytes: p.bytes, Kind: guest.KindEcho, Flow: p.flowID, Seq: seq}
+	pkt := p.peer.Pool.Get()
+	pkt.Bytes, pkt.Kind, pkt.Flow, pkt.Seq = p.bytes, guest.KindEcho, p.flowID, seq
 	pkt.Chain = p.Causal.Start(p.flowID, seq, p.peer.Eng.Now())
 	p.peer.Port.Send(pkt)
-	p.peer.Eng.After(p.interval, func() { p.tick() })
+	p.peer.Eng.After(p.interval, p.next)
 }
 
 // Stop halts probing.
@@ -68,6 +72,7 @@ func (p *Pinger) Stop() { p.stopped = true }
 
 // PeerReceive implements PeerFlow: match the reply and record the RTT.
 func (p *Pinger) PeerReceive(pkt *netsim.Packet) {
+	defer pkt.Release()
 	if pkt.Kind != guest.KindEchoReply {
 		return
 	}

@@ -64,6 +64,31 @@ type RPCClient struct {
 
 	flows []*RPCFlow
 	rng   *sim.Rand
+	// queues holds one attempt FIFO per vCPU, indexed by VCPU.ID.
+	queues []*attemptQueue
+}
+
+// attemptQueue holds the request attempts whose rpc-req tasks are
+// queued on one vCPU, in enqueue order. A vCPU runs one priority's
+// tasks FIFO, so the task callback, bound once per vCPU rather than
+// per flow, pops the attempt its own task was queued for. A flow may
+// have several attempts queued at once: a retry can be issued while a
+// superseded attempt still waits.
+type attemptQueue struct {
+	q    sim.Ring[attempt]
+	done func()
+}
+
+// attempt is one queued request attempt: the flow and its attempt id.
+type attempt struct {
+	f  *RPCFlow
+	id int64
+}
+
+// transmitHead ends the head attempt's rpc-req task.
+func (q *attemptQueue) transmitHead() {
+	a := q.q.Pop()
+	a.f.transmit(a.id)
 }
 
 // minRetryBackoff floors the retry delay so a degenerate spec (a
@@ -116,7 +141,13 @@ type RPCFlow struct {
 // every given histogram. The retry jitter generator forks off the
 // engine's RNG here, during deterministic build.
 func NewRPCClient(kern *guest.Kernel, hists ...*metrics.LogHistogram) *RPCClient {
-	return &RPCClient{Kern: kern, hists: hists, rng: kern.Engine().Rand().Fork()}
+	c := &RPCClient{Kern: kern, hists: hists, rng: kern.Engine().Rand().Fork()}
+	for range kern.VM.VCPUs {
+		q := &attemptQueue{}
+		q.done = q.transmitHead
+		c.queues = append(c.queues, q)
+	}
+	return c
 }
 
 // AddFlow registers one closed-loop flow issuing reqBytes requests and
@@ -176,12 +207,11 @@ func (f *RPCFlow) sendNext() {
 func (f *RPCFlow) issue() {
 	kern := f.c.Kern
 	f.reqID++
-	id := f.reqID
-	f.chain = f.c.Causal.Start(f.ID, id, kern.Engine().Now())
+	f.chain = f.c.Causal.Start(f.ID, f.reqID, kern.Engine().Now())
 	cost := kern.JitterCost(kern.Costs.TXCost(f.reqBytes, true))
-	f.v.EnqueueTask(vmm.NewTask("rpc-req", vmm.PrioTask, cost, func() {
-		f.transmit(id)
-	}))
+	q := f.c.queues[f.v.ID]
+	q.q.Push(attempt{f: f, id: f.reqID})
+	f.v.EnqueueTask(vmm.NewTask("rpc-req", vmm.PrioTask, cost, q.done))
 }
 
 // expired fires when attempt id's deadline lapses without a response:
@@ -236,11 +266,10 @@ func (f *RPCFlow) transmit(id int64) {
 	if id != f.reqID {
 		return
 	}
-	pkt := &netsim.Packet{
-		Bytes: f.reqBytes, Kind: guest.KindRequest, Flow: f.ID,
-		Payload: &Req{ID: id, RespBytes: f.respBytes},
-		Unit:    causal.Unit{Chain: f.chain},
-	}
+	pkt := f.c.Kern.Pool.Get()
+	pkt.Bytes, pkt.Kind, pkt.Flow = f.reqBytes, guest.KindRequest, f.ID
+	pkt.ReqID, pkt.RespBytes = id, f.respBytes
+	pkt.Chain = f.chain
 	if !f.c.Kern.Dev.Transmit(f.v, pkt) {
 		f.c.Kern.Dev.WaitTXFlow(f.ID, func() { f.transmit(id) })
 		return
@@ -259,12 +288,12 @@ func (f *RPCFlow) RXCost(p *netsim.Packet) sim.Time {
 // HandleRX implements guest.FlowHandler: the response's last segment
 // completes the request and immediately issues the next (closed loop).
 func (f *RPCFlow) HandleRX(p *netsim.Packet, v *vmm.VCPU) {
+	defer p.Release()
 	if p.Kind != guest.KindResponse {
 		return
 	}
 	f.c.BytesReceived += uint64(p.Bytes)
-	r, _ := p.Payload.(*Resp)
-	if r == nil || r.ReqID < f.attemptBase || r.ReqID > f.reqID || r.Seg != r.Segs-1 {
+	if p.ReqID < f.attemptBase || p.ReqID > f.reqID || p.Seq != int64(p.Segs-1) {
 		return
 	}
 	f.deadline.Cancel()

@@ -8,23 +8,6 @@ import (
 	"es2/internal/vmm"
 )
 
-// Req is the application payload of a KindRequest packet.
-type Req struct {
-	ID int64
-	// RespBytes is the size of the response the server must produce.
-	RespBytes int
-	// Service overrides the server's default per-request service cost
-	// when non-zero.
-	Service sim.Time
-}
-
-// Resp is the application payload of a KindResponse packet.
-type Resp struct {
-	ReqID int64
-	Seg   int
-	Segs  int
-}
-
 // ServerConfig parameterizes the guest request/response server that
 // stands in for Memcached, Apache, and the Httperf target.
 type ServerConfig struct {
@@ -58,7 +41,9 @@ func DefaultServerConfig() ServerConfig {
 //
 // It installs itself as the kernel's default flow handler: SYNs are
 // answered from softirq context (as the TCP stack does) and requests
-// are queued to process-context workers.
+// are queued to process-context workers. A request packet carries its
+// header in netsim.Packet's ReqID and RespBytes; each response segment
+// carries ReqID, its index in Seq and the segment count in Segs.
 type Server struct {
 	Kern *guest.Kernel
 	Cfg  ServerConfig
@@ -85,7 +70,9 @@ func StartServer(kern *guest.Kernel, cfg ServerConfig) *Server {
 	}
 	s := &Server{Kern: kern, Cfg: cfg, pending: make(map[int]bool)}
 	for _, v := range kern.VM.VCPUs {
-		s.workers = append(s.workers, &worker{srv: s, v: v})
+		w := &worker{srv: s, v: v}
+		w.send = w.sendResponse
+		s.workers = append(s.workers, w)
 	}
 	kern.SetDefaultHandler(s)
 	return s
@@ -103,39 +90,60 @@ func (s *Server) RXCost(p *netsim.Packet) sim.Time {
 	}
 }
 
-// HandleRX implements guest.FlowHandler.
+// HandleRX implements guest.FlowHandler. A request passes to its
+// worker, which releases it; every other packet ends here.
 func (s *Server) HandleRX(p *netsim.Packet, v *vmm.VCPU) {
 	switch p.Kind {
 	case guest.KindSYN:
+		flow, seq := p.Flow, p.Seq
+		p.Release()
 		// SYN handled in softirq. A fresh connection needs a backlog
 		// slot; with the backlog full the SYN is silently dropped and
 		// the client's retransmission timer governs recovery. A
 		// retransmitted SYN for a still-pending connection just gets
 		// its SYN/ACK again.
-		if !s.pending[p.Flow] {
+		if !s.pending[flow] {
 			if len(s.pending) >= s.Cfg.Backlog {
 				s.SYNDrops++
 				return
 			}
-			s.pending[p.Flow] = true
+			s.pending[flow] = true
 			s.Conns++
 		}
-		ack := &netsim.Packet{Bytes: 66, Kind: guest.KindSYNACK, Flow: p.Flow, Seq: p.Seq}
+		ack := s.Kern.Pool.Get()
+		ack.Bytes, ack.Kind, ack.Flow, ack.Seq = 66, guest.KindSYNACK, flow, seq
 		if s.Kern.Dev.Transmit(v, ack) {
 			s.SynAcks++
 		}
 	case guest.KindRequest:
 		w := s.workers[p.Flow%len(s.workers)]
 		w.enqueue(p)
+	default:
+		p.Release()
 	}
 }
 
-// worker is one per-vCPU application process.
+// worker is one per-vCPU application process. It serves one request
+// at a time, so the request it has taken off q waits in the fields
+// below while its serve task runs and its response goes out.
 type worker struct {
 	srv  *Server
 	v    *vmm.VCPU
 	q    sim.Ring[*netsim.Packet]
 	busy bool
+
+	// flow, id, respBytes and chain are the request in service, copied
+	// out of its packet; segs is its response's segment count and from
+	// the next segment to transmit.
+	flow      int
+	id        int64
+	respBytes int
+	chain     *causal.Chain
+	segs      int
+	from      int
+	// send ends the serve task and resumes a transmit parked on a full
+	// ring; it is bound once.
+	send func()
 }
 
 func (w *worker) enqueue(p *netsim.Packet) {
@@ -154,27 +162,20 @@ func (w *worker) next() {
 	p := w.q.Pop()
 
 	// The worker accepting the request frees the connection's backlog
-	// slot (accept(2) semantics).
+	// slot (accept(2) semantics), copies the request out and releases
+	// its packet.
 	delete(w.srv.pending, p.Flow)
+	w.flow, w.id, w.respBytes, w.chain = p.Flow, p.ReqID, p.RespBytes, p.Chain
+	p.Release()
 
-	req, _ := p.Payload.(*Req)
-	if req == nil {
-		req = &Req{RespBytes: 128}
-	}
-	service := w.srv.Cfg.ServiceCost
-	if req.Service > 0 {
-		service = req.Service
-	}
 	segBytes := w.srv.Cfg.SegBytes
-	segs := (req.RespBytes + segBytes - 1) / segBytes
-	if segs == 0 {
-		segs = 1
-	}
+	w.segs = (w.respBytes + segBytes - 1) / segBytes
+	w.from = 0
 	// Application service plus the stack cost of producing the
 	// response segments, charged as one process-context task.
-	cost := service
-	rem := req.RespBytes
-	for i := 0; i < segs; i++ {
+	cost := w.srv.Cfg.ServiceCost
+	rem := w.respBytes
+	for i := 0; i < w.segs; i++ {
 		n := segBytes
 		if rem < n {
 			n = rem
@@ -182,36 +183,31 @@ func (w *worker) next() {
 		cost += w.srv.Kern.Costs.TXCost(n, true)
 		rem -= n
 	}
-	w.v.EnqueueTask(vmm.NewTask("serve", vmm.PrioTask, cost, func() {
-		w.sendResponse(p.Flow, p.Chain, req, segs, 0)
-	}))
+	w.v.EnqueueTask(vmm.NewTask("serve", vmm.PrioTask, cost, w.send))
 }
 
-// sendResponse transmits the response segments, resuming via WaitTX on
-// a full ring. The request's causal chain (if any) rides the last
-// segment back — the one whose arrival completes the request.
-func (w *worker) sendResponse(flow int, chain *causal.Chain, req *Req, segs, from int) {
+// sendResponse transmits the response segments from w.from on,
+// resuming via WaitTX on a full ring. The request's causal chain (if
+// any) rides the last segment back — the one whose arrival completes
+// the request.
+func (w *worker) sendResponse() {
 	segBytes := w.srv.Cfg.SegBytes
-	for i := from; i < segs; i++ {
-		n := req.RespBytes - i*segBytes
+	for ; w.from < w.segs; w.from++ {
+		i := w.from
+		n := w.respBytes - i*segBytes
 		if n > segBytes {
 			n = segBytes
 		}
-		if n <= 0 {
-			n = 1
-		}
-		pkt := &netsim.Packet{
-			Bytes: n, Kind: guest.KindResponse, Flow: flow, Seq: int64(i),
-			Payload: &Resp{ReqID: req.ID, Seg: i, Segs: segs},
-		}
-		if i == segs-1 {
-			pkt.Chain = chain
+		pkt := w.srv.Kern.Pool.Get()
+		pkt.Bytes, pkt.Kind, pkt.Flow, pkt.Seq = n, guest.KindResponse, w.flow, int64(i)
+		pkt.ReqID, pkt.Segs = w.id, w.segs
+		if i == w.segs-1 {
+			pkt.Chain = w.chain
 		}
 		if !w.srv.Kern.Dev.Transmit(w.v, pkt) {
-			i := i
 			// Park on the pair the flow hashes to: only its completions
 			// free the ring this segment is waiting for.
-			w.srv.Kern.Dev.WaitTXFlow(flow, func() { w.sendResponse(flow, chain, req, segs, i) })
+			w.srv.Kern.Dev.WaitTXFlow(w.flow, w.send)
 			return
 		}
 	}

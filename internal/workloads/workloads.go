@@ -23,6 +23,8 @@ type Peer struct {
 	// Delay is the peer's per-action processing latency (stack +
 	// application on an unloaded machine).
 	Delay sim.Time
+	// Pool recycles the packets the peer's generators and sinks build.
+	Pool netsim.Pool
 
 	flows map[int]PeerFlow
 	// out holds packets for their processing delay. The delay is
@@ -40,7 +42,8 @@ type Peer struct {
 	Unclaimed uint64
 }
 
-// PeerFlow is the peer-side protocol engine of one flow.
+// PeerFlow is the peer-side protocol engine of one flow. PeerReceive
+// is the packet's terminal consumer: it releases p after its last read.
 type PeerFlow interface {
 	PeerReceive(p *netsim.Packet)
 }
@@ -56,8 +59,12 @@ func NewPeer(eng *sim.Engine, port *netsim.Port, delay sim.Time) *Peer {
 // Register binds a flow id to its peer-side engine.
 func (pe *Peer) Register(id int, f PeerFlow) { pe.flows[id] = f }
 
-// Receive implements netsim.Endpoint.
+// Receive implements netsim.Endpoint. A packet for an unknown flow is
+// dropped unreleased.
 func (pe *Peer) Receive(p *netsim.Packet) {
+	if p.Released() {
+		panic("workloads: released packet reached the peer")
+	}
 	if f, ok := pe.flows[p.Flow]; ok {
 		f.PeerReceive(p)
 		return
