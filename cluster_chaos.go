@@ -197,9 +197,8 @@ func (cc *chaosController) failover(flowID int) bool {
 		// responses still route back to the client and are ignored by
 		// request id there.
 		qi := flowID % cc.cb.spec.Queues
-		cand.h.demux.byFlow[flowID] = cand.h.devsByVM[cand.vi][qi]
-		pp := cc.cb.flowPorts[flowID]
-		cc.cb.flowPorts[flowID] = [2]int{pp[0], cand.h.port.Index()}
+		cand.h.demux.steer(flowID, cand.h.devsByVM[cand.vi][qi])
+		cc.cb.flowPorts[flowID][1] = cand.h.port
 		cc.flowServer[flowID] = ni
 		return true
 	}

@@ -48,7 +48,9 @@ type vmRef struct {
 // the owning VM's per-queue vhost device by the cluster flow table
 // (receive-side steering with an exact-match table).
 type hostDemux struct {
-	byFlow map[int]*vhost.Device
+	// byFlow is indexed by flow id (workloads.FlowIDs hands ids out
+	// densely); nil marks a flow this host does not carry.
+	byFlow []*vhost.Device
 
 	// Drops counts frames for unknown flows (none in a correctly wired
 	// cluster).
@@ -57,11 +59,28 @@ type hostDemux struct {
 
 // Receive implements netsim.Endpoint.
 func (d *hostDemux) Receive(p *netsim.Packet) {
-	if dev, ok := d.byFlow[p.Flow]; ok {
-		dev.Receive(p)
-		return
+	if uint(p.Flow) < uint(len(d.byFlow)) {
+		if dev := d.byFlow[p.Flow]; dev != nil {
+			dev.Receive(p)
+			return
+		}
 	}
 	d.Drops++
+}
+
+// steer delivers the host's frames of flow id to dev.
+func (d *hostDemux) steer(id int, dev *vhost.Device) {
+	d.byFlow = growTo(d.byFlow, id)
+	d.byFlow[id] = dev
+}
+
+// growTo returns s, extended with zero values if need be, so that
+// s[i] exists.
+func growTo[T any](s []T, i int) []T {
+	if i >= len(s) {
+		s = append(s, make([]T, i+1-len(s))...)
+	}
+	return s
 }
 
 // clusterBed is one fully wired rack.
@@ -71,9 +90,10 @@ type clusterBed struct {
 	sw    *fabric.Switch
 	hosts []*clusterHost
 
-	// flowPorts maps flow id -> [client port index, server port index]
-	// and drives the switch's routing decision.
-	flowPorts map[int][2]int
+	// flowPorts maps flow id -> [client port, server port] and drives
+	// the switch's routing decision. It is indexed by flow id like
+	// hostDemux.byFlow; a nil client port marks an unknown flow.
+	flowPorts [][2]*fabric.Port
 
 	clusterLat *metrics.LogHistogram
 	crit       *causal.Tracker
@@ -93,6 +113,17 @@ type clusterBed struct {
 	tel     *telemetry.Recorder // nil unless spec.Telemetry
 	perf    *enginestats.Collector
 	sloEval *slo.Evaluator
+}
+
+// bindFlow carries flow id between client VM c and server VM s: each
+// host steers the flow to its VM's vhost device for the flow's queue,
+// and the switch routes it between the two hosts' ports.
+func (cb *clusterBed) bindFlow(id int, c, s vmRef) {
+	qi := id % cb.spec.Queues
+	c.h.demux.steer(id, c.h.devsByVM[c.vi][qi])
+	s.h.demux.steer(id, s.h.devsByVM[s.vi][qi])
+	cb.flowPorts = growTo(cb.flowPorts, id)
+	cb.flowPorts[id] = [2]*fabric.Port{c.h.port, s.h.port}
 }
 
 // faultCounters sums the per-host injector tallies.
@@ -181,7 +212,6 @@ func buildCluster(spec ClusterSpec) (*clusterBed, error) {
 	cb := &clusterBed{
 		spec:       spec,
 		eng:        eng,
-		flowPorts:  make(map[int][2]int),
 		clusterLat: metrics.NewLogHistogram(),
 	}
 	cb.sw = fabric.New(eng, fabric.Params{
@@ -191,14 +221,17 @@ func buildCluster(spec ClusterSpec) (*clusterBed, error) {
 		QueueCap:   spec.Fabric.QueueCap,
 	})
 	cb.sw.SetRouter(func(src *fabric.Port, p *netsim.Packet) (int, bool) {
-		pp, ok := cb.flowPorts[p.Flow]
-		if !ok {
+		if uint(p.Flow) >= uint(len(cb.flowPorts)) {
 			return 0, false
 		}
-		if src.Index() == pp[0] {
-			return pp[1], true
+		pp := cb.flowPorts[p.Flow]
+		if pp[0] == nil {
+			return 0, false
 		}
-		return pp[0], true
+		if src == pp[0] {
+			return pp[1].Index(), true
+		}
+		return pp[0].Index(), true
 	})
 
 	if spec.CritPath {
@@ -215,7 +248,7 @@ func buildCluster(spec ClusterSpec) (*clusterBed, error) {
 	for hi := 0; hi < spec.Hosts; hi++ {
 		name := fmt.Sprintf("h%d", hi)
 		h := &clusterHost{index: hi, hostBed: newHostBed(eng, name, spec.hostSpec(hi, causal.NewProbe(cb.crit, uint8(hi), spec.PathTrace)))}
-		h.demux = &hostDemux{byFlow: make(map[int]*vhost.Device)}
+		h.demux = &hostDemux{}
 		h.port = cb.sw.AddPort(name, h.demux)
 		h.lat = metrics.NewLogHistogram()
 		for vi := 0; vi < spec.VMsPerHost; vi++ {
@@ -302,10 +335,7 @@ func buildCluster(spec ClusterSpec) (*clusterBed, error) {
 			}
 			for _, sr := range targets {
 				flowID := ids.Next()
-				qi := flowID % spec.Queues
-				cr.h.demux.byFlow[flowID] = cr.h.devsByVM[cr.vi][qi]
-				sr.h.demux.byFlow[flowID] = sr.h.devsByVM[sr.vi][qi]
-				cb.flowPorts[flowID] = [2]int{cr.h.port.Index(), sr.h.port.Index()}
+				cb.bindFlow(flowID, cr, sr)
 				st.cfg.Flows = append(st.cfg.Flows, flowID)
 				cb.loadFlows++
 			}
@@ -316,10 +346,7 @@ func buildCluster(spec ClusterSpec) (*clusterBed, error) {
 			flowID := ids.Next()
 			cr := clientVMs[f%nc]
 			sr := serverVMs[(f/nc)%ns]
-			qi := flowID % spec.Queues
-			cr.h.demux.byFlow[flowID] = cr.h.devsByVM[cr.vi][qi]
-			sr.h.demux.byFlow[flowID] = sr.h.devsByVM[sr.vi][qi]
-			cb.flowPorts[flowID] = [2]int{cr.h.port.Index(), sr.h.port.Index()}
+			cb.bindFlow(flowID, cr, sr)
 			if flowSrv != nil {
 				flowSrv[flowID] = (f / nc) % ns
 			}

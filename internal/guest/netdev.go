@@ -114,9 +114,7 @@ func newNetDev(k *Kernel, ringSize, queues int) *NetDev {
 		p.TX.SetNoInterrupt(true)
 
 		// Pre-post the full RX ring.
-		for i := 0; i < ringSize; i++ {
-			p.RX.Add(virtio.Desc{})
-		}
+		p.RX.Fill()
 		d.Pairs = append(d.Pairs, p)
 	}
 	return d

@@ -32,7 +32,8 @@ func (h Handle) Cancel() {
 func (h Handle) Active() bool { return h.ev != nil && h.ev.gen == h.gen }
 
 // event is one queue entry. Every queued event is live: Cancel takes an
-// event out of the heap rather than marking it.
+// event out of the heap rather than marking it. The one exception is
+// the spent root a firing event leaves held (see Step).
 type event struct {
 	t   Time
 	seq uint64
@@ -133,6 +134,10 @@ type Engine struct {
 	free    []*event // events that left the queue, ready for reuse
 	rng     *Rand
 	stopped bool
+	// held marks queue[0] as the spent entry of the event that is
+	// firing: Step leaves it in the root while the callback runs, and
+	// the callback's first At writes its new event over it (see Step).
+	held bool
 
 	// Stats, useful for harness introspection and tests. The heap
 	// counters are maintained unconditionally — they are plain
@@ -165,8 +170,14 @@ func (e *Engine) Rand() *Rand { return e.rng }
 func (e *Engine) EventsFired() uint64 { return e.fired }
 
 // Pending returns the number of events waiting to fire. Cancel removes
-// an event from the queue at once, so every queued event counts.
-func (e *Engine) Pending() int { return len(e.queue) }
+// an event from the queue at once, so every queued event counts; the
+// spent entry of the firing event does not.
+func (e *Engine) Pending() int {
+	if e.held {
+		return len(e.queue) - 1
+	}
+	return len(e.queue)
+}
 
 // HeapStats snapshots the event-queue counters: pushes, pops (one per
 // fired event), cancels, max and mean queue depth, and the current
@@ -177,7 +188,7 @@ func (e *Engine) HeapStats() enginestats.HeapStats {
 		Pops:     e.heapPops,
 		Cancels:  e.heapCancels,
 		MaxDepth: e.maxDepth,
-		Pending:  len(e.queue),
+		Pending:  e.Pending(),
 	}
 	if e.heapPushes > 0 {
 		hs.MeanDepth = float64(e.depthSum) / float64(e.heapPushes)
@@ -213,7 +224,14 @@ func (e *Engine) At(t Time, fn func()) Handle {
 	}
 	*ev = event{t: t, seq: e.seq, fn: fn, gen: ev.gen, eng: e}
 	e.seq++
-	e.queue.push(ev)
+	if e.held {
+		// The spent root sorts before every queued event, so the new
+		// event can take its slot and sift down from there.
+		e.held = false
+		e.queue.down(ev, 0)
+	} else {
+		e.queue.push(ev)
+	}
 	e.heapPushes++
 	n := len(e.queue)
 	if n > e.maxDepth {
@@ -243,7 +261,9 @@ func (e *Engine) release(ev *event) {
 	e.free = append(e.free, ev)
 }
 
-// cancel removes a queued event from the heap; see Handle.Cancel.
+// cancel removes a queued event from the heap; see Handle.Cancel. A
+// held spent root sorts before every queued event, so the removal's
+// sift-up stops below it.
 func (e *Engine) cancel(ev *event) {
 	e.queue.remove(int(ev.idx))
 	e.heapCancels++
@@ -252,12 +272,21 @@ func (e *Engine) cancel(ev *event) {
 
 // Step executes the single earliest pending event. It returns false when
 // the queue is empty or the engine has been stopped.
+//
+// Most callbacks schedule a successor at once, so Step does not pop
+// the fired event before its callback runs: it leaves the spent entry
+// in the root, marked held, and the callback's first At writes its new
+// event there and sifts it down once, in place of a pop's sift-down
+// and a push's sift-up. Step removes the entry itself only when the
+// callback scheduled nothing. Pending, HeapStats and Cancel see the
+// queue as if the entry had been popped.
 func (e *Engine) Step() bool {
+	e.drop()
 	if e.stopped || len(e.queue) == 0 {
 		return false
 	}
 	ev := e.queue[0]
-	e.queue.remove(0)
+	e.held = true
 	e.heapPops++
 	t, fn, label := ev.t, ev.fn, ev.perfLabel
 	e.release(ev)
@@ -271,13 +300,23 @@ func (e *Engine) Step() bool {
 	} else {
 		fn()
 	}
+	e.drop()
 	return true
+}
+
+// drop removes a held spent entry from the root.
+func (e *Engine) drop() {
+	if e.held {
+		e.held = false
+		e.queue.remove(0)
+	}
 }
 
 // Run executes events until the clock would pass the until instant, the
 // queue drains, or Stop is called. On return the clock reads exactly
 // until (if the horizon was hit) or the time of the last event executed.
 func (e *Engine) Run(until Time) {
+	e.drop()
 	// Peek without popping so an over-horizon event survives for a
 	// later Run call.
 	for !e.stopped && len(e.queue) > 0 && e.queue[0].t <= until {

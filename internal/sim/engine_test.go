@@ -456,6 +456,19 @@ func TestEngineSteadyStateAllocs(t *testing.T) {
 	for i := 0; i < depth; i++ {
 		deep.At(Second+Time(i), fn)
 	}
+	// ticking returns an engine with n far events and a callback that
+	// reschedules itself, so each Step fires through the held root.
+	ticking := func(n int) *Engine {
+		eng := NewEngine(1)
+		for i := 0; i < n; i++ {
+			eng.At(Second+Time(i), fn)
+		}
+		var tick func()
+		tick = func() { eng.After(1, tick) }
+		eng.After(1, tick)
+		return eng
+	}
+	self, selfDeep := ticking(64), ticking(depth)
 	cases := []struct {
 		name string
 		op   func()
@@ -481,6 +494,8 @@ func TestEngineSteadyStateAllocs(t *testing.T) {
 			deep.After(1, fn)
 			deep.Step()
 		}},
+		{"self-rescheduling Step", func() { self.Step() }},
+		{"self-rescheduling Step at depth 16k", func() { selfDeep.Step() }},
 	}
 	for _, c := range cases {
 		if got := testing.AllocsPerRun(1000, c.op); got != 0 {
@@ -493,6 +508,114 @@ func TestEngineSteadyStateAllocs(t *testing.T) {
 	if deep.Pending() != depth {
 		t.Fatalf("deep Pending = %d, want the %d far events", deep.Pending(), depth)
 	}
-	checkHeapInvariants(t, e)
-	checkHeapInvariants(t, deep)
+	if self.Pending() != 65 || selfDeep.Pending() != depth+1 {
+		t.Fatalf("self-rescheduling Pending = %d and %d, want the far events and the tick", self.Pending(), selfDeep.Pending())
+	}
+	for _, eng := range []*Engine{e, deep, self, selfDeep} {
+		checkHeapInvariants(t, eng)
+	}
+}
+
+// Step leaves the fired event's spent entry in the heap's root while
+// its callback runs. Whatever the callback does, the events fire in
+// the same order as with a plain pop, and Pending and the heap counters
+// leave the spent entry out, inside the callback and after it.
+func TestEngineHeldRoot(t *testing.T) {
+	cases := []struct {
+		name string
+		// fire runs in the callback of event a, at time 10, with b (20)
+		// and c (30) queued. at(t, name) schedules a named event, and
+		// pending(n) checks Pending and the heap counters.
+		fire    func(e *Engine, b Handle, at func(Time, byte), pending func(int))
+		pending int    // after the Step that fires a
+		order   string // every event fired, a included
+	}{
+		{"schedules nothing", func(e *Engine, b Handle, at func(Time, byte), pending func(int)) {
+			pending(2)
+		}, 2, "abc"},
+		{"schedules ahead of every queued event", func(e *Engine, b Handle, at func(Time, byte), pending func(int)) {
+			at(11, 'x')
+			pending(3)
+		}, 3, "axbc"},
+		{"cancel then schedule", func(e *Engine, b Handle, at func(Time, byte), pending func(int)) {
+			b.Cancel()
+			pending(1)
+			at(25, 'x')
+			pending(2)
+		}, 2, "axc"},
+		{"Stop then schedule", func(e *Engine, b Handle, at func(Time, byte), pending func(int)) {
+			e.Stop()
+			at(10, 'x')
+			pending(3)
+		}, 3, "a"},
+		{"refused At then a valid one", func(e *Engine, b Handle, at func(Time, byte), pending func(int)) {
+			for _, bad := range []func(){
+				func() { e.At(9, func() {}) },
+				func() { e.At(11, nil) },
+			} {
+				func() {
+					defer func() {
+						if recover() == nil {
+							t.Error("refused At did not panic")
+						}
+					}()
+					bad()
+				}()
+				pending(2)
+			}
+			at(15, 'x')
+			pending(3)
+		}, 3, "axbc"},
+		{"nested Step", func(e *Engine, b Handle, at func(Time, byte), pending func(int)) {
+			if !e.Step() {
+				t.Fatal("nested Step fired nothing")
+			}
+			pending(1)
+			at(21, 'x')
+			pending(2)
+		}, 2, "abxc"},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			e := NewEngine(1)
+			var order []byte
+			named := func(name byte) func() {
+				return func() {
+					order = append(order, name)
+					checkHeapInvariants(t, e)
+				}
+			}
+			at := func(at Time, name byte) { e.At(at, named(name)) }
+			pending := func(n int) {
+				t.Helper()
+				if got := e.Pending(); got != n {
+					t.Fatalf("Pending = %d, want %d", got, n)
+				}
+				checkHeapInvariants(t, e)
+			}
+			var b Handle
+			e.At(10, func() {
+				order = append(order, 'a')
+				c.fire(e, b, at, pending)
+			})
+			b = e.At(20, named('b'))
+			e.At(30, named('c'))
+			if !e.Step() {
+				t.Fatal("Step fired nothing")
+			}
+			pending(c.pending)
+			if e.held {
+				t.Fatal("the spent root outlived its callback")
+			}
+			e.RunAll()
+			if string(order) != c.order {
+				t.Fatalf("fired %q, want %q", order, c.order)
+			}
+			if e.Stopped() {
+				pending(c.pending)
+			} else {
+				pending(0)
+			}
+		})
+	}
 }

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"math"
 	"slices"
 	"sort"
 	"testing"
@@ -8,8 +9,8 @@ import (
 
 // refQueue is the reference FuzzEngineQueue checks the engine against:
 // lazy cancellation over a slice sorted by (time, seq). A cancelled
-// entry keeps its place until it reaches the front, where step and run
-// drop it. It shares neither code nor layout with the engine's heap.
+// entry keeps its place until it reaches the front, where due drops
+// it. It shares neither code nor layout with the engine's heap.
 type refQueue struct {
 	now       Time
 	seq       uint64
@@ -50,19 +51,20 @@ func (q *refQueue) cancel(id int) {
 	}
 }
 
-// front drops cancelled entries at the front and reports whether a live
-// one remains.
-func (q *refQueue) front() bool {
+// due drops cancelled entries at the front and reports whether a live
+// one is due by until.
+func (q *refQueue) due(until Time) bool {
 	for len(q.entries) > 0 && q.cancelled[q.entries[0].id] {
 		q.queued[q.entries[0].id] = false
 		q.entries = q.entries[1:]
 	}
-	return len(q.entries) > 0
+	return len(q.entries) > 0 && q.entries[0].t <= until
 }
 
-// step fires the earliest live event and returns its id, or -1.
-func (q *refQueue) step() int {
-	if !q.front() {
+// step fires the earliest live event due by until and returns its id,
+// or -1 if there is none.
+func (q *refQueue) step(until Time) int {
+	if !q.due(until) {
 		return -1
 	}
 	e := q.entries[0]
@@ -73,24 +75,29 @@ func (q *refQueue) step() int {
 	return e.id
 }
 
-// run fires every live event up to until, then advances the clock to it.
-func (q *refQueue) run(until Time, fired []int) []int {
-	for q.front() && q.entries[0].t <= until {
-		fired = append(fired, q.step())
+// endRun completes Run(until): it reports false if a live event is
+// still due, and advances the clock to until.
+func (q *refQueue) endRun(until Time) bool {
+	if q.due(until) {
+		return false
 	}
-	if q.now < until {
-		q.now = until
-	}
-	return fired
+	q.now = max(q.now, until)
+	return true
 }
 
-// The op codes of FuzzEngineQueue's input: each op is an op byte
-// (taken mod 5) and a 16-bit big-endian argument.
+// The op codes of FuzzEngineQueue's input: each op is an op byte and a
+// 16-bit big-endian argument. The op byte's low seven bits, taken mod
+// numOps, pick the op. Its high bit (nested) defers the op to the next
+// event that fires: the op runs inside that event's callback, while the
+// event's spent entry still holds the heap's root.
 const (
 	opAt     = 0 // and 1: After(arg % 4096), so the queue builds up
 	opCancel = 2 // Cancel of handle arg % issued, stale ones included
 	opStep   = 3
 	opRun    = 4 // Run(now + arg%64)
+	opRefuse = 5 // an At that must panic; see refuse
+	numOps   = 6
+	nested   = 0x80
 )
 
 // maxOps bounds one input: the per-op check of every handle issued is
@@ -100,8 +107,9 @@ const maxOps = 1024
 // queueOps draws n ops for the seed corpus. At outweighs Step and Run,
 // so the heap grows about 200 deep over maxOps ops, and most cancels
 // pick one of the last 256 handles issued, so they remove live events
-// from the middle of the heap.
-func queueOps(seed uint64, n int) []byte {
+// from the middle of the heap. With nest, a third of the ops run
+// inside a firing callback and a few are refused Ats.
+func queueOps(seed uint64, n int, nest bool) []byte {
 	r := NewRand(seed)
 	b := make([]byte, 0, 3*n)
 	issued := 0
@@ -120,15 +128,40 @@ func queueOps(seed uint64, n int) []byte {
 		default:
 			op, arg = opRun, r.Intn(64)
 		}
+		if nest {
+			if r.Intn(100) < 3 {
+				op = opRefuse
+			}
+			if r.Intn(3) == 0 {
+				op |= nested
+			}
+		}
 		b = append(b, op, byte(arg>>8), byte(arg))
 	}
 	return b
 }
 
-// FuzzEngineQueue runs a stream of At, Cancel, Step and Run ops against
-// the engine and against refQueue. After every op the two must agree
-// on the events fired so far and their order, on every handle's Active,
-// and on the clock, and Pending must equal the live count.
+// refuse calls At with a deadline in the past, when the clock allows
+// one and arg is even, and with a nil fn otherwise. It reports whether
+// the call panicked, as both must.
+func refuse(e *Engine, arg int) (panicked bool) {
+	defer func() { panicked = recover() != nil }()
+	if now := e.Now(); now > 0 && arg%2 == 0 {
+		e.At(now-1-Time(arg/2)%now, func() {})
+	} else {
+		e.After(Time(arg%4096), nil)
+	}
+	return false
+}
+
+// FuzzEngineQueue runs a stream of At, Cancel, Step, Run and refused At
+// ops against the engine and against refQueue, in lockstep: each
+// callback that fires steps the reference, and runs the nested ops
+// queued for it on both. After every op, at the top level and inside
+// callbacks alike, the two must agree on the events fired so far and
+// their order, on every handle's Active, and on the clock, Pending must
+// equal the live count, and the heap counters must balance. Between
+// top-level ops no spent root may be held.
 func FuzzEngineQueue(f *testing.F) {
 	f.Add([]byte{})
 	// Ties at one instant, a cancel of the first, a stale cancel after
@@ -144,48 +177,47 @@ func FuzzEngineQueue(f *testing.F) {
 		opAt, 0, 3, opAt, 0, 3, opAt, 0, 9, opRun, 0, 3, opCancel, 0, 2,
 		opAt, 0, 1, opAt, 0, 1, opCancel, 0, 0, opCancel, 0, 4, opRun, 1, 255,
 	})
-	f.Add(queueOps(1, maxOps))
-	f.Add(queueOps(2, maxOps))
+	f.Add(queueOps(1, maxOps, false))
+	f.Add(queueOps(2, maxOps, false))
+	// A callback that schedules nothing: it cancels the only other
+	// event, so its spent root must go when it returns.
+	f.Add([]byte{
+		opAt, 0, 10, opAt, 0, 20, nested | opCancel, 0, 1,
+		opStep, 0, 0, opStep, 0, 0,
+	})
+	// A callback that schedules ahead of every queued event and then
+	// behind it, cancels itself, cancels its first new event, and
+	// schedules once more at its own instant.
+	f.Add([]byte{
+		opAt, 0, 10, opAt, 0, 20, nested | opAt, 0, 1, nested | opAt, 0, 30,
+		nested | opCancel, 0, 0, nested | opCancel, 0, 2, nested | opAt, 0, 0,
+		opStep, 0, 0, opRun, 0, 63, opStep, 0, 0, opStep, 0, 0,
+	})
+	// Refused Ats (in the past, then a nil fn) before a valid one,
+	// inside a callback and at the top level.
+	f.Add([]byte{
+		opAt, 0, 10, nested | opRefuse, 0, 0, nested | opRefuse, 0, 1,
+		nested | opAt, 0, 5, opStep, 0, 0, opRefuse, 0, 2, opStep, 0, 0,
+	})
+	// A nested Step and a nested Run: each drops the spent root before
+	// it fires anything.
+	f.Add([]byte{
+		opAt, 0, 10, opAt, 0, 20, opAt, 0, 30, nested | opStep, 0, 0,
+		nested | opAt, 0, 0, nested | opRun, 0, 15, opStep, 0, 0, opStep, 0, 0,
+	})
+	f.Add(queueOps(3, maxOps, true))
+	f.Add(queueOps(4, maxOps, true))
 
 	f.Fuzz(func(t *testing.T, ops []byte) {
 		e := NewEngine(1)
 		var ref refQueue
 		var handles []Handle
 		var fired, want []int
-		if len(ops) > 3*maxOps {
-			ops = ops[:3*maxOps]
-		}
-		for ; len(ops) >= 3; ops = ops[3:] {
-			arg := int(ops[1])<<8 | int(ops[2])
-			switch ops[0] % 5 {
-			case opAt, opAt + 1:
-				id := len(handles)
-				d := Time(arg % 4096)
-				handles = append(handles, e.After(d, func() { fired = append(fired, id) }))
-				ref.at(ref.now + d)
-			case opCancel:
-				if len(handles) > 0 {
-					id := arg % len(handles)
-					handles[id].Cancel()
-					ref.cancel(id)
-				}
-			case opStep:
-				if id := ref.step(); id >= 0 {
-					want = append(want, id)
-				}
-				e.Step()
-			case opRun:
-				until := ref.now + Time(arg%64)
-				want = ref.run(until, want)
-				e.Run(until)
-			}
-			if len(fired) != len(want) {
+		var inside []byte            // nested ops for the next callback
+		limit := Time(math.MaxInt64) // horizon of the innermost Step or Run
+		check := func() {
+			if !slices.Equal(fired, want) {
 				t.Fatalf("engine fired %v, reference %v", fired, want)
-			}
-			for i := range fired {
-				if fired[i] != want[i] {
-					t.Fatalf("engine fired %v, reference %v", fired, want)
-				}
 			}
 			for id, h := range handles {
 				if h.Active() != ref.active(id) {
@@ -199,6 +231,72 @@ func FuzzEngineQueue(f *testing.F) {
 				t.Fatalf("Now = %v, reference %v", e.Now(), ref.now)
 			}
 			checkHeapInvariants(t, e)
+		}
+		var do func(op byte, arg int)
+		fire := func(id int) func() {
+			return func() {
+				fired = append(fired, id)
+				want = append(want, ref.step(limit))
+				if len(inside) == 0 {
+					return
+				}
+				check()
+				ops := inside
+				inside = nil
+				for ; len(ops) >= 3; ops = ops[3:] {
+					do(ops[0], int(ops[1])<<8|int(ops[2]))
+					check()
+				}
+			}
+		}
+		do = func(op byte, arg int) {
+			switch op % nested % numOps {
+			case opAt, opAt + 1:
+				id := len(handles)
+				d := Time(arg % 4096)
+				handles = append(handles, e.After(d, fire(id)))
+				ref.at(ref.now + d)
+			case opCancel:
+				if len(handles) > 0 {
+					id := arg % len(handles)
+					handles[id].Cancel()
+					ref.cancel(id)
+				}
+			case opStep:
+				outer := limit
+				limit = math.MaxInt64
+				if !e.Step() && ref.due(limit) {
+					t.Fatal("Step fired nothing with a live event queued")
+				}
+				limit = outer
+			case opRun:
+				until := ref.now + Time(arg%64)
+				outer := limit
+				limit = until
+				e.Run(until)
+				limit = outer
+				if !ref.endRun(until) {
+					t.Fatalf("Run(%v) returned with a live event due", until)
+				}
+			case opRefuse:
+				if !refuse(e, arg) {
+					t.Fatalf("refused At (arg %d) did not panic", arg)
+				}
+			}
+		}
+		if len(ops) > 3*maxOps {
+			ops = ops[:3*maxOps]
+		}
+		for ; len(ops) >= 3; ops = ops[3:] {
+			if ops[0]&nested != 0 {
+				inside = append(inside, ops[:3]...)
+				continue
+			}
+			do(ops[0], int(ops[1])<<8|int(ops[2]))
+			check()
+			if e.held {
+				t.Fatal("a spent root outlived its callback")
+			}
 		}
 	})
 }

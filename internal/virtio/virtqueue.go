@@ -41,8 +41,9 @@ type Virtqueue struct {
 	size int
 
 	// avail and used grow with the descriptors they hold, not with the
-	// queue size: only pre-posted RX avail rings ever fill, while used
-	// rings and TX avail rings hold a handful at a time.
+	// queue size: used rings and TX avail rings hold a handful at a
+	// time. Only a pre-posted RX avail ring fills, and Fill sizes it
+	// once.
 	avail    sim.Ring[Desc] // posted by the driver, not yet consumed by the device
 	used     sim.Ring[Desc] // completed by the device, not yet reclaimed by the driver
 	inflight int            // popped by the device, not yet pushed used
@@ -145,6 +146,17 @@ func (q *Virtqueue) Add(d Desc) bool {
 	q.avail.Push(d)
 	q.Added++
 	return true
+}
+
+// Fill posts empty descriptors until the ring is full, as a driver
+// pre-posts its receive buffers. The avail ring grows once to hold
+// them, not by doubling.
+func (q *Virtqueue) Fill() {
+	n := q.Free()
+	q.avail.Grow(n)
+	for i := 0; i < n; i++ {
+		q.Add(Desc{})
+	}
 }
 
 // Kick notifies the device of new available descriptors. It reports

@@ -247,3 +247,32 @@ func TestRoundTripAllocs(t *testing.T) {
 		t.Fatalf("Add/Kick/Pop/PushUsed/CollectUsed: %v allocs/op, want 0", got)
 	}
 }
+
+// Fill posts descriptors until the ring is full and sizes the avail
+// ring once: pre-posting a 1024-descriptor ring is one allocation.
+func TestFillAllocs(t *testing.T) {
+	const runs = 10
+	qs := make([]*Virtqueue, runs+1) // AllocsPerRun adds a warm-up call
+	for i := range qs {
+		qs[i] = New("rx", 1024)
+	}
+	i := 0
+	got := testing.AllocsPerRun(runs, func() {
+		qs[i].Fill()
+		if !qs[i].Full() || qs[i].AvailLen() != 1024 {
+			t.Fatalf("AvailLen = %d after Fill, want a full ring of 1024", qs[i].AvailLen())
+		}
+		i++
+	})
+	if got != 1 {
+		t.Fatalf("Fill of a 1024 ring: %v allocs, want 1", got)
+	}
+	// With one descriptor in flight, Fill posts the other seven.
+	q := New("rx", 8)
+	q.Add(Desc{})
+	q.Pop()
+	q.Fill()
+	if q.AvailLen() != 7 || !q.Full() {
+		t.Fatalf("AvailLen = %d after Fill with one in flight, want 7", q.AvailLen())
+	}
+}
