@@ -55,10 +55,13 @@ const heapAllocsMetric = "/gc/heap/allocs:bytes"
 type HeapStats struct {
 	// Pushes counts scheduled events, Pops the fired ones and Cancels
 	// those Handle.Cancel removed before they fired, so Pushes always
-	// equals Pops + Cancels + Pending.
+	// equals Pops + Cancels + Pending. Moves counts the queued events
+	// Handle.Move re-keyed; a moved event stays queued, so moves leave
+	// that identity alone.
 	Pushes  uint64 `json:"pushes"`
 	Pops    uint64 `json:"pops"`
 	Cancels uint64 `json:"cancels"`
+	Moves   uint64 `json:"moves"`
 	// MaxDepth is the deepest the queue ever got; MeanDepth is the
 	// mean queue length observed at push time.
 	MaxDepth  int     `json:"max_depth"`
@@ -393,8 +396,8 @@ func (r *Report) Render() string {
 	fmt.Fprintf(&b, "engine     %s wall, %s events (%s events/s, sim/wall %.2fx)\n",
 		time.Duration(r.WallNs).Round(time.Millisecond), countStr(r.EventsFired),
 		countStr(uint64(r.EventsPerSec)), r.SimSecondsPerWallSecond)
-	fmt.Fprintf(&b, "  heap     %s pushes, %s pops, %s cancels, max depth %d, mean depth %.1f; %s ticks\n",
-		countStr(r.Heap.Pushes), countStr(r.Heap.Pops), countStr(r.Heap.Cancels),
+	fmt.Fprintf(&b, "  heap     %s pushes, %s pops, %s cancels, %s moves, max depth %d, mean depth %.1f; %s ticks\n",
+		countStr(r.Heap.Pushes), countStr(r.Heap.Pops), countStr(r.Heap.Cancels), countStr(r.Heap.Moves),
 		r.Heap.MaxDepth, r.Heap.MeanDepth, countStr(r.Ticks))
 	fmt.Fprintf(&b, "  memory   %s allocated in %s objects (%.3f allocs/event, %.1f B/event), %d GCs (%v paused)\n",
 		byteStr(r.AllocBytes), countStr(r.Mallocs), r.perEvent(r.Mallocs), r.perEvent(r.AllocBytes),

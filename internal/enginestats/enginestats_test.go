@@ -192,13 +192,13 @@ func TestRenderMentionsKeyFigures(t *testing.T) {
 	c.RunEvent(1, id, func() { clk.advance(250 * time.Microsecond) })
 	c.Start()
 	clk.advance(time.Millisecond)
-	r := c.Report(42, HeapStats{Pushes: 45, Pops: 42, Cancels: 3, MaxDepth: 7}, 1, 0)
+	r := c.Report(42, HeapStats{Pushes: 45, Pops: 42, Cancels: 3, Moves: 5, MaxDepth: 7}, 1, 0)
 	// The memory deltas are the process's own; fix them for the check.
 	r.AllocBytes, r.Mallocs = 2121, 21
 	out := r.Render()
 	for _, want := range []string{
 		"engine     1ms wall, 42 events (42k events/s, sim/wall 1000.00x)",
-		"heap     45 pushes, 42 pops, 3 cancels, max depth 7",
+		"heap     45 pushes, 42 pops, 3 cancels, 5 moves, max depth 7",
 		"memory   2121B allocated in 21 objects (0.500 allocs/event, 50.5 B/event)",
 		"sched", "250µs", "100.0%",
 	} {

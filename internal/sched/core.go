@@ -14,7 +14,14 @@ type core struct {
 
 	cur      *Thread
 	chunkEvt sim.Handle
-	sliceEvt sim.Handle
+	chunkEnd sim.Time // when the armed chunk completes
+	// sliceKey is the armed timeslice's expiry and its place in the
+	// event order, reserved when the slice opens. The slice timer
+	// joins the queue (sliceEvt) only once an armed chunk reaches the
+	// expiry; until then slicePending is set. See queueSlice.
+	sliceKey     sim.Key
+	sliceEvt     sim.Handle
+	slicePending bool
 	// chunkDoneFn and sliceExpiredFn are the timer callbacks, bound
 	// once so arming a timer allocates no method value.
 	chunkDoneFn    func()
@@ -22,7 +29,6 @@ type core struct {
 	runStart       sim.Time // when cur last started being charged
 	curStart       sim.Time // when cur was dispatched (timeline slice start)
 	sliceStart     sim.Time // when cur's current timeslice budget opened
-	sliceExpiry    sim.Time // when the armed slice event fires
 	minVr          int64    // floor of vruntime on this core
 	dispatching    bool
 	needResched    bool
@@ -125,7 +131,12 @@ func (c *core) chargeCurrent() {
 		return
 	}
 	t.sumExec += delta
-	t.vruntime += int64(delta) * NiceZeroWeight / t.weight
+	if t.weight == NiceZeroWeight {
+		// Every vCPU and vhost thread is nice-0: skip the divide.
+		t.vruntime += int64(delta)
+	} else {
+		t.vruntime += int64(delta) * NiceZeroWeight / t.weight
+	}
 	if t.vruntime > c.minVr {
 		c.minVr = t.vruntime
 	}
@@ -156,12 +167,11 @@ func (c *core) dispatch() {
 		return
 	}
 	c.dispatching = true
-	defer func() { c.dispatching = false }()
-
 	for {
 		c.needResched = false
 		if c.cur == nil {
 			if len(c.rq) == 0 {
+				c.dispatching = false
 				return // idle
 			}
 			next := c.dequeueLeftmost()
@@ -193,19 +203,36 @@ func (c *core) dispatch() {
 		// If model code requested rescheduling while we were arming
 		// (shouldn't normally happen here), loop.
 		if !c.needResched {
+			c.dispatching = false
 			return
 		}
 		c.preemptLocked()
 	}
 }
 
+// armSlice opens a fresh timeslice for cur. The jittered length and the
+// slice timer's key are drawn now, but the timer is queued only by
+// queueSlice: nearly every thread blocks or is preempted before its
+// slice ends, and a timer that never joins the queue costs no push and
+// no cancel.
 func (c *core) armSlice() {
-	c.sliceEvt.Cancel()
 	now := c.s.eng.Now()
 	d := c.sliceLength()
 	c.sliceStart = now
-	c.sliceExpiry = now + d
-	c.sliceEvt = c.s.eng.After(d, c.sliceExpiredFn)
+	c.sliceKey = c.s.eng.Reserve(now + d)
+	c.slicePending = true
+}
+
+// queueSlice queues the reserved slice timer once the armed chunk ends
+// at or after the expiry. Before that the chunk completes first, and
+// the scheduler is back here before the expiry is due. On a tie the
+// timer's earlier key fires it first, as if it had been queued when the
+// slice opened, so the test is >=.
+func (c *core) queueSlice() {
+	if c.slicePending && c.chunkEvt.Active() && c.chunkEnd >= c.sliceKey.Time() {
+		c.slicePending = false
+		c.sliceEvt = c.s.eng.AtKey(c.sliceKey, c.sliceExpiredFn)
+	}
 }
 
 // resizeSlice re-fits the running thread's timeslice to the current
@@ -218,18 +245,18 @@ func (c *core) armSlice() {
 // whole latency period (24ms) while late-arriving runnable threads
 // starve.
 func (c *core) resizeSlice() {
-	if c.cur == nil || !c.sliceEvt.Active() {
+	if c.cur == nil || !c.slicePending && !c.sliceEvt.Active() {
 		return
 	}
 	expiry := c.sliceStart + c.sliceLength()
-	if expiry >= c.sliceExpiry {
+	if expiry >= c.sliceKey.Time() {
 		return
 	}
-	c.sliceExpiry = expiry
+	c.sliceEvt.Cancel()
 	now := c.s.eng.Now()
 	if expiry <= now {
 		// Budget already overdrawn under the new occupancy: preempt.
-		c.sliceEvt.Cancel()
+		c.slicePending = false
 		if c.dispatching {
 			c.needResched = true
 			return
@@ -237,13 +264,21 @@ func (c *core) resizeSlice() {
 		c.preemptCurrent()
 		return
 	}
-	c.sliceEvt.Cancel()
-	c.sliceEvt = c.s.eng.After(expiry-now, c.sliceExpiredFn)
+	c.sliceKey = c.s.eng.Reserve(expiry)
+	c.slicePending = true
+	c.queueSlice()
 }
 
+// armChunk arms the chunk timer to fire chunk from now. A requery finds
+// the timer of the chunk it cut short still queued and re-keys it in
+// place; otherwise a new one is pushed. Either way the timer takes the
+// key an At would give it.
 func (c *core) armChunk(chunk sim.Time) {
-	c.chunkEvt.Cancel()
-	c.chunkEvt = c.s.eng.After(chunk, c.chunkDoneFn)
+	c.chunkEnd = c.s.eng.Now() + chunk
+	if !c.chunkEvt.Move(c.chunkEnd) {
+		c.chunkEvt = c.s.eng.At(c.chunkEnd, c.chunkDoneFn)
+	}
+	c.queueSlice()
 }
 
 // stopCurrent charges cur, fires SchedOut, and transitions it to the
@@ -256,6 +291,7 @@ func (c *core) stopCurrent(to State) {
 	}
 	c.chunkEvt.Cancel()
 	c.sliceEvt.Cancel()
+	c.slicePending = false // a key never queued is simply forgotten
 	c.cur = nil
 	t.state = to
 	if to == Runnable {
@@ -320,6 +356,7 @@ func (c *core) sliceExpired() {
 		// Nobody waiting: keep running, restart the slice clock.
 		c.chargeCurrent()
 		c.armSlice()
+		c.queueSlice()
 		return
 	}
 	c.preemptCurrent()
@@ -338,7 +375,7 @@ func (c *core) requeryCurrent(t *Thread) {
 		return
 	}
 	c.chargeCurrent()
-	c.chunkEvt.Cancel()
+	// The cut chunk's timer stays queued: armChunk re-keys it in place.
 	c.dispatching = true
 	chunk := t.Source.NextChunk()
 	if chunk > 0 {

@@ -495,4 +495,146 @@ func TestTimerArmingAllocs(t *testing.T) {
 	if preempt != 0 {
 		t.Errorf("preemption: %v allocs/op, want 0", preempt)
 	}
+
+	eng, s = newSched(1)
+	th = s.NewThread("w", 0, 0, busySource(sim.Millisecond))
+	s.Wake(th)
+	requery := testing.AllocsPerRun(1000, func() { s.Requery(th) })
+	if requery != 0 {
+		t.Errorf("requery: %v allocs/op, want 0", requery)
+	}
+}
+
+// stepWhile steps eng while cond holds, and fails if the queue drains
+// or a simulated second passes first.
+func stepWhile(t *testing.T, eng *sim.Engine, cond func() bool) {
+	t.Helper()
+	for cond() {
+		if !eng.Step() || eng.Now() > sim.Second {
+			t.Fatalf("at %v: the condition still holds with the queue drained or a second gone", eng.Now())
+		}
+	}
+}
+
+// A slice timer joins the event queue only once an armed chunk reaches
+// its expiry: while a thread runs chunks that end before it, only the
+// chunk timer is queued. The chunk that crosses the expiry queues the
+// slice timer, and the thread is preempted at exactly the expiry.
+func TestSliceTimerQueuedWhenReached(t *testing.T) {
+	eng, s := newSched(1)
+	c := s.cores[0]
+	a := s.NewThread("a", 0, 0, busySource(100*sim.Microsecond))
+	var out sim.Time
+	a.SchedOut = func() { out = eng.Now() }
+	s.Wake(a)
+	s.Wake(s.NewThread("b", 0, 0, busySource(sim.Millisecond)))
+	expiry := c.sliceKey.Time()
+	if expiry <= 0 || !c.slicePending {
+		t.Fatalf("no slice reserved at dispatch (expiry %v)", expiry)
+	}
+	chunks := 0
+	for ; c.chunkEnd < expiry; chunks++ {
+		if eng.Pending() != 1 || c.sliceEvt.Active() {
+			t.Fatalf("at %v, chunk ending %v: Pending = %d, slice queued %t; want only the chunk timer",
+				eng.Now(), c.chunkEnd, eng.Pending(), c.sliceEvt.Active())
+		}
+		eng.Step()
+	}
+	if chunks < 100 {
+		t.Fatalf("%d chunks ran before the expiry %v, want about 120", chunks, expiry)
+	}
+	if eng.Pending() != 2 || !c.sliceEvt.Active() || c.slicePending {
+		t.Fatalf("chunk ending %v crosses the expiry %v, but Pending = %d and slice queued %t",
+			c.chunkEnd, expiry, eng.Pending(), c.sliceEvt.Active())
+	}
+	stepWhile(t, eng, func() bool { return a.State() == Running })
+	if out != expiry {
+		t.Fatalf("preempted at %v, want the slice expiry %v", out, expiry)
+	}
+	if hs := eng.HeapStats(); hs.Cancels != 1 {
+		t.Fatalf("%d cancels, want 1: the crossing chunk's timer, cut by the preemption", hs.Cancels)
+	}
+}
+
+// An event scheduled at exactly the slice expiry, after the slice was
+// reserved but before the chunk that ends at the expiry is armed, fires
+// after the slice timer: the timer keeps the place it took when the
+// slice opened. queueSlice must queue it for a chunk that ends exactly
+// at the expiry, or it would fire late.
+func TestSliceTimerTieKeepsItsPlace(t *testing.T) {
+	eng, s := newSched(1)
+	c := s.cores[0]
+	const chunk = 100 * sim.Microsecond
+	var a *Thread
+	var tie, out sim.Time
+	tieFired := false
+	a = s.NewThread("a", 0, 0, &scriptSource{next: func() sim.Time {
+		left := c.sliceKey.Time() - eng.Now()
+		if c.cur != a || left > chunk {
+			return chunk
+		}
+		if tie == 0 {
+			tie = c.sliceKey.Time()
+			eng.At(tie, func() {
+				tieFired = true
+				if a.State() == Running {
+					t.Errorf("the event at the expiry %v fired before the slice timer", tie)
+				}
+			})
+		}
+		return left
+	}})
+	a.SchedOut = func() { out = eng.Now() }
+	s.Wake(a)
+	s.Wake(s.NewThread("b", 0, 0, busySource(sim.Millisecond)))
+	stepWhile(t, eng, func() bool { return !tieFired })
+	if out != tie {
+		t.Fatalf("preempted at %v, want the expiry %v", out, tie)
+	}
+}
+
+// A wakeup that shortens the slice below the end of the armed chunk
+// queues the slice timer at once, at the new expiry, and the thread is
+// preempted there.
+func TestResizeSliceBelowArmedChunk(t *testing.T) {
+	eng, s := newSched(1)
+	c := s.cores[0]
+	a := s.NewThread("a", 0, 0, busySource(20*sim.Millisecond))
+	var out sim.Time
+	a.SchedOut = func() { out = eng.Now() }
+	s.Wake(a)
+	// Alone, a's slice is 24ms ±10%, past its 20ms chunk: not queued.
+	if !c.slicePending || c.sliceEvt.Active() || c.sliceKey.Time() <= c.chunkEnd {
+		t.Fatalf("slice expiry %v, chunk end %v: want a reserved slice past the chunk", c.sliceKey.Time(), c.chunkEnd)
+	}
+	eng.Run(sim.Millisecond)
+	s.Wake(s.NewThread("b", 0, 0, busySource(sim.Millisecond)))
+	expiry := c.sliceKey.Time()
+	if expiry >= c.chunkEnd || c.slicePending || !c.sliceEvt.Active() || eng.Pending() != 2 {
+		t.Fatalf("after the wakeup: expiry %v, chunk end %v, slice queued %t, Pending %d; want the slice queued below the chunk end",
+			expiry, c.chunkEnd, c.sliceEvt.Active(), eng.Pending())
+	}
+	stepWhile(t, eng, func() bool { return a.State() == Running })
+	if out != expiry {
+		t.Fatalf("preempted at %v, want the resized expiry %v", out, expiry)
+	}
+}
+
+// A requery re-keys the live chunk timer in place: at the instant the
+// chunk was armed, it leaves Pending unchanged and counts a move, not
+// a cancel and a push.
+func TestRequeryMovesChunkTimer(t *testing.T) {
+	eng, s := newSched(1)
+	c := s.cores[0]
+	a := s.NewThread("a", 0, 0, busySource(sim.Millisecond))
+	s.Wake(a)
+	h, pending, before := c.chunkEvt, eng.Pending(), eng.HeapStats()
+	s.Requery(a)
+	after := eng.HeapStats()
+	if eng.Pending() != pending || c.chunkEvt != h || !h.Active() {
+		t.Fatalf("Pending %d → %d, chunk handle kept %t: want the same timer, still queued", pending, eng.Pending(), c.chunkEvt == h)
+	}
+	if after.Moves != before.Moves+1 || after.Cancels != before.Cancels || after.Pushes != before.Pushes {
+		t.Fatalf("heap stats %+v → %+v, want one move and no cancel or push", before, after)
+	}
 }

@@ -6,12 +6,13 @@ import (
 	"es2/internal/enginestats"
 )
 
-// Handle identifies a scheduled event and allows it to be cancelled.
-// Handles are values returned by Engine.At and Engine.After; the zero
-// Handle refers to no event. The engine recycles an event once it fires
-// or is cancelled, so a Handle also records the event's generation:
-// once the event has left the queue, methods on the Handle are no-ops,
-// even after the engine reuses the event for another callback.
+// Handle identifies a scheduled event and allows it to be cancelled or
+// moved. Handles are values returned by Engine.At, Engine.After and
+// Engine.AtKey; the zero Handle refers to no event. The engine recycles
+// an event once it fires or is cancelled, so a Handle also records the
+// event's generation: once the event has left the queue, methods on the
+// Handle are no-ops, even after the engine reuses the event for another
+// callback.
 type Handle struct {
 	ev  *event
 	gen uint64
@@ -30,6 +31,33 @@ func (h Handle) Cancel() {
 
 // Active reports whether the event is still pending.
 func (h Handle) Active() bool { return h.ev != nil && h.ev.gen == h.gen }
+
+// Move re-keys a pending event to fire at t. The event takes a fresh
+// sequence number, so it fires exactly where Cancel followed by At(t)
+// would put a new one, but it keeps its place in the heap and its
+// Handle, and one sift from its slot restores the order. Move reports
+// false, and does nothing, if the event has already fired or been
+// cancelled. Moving an event into the past panics, as At does.
+func (h Handle) Move(t Time) bool {
+	if !h.Active() {
+		return false
+	}
+	h.ev.eng.move(h.ev, t)
+	return true
+}
+
+// Key is a place in the firing order: an instant and a sequence number.
+// Reserve takes the key an At would give an event without queueing
+// anything, and AtKey queues an event under it later. The event fires
+// exactly where the At would have put it, provided it joins the queue
+// before its key is due.
+type Key struct {
+	t   Time
+	seq uint64
+}
+
+// Time returns the key's instant.
+func (k Key) Time() Time { return k.t }
 
 // event is one queue entry. Every queued event is live: Cancel takes an
 // event out of the heap rather than marking it. The one exception is
@@ -134,6 +162,10 @@ type Engine struct {
 	free    []*event // events that left the queue, ready for reuse
 	rng     *Rand
 	stopped bool
+	// nowSeq is the sequence number of the last event fired at now, or
+	// 0 when Run moved the clock past the last event fired; AtKey
+	// refuses a key ordered before it.
+	nowSeq uint64
 	// held marks queue[0] as the spent entry of the event that is
 	// firing: Step leaves it in the root while the callback runs, and
 	// the callback's first At writes its new event over it (see Step).
@@ -146,6 +178,7 @@ type Engine struct {
 	heapPushes  uint64
 	heapPops    uint64
 	heapCancels uint64
+	heapMoves   uint64
 	maxDepth    int
 	depthSum    uint64 // queue length summed at each push (mean depth)
 
@@ -180,13 +213,15 @@ func (e *Engine) Pending() int {
 }
 
 // HeapStats snapshots the event-queue counters: pushes, pops (one per
-// fired event), cancels, max and mean queue depth, and the current
-// pending count. Pushes always equals Pops + Cancels + Pending.
+// fired event), cancels, moves, max and mean queue depth, and the
+// current pending count. A moved event stays queued, so Pushes always
+// equals Pops + Cancels + Pending.
 func (e *Engine) HeapStats() enginestats.HeapStats {
 	hs := enginestats.HeapStats{
 		Pushes:   e.heapPushes,
 		Pops:     e.heapPops,
 		Cancels:  e.heapCancels,
+		Moves:    e.heapMoves,
 		MaxDepth: e.maxDepth,
 		Pending:  e.Pending(),
 	}
@@ -215,15 +250,57 @@ func (e *Engine) At(t Time, fn func()) Handle {
 	if t < e.now {
 		panic(fmt.Sprintf("sim: event scheduled in the past: now=%v t=%v", e.now, t))
 	}
+	ev := e.insert(t, e.seq, fn)
+	e.seq++
+	if e.stats != nil {
+		ev.perfLabel = e.stats.SampleSite()
+	}
+	return Handle{ev, ev.gen}
+}
+
+// Reserve takes the key the next At would give an event at t, without
+// queueing one: the sequence number is used up, so every event
+// scheduled later orders after the key. Reserving in the past panics.
+func (e *Engine) Reserve(t Time) Key {
+	if t < e.now {
+		panic(fmt.Sprintf("sim: key reserved in the past: now=%v t=%v", e.now, t))
+	}
+	k := Key{t, e.seq}
+	e.seq++
+	return k
+}
+
+// AtKey schedules fn under a key taken by Reserve, so that it fires
+// where an At at the time of the Reserve would have. The key must not
+// be due yet: AtKey panics if k lies before now, or at now but ordered
+// before the event that fired last, because the event would then fire
+// out of its place. Each key must be queued at most once.
+func (e *Engine) AtKey(k Key, fn func()) Handle {
+	if fn == nil {
+		panic("sim: AtKey called with nil fn")
+	}
+	if k.t < e.now || k.t == e.now && k.seq < e.nowSeq {
+		panic(fmt.Sprintf("sim: key already due: now=%v t=%v seq=%d", e.now, k.t, k.seq))
+	}
+	ev := e.insert(k.t, k.seq, fn)
+	if e.stats != nil {
+		ev.perfLabel = e.stats.SampleSite()
+	}
+	return Handle{ev, ev.gen}
+}
+
+// insert queues fn under the key (t, seq) in a recycled event. The
+// fields are written one by one: a composite literal would be built on
+// the stack and copied over.
+func (e *Engine) insert(t Time, seq uint64, fn func()) *event {
 	var ev *event
 	if n := len(e.free); n > 0 {
 		ev = e.free[n-1]
 		e.free = e.free[:n-1]
 	} else {
-		ev = new(event)
+		ev = &event{eng: e}
 	}
-	*ev = event{t: t, seq: e.seq, fn: fn, gen: ev.gen, eng: e}
-	e.seq++
+	ev.t, ev.seq, ev.fn, ev.perfLabel = t, seq, fn, 0
 	if e.held {
 		// The spent root sorts before every queued event, so the new
 		// event can take its slot and sift down from there.
@@ -238,10 +315,7 @@ func (e *Engine) At(t Time, fn func()) Handle {
 		e.maxDepth = n
 	}
 	e.depthSum += uint64(n)
-	if e.stats != nil {
-		ev.perfLabel = e.stats.SampleSite()
-	}
-	return Handle{ev, ev.gen}
+	return ev
 }
 
 // After schedules fn to run d nanoseconds from now. Negative d panics.
@@ -259,6 +333,25 @@ func (e *Engine) release(ev *event) {
 	ev.fn = nil
 	ev.gen++
 	e.free = append(e.free, ev)
+}
+
+// move re-keys a queued event to (t, next seq); see Handle.Move. The
+// fresh seq orders the event after its old key unless t is earlier, so
+// it sifts down, or up when t is earlier. A held spent root sorts
+// before the new key, so a sift up stops below it.
+func (e *Engine) move(ev *event, t Time) {
+	if t < e.now {
+		panic(fmt.Sprintf("sim: event moved into the past: now=%v t=%v", e.now, t))
+	}
+	earlier := t < ev.t
+	ev.t, ev.seq = t, e.seq
+	e.seq++
+	e.heapMoves++
+	if earlier {
+		e.queue.up(ev, int(ev.idx))
+	} else {
+		e.queue.down(ev, int(ev.idx))
+	}
 }
 
 // cancel removes a queued event from the heap; see Handle.Cancel. A
@@ -289,6 +382,7 @@ func (e *Engine) Step() bool {
 	e.held = true
 	e.heapPops++
 	t, fn, label := ev.t, ev.fn, ev.perfLabel
+	e.nowSeq = ev.seq
 	e.release(ev)
 	if t < e.now {
 		panic("sim: time went backwards")
@@ -323,7 +417,7 @@ func (e *Engine) Run(until Time) {
 		e.Step()
 	}
 	if !e.stopped && e.now < until {
-		e.now = until
+		e.now, e.nowSeq = until, 0
 	}
 }
 

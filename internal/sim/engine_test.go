@@ -318,16 +318,25 @@ func TestRandFork(t *testing.T) {
 }
 
 // checkHeapInvariants asserts the two identities the heap counters
-// keep: every pushed event is popped, cancelled or still pending, and
-// every pop fires its event.
+// keep, and the heap's shape. Every pushed event is popped, cancelled
+// or still pending (a move leaves it pending), and every pop fires its
+// event. Every entry records its own slot and orders after its parent.
 func checkHeapInvariants(t *testing.T, e *Engine) {
 	t.Helper()
 	hs := e.HeapStats()
 	if hs.Pushes != hs.Pops+hs.Cancels+uint64(hs.Pending) {
-		t.Fatalf("pushes %d != pops %d + cancels %d + pending %d", hs.Pushes, hs.Pops, hs.Cancels, hs.Pending)
+		t.Fatalf("pushes %d != pops %d + cancels %d + pending %d (%d moves)", hs.Pushes, hs.Pops, hs.Cancels, hs.Pending, hs.Moves)
 	}
 	if hs.Pops != e.EventsFired() {
 		t.Fatalf("pops %d != events fired %d", hs.Pops, e.EventsFired())
+	}
+	for i, ev := range e.queue {
+		if int(ev.idx) != i {
+			t.Fatalf("heap slot %d holds an event that records slot %d", i, ev.idx)
+		}
+		if p := (i - 1) / 2; i > 0 && ev.before(e.queue[p]) {
+			t.Fatalf("heap slot %d (%v, seq %d) orders before its parent (%v, seq %d)", i, ev.t, ev.seq, e.queue[p].t, e.queue[p].seq)
+		}
 	}
 }
 
@@ -496,6 +505,19 @@ func TestEngineSteadyStateAllocs(t *testing.T) {
 		}},
 		{"self-rescheduling Step", func() { self.Step() }},
 		{"self-rescheduling Step at depth 16k", func() { selfDeep.Step() }},
+		{"Reserve+AtKey+Step", func() {
+			k := e.Reserve(e.Now() + 1)
+			e.After(1, fn)
+			e.AtKey(k, fn)
+			e.Step()
+			e.Step()
+		}},
+		{"Move mid-heap+Step at depth 16k", func() {
+			mid := deep.queue[len(deep.queue)/2]
+			Handle{mid, mid.gen}.Move(mid.t + 1)
+			deep.After(1, fn)
+			deep.Step()
+		}},
 	}
 	for _, c := range cases {
 		if got := testing.AllocsPerRun(1000, c.op); got != 0 {
@@ -521,6 +543,7 @@ func TestEngineSteadyStateAllocs(t *testing.T) {
 // the same order as with a plain pop, and Pending and the heap counters
 // leave the spent entry out, inside the callback and after it.
 func TestEngineHeldRoot(t *testing.T) {
+	var reserved Key // at 15, taken before a fires
 	cases := []struct {
 		name string
 		// fire runs in the callback of event a, at time 10, with b (20)
@@ -566,6 +589,16 @@ func TestEngineHeldRoot(t *testing.T) {
 			at(15, 'x')
 			pending(3)
 		}, 3, "axbc"},
+		{"moves an event behind another", func(e *Engine, b Handle, at func(Time, byte), pending func(int)) {
+			if !b.Move(35) {
+				t.Fatal("Move of a queued event failed")
+			}
+			pending(2)
+		}, 2, "acb"},
+		{"queues a key reserved before it fired", func(e *Engine, b Handle, at func(Time, byte), pending func(int)) {
+			e.AtKey(reserved, func() {})
+			pending(3)
+		}, 3, "abc"},
 		{"nested Step", func(e *Engine, b Handle, at func(Time, byte), pending func(int)) {
 			if !e.Step() {
 				t.Fatal("nested Step fired nothing")
@@ -600,6 +633,7 @@ func TestEngineHeldRoot(t *testing.T) {
 			})
 			b = e.At(20, named('b'))
 			e.At(30, named('c'))
+			reserved = e.Reserve(15)
 			if !e.Step() {
 				t.Fatal("Step fired nothing")
 			}
@@ -617,5 +651,117 @@ func TestEngineHeldRoot(t *testing.T) {
 				pending(0)
 			}
 		})
+	}
+}
+
+// An event queued with AtKey fires where an At at the time of the
+// Reserve would have put it, however late it joins the queue.
+func TestEngineAtKeyKeepsReservedPlace(t *testing.T) {
+	e := NewEngine(1)
+	var order []byte
+	named := func(name byte) func() { return func() { order = append(order, name) } }
+	e.At(10, named('a'))
+	k := e.Reserve(10)
+	if k.Time() != 10 {
+		t.Fatalf("key time = %v, want 10", k.Time())
+	}
+	e.At(10, named('c'))
+	e.At(5, func() {
+		order = append(order, 'x')
+		e.AtKey(k, named('b'))
+	})
+	e.RunAll()
+	if string(order) != "xabc" {
+		t.Fatalf("fired %q, want xabc", order)
+	}
+	if hs := e.HeapStats(); hs.Pushes != 4 || hs.Pops != 4 {
+		t.Fatalf("heap stats %+v, want 4 pushes and 4 pops", hs)
+	}
+}
+
+// AtKey refuses a key that is already due: before the clock, or at it
+// but ordered before the event that fired last. A key at the clock
+// ordered after it is still valid.
+func TestEngineAtKeyRefusesDueKeys(t *testing.T) {
+	e := NewEngine(1)
+	early := e.Reserve(5)
+	before := e.Reserve(10)
+	e.At(10, func() {})
+	after := e.Reserve(10)
+	e.Run(10)
+	for _, k := range []Key{early, before} {
+		if !panics(func() { e.AtKey(k, func() {}) }) {
+			t.Errorf("AtKey(%+v) at now=%v after seq %d fired did not panic", k, e.Now(), e.nowSeq)
+		}
+	}
+	if panics(func() { e.AtKey(after, func() {}) }) {
+		t.Fatal("AtKey of a key ordered after the last event fired panicked")
+	}
+	if !panics(func() { e.AtKey(e.Reserve(11), nil) }) {
+		t.Error("AtKey with a nil fn did not panic")
+	}
+	if !panics(func() { e.Reserve(9) }) {
+		t.Error("Reserve in the past did not panic")
+	}
+	// A Run that moves the clock past the last event fired leaves any
+	// key at the new instant valid.
+	late := e.Reserve(20)
+	e.Run(20)
+	if e.Pending() != 0 {
+		t.Fatalf("Pending = %d after Run, want 0", e.Pending())
+	}
+	if panics(func() { e.AtKey(late, func() {}) }) {
+		t.Fatal("AtKey of a key at the clock, after a Run with nothing due, panicked")
+	}
+	if !e.Step() || e.Now() != 20 {
+		t.Fatalf("the keyed event did not fire at 20 (now %v)", e.Now())
+	}
+}
+
+// Move re-keys an event in place: the events fire in exactly the order
+// Cancel followed by At would give, the handle stays valid, and the
+// heap counts a move instead of a cancel and a push.
+func TestEngineMoveMatchesCancelAt(t *testing.T) {
+	targets := []Time{20, 1, 45, 30, 30, 0}
+	run := func(move bool) (string, enginestats.HeapStats) {
+		e := NewEngine(1)
+		var order []byte
+		named := func(name byte) func() { return func() { order = append(order, name) } }
+		var hs [6]Handle
+		for i := range hs {
+			hs[i] = e.At(Time(10*(i+1)), named('a'+byte(i)))
+		}
+		for i, to := range targets {
+			if move {
+				if !hs[i].Move(to) || !hs[i].Active() {
+					t.Fatalf("Move of live event %c failed", 'a'+byte(i))
+				}
+			} else {
+				hs[i].Cancel()
+				hs[i] = e.At(to, named('a'+byte(i)))
+			}
+			checkHeapInvariants(t, e)
+		}
+		e.RunAll()
+		for i, h := range hs {
+			if h.Move(100) {
+				t.Fatalf("Move of fired event %c reported success", 'a'+byte(i))
+			}
+		}
+		if !panics(func() { e.At(e.Now()+1, func() {}).Move(e.Now() - 1) }) {
+			t.Error("Move into the past did not panic")
+		}
+		return string(order), e.HeapStats()
+	}
+	got, moved := run(true)
+	want, cancelled := run(false)
+	if got != want {
+		t.Fatalf("Move fired %q, Cancel+At %q", got, want)
+	}
+	if moved.Moves != 6 || moved.Cancels != 0 || moved.Pushes != 7 {
+		t.Fatalf("Move heap stats %+v, want 6 moves, no cancels, 7 pushes", moved)
+	}
+	if cancelled.Moves != 0 || cancelled.Cancels != 6 {
+		t.Fatalf("Cancel+At heap stats %+v, want 6 cancels and no moves", cancelled)
 	}
 }

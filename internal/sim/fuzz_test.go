@@ -10,38 +10,70 @@ import (
 // refQueue is the reference FuzzEngineQueue checks the engine against:
 // lazy cancellation over a slice sorted by (time, seq). A cancelled
 // entry keeps its place until it reaches the front, where due drops
-// it. It shares neither code nor layout with the engine's heap.
+// it; a moved entry is taken out and put back under its new key. It
+// shares neither code nor layout with the engine's heap.
 type refQueue struct {
 	now       Time
 	seq       uint64
+	last      refKey // the key of the last event fired
 	entries   []refEntry
 	queued    []bool // by event id: still in entries
 	cancelled []bool // by event id
 	live      int    // queued and not cancelled
 }
 
-type refEntry struct {
+// refKey is a place in the reference's firing order.
+type refKey struct {
 	t   Time
 	seq uint64
-	id  int
+}
+
+func (k refKey) before(o refKey) bool { return k.t < o.t || k.t == o.t && k.seq < o.seq }
+
+type refEntry struct {
+	refKey
+	id int
 }
 
 func (q *refQueue) active(id int) bool { return q.queued[id] && !q.cancelled[id] }
 
 // at schedules the next event id at t.
-func (q *refQueue) at(t Time) {
-	e := refEntry{t: t, seq: q.seq, id: len(q.queued)}
+func (q *refQueue) at(t Time) { q.atKey(q.reserve(t)) }
+
+// reserve takes the key the next at would use.
+func (q *refQueue) reserve(t Time) refKey {
+	k := refKey{t, q.seq}
 	q.seq++
-	i := sort.Search(len(q.entries), func(i int) bool {
-		o := q.entries[i]
-		return o.t > t || (o.t == t && o.seq > e.seq)
-	})
-	q.entries = append(q.entries, refEntry{})
-	copy(q.entries[i+1:], q.entries[i:])
-	q.entries[i] = e
+	return k
+}
+
+// keyDue reports whether an event under key k should already have
+// fired: k lies before the clock, or before the last event fired.
+func (q *refQueue) keyDue(k refKey) bool { return k.t < q.now || k.before(q.last) }
+
+// atKey schedules the next event id under key k.
+func (q *refQueue) atKey(k refKey) {
+	q.insert(refEntry{k, len(q.queued)})
 	q.queued = append(q.queued, true)
 	q.cancelled = append(q.cancelled, false)
 	q.live++
+}
+
+func (q *refQueue) insert(e refEntry) {
+	i := sort.Search(len(q.entries), func(i int) bool { return e.before(q.entries[i].refKey) })
+	q.entries = slices.Insert(q.entries, i, e)
+}
+
+// move re-keys live event id to t under a fresh sequence number and
+// reports whether it was live.
+func (q *refQueue) move(id int, t Time) bool {
+	if !q.active(id) {
+		return false
+	}
+	i := slices.IndexFunc(q.entries, func(e refEntry) bool { return e.id == id })
+	q.entries = slices.Delete(q.entries, i, i+1)
+	q.insert(refEntry{q.reserve(t), id})
+	return true
 }
 
 func (q *refQueue) cancel(id int) {
@@ -71,7 +103,7 @@ func (q *refQueue) step(until Time) int {
 	q.entries = q.entries[1:]
 	q.queued[e.id] = false
 	q.live--
-	q.now = e.t
+	q.now, q.last = e.t, e.refKey
 	return e.id
 }
 
@@ -91,13 +123,16 @@ func (q *refQueue) endRun(until Time) bool {
 // event that fires: the op runs inside that event's callback, while the
 // event's spent entry still holds the heap's root.
 const (
-	opAt     = 0 // and 1: After(arg % 4096), so the queue builds up
-	opCancel = 2 // Cancel of handle arg % issued, stale ones included
-	opStep   = 3
-	opRun    = 4 // Run(now + arg%64)
-	opRefuse = 5 // an At that must panic; see refuse
-	numOps   = 6
-	nested   = 0x80
+	opAt      = 0 // and 1: After(arg % 4096), so the queue builds up
+	opCancel  = 2 // Cancel of handle arg % issued, stale ones included
+	opStep    = 3
+	opRun     = 4 // Run(now + arg%64)
+	opRefuse  = 5 // an At that must panic; see refuse
+	opReserve = 6 // Reserve(now + arg%4096)
+	opAtKey   = 7 // AtKey of key arg % reserved; one already due must panic
+	opMove    = 8 // Move of a handle, stale ones included; see moveAhead
+	numOps    = 9
+	nested    = 0x80
 )
 
 // maxOps bounds one input: the per-op check of every handle issued is
@@ -108,8 +143,11 @@ const maxOps = 1024
 // so the heap grows about 200 deep over maxOps ops, and most cancels
 // pick one of the last 256 handles issued, so they remove live events
 // from the middle of the heap. With nest, a third of the ops run
-// inside a firing callback and a few are refused Ats.
-func queueOps(seed uint64, n int, nest bool) []byte {
+// inside a firing callback and a few are refused Ats. With keyed, a
+// fifth of the ops turn into Reserves, AtKeys and Moves, the Reserves
+// and Moves to one of the eight instants from the clock on, so that
+// they tie with each other.
+func queueOps(seed uint64, n int, nest, keyed bool) []byte {
 	r := NewRand(seed)
 	b := make([]byte, 0, 3*n)
 	issued := 0
@@ -128,6 +166,16 @@ func queueOps(seed uint64, n int, nest bool) []byte {
 		default:
 			op, arg = opRun, r.Intn(64)
 		}
+		if keyed && r.Intn(5) == 0 {
+			switch r.Intn(3) {
+			case 0:
+				op, arg = opReserve, r.Intn(8)
+			case 1:
+				op, arg = opAtKey, r.Intn(1<<16)
+			default:
+				op, arg = opMove, r.Intn(1<<16)&^(moveAhead-1)|r.Intn(8)
+			}
+		}
 		if nest {
 			if r.Intn(100) < 3 {
 				op = opRefuse
@@ -141,27 +189,60 @@ func queueOps(seed uint64, n int, nest bool) []byte {
 	return b
 }
 
+// encode lays out (op, arg) pairs as FuzzEngineQueue's input.
+func encode(ops ...[2]int) []byte {
+	b := make([]byte, 0, 3*len(ops))
+	for _, o := range ops {
+		b = append(b, byte(o[0]), byte(o[1]>>8), byte(o[1]))
+	}
+	return b
+}
+
+// moveAhead splits opMove's argument: Move handle arg/moveAhead %
+// issued to now + arg%moveAhead, or, when that handle is live and the
+// clock allows, into the past, where it must panic, if arg%moveAhead is
+// moveAhead-1.
+const moveAhead = 64
+
+// keys are the keys FuzzEngineQueue reserved, on the engine and on the
+// reference, and whether each has been queued.
+type keys struct {
+	engine []Key
+	ref    []refKey
+	queued []bool
+}
+
 // refuse calls At with a deadline in the past, when the clock allows
 // one and arg is even, and with a nil fn otherwise. It reports whether
 // the call panicked, as both must.
 func refuse(e *Engine, arg int) (panicked bool) {
+	return panics(func() {
+		if now := e.Now(); now > 0 && arg%2 == 0 {
+			e.At(now-1-Time(arg/2)%now, func() {})
+		} else {
+			e.After(Time(arg%4096), nil)
+		}
+	})
+}
+
+// panics reports whether fn panicked.
+func panics(fn func()) (panicked bool) {
 	defer func() { panicked = recover() != nil }()
-	if now := e.Now(); now > 0 && arg%2 == 0 {
-		e.At(now-1-Time(arg/2)%now, func() {})
-	} else {
-		e.After(Time(arg%4096), nil)
-	}
+	fn()
 	return false
 }
 
-// FuzzEngineQueue runs a stream of At, Cancel, Step, Run and refused At
-// ops against the engine and against refQueue, in lockstep: each
-// callback that fires steps the reference, and runs the nested ops
-// queued for it on both. After every op, at the top level and inside
-// callbacks alike, the two must agree on the events fired so far and
-// their order, on every handle's Active, and on the clock, Pending must
-// equal the live count, and the heap counters must balance. Between
-// top-level ops no spent root may be held.
+// FuzzEngineQueue runs a stream of At, Cancel, Step, Run, refused At,
+// Reserve, AtKey and Move ops against the engine and against refQueue,
+// in lockstep: each callback that fires steps the reference, and runs
+// the nested ops queued for it on both. After every op, at the top
+// level and inside callbacks alike, the two must agree on the events
+// fired so far and their order, on every handle's Active, and on the
+// clock, Pending must equal the live count, and the heap must be in
+// order with its counters balanced. Every reserved key must equal the
+// reference's, an AtKey of a key that is already due and a Move into
+// the past must panic, and a Move must report whether its event was
+// live. Between top-level ops no spent root may be held.
 func FuzzEngineQueue(f *testing.F) {
 	f.Add([]byte{})
 	// Ties at one instant, a cancel of the first, a stale cancel after
@@ -177,8 +258,8 @@ func FuzzEngineQueue(f *testing.F) {
 		opAt, 0, 3, opAt, 0, 3, opAt, 0, 9, opRun, 0, 3, opCancel, 0, 2,
 		opAt, 0, 1, opAt, 0, 1, opCancel, 0, 0, opCancel, 0, 4, opRun, 1, 255,
 	})
-	f.Add(queueOps(1, maxOps, false))
-	f.Add(queueOps(2, maxOps, false))
+	f.Add(queueOps(1, maxOps, false, false))
+	f.Add(queueOps(2, maxOps, false, false))
 	// A callback that schedules nothing: it cancels the only other
 	// event, so its spent root must go when it returns.
 	f.Add([]byte{
@@ -205,13 +286,45 @@ func FuzzEngineQueue(f *testing.F) {
 		opAt, 0, 10, opAt, 0, 20, opAt, 0, 30, nested | opStep, 0, 0,
 		nested | opAt, 0, 0, nested | opRun, 0, 15, opStep, 0, 0, opStep, 0, 0,
 	})
-	f.Add(queueOps(3, maxOps, true))
-	f.Add(queueOps(4, maxOps, true))
+	f.Add(queueOps(3, maxOps, true, false))
+	f.Add(queueOps(4, maxOps, true, false))
+	// A key reserved at 10 between two Ats at 10 fires between them,
+	// though it is queued after both; a key reserved at 5 is refused
+	// once the clock passes 5, and one reserved at 10 once a later
+	// event at 10 fired.
+	f.Add([]byte{
+		opAt, 0, 10, opReserve, 0, 10, opAt, 0, 10, opReserve, 0, 5,
+		opReserve, 0, 10, opAt, 0, 10, opAtKey, 0, 0, opRun, 0, 6,
+		opAtKey, 0, 1, opStep, 0, 0, opStep, 0, 0, opStep, 0, 0,
+		opStep, 0, 0, opAtKey, 0, 2, opStep, 0, 0,
+	})
+	// Moves of events at 10, 20, ..., 50: the first onto 20, where it
+	// now follows the second; the last ahead of every other entry and
+	// the third behind them. Then a Move of a fired handle and one of a
+	// live handle into the past.
+	f.Add(encode(
+		[2]int{opAt, 10}, [2]int{opAt, 20}, [2]int{opAt, 30}, [2]int{opAt, 40}, [2]int{opAt, 50},
+		[2]int{opMove, 0*moveAhead + 20}, [2]int{opMove, 4*moveAhead + 1}, [2]int{opMove, 2*moveAhead + 62},
+		[2]int{opStep, 0}, [2]int{opMove, 4*moveAhead + 5}, [2]int{opMove, 2*moveAhead + moveAhead - 1},
+		[2]int{opRun, 63}, [2]int{opRun, 63},
+	))
+	// Inside a callback: a Move ahead of every queued event, an AtKey
+	// of a key reserved before the callback, and a Reserve and AtKey at
+	// the callback's own instant.
+	f.Add(encode(
+		[2]int{opAt, 10}, [2]int{opAt, 20}, [2]int{opAt, 30}, [2]int{opReserve, 15},
+		[2]int{nested | opMove, 2*moveAhead + 1}, [2]int{nested | opAtKey, 0},
+		[2]int{nested | opReserve, 0}, [2]int{nested | opAtKey, 1},
+		[2]int{opStep, 0}, [2]int{opStep, 0}, [2]int{opStep, 0}, [2]int{opStep, 0}, [2]int{opStep, 0},
+	))
+	f.Add(queueOps(5, maxOps, false, true))
+	f.Add(queueOps(6, maxOps, true, true))
 
 	f.Fuzz(func(t *testing.T, ops []byte) {
 		e := NewEngine(1)
 		var ref refQueue
 		var handles []Handle
+		var ks keys
 		var fired, want []int
 		var inside []byte            // nested ops for the next callback
 		limit := Time(math.MaxInt64) // horizon of the innermost Step or Run
@@ -281,6 +394,42 @@ func FuzzEngineQueue(f *testing.F) {
 			case opRefuse:
 				if !refuse(e, arg) {
 					t.Fatalf("refused At (arg %d) did not panic", arg)
+				}
+			case opReserve:
+				d := Time(arg % 4096)
+				k, rk := e.Reserve(e.Now()+d), ref.reserve(ref.now+d)
+				if k.t != rk.t || k.seq != rk.seq || k.Time() != rk.t {
+					t.Fatalf("Reserve = %+v, reference %+v", k, rk)
+				}
+				ks.engine, ks.ref = append(ks.engine, k), append(ks.ref, rk)
+				ks.queued = append(ks.queued, false)
+			case opAtKey:
+				if len(ks.ref) == 0 {
+					break
+				}
+				i := arg % len(ks.ref)
+				switch {
+				case ks.queued[i]:
+				case ref.keyDue(ks.ref[i]):
+					if !panics(func() { e.AtKey(ks.engine[i], func() {}) }) {
+						t.Fatalf("AtKey of key %+v, already due at %v, did not panic", ks.ref[i], ref.now)
+					}
+				default:
+					ks.queued[i] = true
+					handles = append(handles, e.AtKey(ks.engine[i], fire(len(handles))))
+					ref.atKey(ks.ref[i])
+				}
+			case opMove:
+				if len(handles) == 0 {
+					break
+				}
+				id := arg / moveAhead % len(handles)
+				if d := arg % moveAhead; d == moveAhead-1 && ref.active(id) && ref.now > 0 {
+					if !panics(func() { handles[id].Move(e.Now() - 1) }) {
+						t.Fatalf("Move of event %d into the past did not panic", id)
+					}
+				} else if got, want := handles[id].Move(e.Now()+Time(d)), ref.move(id, ref.now+Time(d)); got != want {
+					t.Fatalf("Move of event %d = %t, reference %t", id, got, want)
 				}
 			}
 		}

@@ -27,6 +27,20 @@ func (r *Ring[T]) Push(v T) {
 	r.n++
 }
 
+// PushSlot appends a zero value at the tail and returns a pointer to
+// it, so that a large value can be written into its slot in place
+// instead of being copied in through Push's argument. The pointer is
+// valid until the next push. Push repeats these lines rather than
+// calling PushSlot, which would push it over the inlining budget.
+func (r *Ring[T]) PushSlot() *T {
+	if r.n == len(r.buf) {
+		r.grow()
+	}
+	i := r.head + r.n
+	r.n++
+	return &r.buf[i&(len(r.buf)-1)]
+}
+
 // PushFront puts v at the head, ahead of every value in the ring.
 func (r *Ring[T]) PushFront(v T) {
 	if r.n == len(r.buf) {
@@ -43,11 +57,21 @@ func (r *Ring[T]) Pop() T {
 		panic("sim: Pop of an empty ring")
 	}
 	v := r.buf[r.head]
+	r.Discard()
+	return v
+}
+
+// Discard removes the head value without returning it, for a caller
+// that has read what it needs in place through Front. It panics on an
+// empty ring.
+func (r *Ring[T]) Discard() {
+	if r.n == 0 {
+		panic("sim: Discard of an empty ring")
+	}
 	var zero T
 	r.buf[r.head] = zero
 	r.head = (r.head + 1) & (len(r.buf) - 1)
 	r.n--
-	return v
 }
 
 // Front returns a pointer to the head value, in place. It panics on an

@@ -114,8 +114,10 @@ func TestRingEmptyPanics(t *testing.T) {
 	}{
 		{"Pop of a zero ring", func() { var r Ring[int]; r.Pop() }},
 		{"Front of a zero ring", func() { var r Ring[int]; r.Front() }},
+		{"Discard of a zero ring", func() { var r Ring[int]; r.Discard() }},
 		{"Pop of an emptied ring", func() { used.Pop() }},
 		{"Front of an emptied ring", func() { used.Front() }},
+		{"Discard of an emptied ring", func() { used.Discard() }},
 	} {
 		func() {
 			defer func() {
@@ -142,11 +144,13 @@ func TestRingAllocs(t *testing.T) {
 	got := testing.AllocsPerRun(1000, func() {
 		r.Push(v)
 		r.PushFront(v)
+		*r.PushSlot() = v
 		r.Pop()
 		r.Pop()
+		r.Discard()
 	})
 	if got != 0 {
-		t.Fatalf("Push/PushFront/Pop: %v allocs/op, want 0", got)
+		t.Fatalf("Push/PushFront/PushSlot/Pop/Discard: %v allocs/op, want 0", got)
 	}
 }
 
@@ -191,19 +195,22 @@ func TestRingGrow(t *testing.T) {
 	r.Grow(-1)
 }
 
-// The op codes of FuzzRing's input, one byte per op (taken mod 8), so
-// pushes outweigh pops and the ring wraps and grows.
+// The op codes of FuzzRing's input, one byte per op (taken mod
+// numRingOps), so pushes outweigh pops and the ring wraps and grows.
 const (
 	ringPush      = 0 // and 1, 2
 	ringPushFront = 3 // and 4
 	ringPop       = 5 // and 6
 	ringClear     = 7
+	ringPushSlot  = 8
+	ringDiscard   = 9
+	numRingOps    = 10
 )
 
-// FuzzRing runs a stream of Push, PushFront, Pop and Clear ops against
-// a ring and a slice. After every op the two must hold the same values
-// in the same order, and every slot outside the ring's values must be
-// zero.
+// FuzzRing runs a stream of Push, PushSlot, PushFront, Pop, Discard and
+// Clear ops against a ring and a slice. After every op the two must
+// hold the same values in the same order, and every slot outside the
+// ring's values must be zero.
 func FuzzRing(f *testing.F) {
 	f.Add([]byte{})
 	// Wrap with pops, then grow while wrapped, then drain.
@@ -211,6 +218,9 @@ func FuzzRing(f *testing.F) {
 	// PushFront wrapping head below 0 and growing, pops on an empty
 	// ring, then a Clear and reuse.
 	f.Add([]byte{3, 3, 3, 3, 3, 0, 4, 5, 5, 5, 5, 5, 5, 5, 6, 0, 3, 7, 0, 5})
+	// PushSlot filling and growing a wrapped ring, then Discards past
+	// empty.
+	f.Add([]byte{8, 8, 8, 9, 9, 8, 8, 8, 8, 8, 0, 9, 9, 9, 9, 9, 9, 9, 9, 8})
 	r := NewRand(1)
 	long := make([]byte, 512)
 	for i := range long {
@@ -223,9 +233,16 @@ func FuzzRing(f *testing.F) {
 		var ref []int
 		for i, op := range ops {
 			v := i + 1 // zero marks a cleared slot
-			switch op % 8 {
+			switch op % numRingOps {
 			case ringPush, ringPush + 1, ringPush + 2:
 				r.Push(v)
+				ref = append(ref, v)
+			case ringPushSlot:
+				p := r.PushSlot()
+				if *p != 0 {
+					t.Fatalf("op %d: PushSlot returned a slot holding %d", i, *p)
+				}
+				*p = v
 				ref = append(ref, v)
 			case ringPushFront, ringPushFront + 1:
 				r.PushFront(v)
@@ -237,6 +254,15 @@ func FuzzRing(f *testing.F) {
 				if got := r.Pop(); got != ref[0] {
 					t.Fatalf("op %d: Pop = %d, want %d", i, got, ref[0])
 				}
+				ref = ref[1:]
+			case ringDiscard:
+				if len(ref) == 0 {
+					continue
+				}
+				if got := *r.Front(); got != ref[0] {
+					t.Fatalf("op %d: Front = %d, want %d", i, got, ref[0])
+				}
+				r.Discard()
 				ref = ref[1:]
 			case ringClear:
 				r.Clear()

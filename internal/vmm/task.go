@@ -26,6 +26,8 @@ const (
 // one-shot: long-running guest activities re-enqueue themselves from
 // OnComplete. A task preempted by a higher-priority task (or by the
 // host scheduler) keeps its remaining time and resumes later.
+// EnqueueTask copies a Task field by field, so a new field must be
+// copied there too.
 type Task struct {
 	Name      string
 	Prio      Prio

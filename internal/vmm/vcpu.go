@@ -167,7 +167,11 @@ func (v *VCPU) InGuestMode() bool {
 // the scheduler so higher-priority work preempts promptly. The vCPU
 // keeps no reference to t.
 func (v *VCPU) EnqueueTask(t *Task) {
-	v.tasks[t.Prio].Push(*t)
+	// Write the task into its slot field by field: a struct copy would
+	// read *t, just built by the caller, with wider loads than the
+	// stores that wrote it and stall on them.
+	slot := v.tasks[t.Prio].PushSlot()
+	slot.Name, slot.Prio, slot.Remaining, slot.OnComplete, slot.irq = t.Name, t.Prio, t.Remaining, t.OnComplete, t.irq
 	v.poke()
 }
 
@@ -378,11 +382,13 @@ func (v *VCPU) ChunkDone() {
 		if q.Len() == 0 {
 			panic("vmm: completed task is not at its queue head")
 		}
-		t := q.Pop()
-		if t.OnComplete != nil {
-			t.OnComplete()
+		t := q.Front()
+		done, irq := t.OnComplete, t.irq
+		q.Discard()
+		if done != nil {
+			done()
 		}
-		if t.irq {
+		if irq {
 			v.completeIRQ()
 		}
 	}
