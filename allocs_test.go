@@ -1,6 +1,7 @@
 package es2_test
 
 import (
+	"runtime"
 	"testing"
 	"time"
 
@@ -84,6 +85,35 @@ func TestEventPathAllocs(t *testing.T) {
 				t.Fatalf("%s: %v", spec.Name, err)
 			}
 			check(spec.Name, r.EngineReport.Mallocs, r.EngineReport.EventsFired)
+		}
+	}
+}
+
+// maxSetupBytes bounds the bytes one full-scale daycycle config
+// allocates when its windows are 1ns, so that the run is testbed
+// assembly, 2ns of simulation and result assembly. Each config
+// measures about 350KB (go1.24, amd64); the bound leaves about 45%
+// headroom for other Go versions' allocation sizes.
+const maxSetupBytes = 512 << 10
+
+// TestSetupAllocBytes builds every config of the full-scale daycycle
+// rack with 1ns windows and bounds what each build allocates: set-up
+// memory should grow with what a testbed holds, not with its ring
+// sizes or its number of histograms.
+func TestSetupAllocBytes(t *testing.T) {
+	t.Setenv("ES2_CHECK", "")
+	for _, spec := range experiments.Daycycle().Specs {
+		spec.Warmup, spec.Duration = 1, 1
+		var m0, m1 runtime.MemStats
+		runtime.ReadMemStats(&m0)
+		if _, err := es2.RunCluster(spec); err != nil {
+			t.Fatalf("%s: %v", spec.Name, err)
+		}
+		runtime.ReadMemStats(&m1)
+		got := m1.TotalAlloc - m0.TotalAlloc
+		t.Logf("%s: set-up allocated %d bytes", spec.Name, got)
+		if got >= maxSetupBytes {
+			t.Errorf("%s: set-up allocated %d bytes, want < %d", spec.Name, got, maxSetupBytes)
 		}
 	}
 }

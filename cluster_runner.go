@@ -69,19 +69,7 @@ func (d *hostDemux) Receive(p *netsim.Packet) {
 }
 
 // steer delivers the host's frames of flow id to dev.
-func (d *hostDemux) steer(id int, dev *vhost.Device) {
-	d.byFlow = growTo(d.byFlow, id)
-	d.byFlow[id] = dev
-}
-
-// growTo returns s, extended with zero values if need be, so that
-// s[i] exists.
-func growTo[T any](s []T, i int) []T {
-	if i >= len(s) {
-		s = append(s, make([]T, i+1-len(s))...)
-	}
-	return s
-}
+func (d *hostDemux) steer(id int, dev *vhost.Device) { d.byFlow[id] = dev }
 
 // clusterBed is one fully wired rack.
 type clusterBed struct {
@@ -115,6 +103,15 @@ type clusterBed struct {
 	sloEval *slo.Evaluator
 }
 
+// sizeFlows sizes the switch's and every host's flow table once for
+// flow ids up to n, before the first bindFlow.
+func (cb *clusterBed) sizeFlows(n int) {
+	cb.flowPorts = make([][2]*fabric.Port, n+1)
+	for _, h := range cb.hosts {
+		h.demux.byFlow = make([]*vhost.Device, n+1)
+	}
+}
+
 // bindFlow carries flow id between client VM c and server VM s: each
 // host steers the flow to its VM's vhost device for the flow's queue,
 // and the switch routes it between the two hosts' ports.
@@ -122,7 +119,6 @@ func (cb *clusterBed) bindFlow(id int, c, s vmRef) {
 	qi := id % cb.spec.Queues
 	c.h.demux.steer(id, c.h.devsByVM[c.vi][qi])
 	s.h.demux.steer(id, s.h.devsByVM[s.vi][qi])
-	cb.flowPorts = growTo(cb.flowPorts, id)
 	cb.flowPorts[id] = [2]*fabric.Port{c.h.port, s.h.port}
 }
 
@@ -316,6 +312,11 @@ func buildCluster(spec ClusterSpec) (*clusterBed, error) {
 		}
 		streams := expandLoadStreams(lspec, spec.Seed, spread)
 		cb.loadStreams = len(streams)
+		flows := 0
+		for _, st := range streams {
+			flows += st.fanOut()
+		}
+		cb.sizeFlows(flows)
 		for gs, st := range streams {
 			cr := clientVMs[gs%nc]
 			// Fan-out targets: single streams spread over all servers,
@@ -325,7 +326,7 @@ func buildCluster(spec ClusterSpec) (*clusterBed, error) {
 			var targets []vmRef
 			switch st.cls.FanOut {
 			case "scatter":
-				for j := 0; j < st.cls.FanWidth; j++ {
+				for j := 0; j < st.fanOut(); j++ {
 					targets = append(targets, serverVMs[(gs+j)%ns])
 				}
 			case "incast":
@@ -342,6 +343,7 @@ func buildCluster(spec ClusterSpec) (*clusterBed, error) {
 			cr.h.loads[cr.vi].AddStream(cr.h.kerns[cr.vi], st.cfg)
 		}
 	} else {
+		cb.sizeFlows(spec.Workload.Flows)
 		for f := 0; f < spec.Workload.Flows; f++ {
 			flowID := ids.Next()
 			cr := clientVMs[f%nc]

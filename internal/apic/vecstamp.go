@@ -49,9 +49,10 @@ func (s *VectorStamps) Mark(vec Vector, mech StampMech, now sim.Time) {
 
 // Take closes the span for vec, returning the stamp and mechanism.
 // ok is false when no injection was pending (e.g. the stamp predates
-// instrumentation being enabled).
+// instrumentation being enabled), and always on nil stamps, which no
+// injection has marked yet.
 func (s *VectorStamps) Take(vec Vector) (t sim.Time, mech StampMech, ok bool) {
-	if !s.pend[vec] {
+	if s == nil || !s.pend[vec] {
 		return 0, 0, false
 	}
 	s.pend[vec] = false

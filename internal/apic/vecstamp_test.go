@@ -30,3 +30,11 @@ func TestVectorStampsIndependentVectors(t *testing.T) {
 		t.Fatalf("vector 0x20: (%v, %v, %v)", tm, mech, ok)
 	}
 }
+
+// Nil stamps, which no injection has marked, have nothing pending.
+func TestVectorStampsNilTake(t *testing.T) {
+	var s *VectorStamps
+	if _, _, ok := s.Take(0x31); ok {
+		t.Fatal("Take on nil stamps reported a pending stamp")
+	}
+}

@@ -4,7 +4,6 @@ import (
 	"es2/internal/causal"
 	"es2/internal/netsim"
 	"es2/internal/sim"
-	"es2/internal/virtio"
 	"es2/internal/vmm"
 )
 
@@ -98,9 +97,7 @@ func (n *NAPI) poll() {
 	// Repost receive buffers for the consumed descriptors, kicking the
 	// back-end only if it asked for refill notifications (it does so
 	// exclusively when starved for buffers, so this almost never traps).
-	for range batch {
-		n.pair.RX.Add(virtio.Desc{})
-	}
+	n.pair.RX.AddBlank(len(batch))
 	if n.pair.Dev.DoorbellNoExit || n.pair.RX.KickSuppressed() {
 		n.pair.RX.Kick()
 	} else {

@@ -15,21 +15,28 @@ import (
 const (
 	logSubBits  = 7
 	logSubCount = 1 << logSubBits
-	// logNumBuckets covers every non-negative int64: exponents
-	// logSubBits..62, one block of logSubCount sub-buckets each, plus
-	// the exact region.
-	logNumBuckets = (62 - logSubBits + 2) * logSubCount
+	// logNumBlocks covers every non-negative int64: the exact region,
+	// plus one block of logSubCount sub-buckets for each exponent
+	// logSubBits..62. Bucket i lives in block i>>logSubBits.
+	logNumBlocks  = 62 - logSubBits + 2
+	logNumBuckets = logNumBlocks * logSubCount
 )
 
+// logBlock holds one octave's sub-bucket counts (the exact region's
+// unit buckets for block 0).
+type logBlock [logSubCount]uint64
+
 // LogHistogram is an HDR-style log-bucketed latency histogram: O(1)
-// insertion, fixed memory (~57KB once touched) regardless of sample
-// count, exact count/sum/min/max (hence exact Mean), and quantiles
-// within the bucket's relative error bound (< 1%). It is the
-// simulator's one latency histogram: workload request latencies, the
-// event-path probe's per-stage spectra, the telemetry latency spectra
-// and their OpenMetrics exposition all use it.
+// insertion, exact count/sum/min/max (hence exact Mean), and quantiles
+// within the bucket's relative error bound (< 1%). Its memory follows
+// the range of values seen, not the sample count: each octave's block
+// of 128 buckets (1KB) is allocated when a value first lands in it, so
+// latencies from 1µs to 10ms touch 15 blocks of the 57. It is the
+// simulator's one latency histogram: workload request
+// latencies, the event-path probe's per-stage spectra, the telemetry
+// latency spectra and their OpenMetrics exposition all use it.
 type LogHistogram struct {
-	counts   []uint64 // allocated on first Observe
+	blocks   *[logNumBlocks]*logBlock // allocated on first Observe
 	count    uint64
 	sum      sim.Time
 	min, max sim.Time
@@ -63,9 +70,6 @@ func logBucketBounds(idx int) (low, width sim.Time) {
 // simulator never produces) are clamped into the zero bucket but enter
 // sum/min/max exactly.
 func (h *LogHistogram) Observe(d sim.Time) {
-	if h.counts == nil {
-		h.counts = make([]uint64, logNumBuckets)
-	}
 	h.count++
 	h.sum += d
 	if h.count == 1 || d < h.min {
@@ -74,11 +78,16 @@ func (h *LogHistogram) Observe(d sim.Time) {
 	if h.count == 1 || d > h.max {
 		h.max = d
 	}
-	v := d
-	if v < 0 {
-		v = 0
+	i := logBucketIndex(max(d, 0))
+	if h.blocks == nil {
+		h.blocks = new([logNumBlocks]*logBlock)
 	}
-	h.counts[logBucketIndex(v)]++
+	b := h.blocks[i>>logSubBits]
+	if b == nil {
+		b = new(logBlock)
+		h.blocks[i>>logSubBits] = b
+	}
+	b[i&(logSubCount-1)]++
 }
 
 // Count returns the number of observations.
@@ -102,10 +111,14 @@ func (h *LogHistogram) Min() sim.Time { return h.min }
 func (h *LogHistogram) Max() sim.Time { return h.max }
 
 // Reset discards all observations (used at measurement-window
-// boundaries). The bucket array is kept, zeroed.
+// boundaries). The allocated blocks are kept, zeroed.
 func (h *LogHistogram) Reset() {
-	for i := range h.counts {
-		h.counts[i] = 0
+	if h.blocks != nil {
+		for _, b := range h.blocks {
+			if b != nil {
+				*b = logBlock{}
+			}
+		}
 	}
 	h.count, h.sum, h.min, h.max = 0, 0, 0, 0
 }
@@ -128,21 +141,19 @@ func (h *LogHistogram) Quantile(q float64) sim.Time {
 		rank = 1
 	}
 	var cum uint64
-	for i, c := range h.counts {
-		if c == 0 {
+	for bi, b := range h.blocks { // allocated: count > 0
+		if b == nil {
 			continue
 		}
-		cum += c
-		if cum >= rank {
-			low, width := logBucketBounds(i)
-			v := low + width/2
-			if v < h.min {
-				v = h.min
+		for sub, c := range b {
+			if c == 0 {
+				continue
 			}
-			if v > h.max {
-				v = h.max
+			cum += c
+			if cum >= rank {
+				low, width := logBucketBounds(bi<<logSubBits | sub)
+				return min(max(low+width/2, h.min), h.max)
 			}
-			return v
 		}
 	}
 	return h.max
@@ -163,9 +174,20 @@ func (h *LogHistogram) CountAbove(threshold sim.Time) uint64 {
 	if threshold >= h.max {
 		return 0
 	}
+	first := logBucketIndex(threshold) + 1
 	var n uint64
-	for i := logBucketIndex(threshold) + 1; i < len(h.counts); i++ {
-		n += h.counts[i]
+	for bi := first >> logSubBits; bi < logNumBlocks; bi++ {
+		b := h.blocks[bi]
+		if b == nil {
+			continue
+		}
+		from := 0
+		if bi == first>>logSubBits {
+			from = first & (logSubCount - 1)
+		}
+		for _, c := range b[from:] {
+			n += c
+		}
 	}
 	return n
 }
@@ -174,12 +196,20 @@ func (h *LogHistogram) CountAbove(threshold sim.Time) uint64 {
 // the bucket's exclusive upper bound and count. Used for histogram
 // exposition.
 func (h *LogHistogram) Buckets(fn func(upper sim.Time, count uint64)) {
-	for i, c := range h.counts {
-		if c == 0 {
+	if h.blocks == nil {
+		return
+	}
+	for bi, b := range h.blocks {
+		if b == nil {
 			continue
 		}
-		low, width := logBucketBounds(i)
-		fn(low+width, c)
+		for sub, c := range b {
+			if c == 0 {
+				continue
+			}
+			low, width := logBucketBounds(bi<<logSubBits | sub)
+			fn(low+width, c)
+		}
 	}
 }
 

@@ -275,7 +275,11 @@ func (c *core) resizeSlice() {
 // key an At would give it.
 func (c *core) armChunk(chunk sim.Time) {
 	c.chunkEnd = c.s.eng.Now() + chunk
-	if !c.chunkEvt.Move(c.chunkEnd) {
+	// Active inlines and Move does not: nearly every chunk finds its
+	// timer just fired, and learns so without a call.
+	if c.chunkEvt.Active() {
+		c.chunkEvt.Move(c.chunkEnd)
+	} else {
 		c.chunkEvt = c.s.eng.At(c.chunkEnd, c.chunkDoneFn)
 	}
 	c.queueSlice()

@@ -5,10 +5,9 @@ package sim
 // queues. It holds n values starting at buf[head], wrapping at the end
 // of buf. Like a split ring's index pair, popping a value only
 // advances head. buf grows by doubling when a push finds it full, so a
-// queue that holds a handful of values costs a handful of slots. Only
-// a ring whose fill is known up front, a pre-posted receive ring, is
-// sized once with Grow. Popped slots are cleared, so the ring does not
-// keep a value alive. The zero value is an empty ring.
+// queue that holds a handful of values costs a handful of slots.
+// Popped slots are cleared, so the ring does not keep a value alive.
+// The zero value is an empty ring.
 type Ring[T any] struct {
 	buf  []T // len is zero or a power of two
 	head int
@@ -89,30 +88,10 @@ func (r *Ring[T]) Clear() {
 	r.head, r.n = 0, 0
 }
 
-// Grow increases the ring's capacity, if necessary, to guarantee space
-// for another n values: after Grow(n), at least n values can be pushed
-// without another allocation. Like slices.Grow, it panics if n is
-// negative.
-func (r *Ring[T]) Grow(n int) {
-	if n < 0 {
-		panic("sim: Grow with a negative count")
-	}
-	if need := r.n + n; need > len(r.buf) {
-		size := 4
-		for size < need {
-			size *= 2
-		}
-		r.resize(size)
-	}
-}
-
-// grow doubles buf from four slots.
-func (r *Ring[T]) grow() { r.resize(max(2*len(r.buf), 4)) }
-
-// resize moves the values into a new buf of size slots, a power of two
-// that holds them all, unwrapping them to start at index 0.
-func (r *Ring[T]) resize(size int) {
-	buf := make([]T, size)
+// grow doubles buf from four slots, unwrapping the values to start at
+// index 0.
+func (r *Ring[T]) grow() {
+	buf := make([]T, max(2*len(r.buf), 4))
 	k := copy(buf, r.buf[r.head:])
 	copy(buf[k:], r.buf[:r.head])
 	r.buf, r.head = buf, 0

@@ -154,47 +154,6 @@ func TestRingAllocs(t *testing.T) {
 	}
 }
 
-// Grow makes room for n more values at once, keeping their order when
-// the ring is wrapped, and leaves a ring with room enough alone.
-func TestRingGrow(t *testing.T) {
-	var r Ring[int]
-	r.Grow(0)
-	if r.buf != nil {
-		t.Fatalf("Grow(0) on a zero ring allocated %d slots", len(r.buf))
-	}
-	for i := 0; i < 3; i++ {
-		r.Push(-1)
-		r.Pop()
-	}
-	r.Push(0)
-	r.Push(1) // wraps: head is at slot 3 of 4
-	r.Grow(1000)
-	if len(r.buf) != 1024 || r.head != 0 {
-		t.Fatalf("Grow(1000) with 2 queued: %d slots, head %d; want 1024, 0", len(r.buf), r.head)
-	}
-	buf := r.buf
-	if n := testing.AllocsPerRun(1, func() { r.Grow(1022) }); n != 0 || &r.buf[0] != &buf[0] {
-		t.Fatalf("Grow within capacity: %v allocs, storage replaced", n)
-	}
-	for i := 2; i < 1024; i++ {
-		r.Push(i)
-	}
-	if &r.buf[0] != &buf[0] {
-		t.Fatal("pushes within the grown capacity replaced the storage")
-	}
-	for want := 0; want < 1024; want++ {
-		if got := r.Pop(); got != want {
-			t.Fatalf("Pop %d = %d", want, got)
-		}
-	}
-	defer func() {
-		if recover() == nil {
-			t.Error("Grow(-1) did not panic")
-		}
-	}()
-	r.Grow(-1)
-}
-
 // The op codes of FuzzRing's input, one byte per op (taken mod
 // numRingOps), so pushes outweigh pops and the ring wraps and grows.
 const (

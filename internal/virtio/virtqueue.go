@@ -42,9 +42,12 @@ type Virtqueue struct {
 
 	// avail and used grow with the descriptors they hold, not with the
 	// queue size: used rings and TX avail rings hold a handful at a
-	// time. Only a pre-posted RX avail ring fills, and Fill sizes it
-	// once.
+	// time. A pre-posted RX ring holds blank buffers, which carry
+	// nothing but their number, so blanks counts them instead of
+	// filling avail. A queue holds blanks or filled descriptors, never
+	// both at once (see AddBlank), so Pop keeps the posting order.
 	avail    sim.Ring[Desc] // posted by the driver, not yet consumed by the device
+	blanks   int            // blank buffers posted, not yet consumed
 	used     sim.Ring[Desc] // completed by the device, not yet reclaimed by the driver
 	inflight int            // popped by the device, not yet pushed used
 	batch    []Desc         // CollectUsed's result, reused by its next call
@@ -117,7 +120,7 @@ func (q *Virtqueue) OnInterrupt(fn func()) { q.interrupt = fn }
 
 // outstanding is the number of descriptors the driver cannot reuse yet:
 // still available, held by the device, or completed but unreclaimed.
-func (q *Virtqueue) outstanding() int { return q.avail.Len() + q.inflight + q.used.Len() }
+func (q *Virtqueue) outstanding() int { return q.AvailLen() + q.inflight + q.used.Len() }
 
 // Full reports whether the ring has no free descriptor.
 func (q *Virtqueue) Full() bool { return q.outstanding() >= q.size }
@@ -125,8 +128,9 @@ func (q *Virtqueue) Full() bool { return q.outstanding() >= q.size }
 // Free returns the number of descriptors the driver may still post.
 func (q *Virtqueue) Free() int { return q.size - q.outstanding() }
 
-// AvailLen returns the number of descriptors awaiting the device.
-func (q *Virtqueue) AvailLen() int { return q.avail.Len() }
+// AvailLen returns the number of descriptors awaiting the device,
+// blank buffers included.
+func (q *Virtqueue) AvailLen() int { return q.avail.Len() + q.blanks }
 
 // UsedLen returns the number of completed descriptors awaiting the
 // driver.
@@ -135,8 +139,12 @@ func (q *Virtqueue) UsedLen() int { return q.used.Len() }
 // --- driver (guest front-end) side ---
 
 // Add posts a descriptor. It reports false when the ring is full (the
-// guest must stop its queue and wait for used-buffer reclamation).
+// guest must stop its queue and wait for used-buffer reclamation). It
+// panics while blank buffers are posted: see AddBlank.
 func (q *Virtqueue) Add(d Desc) bool {
+	if q.blanks > 0 {
+		panic("virtio: Add to a queue holding blank buffers")
+	}
 	if q.Full() {
 		return false
 	}
@@ -148,16 +156,30 @@ func (q *Virtqueue) Add(d Desc) bool {
 	return true
 }
 
-// Fill posts empty descriptors until the ring is full, as a driver
-// pre-posts its receive buffers. The avail ring grows once to hold
-// them, not by doubling.
-func (q *Virtqueue) Fill() {
-	n := q.Free()
-	q.avail.Grow(n)
-	for i := 0; i < n; i++ {
-		q.Add(Desc{})
+// AddBlank posts up to n blank buffers, as a driver posts the receive
+// buffers the device will copy packets into, and returns how many fit.
+// A blank buffer is a zero Desc: the queue counts blanks rather than
+// storing them, and Pop hands one out as a zero Desc. Blanks and
+// filled descriptors must not wait in the avail ring together, since
+// the count keeps no order among them: AddBlank panics while filled
+// descriptors are posted, and so does a queue with a residency probe,
+// whose stamps a blank cannot carry.
+func (q *Virtqueue) AddBlank(n int) int {
+	if q.avail.Len() > 0 {
+		panic("virtio: AddBlank to a queue holding filled descriptors")
 	}
+	if q.resLat != nil {
+		panic("virtio: AddBlank to a queue with a residency probe")
+	}
+	n = max(min(n, q.Free()), 0)
+	q.blanks += n
+	q.Added += uint64(n)
+	return n
 }
+
+// Fill posts blank buffers until the ring is full, as a driver
+// pre-posts its receive ring.
+func (q *Virtqueue) Fill() { q.AddBlank(q.Free()) }
 
 // Kick notifies the device of new available descriptors. It reports
 // whether a notification was actually delivered: when the device has
@@ -218,8 +240,15 @@ func (q *Virtqueue) InterruptSuppressed() bool { return q.noInterrupt }
 
 // --- device (host back-end) side ---
 
-// Pop consumes the next available descriptor.
+// Pop consumes the next available descriptor: a zero Desc while blank
+// buffers are posted.
 func (q *Virtqueue) Pop() (Desc, bool) {
+	if q.blanks > 0 {
+		q.blanks--
+		q.inflight++
+		q.Popped++
+		return Desc{}, true
+	}
 	if q.avail.Len() == 0 {
 		return Desc{}, false
 	}
@@ -268,8 +297,11 @@ func (q *Virtqueue) CheckInvariants() error {
 	if out := q.outstanding(); out > q.size {
 		return fmt.Errorf("vq %s: %d descriptors outstanding exceeds ring size %d", q.name, out, q.size)
 	}
-	if q.Added-q.Popped != uint64(q.avail.Len()) {
-		return fmt.Errorf("vq %s: Added-Popped=%d but avail holds %d", q.name, q.Added-q.Popped, q.avail.Len())
+	if q.blanks < 0 || (q.blanks > 0 && q.avail.Len() > 0) {
+		return fmt.Errorf("vq %s: %d blank buffers posted beside %d filled descriptors", q.name, q.blanks, q.avail.Len())
+	}
+	if q.Added-q.Popped != uint64(q.AvailLen()) {
+		return fmt.Errorf("vq %s: Added-Popped=%d but avail holds %d", q.name, q.Added-q.Popped, q.AvailLen())
 	}
 	return nil
 }
@@ -278,9 +310,14 @@ func (q *Virtqueue) CheckInvariants() error {
 // the avail-ring residency (publish → device dequeue) of every
 // descriptor, timed by now. Install during deterministic build, before
 // any descriptor is posted, so every Pop sees a stamped descriptor.
+// Blank buffers carry no stamp, so a queue holding them refuses the
+// probe.
 func (q *Virtqueue) SetResidencyProbe(h *metrics.LogHistogram, now func() sim.Time) {
 	if h == nil || now == nil {
 		panic("virtio: residency probe needs a histogram and a clock")
+	}
+	if q.blanks > 0 {
+		panic("virtio: residency probe on a queue holding blank buffers")
 	}
 	q.resLat = h
 	q.resNow = now
@@ -293,5 +330,5 @@ func (q *Virtqueue) SetNoNotify(no bool) { q.noNotify = no }
 
 // String summarizes the queue state.
 func (q *Virtqueue) String() string {
-	return fmt.Sprintf("vq(%s: avail=%d used=%d free=%d)", q.name, q.avail.Len(), q.used.Len(), q.Free())
+	return fmt.Sprintf("vq(%s: avail=%d used=%d free=%d)", q.name, q.AvailLen(), q.used.Len(), q.Free())
 }

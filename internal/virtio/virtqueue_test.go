@@ -3,6 +3,9 @@ package virtio
 import (
 	"testing"
 	"testing/quick"
+
+	"es2/internal/metrics"
+	"es2/internal/sim"
 )
 
 func TestAddPopRoundTrip(t *testing.T) {
@@ -248,8 +251,9 @@ func TestRoundTripAllocs(t *testing.T) {
 	}
 }
 
-// Fill posts descriptors until the ring is full and sizes the avail
-// ring once: pre-posting a 1024-descriptor ring is one allocation.
+// Fill posts blank buffers until the ring is full, and the queue
+// counts them rather than storing them: pre-posting a 1024-buffer ring
+// allocates nothing.
 func TestFillAllocs(t *testing.T) {
 	const runs = 10
 	qs := make([]*Virtqueue, runs+1) // AllocsPerRun adds a warm-up call
@@ -264,8 +268,8 @@ func TestFillAllocs(t *testing.T) {
 		}
 		i++
 	})
-	if got != 1 {
-		t.Fatalf("Fill of a 1024 ring: %v allocs, want 1", got)
+	if got != 0 {
+		t.Fatalf("Fill of a 1024 ring: %v allocs, want 0", got)
 	}
 	// With one descriptor in flight, Fill posts the other seven.
 	q := New("rx", 8)
@@ -274,5 +278,174 @@ func TestFillAllocs(t *testing.T) {
 	q.Fill()
 	if q.AvailLen() != 7 || !q.Full() {
 		t.Fatalf("AvailLen = %d after Fill with one in flight, want 7", q.AvailLen())
+	}
+}
+
+// Blank buffers occupy the ring like filled descriptors: they count in
+// AvailLen, Free and Full and in the Added/Popped tallies, AddBlank
+// posts only what fits, and Pop hands each out as a zero Desc.
+func TestBlankBuffers(t *testing.T) {
+	q := New("rx", 8)
+	if n := q.AddBlank(5); n != 5 || q.AvailLen() != 5 || q.Free() != 3 || q.Full() {
+		t.Fatalf("AddBlank(5) = %d: AvailLen %d, Free %d, Full %t", n, q.AvailLen(), q.Free(), q.Full())
+	}
+	if n := q.AddBlank(5); n != 3 || q.AvailLen() != 8 || q.Free() != 0 || !q.Full() {
+		t.Fatalf("AddBlank(5) with 3 free = %d: AvailLen %d, Free %d, Full %t", n, q.AvailLen(), q.Free(), q.Full())
+	}
+	if n := q.AddBlank(1); n != 0 {
+		t.Fatalf("AddBlank on a full ring posted %d", n)
+	}
+	if n := q.AddBlank(-1); n != 0 || q.AvailLen() != 8 {
+		t.Fatalf("AddBlank(-1) = %d, AvailLen %d", n, q.AvailLen())
+	}
+	d, ok := q.Pop()
+	if !ok || d != (Desc{}) {
+		t.Fatalf("Pop of a blank = %+v,%t; want a zero Desc", d, ok)
+	}
+	// A popped blank stays outstanding until the driver reclaims it.
+	if q.AvailLen() != 7 || q.Free() != 0 || q.Added != 8 || q.Popped != 1 {
+		t.Fatalf("after Pop: AvailLen %d, Free %d, Added %d, Popped %d", q.AvailLen(), q.Free(), q.Added, q.Popped)
+	}
+	if err := q.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+	d.Len = 64
+	q.PushUsed(d)
+	if got := q.CollectUsed(0); len(got) != 1 || got[0].Len != 64 {
+		t.Fatalf("CollectUsed = %+v", got)
+	}
+	if q.Free() != 1 {
+		t.Fatalf("Free = %d after reclaiming one buffer, want 1", q.Free())
+	}
+	for q.AvailLen() > 0 {
+		q.Pop()
+	}
+	if _, ok := q.Pop(); ok {
+		t.Fatal("Pop succeeded with no buffer posted")
+	}
+	if q.String() != "vq(rx: avail=0 used=0 free=1)" {
+		t.Fatalf("String = %q", q.String())
+	}
+}
+
+// Blank buffers and filled descriptors never wait in the avail ring
+// together, since the blank count keeps no order: each kind of post
+// panics while the other kind waits, and succeeds once it has been
+// popped. A queue holding blanks refuses the residency probe, and a
+// probed queue refuses blanks.
+func TestBlankMixRefused(t *testing.T) {
+	q := New("rx", 8)
+	q.AddBlank(2)
+	mustPanic(t, func() { q.Add(Desc{Len: 1}) })
+	mustPanic(t, func() { q.SetResidencyProbe(metrics.NewLogHistogram(), func() sim.Time { return 0 }) })
+	q.Pop()
+	q.Pop()
+	if !q.Add(Desc{Len: 1}) {
+		t.Fatal("Add refused once the blanks were popped")
+	}
+	mustPanic(t, func() { q.AddBlank(1) })
+	q.Pop()
+	if q.AddBlank(1) != 1 {
+		t.Fatal("AddBlank refused once the filled descriptor was popped")
+	}
+	if err := q.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+
+	p := New("tx", 8)
+	p.SetResidencyProbe(metrics.NewLogHistogram(), func() sim.Time { return 0 })
+	mustPanic(t, func() { p.AddBlank(1) })
+	mustPanic(t, func() { p.Fill() })
+}
+
+// Property: with blank buffers in the mix, the queue still neither
+// loses nor duplicates buffers, keeps both rings FIFO, refuses every
+// post that would put blanks and filled descriptors side by side in
+// the avail ring, and passes CheckInvariants after every op. Filled
+// descriptors carry ids 1, 2, ...; blanks come back as id 0.
+func TestBlankConservationProperty(t *testing.T) {
+	f := func(ops []byte) bool {
+		q := New("p", 8)
+		var avail []int  // reference avail ring: ids, 0 for a blank
+		var device []int // popped, not yet pushed used
+		var used []int   // pushed used, not yet collected
+		next, added, collected := 1, 0, 0
+		refused := func(post func()) (panicked bool) {
+			defer func() { panicked = recover() != nil }()
+			post()
+			return false
+		}
+		for _, o := range ops {
+			switch o % 5 {
+			case 0: // add a filled descriptor
+				if len(avail) > 0 && avail[0] == 0 {
+					if !refused(func() { q.Add(Desc{Len: next}) }) {
+						return false
+					}
+					continue
+				}
+				fits := len(avail)+len(device)+len(used) < q.size
+				if q.Add(Desc{Len: next}) != fits {
+					return false
+				}
+				if fits {
+					avail = append(avail, next)
+					next++
+					added++
+				}
+			case 1: // add blanks
+				k := int(o>>3) % 4
+				if len(avail) > 0 && avail[0] != 0 {
+					if !refused(func() { q.AddBlank(k) }) {
+						return false
+					}
+					continue
+				}
+				want := min(k, q.size-len(avail)-len(device)-len(used))
+				if q.AddBlank(k) != want {
+					return false
+				}
+				for i := 0; i < want; i++ {
+					avail = append(avail, 0)
+				}
+				added += want
+			case 2: // pop
+				d, ok := q.Pop()
+				if ok != (len(avail) > 0) {
+					return false
+				}
+				if ok {
+					if d.Len != avail[0] || (avail[0] == 0 && d != (Desc{})) {
+						return false // out of order, or a blank not blank
+					}
+					avail = avail[1:]
+					device = append(device, d.Len)
+				}
+			case 3: // push used
+				if len(device) > 0 {
+					q.PushUsed(Desc{Len: device[0]})
+					used = append(used, device[0])
+					device = device[1:]
+				}
+			case 4: // collect
+				for _, d := range q.CollectUsed(0) {
+					if len(used) == 0 || d.Len != used[0] {
+						return false
+					}
+					used = used[1:]
+					collected++
+				}
+			}
+			if q.AvailLen() != len(avail) || q.UsedLen() != len(used) ||
+				q.Free() != q.size-len(avail)-len(device)-len(used) ||
+				q.Full() != (q.Free() == 0) ||
+				q.Added != uint64(added) || q.CheckInvariants() != nil {
+				return false
+			}
+		}
+		return collected+len(used)+len(device)+len(avail) == added
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
+		t.Fatal(err)
 	}
 }

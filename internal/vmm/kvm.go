@@ -113,7 +113,7 @@ func (k *KVM) DeliverLocal(v *VCPU, vec apic.Vector) {
 	if k.UsePI {
 		if v.PID.Available() {
 			if stamp {
-				v.irqStamps.Mark(vec, apic.StampPosted, k.Eng.Now())
+				v.stamps().Mark(vec, apic.StampPosted, k.Eng.Now())
 			}
 			k.postInterrupt(v, vec)
 			return
@@ -123,7 +123,7 @@ func (k *KVM) DeliverLocal(v *VCPU, vec apic.Vector) {
 		k.PIFallbacks++
 	}
 	if stamp {
-		v.irqStamps.Mark(vec, apic.StampEmulated, k.Eng.Now())
+		v.stamps().Mark(vec, apic.StampEmulated, k.Eng.Now())
 	}
 	k.injectEmulated(v, vec)
 }

@@ -76,10 +76,10 @@ type VCPU struct {
 	needEntrySync bool
 
 	// irqStamps carries the per-vector injection timestamps for the
-	// interrupt-delivery latency histograms and the causal analyzer
-	// (stamped only when K.IRQLatPosted/IRQLatEmulated or K.Causal
-	// are set).
-	irqStamps apic.VectorStamps
+	// interrupt-delivery latency histograms and the causal analyzer.
+	// It is allocated at the first stamp, so it stays nil unless
+	// K.IRQLatPosted/IRQLatEmulated or K.Causal are set.
+	irqStamps *apic.VectorStamps
 
 	// lastSchedIn is the instant of the most recent sched-in, and
 	// lastInject* snapshot the injection stamp consumed by the current
@@ -303,6 +303,15 @@ func (v *VCPU) startHandler(vec apic.Vector) {
 		OnComplete: fn,
 		irq:        true,
 	})
+}
+
+// stamps returns the vCPU's injection stamps, allocating them at the
+// first injection an observer asks to have stamped.
+func (v *VCPU) stamps() *apic.VectorStamps {
+	if v.irqStamps == nil {
+		v.irqStamps = new(apic.VectorStamps)
+	}
+	return v.irqStamps
 }
 
 // LastInjection returns the injection stamp consumed by the current

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"es2/internal/apic"
+	"es2/internal/metrics"
 	"es2/internal/sched"
 	"es2/internal/sim"
 )
@@ -558,6 +559,56 @@ func TestMSIAllocs(t *testing.T) {
 		}
 		if handled != 501 || v.IRQCompleted != 501 {
 			t.Fatalf("posted=%t: handled %d, EOIs %d, want 501", posted, handled, v.IRQCompleted)
+		}
+	}
+}
+
+// A vCPU allocates its per-vector injection stamps only once an
+// observer that reads them is on: a run with timer ticks, background
+// exits and device MSIs on both delivery paths leaves every vCPU
+// without stamps, and the same run with the IRQ-latency histograms
+// stamps every vCPU that took an interrupt.
+func TestStampsOnlyWithObservers(t *testing.T) {
+	for _, posted := range []bool{true, false} {
+		for _, observed := range []bool{false, true} {
+			e := newEnv(2, posted)
+			e.k.Cost.TimerTickPeriod = sim.Millisecond
+			e.k.Cost.OtherExitPeriod = 500 * sim.Microsecond
+			if observed {
+				e.k.IRQLatPosted = metrics.NewLogHistogram()
+				e.k.IRQLatEmulated = metrics.NewLogHistogram()
+			}
+			var vms []*VM
+			for i := 0; i < 2; i++ {
+				vm := e.k.NewVM("vm", []int{0, 1})
+				handled := 0
+				vec := registerCountingIRQ(vm, sim.Microsecond, &handled)
+				for _, v := range vm.VCPUs {
+					addBurn(v)
+				}
+				vm.Start()
+				var inject func()
+				inject = func() {
+					e.k.InjectMSI(vm, apic.MSIMessage{Vector: vec, Dest: 0, Mode: apic.LowestPriority})
+					e.eng.After(300*sim.Microsecond, inject)
+				}
+				inject()
+				vms = append(vms, vm)
+			}
+			e.eng.Run(20 * sim.Millisecond)
+			for _, vm := range vms {
+				for i, v := range vm.VCPUs {
+					if v.IRQAccepted == 0 {
+						t.Fatalf("posted=%t observed=%t: vCPU %d accepted no interrupt", posted, observed, i)
+					}
+					if got := v.irqStamps != nil; got != observed {
+						t.Errorf("posted=%t observed=%t: vCPU %d has stamps: %t", posted, observed, i, got)
+					}
+				}
+			}
+			if observed && e.k.IRQLatPosted.Count()+e.k.IRQLatEmulated.Count() == 0 {
+				t.Errorf("posted=%t: no delivery latency observed", posted)
+			}
 		}
 	}
 }

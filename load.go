@@ -131,6 +131,15 @@ type loadStream struct {
 	cfg   workloads.StreamConfig
 }
 
+// fanOut returns how many server VMs, one flow each, the stream's
+// requests go to: FanWidth for a scatter stream, one otherwise.
+func (st loadStream) fanOut() int {
+	if st.cls.FanOut == "scatter" {
+		return st.cls.FanWidth
+	}
+	return 1
+}
+
 // expandLoadStreams flattens a defaulted LoadSpec into per-stream
 // configurations in deterministic (class, stream) order — the order
 // flow ids are assigned in. Each stream's base rate is its Zipf-weighted
