@@ -96,24 +96,77 @@ func TestEventPathAllocs(t *testing.T) {
 // headroom for other Go versions' allocation sizes.
 const maxSetupBytes = 512 << 10
 
+// maxRackSetupBytes is maxSetupBytes for a full-scale rack1 config.
+// Each measures about 0.96MB, two thirds of it in what its 2,048 flows
+// hold; the bound leaves about a third of headroom.
+const maxRackSetupBytes = 1280 << 10
+
+// setupBytes runs spec with 1ns windows and returns the bytes the run
+// allocated.
+func setupBytes(t *testing.T, spec es2.ClusterSpec) uint64 {
+	t.Helper()
+	spec.Warmup, spec.Duration = 1, 1
+	var m0, m1 runtime.MemStats
+	runtime.ReadMemStats(&m0)
+	if _, err := es2.RunCluster(spec); err != nil {
+		t.Fatalf("%s: %v", spec.Name, err)
+	}
+	runtime.ReadMemStats(&m1)
+	return m1.TotalAlloc - m0.TotalAlloc
+}
+
 // TestSetupAllocBytes builds every config of the full-scale daycycle
-// rack with 1ns windows and bounds what each build allocates: set-up
-// memory should grow with what a testbed holds, not with its ring
-// sizes or its number of histograms.
+// and rack1 racks with 1ns windows and bounds what each build
+// allocates: set-up memory should grow with what a testbed holds, not
+// with its ring sizes or its number of histograms.
 func TestSetupAllocBytes(t *testing.T) {
 	t.Setenv("ES2_CHECK", "")
-	for _, spec := range experiments.Daycycle().Specs {
-		spec.Warmup, spec.Duration = 1, 1
-		var m0, m1 runtime.MemStats
-		runtime.ReadMemStats(&m0)
-		if _, err := es2.RunCluster(spec); err != nil {
-			t.Fatalf("%s: %v", spec.Name, err)
+	for _, rack := range []struct {
+		e   experiments.ClusterExperiment
+		max uint64
+	}{
+		{experiments.Daycycle(), maxSetupBytes},
+		{experiments.Rack1(), maxRackSetupBytes},
+	} {
+		for _, spec := range rack.e.Specs {
+			got := setupBytes(t, spec)
+			t.Logf("%s: set-up allocated %d bytes", spec.Name, got)
+			if got >= rack.max {
+				t.Errorf("%s: set-up allocated %d bytes, want < %d", spec.Name, got, rack.max)
+			}
 		}
-		runtime.ReadMemStats(&m1)
-		got := m1.TotalAlloc - m0.TotalAlloc
-		t.Logf("%s: set-up allocated %d bytes", spec.Name, got)
-		if got >= maxSetupBytes {
-			t.Errorf("%s: set-up allocated %d bytes, want < %d", spec.Name, got, maxSetupBytes)
-		}
+	}
+}
+
+// TestRackSetupLinearInFlows builds rack1's PI+H+R config at 4, 8 and
+// 16 hosts, half of them clients, with 1,024 and with 4,096 flows, and
+// takes the set-up bytes each added flow costs. A flow's route, its
+// client state and its guest flow entry are the same size whatever the
+// rack, so the cost per flow must not grow with the host count: a
+// table per host indexed by flow id would add a pointer per flow per
+// host.
+func TestRackSetupLinearInFlows(t *testing.T) {
+	t.Setenv("ES2_CHECK", "")
+	specs := experiments.Rack1().Specs
+	base := specs[len(specs)-1]
+	const lo, hi = 1024, 4096
+	var perFlow []float64
+	for _, hosts := range []int{4, 8, 16} {
+		spec := base
+		spec.Hosts, spec.ClientHosts = hosts, hosts/2
+		spec.Workload.Flows = lo
+		small := setupBytes(t, spec)
+		spec.Workload.Flows = hi
+		large := setupBytes(t, spec)
+		per := (float64(large) - float64(small)) / (hi - lo)
+		t.Logf("%d hosts: set-up allocated %d bytes at %d flows, %d at %d: %.0f bytes per added flow",
+			hosts, small, lo, large, hi, per)
+		perFlow = append(perFlow, per)
+	}
+	// Allocation size classes and map growth steps round differently
+	// at each size, so allow the cost a few percent of drift.
+	if perFlow[2] > 1.05*perFlow[0] {
+		t.Errorf("set-up bytes per added flow grow with the host count: %.0f at 4 hosts, %.0f at 8, %.0f at 16",
+			perFlow[0], perFlow[1], perFlow[2])
 	}
 }

@@ -7,7 +7,10 @@ import (
 	"time"
 
 	"es2/internal/faults"
+	"es2/internal/guest"
+	"es2/internal/netsim"
 	"es2/internal/sim"
+	"es2/internal/vhost"
 )
 
 // chaosClusterSpec is the rack1-derived robustness scenario at test
@@ -200,5 +203,52 @@ func TestWarmupResetClearsFaultCounters(t *testing.T) {
 	}
 	if cb.chaos.degradedNs != 0 || cb.chaos.degradedDone != 0 || cb.chaos.healthyDone != 0 {
 		t.Error("chaos controller window state not cleared at warmup end")
+	}
+}
+
+// TestFailoverKeepsOldHostSteering fails one flow over from a server
+// host marked down, then hands a frame of the flow to the old host's
+// demux and another to the new host's. The new host must steer its
+// frame by the rebound route. The old host must still steer frames
+// already on their way to it when the flow moved, as a real NIC's
+// steering entry outlives a failover; the golden corpus cannot catch a
+// host that forgets them, because none of its digests changes.
+func TestFailoverKeepsOldHostSteering(t *testing.T) {
+	spec := chaosClusterSpec()
+	spec.Hosts, spec.ClientHosts, spec.VMsPerHost = 3, 1, 2
+	spec.Workload.Flows = 16
+	spec = spec.withClusterDefaults()
+	if err := spec.validate(); err != nil {
+		t.Fatal(err)
+	}
+	cb, err := buildCluster(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const id = 1
+	r := cb.route(id)
+	if r == nil {
+		t.Fatalf("flow %d has no route", id)
+	}
+	oldHost, oldDev := cb.servers[r.srv].h, r.serverDev
+	cb.chaos.hostDown[oldHost.index] = true
+	if !cb.chaos.failover(id) {
+		t.Fatalf("failover refused flow %d although its server host h%d is down", id, oldHost.index)
+	}
+	newHost, newDev := cb.servers[r.srv].h, r.serverDev
+	if newHost == oldHost || r.server != newHost.port {
+		t.Fatalf("flow %d still routed to h%d after failover (route names h%d)", id, oldHost.index, newHost.index)
+	}
+	for _, side := range []struct {
+		what string
+		h    *clusterHost
+		dev  *vhost.Device
+	}{{"old", oldHost, oldDev}, {"new", newHost, newDev}} {
+		before := side.dev.Backlog()
+		side.h.demux.Receive(&netsim.Packet{Flow: id, Kind: guest.KindRequest, Bytes: 64})
+		if side.dev.Backlog() != before+1 || side.h.demux.Drops != 0 {
+			t.Errorf("%s server host h%d: a frame of flow %d left the device backlog at %d (was %d) with %d demux drops; want it steered to the device",
+				side.what, side.h.index, id, side.dev.Backlog(), before, side.h.demux.Drops)
+		}
 	}
 }

@@ -6,6 +6,7 @@ import (
 
 	"es2/internal/faults"
 	"es2/internal/sim"
+	"es2/internal/vhost"
 )
 
 // availWindows is the sub-window count behind RecoveryReport's
@@ -23,11 +24,11 @@ type chaosFault struct {
 }
 
 // chaosController drives a cluster's chaos timeline: it injects the
-// scheduled macro-faults, answers the clients' failover requests from
-// the authoritative flow table, and keeps the recovery bookkeeping
-// (MTTR, availability windows, degraded-phase goodput) that collect
-// turns into ClusterResult.Recovery. All state changes happen inside
-// engine events, so chaotic runs replay byte-identically.
+// scheduled macro-faults, answers the clients' failover requests by
+// rebinding routes in the rack's route table, and keeps the recovery
+// bookkeeping (MTTR, availability windows, degraded-phase goodput)
+// that collect turns into ClusterResult.Recovery. All state changes
+// happen inside engine events, so chaotic runs replay byte-identically.
 type chaosController struct {
 	cb *clusterBed
 
@@ -49,11 +50,6 @@ type chaosController struct {
 
 	degradedDone uint64
 	healthyDone  uint64
-
-	// Failover flow table: flowServer maps flow id -> index into
-	// servers (its current binding).
-	servers    []vmRef
-	flowServer map[int]int
 }
 
 // install materializes the timeline from the controller's private RNG
@@ -174,32 +170,35 @@ func (cc *chaosController) serverImpaired(r vmRef) bool {
 // failover re-balances one flow away from its impaired server: the
 // clients call it after FailoverAfter consecutive timeouts. It scans
 // the server ring from the current binding for the first healthy VM
-// and rebinds the flow's receive-side steering and switch route.
-// Returns false when the current server is actually healthy (the
-// timeouts had another cause) or no healthy server exists yet.
+// and rebinds the flow's route, which both the switch and the hosts'
+// steering read. Returns false when the current server is actually
+// healthy (the timeouts had another cause) or no healthy server exists
+// yet.
 func (cc *chaosController) failover(flowID int) bool {
-	cur, ok := cc.flowServer[flowID]
-	if !ok {
+	cb := cc.cb
+	r := cb.route(flowID)
+	if r == nil {
 		return false
 	}
-	if !cc.serverImpaired(cc.servers[cur]) {
+	cur := r.srv
+	if !cc.serverImpaired(cb.servers[cur]) {
 		return false
 	}
-	ns := len(cc.servers)
+	ns := len(cb.servers)
 	for off := 1; off < ns; off++ {
 		ni := (cur + off) % ns
-		cand := cc.servers[ni]
-		if cc.serverImpaired(cand) {
+		if cc.serverImpaired(cb.servers[ni]) {
 			continue
 		}
-		// Rebind: steering entry on the surviving host, flow table to
-		// its port. The old host's entry is left in place so stale
-		// responses still route back to the client and are ignored by
-		// request id there.
-		qi := flowID % cc.cb.spec.Queues
-		cand.h.demux.steer(flowID, cand.h.devsByVM[cand.vi][qi])
-		cc.cb.flowPorts[flowID][1] = cand.h.port
-		cc.flowServer[flowID] = ni
+		// The old host keeps the flow's device, so frames already on
+		// their way there still land, and their stale responses route
+		// back to the client, which ignores them by request id.
+		old := cb.servers[cur].h.demux
+		if old.moved == nil {
+			old.moved = make(map[int]*vhost.Device)
+		}
+		old.moved[flowID] = r.serverDev
+		cb.serveFlow(flowID, ni)
 		return true
 	}
 	return false
@@ -288,8 +287,9 @@ func (cc *chaosController) report(window sim.Time) *RecoveryReport {
 			rep.Timeouts += c.Timeouts
 			rep.Retries += c.Retries
 			rep.MigratedFlows += c.Migrated
-			for _, f := range c.Flows() {
-				if f.Completed == 0 && !f.Migrated {
+			flows := c.Flows()
+			for i := range flows {
+				if f := &flows[i]; f.Completed == 0 && !f.Migrated {
 					rep.FlowsUnaccounted++
 				}
 			}

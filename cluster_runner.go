@@ -45,12 +45,14 @@ type vmRef struct {
 }
 
 // hostDemux is a host NIC's receive side: ingress frames are fanned to
-// the owning VM's per-queue vhost device by the cluster flow table
+// the owning VM's per-queue vhost device by the rack's route table
 // (receive-side steering with an exact-match table).
 type hostDemux struct {
-	// byFlow is indexed by flow id (workloads.FlowIDs hands ids out
-	// densely); nil marks a flow this host does not carry.
-	byFlow []*vhost.Device
+	cb   *clusterBed
+	port *fabric.Port // the host's own port
+	// moved holds the device of each flow that failed over away from
+	// this host, so frames already on their way here still land.
+	moved map[int]*vhost.Device
 
 	// Drops counts frames for unknown flows (none in a correctly wired
 	// cluster).
@@ -59,29 +61,51 @@ type hostDemux struct {
 
 // Receive implements netsim.Endpoint.
 func (d *hostDemux) Receive(p *netsim.Packet) {
-	if uint(p.Flow) < uint(len(d.byFlow)) {
-		if dev := d.byFlow[p.Flow]; dev != nil {
-			dev.Receive(p)
-			return
-		}
+	if dev := d.device(p.Flow); dev != nil {
+		dev.Receive(p)
+		return
 	}
 	d.Drops++
 }
 
-// steer delivers the host's frames of flow id to dev.
-func (d *hostDemux) steer(id int, dev *vhost.Device) { d.byFlow[id] = dev }
+// device returns the vhost device this host steers flow id's frames
+// to: the route's side whose port is the host's own, else a device the
+// flow left here on failover, else nil.
+func (d *hostDemux) device(id int) *vhost.Device {
+	if r := d.cb.route(id); r != nil {
+		switch d.port {
+		case r.server:
+			return r.serverDev
+		case r.client:
+			return r.clientDev
+		}
+	}
+	return d.moved[id]
+}
+
+// flowRoute is one flow's path through the rack: the ports of its
+// client's and its server's hosts, the vhost device each of those
+// hosts steers the flow's frames to, and the server's index in
+// clusterBed.servers, which chaos failover rebinds.
+type flowRoute struct {
+	client, server       *fabric.Port
+	clientDev, serverDev *vhost.Device
+	srv                  int
+}
 
 // clusterBed is one fully wired rack.
 type clusterBed struct {
-	spec  ClusterSpec
-	eng   *sim.Engine
-	sw    *fabric.Switch
-	hosts []*clusterHost
+	spec    ClusterSpec
+	eng     *sim.Engine
+	sw      *fabric.Switch
+	hosts   []*clusterHost
+	servers []vmRef // every server VM, in host order
 
-	// flowPorts maps flow id -> [client port, server port] and drives
-	// the switch's routing decision. It is indexed by flow id like
-	// hostDemux.byFlow; a nil client port marks an unknown flow.
-	flowPorts [][2]*fabric.Port
+	// routes is the rack's route table, indexed by flow id
+	// (workloads.FlowIDs hands ids out densely). The switch routes by
+	// it and every host's demux steers by it; a nil client port marks
+	// an unknown flow.
+	routes []flowRoute
 
 	clusterLat *metrics.LogHistogram
 	crit       *causal.Tracker
@@ -103,23 +127,31 @@ type clusterBed struct {
 	sloEval *slo.Evaluator
 }
 
-// sizeFlows sizes the switch's and every host's flow table once for
-// flow ids up to n, before the first bindFlow.
-func (cb *clusterBed) sizeFlows(n int) {
-	cb.flowPorts = make([][2]*fabric.Port, n+1)
-	for _, h := range cb.hosts {
-		h.demux.byFlow = make([]*vhost.Device, n+1)
+// route returns flow id's route, or nil for an unknown flow.
+func (cb *clusterBed) route(id int) *flowRoute {
+	if uint(id) < uint(len(cb.routes)) {
+		if r := &cb.routes[id]; r.client != nil {
+			return r
+		}
 	}
+	return nil
 }
 
-// bindFlow carries flow id between client VM c and server VM s: each
-// host steers the flow to its VM's vhost device for the flow's queue,
-// and the switch routes it between the two hosts' ports.
-func (cb *clusterBed) bindFlow(id int, c, s vmRef) {
-	qi := id % cb.spec.Queues
-	c.h.demux.steer(id, c.h.devsByVM[c.vi][qi])
-	s.h.demux.steer(id, s.h.devsByVM[s.vi][qi])
-	cb.flowPorts[id] = [2]*fabric.Port{c.h.port, s.h.port}
+// bindFlow carries flow id between client VM c and server VM
+// cb.servers[si]: each host steers the flow to its VM's vhost device
+// for the flow's queue, and the switch routes it between the two
+// hosts' ports. The route table must already hold flow id.
+func (cb *clusterBed) bindFlow(id int, c vmRef, si int) {
+	r := &cb.routes[id]
+	r.client, r.clientDev = c.h.port, c.h.devsByVM[c.vi][id%cb.spec.Queues]
+	cb.serveFlow(id, si)
+}
+
+// serveFlow points flow id's route at server VM cb.servers[si].
+func (cb *clusterBed) serveFlow(id, si int) {
+	s := cb.servers[si]
+	r := &cb.routes[id]
+	r.server, r.serverDev, r.srv = s.h.port, s.h.devsByVM[s.vi][id%cb.spec.Queues], si
 }
 
 // faultCounters sums the per-host injector tallies.
@@ -202,7 +234,7 @@ func RunManyCluster(specs []ClusterSpec, parallelism int) ([]*ClusterResult, err
 
 // buildCluster wires the rack in deterministic order: the switch, then
 // each host (scheduler, KVM, ES2, VMs, kernels, vhost devices, NIC
-// port), then the flow table and workloads, then fault injection.
+// port), then the route table and workloads, then fault injection.
 func buildCluster(spec ClusterSpec) (*clusterBed, error) {
 	eng := sim.NewEngine(spec.Seed)
 	cb := &clusterBed{
@@ -217,17 +249,14 @@ func buildCluster(spec ClusterSpec) (*clusterBed, error) {
 		QueueCap:   spec.Fabric.QueueCap,
 	})
 	cb.sw.SetRouter(func(src *fabric.Port, p *netsim.Packet) (int, bool) {
-		if uint(p.Flow) >= uint(len(cb.flowPorts)) {
+		r := cb.route(p.Flow)
+		if r == nil {
 			return 0, false
 		}
-		pp := cb.flowPorts[p.Flow]
-		if pp[0] == nil {
-			return 0, false
+		if src == r.client {
+			return r.server.Index(), true
 		}
-		if src == pp[0] {
-			return pp[1].Index(), true
-		}
-		return pp[0].Index(), true
+		return r.client.Index(), true
 	})
 
 	if spec.CritPath {
@@ -244,8 +273,9 @@ func buildCluster(spec ClusterSpec) (*clusterBed, error) {
 	for hi := 0; hi < spec.Hosts; hi++ {
 		name := fmt.Sprintf("h%d", hi)
 		h := &clusterHost{index: hi, hostBed: newHostBed(eng, name, spec.hostSpec(hi, causal.NewProbe(cb.crit, uint8(hi), spec.PathTrace)))}
-		h.demux = &hostDemux{}
+		h.demux = &hostDemux{cb: cb}
 		h.port = cb.sw.AddPort(name, h.demux)
+		h.demux.port = h.port
 		h.lat = metrics.NewLogHistogram()
 		for vi := 0; vi < spec.VMsPerHost; vi++ {
 			if _, err := h.addVM(vi, h.port); err != nil {
@@ -261,19 +291,22 @@ func buildCluster(spec ClusterSpec) (*clusterBed, error) {
 	// round-robin load balancing across hosts.
 	srvCfg := workloads.DefaultServerConfig()
 	srvCfg.ServiceCost = sim.DurationOf(spec.Workload.ServiceCost)
-	var clientVMs, serverVMs []vmRef
+	var clientVMs []vmRef
 	for _, h := range cb.hosts {
 		for vi := range h.vms {
 			if h.index < spec.ClientHosts {
 				clientVMs = append(clientVMs, vmRef{h, vi})
 			} else {
-				serverVMs = append(serverVMs, vmRef{h, vi})
+				cb.servers = append(cb.servers, vmRef{h, vi})
 			}
 		}
 	}
+	nc, ns := len(clientVMs), len(cb.servers)
 	if !spec.Workload.Load.Enabled() {
-		for _, r := range clientVMs {
-			c := workloads.NewRPCClient(r.h.kerns[r.vi], r.h.lat, cb.clusterLat)
+		for i, r := range clientVMs {
+			// Client VM i issues flows i, i+nc, i+2nc, ...
+			flows := (spec.Workload.Flows + nc - 1 - i) / nc
+			c := workloads.NewRPCClient(r.h.kerns[r.vi], flows, r.h.lat, cb.clusterLat)
 			c.Causal = cb.crit.Probe(uint8(r.h.index))
 			if w := spec.Workload; w.RequestTimeout > 0 {
 				c.Timeout = sim.DurationOf(w.RequestTimeout)
@@ -284,17 +317,12 @@ func buildCluster(spec ClusterSpec) (*clusterBed, error) {
 			r.h.clients = append(r.h.clients, c)
 		}
 	}
-	for _, r := range serverVMs {
+	for _, r := range cb.servers {
 		r.h.servers = append(r.h.servers, workloads.StartServer(r.h.kerns[r.vi], srvCfg))
 	}
 
-	var flowSrv map[int]int
-	if spec.Chaos.Enabled() {
-		flowSrv = make(map[int]int, spec.Workload.Flows)
-	}
 	var ids workloads.FlowIDs
 	spread := sim.DurationOf(spec.Workload.StartSpread)
-	nc, ns := len(clientVMs), len(serverVMs)
 	if lspec := spec.Workload.Load; lspec.Enabled() {
 		// Open-loop load: one open-loop client per client VM, streams
 		// dealt round-robin over client VMs in deterministic order.
@@ -316,42 +344,38 @@ func buildCluster(spec ClusterSpec) (*clusterBed, error) {
 		for _, st := range streams {
 			flows += st.fanOut()
 		}
-		cb.sizeFlows(flows)
+		cb.routes = make([]flowRoute, flows+1)
 		for gs, st := range streams {
 			cr := clientVMs[gs%nc]
 			// Fan-out targets: single streams spread over all servers,
 			// scatter streams hit FanWidth consecutive servers per
 			// request, incast streams of one class converge on one hot
 			// server VM.
-			var targets []vmRef
+			var targets []int
 			switch st.cls.FanOut {
 			case "scatter":
 				for j := 0; j < st.fanOut(); j++ {
-					targets = append(targets, serverVMs[(gs+j)%ns])
+					targets = append(targets, (gs+j)%ns)
 				}
 			case "incast":
-				targets = append(targets, serverVMs[st.class%ns])
+				targets = append(targets, st.class%ns)
 			default:
-				targets = append(targets, serverVMs[gs%ns])
+				targets = append(targets, gs%ns)
 			}
-			for _, sr := range targets {
+			for _, si := range targets {
 				flowID := ids.Next()
-				cb.bindFlow(flowID, cr, sr)
+				cb.bindFlow(flowID, cr, si)
 				st.cfg.Flows = append(st.cfg.Flows, flowID)
 				cb.loadFlows++
 			}
 			cr.h.loads[cr.vi].AddStream(cr.h.kerns[cr.vi], st.cfg)
 		}
 	} else {
-		cb.sizeFlows(spec.Workload.Flows)
+		cb.routes = make([]flowRoute, spec.Workload.Flows+1)
 		for f := 0; f < spec.Workload.Flows; f++ {
 			flowID := ids.Next()
 			cr := clientVMs[f%nc]
-			sr := serverVMs[(f/nc)%ns]
-			cb.bindFlow(flowID, cr, sr)
-			if flowSrv != nil {
-				flowSrv[flowID] = (f / nc) % ns
-			}
+			cb.bindFlow(flowID, cr, (f/nc)%ns)
 			start := spread * sim.Time(f) / sim.Time(spec.Workload.Flows)
 			// The client for this VM was appended in clientVMs order; each
 			// client VM has exactly one RPCClient.
@@ -376,13 +400,8 @@ func buildCluster(spec ClusterSpec) (*clusterBed, error) {
 	}
 	if spec.Chaos.Enabled() {
 		// The chaos controller forks its RNG after every injector, at a
-		// fixed point in build order, and owns the failover flow table.
-		cc := &chaosController{
-			cb:         cb,
-			hostDown:   make([]bool, spec.Hosts),
-			servers:    serverVMs,
-			flowServer: flowSrv,
-		}
+		// fixed point in build order.
+		cc := &chaosController{cb: cb, hostDown: make([]bool, spec.Hosts)}
 		cb.chaos = cc
 		cc.install(eng.Rand().Fork(), sim.DurationOf(spec.Warmup), sim.DurationOf(spec.Duration))
 		for _, h := range cb.hosts {
@@ -513,7 +532,9 @@ func (cb *clusterBed) collect(window sim.Time) *ClusterResult {
 	var sumMeans sim.Time
 	for _, h := range cb.hosts {
 		for _, c := range h.clients {
-			for _, f := range c.Flows() {
+			flows := c.Flows()
+			for i := range flows {
+				f := &flows[i]
 				if f.Completed == 0 {
 					continue
 				}

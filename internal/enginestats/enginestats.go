@@ -222,9 +222,10 @@ func (c *Collector) SampleSite() int32 {
 	}
 	c.sinceSample = 0
 	var pcs [8]uintptr
-	// Skip runtime.Callers, SampleSite and Engine.At itself; the first
-	// captured frame is At's caller (possibly Engine.After or another
-	// sim-internal wrapper, skipped below).
+	// Skip runtime.Callers, SampleSite and the engine method that
+	// called it (At, AtKey, or the reservation behind DelayLine.At);
+	// the first captured frame is that method's caller (possibly
+	// Engine.After or another sim-internal wrapper, skipped below).
 	n := runtime.Callers(3, pcs[:])
 	for _, pc := range pcs[:n] {
 		id, ok := c.sites[pc]

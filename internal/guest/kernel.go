@@ -97,6 +97,17 @@ func (k *Kernel) JitterCost(c sim.Time) sim.Time { return k.rng.Jitter(c, 0.25) 
 // RegisterFlow binds a flow id to its guest-side handler.
 func (k *Kernel) RegisterFlow(id int, h FlowHandler) { k.flows[id] = h }
 
+// ReserveFlows makes room for n more flow registrations, so that a
+// client about to register many flows sizes the table once instead of
+// regrowing it as they arrive.
+func (k *Kernel) ReserveFlows(n int) {
+	flows := make(map[int]FlowHandler, len(k.flows)+n)
+	for id, h := range k.flows {
+		flows[id] = h
+	}
+	k.flows = flows
+}
+
 // SetDefaultHandler installs the handler for flows without an explicit
 // registration (server applications accepting new connections).
 func (k *Kernel) SetDefaultHandler(h FlowHandler) { k.defaultFlo = h }

@@ -83,9 +83,52 @@ func TestDelayLineOutOfOrderPanics(t *testing.T) {
 			c.send()
 		}()
 	}
-	if d.q.Len() != 2 || fresh.q.Len() != 0 || e.Pending() != 2 {
-		t.Fatalf("after the refused sends: %d and %d values on the lines, %d events pending, want 2, 0 and 2",
+	// Only the head of d is queued.
+	if d.q.Len() != 2 || fresh.q.Len() != 0 || e.Pending() != 1 {
+		t.Fatalf("after the refused sends: %d and %d values on the lines, %d events pending, want 2, 0 and 1",
 			d.q.Len(), fresh.q.Len(), e.Pending())
+	}
+}
+
+// TestDelayLineQueuesOnlyItsHead sends 1,000 values on one line, two
+// at each instant, and then a plain At event at each of those
+// instants. The line must hold one queued event however many values
+// wait, and each value must fire under the key it reserved at send:
+// before the plain event of its instant, which was scheduled later,
+// although the line queued the value's event after that plain event.
+func TestDelayLineQueuesOnlyItsHead(t *testing.T) {
+	const n = 1000
+	e := NewEngine(1)
+	var got []int
+	d := NewDelayLine(e, func(v int) {
+		if want := Time(10 + v/2); e.Now() != want {
+			t.Fatalf("value %d delivered at %v, want %v", v, e.Now(), want)
+		}
+		got = append(got, v)
+	})
+	for v := 0; v < n; v++ {
+		d.At(Time(10+v/2), v)
+	}
+	if e.Pending() != 1 {
+		t.Fatalf("%d events pending after %d sends on one line, want 1", e.Pending(), n)
+	}
+	checkLineHeads(t, e, []*DelayLine[int]{d})
+	var want []int
+	for i := 0; i < n/2; i++ {
+		e.At(Time(10+i), func() { got = append(got, -i-1) })
+		want = append(want, 2*i, 2*i+1, -i-1)
+	}
+	e.RunAll()
+	if len(got) != len(want) {
+		t.Fatalf("fired %d events, want %d", len(got), len(want))
+	}
+	for i := range got {
+		if got[i] != want[i] {
+			t.Fatalf("event %d fired %d, want %d (values by index, plain events negative)", i, got[i], want[i])
+		}
+	}
+	if e.Pending() != 0 || d.q.Len() != 0 {
+		t.Fatalf("after draining: %d events pending, %d values on the line", e.Pending(), d.q.Len())
 	}
 }
 

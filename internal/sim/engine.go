@@ -204,7 +204,8 @@ func (e *Engine) EventsFired() uint64 { return e.fired }
 
 // Pending returns the number of events waiting to fire. Cancel removes
 // an event from the queue at once, so every queued event counts; the
-// spent entry of the firing event does not.
+// spent entry of the firing event does not. A delay line queues only
+// its head, so the values waiting behind a head do not count.
 func (e *Engine) Pending() int {
 	if e.held {
 		return len(e.queue) - 1
@@ -268,6 +269,18 @@ func (e *Engine) Reserve(t Time) Key {
 	k := Key{t, e.seq}
 	e.seq++
 	return k
+}
+
+// reserveSampled is Reserve plus the engine-stats sample At takes, for
+// DelayLine.At: the label travels with the key until the value's event
+// joins the queue. Like At, it must be SampleSite's direct caller and
+// be called directly by the sending method.
+func (e *Engine) reserveSampled(t Time) (Key, int32) {
+	k := e.Reserve(t)
+	if e.stats != nil {
+		return k, e.stats.SampleSite()
+	}
+	return k, 0
 }
 
 // AtKey schedules fn under a key taken by Reserve, so that it fires

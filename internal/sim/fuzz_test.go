@@ -485,7 +485,10 @@ func lineOps(seed uint64, n int) []byte {
 // interleaved with plain At events, Cancels and Steps, on one engine,
 // and the same stream with a closure per send on another. After every
 // op the two must agree on the events fired so far and their order,
-// on the line each value came from, on the clock and on Pending.
+// on the line each value came from, on the clock, and on the values
+// waiting: a line queues only its head, so Pending plus the values
+// behind each line's head must equal the closures' Pending, and the
+// queue must hold exactly the head's event of each non-empty line.
 func FuzzDelayLine(f *testing.F) {
 	f.Add([]byte{})
 	// Ties: two lines and a plain event at one instant, a send at the
@@ -546,9 +549,15 @@ func FuzzDelayLine(f *testing.F) {
 					t.Fatalf("delay lines fired %v, closures %v", fired, want)
 				}
 			}
-			if e.Now() != ref.Now() || e.Pending() != ref.Pending() {
-				t.Fatalf("Now %v, Pending %d; closures: Now %v, Pending %d", e.Now(), e.Pending(), ref.Now(), ref.Pending())
+			behind := 0
+			for _, l := range lines {
+				behind += max(l.q.Len()-1, 0)
 			}
+			if e.Now() != ref.Now() || e.Pending()+behind != ref.Pending() {
+				t.Fatalf("Now %v, Pending %d with %d values behind line heads; closures: Now %v, Pending %d",
+					e.Now(), e.Pending(), behind, ref.Now(), ref.Pending())
+			}
+			checkLineHeads(t, e, lines[:])
 		}
 		e.RunAll()
 		ref.RunAll()
@@ -561,4 +570,24 @@ func FuzzDelayLine(f *testing.F) {
 			}
 		}
 	})
+}
+
+// checkLineHeads fails unless e's queue holds, for each line, an
+// event under the head value's key when the line is non-empty and no
+// event under the key of any value behind the head.
+func checkLineHeads[T any](t *testing.T, e *Engine, lines []*DelayLine[T]) {
+	t.Helper()
+	queued := make(map[Key]bool, len(e.queue))
+	for _, ev := range e.queue {
+		queued[Key{ev.t, ev.seq}] = true
+	}
+	for i, l := range lines {
+		for j := 0; j < l.q.Len(); j++ {
+			k := l.q.buf[(l.q.head+j)&(len(l.q.buf)-1)].k
+			if queued[k] != (j == 0) {
+				t.Fatalf("line %d: value %d of %d (key %v) queued=%t; only the head's event may be queued",
+					i, j, l.q.Len(), k, queued[k])
+			}
+		}
+	}
 }

@@ -57,7 +57,7 @@ func TestMemaslapRoundTripAllocs(t *testing.T) {
 // to an echoing peer and its response completes it.
 func TestRPCRoundTripAllocs(t *testing.T) {
 	r := newRig(t, true, 1)
-	c := NewRPCClient(r.kern)
+	c := NewRPCClient(r.kern, 1)
 	id := r.ids.Next()
 	r.peer.Register(id, echoPeer{r.peer})
 	c.AddFlow(id, 128, 1024, 0)

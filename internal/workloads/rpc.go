@@ -1,6 +1,8 @@
 package workloads
 
 import (
+	"fmt"
+
 	"es2/internal/causal"
 	"es2/internal/guest"
 	"es2/internal/metrics"
@@ -62,8 +64,12 @@ type RPCClient struct {
 	// and cluster-wide spectra in the cluster runner).
 	hists []*metrics.LogHistogram
 
-	flows []*RPCFlow
-	rng   *sim.Rand
+	// flows holds the client's flows in creation order, in one slice
+	// allocated for the count NewRPCClient was given; starts issues
+	// each flow's first request.
+	flows  []RPCFlow
+	starts *sim.DelayLine[*RPCFlow]
+	rng    *sim.Rand
 	// queues holds one attempt FIFO per vCPU, indexed by VCPU.ID.
 	queues []*attemptQueue
 }
@@ -137,11 +143,18 @@ type RPCFlow struct {
 	Migrated bool
 }
 
-// NewRPCClient creates a client on kern whose completions observe into
-// every given histogram. The retry jitter generator forks off the
-// engine's RNG here, during deterministic build.
-func NewRPCClient(kern *guest.Kernel, hists ...*metrics.LogHistogram) *RPCClient {
-	c := &RPCClient{Kern: kern, hists: hists, rng: kern.Engine().Rand().Fork()}
+// NewRPCClient creates a client on kern for the given number of flows,
+// whose completions observe into every given histogram. The flows and
+// the kernel's flow table are sized once for that count. The retry
+// jitter generator forks off the engine's RNG here, during
+// deterministic build.
+func NewRPCClient(kern *guest.Kernel, flows int, hists ...*metrics.LogHistogram) *RPCClient {
+	c := &RPCClient{
+		Kern: kern, hists: hists, rng: kern.Engine().Rand().Fork(),
+		flows:  make([]RPCFlow, 0, flows),
+		starts: sim.NewDelayLine(kern.Engine(), (*RPCFlow).sendNext),
+	}
+	kern.ReserveFlows(flows)
 	for range kern.VM.VCPUs {
 		q := &attemptQueue{}
 		q.done = q.transmitHead
@@ -155,28 +168,34 @@ func NewRPCClient(kern *guest.Kernel, hists ...*metrics.LogHistogram) *RPCClient
 // (flow id modulo vCPU count, mirroring how connections hash to
 // processes). The first request is issued `start` after creation;
 // staggering flow starts avoids a synthetic thundering herd at t=0.
+// Starts must not decrease from one AddFlow to the next, and a client
+// takes at most the flow count it was created for: AddFlow panics
+// otherwise.
 func (c *RPCClient) AddFlow(id, reqBytes, respBytes int, start sim.Time) *RPCFlow {
-	vcpus := c.Kern.VM.VCPUs
-	f := &RPCFlow{
-		c: c, ID: id, v: vcpus[id%len(vcpus)],
-		reqBytes: reqBytes, respBytes: respBytes,
+	n := len(c.flows)
+	if n == cap(c.flows) {
+		panic(fmt.Sprintf("workloads: flow %d added to an RPCClient created for %d flows", id, n))
 	}
+	f := &c.flows[:n+1][n]
+	c.starts.After(start+1, f) // first: a start before the previous one panics here
+	c.flows = c.flows[:n+1]
+	vcpus := c.Kern.VM.VCPUs
+	f.c, f.ID, f.v = c, id, vcpus[id%len(vcpus)]
+	f.reqBytes, f.respBytes = reqBytes, respBytes
 	c.Kern.RegisterFlow(id, f)
-	c.flows = append(c.flows, f)
-	eng := c.Kern.Engine()
-	eng.After(start+1, f.sendNext)
 	return f
 }
 
 // Flows returns the registered flows in creation order.
-func (c *RPCClient) Flows() []*RPCFlow { return c.flows }
+func (c *RPCClient) Flows() []RPCFlow { return c.flows }
 
 // ResetStats zeroes the client-side counters and per-flow scalars
 // (called at warmup end; the histograms are reset by their owner).
 func (c *RPCClient) ResetStats() {
 	c.Completed, c.Sent, c.BytesReceived = 0, 0, 0
 	c.Timeouts, c.Retries, c.Migrated = 0, 0, 0
-	for _, f := range c.flows {
+	for i := range c.flows {
+		f := &c.flows[i]
 		f.Completed, f.LatSum, f.LatMax = 0, 0, 0
 		f.Timeouts, f.Retries, f.Migrated = 0, 0, false
 	}

@@ -237,3 +237,33 @@ func TestFlowIDsUnique(t *testing.T) {
 		seen[id] = true
 	}
 }
+
+// TestRPCClientFlowCount checks AddFlow's preconditions: a client takes
+// at most the flow count it was created for, and flow starts must not
+// decrease, because the flows' first requests wait on one delay line.
+// Flows that were accepted start in order.
+func TestRPCClientFlowCount(t *testing.T) {
+	mustPanic := func(what string, f func()) {
+		t.Helper()
+		defer func() {
+			if recover() == nil {
+				t.Errorf("%s did not panic", what)
+			}
+		}()
+		f()
+	}
+	r := newRig(t, true, 1)
+	c := NewRPCClient(r.kern, 2)
+	a := c.AddFlow(r.ids.Next(), 128, 1024, 10*sim.Microsecond)
+	mustPanic("a start before the previous one", func() { c.AddFlow(r.ids.Next(), 128, 1024, 0) })
+	b := c.AddFlow(r.ids.Next(), 128, 1024, 10*sim.Microsecond)
+	mustPanic("a flow past the declared count", func() { c.AddFlow(r.ids.Next(), 128, 1024, 20*sim.Microsecond) })
+	if fl := c.Flows(); len(fl) != 2 || &fl[0] != a || &fl[1] != b {
+		t.Fatalf("Flows() holds %d flows, want the 2 AddFlow returned", len(fl))
+	}
+	stepUntil(t, r.eng, func() bool { return a.reqID > 0 })
+	if b.reqID != 0 {
+		t.Fatal("the second flow started before the first")
+	}
+	stepUntil(t, r.eng, func() bool { return b.reqID > 0 })
+}
