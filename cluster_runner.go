@@ -9,6 +9,7 @@ import (
 	"es2/internal/enginestats"
 	"es2/internal/fabric"
 	"es2/internal/faults"
+	"es2/internal/guest"
 	"es2/internal/loadgen"
 	"es2/internal/metrics"
 	"es2/internal/netsim"
@@ -143,7 +144,7 @@ func (cb *clusterBed) route(id int) *flowRoute {
 // hosts' ports. The route table must already hold flow id.
 func (cb *clusterBed) bindFlow(id int, c vmRef, si int) {
 	r := &cb.routes[id]
-	r.client, r.clientDev = c.h.port, c.h.devsByVM[c.vi][id%cb.spec.Queues]
+	r.client, r.clientDev = c.h.port, c.h.devsByVM[c.vi][guest.QueueFor(id, cb.spec.Queues)]
 	cb.serveFlow(id, si)
 }
 
@@ -151,7 +152,7 @@ func (cb *clusterBed) bindFlow(id int, c vmRef, si int) {
 func (cb *clusterBed) serveFlow(id, si int) {
 	s := cb.servers[si]
 	r := &cb.routes[id]
-	r.server, r.serverDev, r.srv = s.h.port, s.h.devsByVM[s.vi][id%cb.spec.Queues], si
+	r.server, r.serverDev, r.srv = s.h.port, s.h.devsByVM[s.vi][guest.QueueFor(id, cb.spec.Queues)], si
 }
 
 // faultCounters sums the per-host injector tallies.

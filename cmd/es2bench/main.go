@@ -147,20 +147,17 @@ func main() {
 			fmt.Fprintf(os.Stderr, "es2bench: %v\n", err)
 			os.Exit(1)
 		}
-		// Table 1 is the headline reproduction: publish it as its own
-		// artifact (BENCH_table1.json, same es2bench/v1 envelope) next to
-		// the full report so dashboards can fetch it without parsing the
-		// whole run.
+		// Table 1 is the headline reproduction, and BENCH_critpath.json
+		// is the artifact CI's blame-share regression gate validates:
+		// publish each as its own artifact next to the full report, so
+		// dashboards and gates can fetch it without parsing the whole
+		// run.
 		if *jsonOut != "-" {
-			if err := writeTable1Report(*jsonOut, report); err != nil {
-				fmt.Fprintf(os.Stderr, "es2bench: %v\n", err)
-				os.Exit(1)
-			}
-			// Likewise the critical-path study: BENCH_critpath.json is the
-			// artifact CI's blame-share regression gate validates.
-			if err := writeCritpathReport(*jsonOut, report); err != nil {
-				fmt.Fprintf(os.Stderr, "es2bench: %v\n", err)
-				os.Exit(1)
+			for _, id := range []string{"table1", "critpath"} {
+				if err := writeSubReport(*jsonOut, id, report); err != nil {
+					fmt.Fprintf(os.Stderr, "es2bench: %v\n", err)
+					os.Exit(1)
+				}
 			}
 		}
 	}
@@ -199,36 +196,20 @@ type jsonExperiment struct {
 	Results     []*es2.Result `json:"results"`
 }
 
-// writeTable1Report extracts the table1 experiment from the full report
-// and writes it as BENCH_table1.json in the same directory as the -json
-// output. A run that did not include table1 writes nothing.
-func writeTable1Report(jsonPath string, rep jsonReport) error {
+// writeSubReport extracts experiment id from the full report and
+// writes it as BENCH_<id>.json, in the same es2bench/v1 envelope, next
+// to the -json output. A run that did not include id writes nothing.
+func writeSubReport(jsonPath, id string, rep jsonReport) error {
 	sub := jsonReport{Schema: rep.Schema, Seed: rep.Seed}
 	for _, e := range rep.Experiments {
-		if e.ID == "table1" {
+		if e.ID == id {
 			sub.Experiments = append(sub.Experiments, e)
 		}
 	}
 	if len(sub.Experiments) == 0 {
 		return nil
 	}
-	return cliflags.WriteJSON(filepath.Join(filepath.Dir(jsonPath), "BENCH_table1.json"), sub)
-}
-
-// writeCritpathReport extracts the critpath experiment from the full
-// report and writes it as BENCH_critpath.json next to the -json
-// output. A run that did not include critpath writes nothing.
-func writeCritpathReport(jsonPath string, rep jsonReport) error {
-	sub := jsonReport{Schema: rep.Schema, Seed: rep.Seed}
-	for _, e := range rep.Experiments {
-		if e.ID == "critpath" {
-			sub.Experiments = append(sub.Experiments, e)
-		}
-	}
-	if len(sub.Experiments) == 0 {
-		return nil
-	}
-	return cliflags.WriteJSON(filepath.Join(filepath.Dir(jsonPath), "BENCH_critpath.json"), sub)
+	return cliflags.WriteJSON(filepath.Join(filepath.Dir(jsonPath), "BENCH_"+id+".json"), sub)
 }
 
 // writeArtifacts writes one scenario's exports under base into each
@@ -250,13 +231,5 @@ func writeArtifacts(base string, r *es2.Result, timelineDir, profileDir, telemet
 			return err
 		}
 	}
-	if telemetryDir != "" {
-		if err := cliflags.WriteTelemetry(filepath.Join(telemetryDir, base), r.TelemetryRecorder); err != nil {
-			return err
-		}
-	}
-	if critDir != "" {
-		return cliflags.WriteJSON(filepath.Join(critDir, base+".json"), r.CriticalPath)
-	}
-	return nil
+	return cliflags.WriteExports(base, r.TelemetryRecorder, r.CriticalPath, telemetryDir, critDir)
 }

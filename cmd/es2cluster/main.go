@@ -5,15 +5,20 @@
 //
 // Usage:
 //
-//	es2cluster [-exp all|rack1] [-parallel N] [-seed S] [-scale F]
-//	           [-list] [-json FILE] [-telemetry-dir DIR] [-check]
+//	es2cluster [-exp all|rack1 | -spec FILE] [-parallel N] [-seed S]
+//	           [-scale F] [-list] [-json FILE] [-telemetry-dir DIR] [-check]
 //	           [-engine-stats] [-soak N] [-progress]
 //	           [-load rack1-day|FILE] [-time-scale F]
 //	           [-slo default|FILE] [-slo-log FILE]
 //	           [-serve ADDR [-serve-wait D]]
 //
+// -spec runs one JSON ClusterSpec file as a one-scenario experiment
+// (id "spec") through the same flag overlays and run loop as the named
+// experiments, and prints its summary in place of an experiment table.
+//
 // -scale F (> 1) divides each scenario's flow count and measurement
-// window by F, for smoke runs on constrained CI. -engine-stats prints
+// window by F, for smoke runs on constrained CI; a -spec file runs
+// unscaled. -engine-stats prints
 // the simulator's own wall-clock performance report per scenario and
 // runs the scenarios one at a time, so each report's memory figures
 // are its own;
@@ -37,7 +42,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"path/filepath"
 	"strings"
 	"time"
 
@@ -52,7 +56,7 @@ func main() {
 	specFile := flag.String("spec", "", "run one JSON ClusterSpec file instead of the named experiments")
 	parallel := flag.Int("parallel", 0, "parallel scenario runs (0 = GOMAXPROCS)")
 	seed := flag.Uint64("seed", 0, "override the experiment seed (0 keeps the default)")
-	scale := flag.Float64("scale", 1, "shrink factor: divide flows and measurement window by F (CI smoke)")
+	scaleFlag := flag.Float64("scale", 1, "shrink factor: divide flows and measurement window by F (CI smoke)")
 	telemetryDir := flag.String("telemetry-dir", "", "write one OpenMetrics exposition (.prom) and windowed CSV (.csv) per scenario into DIR")
 	metricsOut := flag.String("metrics", "", "write a single OpenMetrics exposition to FILE (the run must produce exactly one scenario)")
 	critpath := flag.Bool("critpath", false, "enable the causal critical-path analyzer on every scenario")
@@ -88,241 +92,133 @@ func main() {
 	for _, d := range []string{*telemetryDir, *critDir} {
 		if d != "" {
 			if err := os.MkdirAll(d, 0o755); err != nil {
-				fmt.Fprintf(os.Stderr, "es2cluster: %v\n", err)
-				os.Exit(1)
+				fail(1, err)
 			}
 		}
 	}
 
 	faultSpec, err := faultFlags.Spec()
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "es2cluster: %v\n", err)
-		os.Exit(2)
+		fail(2, err)
 	}
-
-	var chaosSpec es2.ChaosSpec
-	if *chaosFlag != "" {
-		switch *chaosFlag {
-		case "rack1", "default":
-			chaosSpec = experiments.DefaultChaos()
-		default:
-			cs, err := es2.LoadChaosSpec(*chaosFlag)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "es2cluster: %v\n", err)
-				os.Exit(1)
-			}
-			chaosSpec = cs
-		}
+	chaosSpec, err := cliflags.Resolve(*chaosFlag, es2.LoadChaosSpec, experiments.DefaultChaos(), "rack1", "default")
+	if err != nil {
+		fail(1, err)
 	}
-
-	var loadSpec es2.LoadSpec
-	if *loadFlag != "" {
-		switch *loadFlag {
-		case "rack1-day", "daycycle":
-			loadSpec = experiments.DefaultLoad()
-		default:
-			ls, err := es2.LoadLoadSpec(*loadFlag)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "es2cluster: %v\n", err)
-				os.Exit(1)
-			}
-			loadSpec = ls
-		}
+	loadSpec, err := cliflags.Resolve(*loadFlag, es2.LoadLoadSpec, experiments.DefaultLoad(), "rack1-day", "daycycle")
+	if err != nil {
+		fail(1, err)
 	}
-
-	var sloSpec es2.SLOSpec
-	if *sloFlag != "" {
-		switch *sloFlag {
-		case "default":
-			sloSpec = experiments.DefaultSLO()
-		default:
-			ss, err := es2.LoadSLOSpec(*sloFlag)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "es2cluster: %v\n", err)
-				os.Exit(1)
-			}
-			sloSpec = ss
-		}
-	}
-
-	// applyInjection overlays the -chaos, -fault-* and -slo selections
-	// onto a scenario; called before scaling so chaos timelines shrink
-	// with the window.
-	applyInjection := func(s *es2.ClusterSpec) {
-		if *chaosFlag != "" {
-			s.Chaos = chaosSpec
-		}
-		if faultSpec.Enabled() {
-			s.Faults = faultSpec
-		}
-		if *sloFlag != "" {
-			s.SLO = sloSpec
-		}
-		if *loadFlag != "" {
-			s.Workload.Load = loadSpec
-		}
-		if *timeScale > 0 && s.Workload.Load.Enabled() {
-			s.Workload.Load.Profile.TimeScale = *timeScale
-		}
+	sloSpec, err := cliflags.Resolve(*sloFlag, es2.LoadSLOSpec, experiments.DefaultSLO(), "default")
+	if err != nil {
+		fail(1, err)
 	}
 
 	// The ops plane serves live process state over HTTP for the whole
 	// run; the sim itself never sees it, so serving cannot perturb
-	// results. finishServe lingers (-serve-wait) so external scrapers
-	// can collect final state, then shuts the listener down.
+	// results. On a normal exit it lingers (-serve-wait) so external
+	// scrapers can collect final state, then shuts the listener down.
 	var plane *ops.Server
 	if *serveFlag != "" {
 		p, err := ops.Serve(*serveFlag)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "es2cluster: %v\n", err)
-			os.Exit(1)
+			fail(1, err)
 		}
 		plane = p
 		fmt.Fprintf(os.Stderr, "es2cluster: ops plane on http://%s (/metrics /healthz /progress /debug/pprof)\n", p.Addr())
-	}
-	finishServe := func() {
-		if plane == nil {
-			return
-		}
-		if *serveWait > 0 {
-			fmt.Fprintf(os.Stderr, "es2cluster: runs finished; ops plane stays up for %v\n", *serveWait)
-			time.Sleep(*serveWait)
-		}
-		plane.Close()
+		defer func() {
+			if *serveWait > 0 {
+				fmt.Fprintf(os.Stderr, "es2cluster: runs finished; ops plane stays up for %v\n", *serveWait)
+				time.Sleep(*serveWait)
+			}
+			p.Close()
+		}()
 	}
 
+	// A -spec file is a one-scenario experiment that -scale leaves
+	// whole.
+	var exps []experiments.ClusterExperiment
+	scale := *scaleFlag
 	if *specFile != "" {
 		spec, err := es2.LoadClusterSpec(*specFile)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "es2cluster: %v\n", err)
-			os.Exit(1)
+			fail(1, err)
 		}
-		if *seed != 0 {
-			spec.Seed = *seed
-		}
-		applyInjection(&spec)
-		spec.Telemetry = spec.Telemetry || *telemetryDir != "" || *metricsOut != ""
-		spec.Check = spec.Check || *check
-		spec.CritPath = spec.CritPath || *critpath || *critDir != ""
-		spec.EngineStats = spec.EngineStats || *engStats || *progress || plane != nil
-		if *soak > 0 {
-			runSoak([]experiments.ClusterExperiment{{ID: "spec", Title: spec.Name,
-				Specs: []es2.ClusterSpec{spec}}}, *soak, *seed, *parallel, *jsonOut, *progress, plane)
-			finishServe()
-			return
-		}
-		if plane != nil {
-			plane.StartRun(spec.Name, int64(spec.Seed))
-		}
-		r, err := es2.RunCluster(spec)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "es2cluster: %v\n", err)
-			os.Exit(1)
-		}
-		progressLine(r, spec.Seed, *progress)
-		reportRun(plane, r, spec.Seed)
-		printClusterSummary(r)
-		if *sloLog != "" {
-			if err := writeEventLogFile(*sloLog, r); err != nil {
-				fmt.Fprintf(os.Stderr, "es2cluster: %v\n", err)
-				os.Exit(1)
-			}
-		}
-		if err := writeArtifacts("spec-00-"+cliflags.Sanitize(r.Name), r, *telemetryDir, *critDir); err != nil {
-			fmt.Fprintf(os.Stderr, "es2cluster: %v\n", err)
-			os.Exit(1)
-		}
-		if *metricsOut != "" {
-			if err := cliflags.WriteFile(*metricsOut, r.TelemetryRecorder.WriteOpenMetrics); err != nil {
-				fmt.Fprintf(os.Stderr, "es2cluster: %v\n", err)
-				os.Exit(1)
-			}
-		}
-		if *jsonOut != "" {
-			rep := jsonReport{Schema: "es2cluster/v1", Seed: *seed, Scale: 1,
-				Experiments: []jsonExperiment{{ID: "spec", Title: spec.Name, Results: []*es2.ClusterResult{r}}}}
-			if err := cliflags.WriteJSON(*jsonOut, rep); err != nil {
-				fmt.Fprintf(os.Stderr, "es2cluster: %v\n", err)
-				os.Exit(1)
-			}
-		}
-		finishServe()
-		return
-	}
-
-	var exps []experiments.ClusterExperiment
-	if *expFlag == "all" {
+		exps, scale = []experiments.ClusterExperiment{{ID: "spec", Title: spec.Name, Specs: []es2.ClusterSpec{spec}}}, 1
+	} else if *expFlag == "all" {
 		exps = experiments.ClusterExperiments()
 	} else {
 		for _, id := range strings.Split(*expFlag, ",") {
 			e, ok := experiments.ClusterByID(strings.TrimSpace(id))
 			if !ok {
-				fmt.Fprintf(os.Stderr, "es2cluster: unknown experiment %q (use -list)\n", id)
-				os.Exit(2)
+				fail(2, fmt.Errorf("unknown experiment %q (use -list)", id))
 			}
 			exps = append(exps, e)
 		}
 	}
 
+	// Overlay the flags onto every scenario, before scaling so chaos
+	// timelines shrink with the window.
 	for ei := range exps {
 		for i := range exps[ei].Specs {
-			applyInjection(&exps[ei].Specs[i])
+			s := &exps[ei].Specs[i]
+			if *chaosFlag != "" {
+				s.Chaos = chaosSpec
+			}
+			if faultSpec.Enabled() {
+				s.Faults = faultSpec
+			}
+			if *sloFlag != "" {
+				s.SLO = sloSpec
+			}
+			if *loadFlag != "" {
+				s.Workload.Load = loadSpec
+			}
+			if *timeScale > 0 && s.Workload.Load.Enabled() {
+				s.Workload.Load.Profile.TimeScale = *timeScale
+			}
+			if *seed != 0 {
+				s.Seed = *seed
+			}
+			s.Telemetry = s.Telemetry || *telemetryDir != "" || *metricsOut != ""
+			s.CritPath = s.CritPath || *critpath || *critDir != ""
+			s.Check = s.Check || *check
+			s.EngineStats = s.EngineStats || *engStats || *progress || plane != nil
 		}
-		exps[ei] = experiments.ScaleCluster(exps[ei], *scale)
+		exps[ei] = experiments.ScaleCluster(exps[ei], scale)
 	}
 
 	if *soak > 0 {
-		runSoak(exps, *soak, *seed, *parallel, *jsonOut, *progress, plane)
-		finishServe()
+		runSoak(exps, *soak, *parallel, *jsonOut, *progress, plane)
 		return
 	}
 
-	report := jsonReport{Schema: "es2cluster/v1", Seed: *seed, Scale: *scale}
+	report := jsonReport{Schema: "es2cluster/v1", Seed: *seed, Scale: scale}
 	var allResults []*es2.ClusterResult
 	for _, e := range exps {
-		for i := range e.Specs {
-			if *seed != 0 {
-				e.Specs[i].Seed = *seed
-			}
-			if *telemetryDir != "" || *metricsOut != "" {
-				e.Specs[i].Telemetry = true
-			}
-			if *critpath || *critDir != "" {
-				e.Specs[i].CritPath = true
-			}
-			if *check {
-				e.Specs[i].Check = true
-			}
-			if *engStats || *progress || plane != nil {
-				e.Specs[i].EngineStats = true
-			}
-		}
 		start := time.Now()
-		if plane != nil {
-			for i := range e.Specs {
-				plane.StartRun(e.Specs[i].Name, int64(e.Specs[i].Seed))
-			}
-		}
-		results, err := es2.RunManyCluster(e.Specs, *parallel)
+		results, err := runScenarios(e.Specs, *parallel, *progress, plane)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "es2cluster: %s failed: %v\n", e.ID, err)
-			os.Exit(1)
-		}
-		for i, r := range results {
-			progressLine(r, e.Specs[i].Seed, *progress)
-			reportRun(plane, r, e.Specs[i].Seed)
+			if *specFile == "" {
+				err = fmt.Errorf("%s failed: %w", e.ID, err)
+			}
+			fail(1, err)
 		}
 		allResults = append(allResults, results...)
 		for i, r := range results {
-			if err := writeArtifacts(fmt.Sprintf("%s-%02d-%s", e.ID, i, cliflags.Sanitize(r.Name)), r, *telemetryDir, *critDir); err != nil {
-				fmt.Fprintf(os.Stderr, "es2cluster: %v\n", err)
-				os.Exit(1)
+			base := fmt.Sprintf("%s-%02d-%s", e.ID, i, cliflags.Sanitize(r.Name))
+			if err := cliflags.WriteExports(base, r.TelemetryRecorder, r.CriticalPath, *telemetryDir, *critDir); err != nil {
+				fail(1, err)
 			}
 		}
 		if *jsonOut != "" {
 			report.Experiments = append(report.Experiments, jsonExperiment{
 				ID: e.ID, Title: e.Title, PaperClaim: e.PaperClaim, Results: results,
 			})
+		}
+		if *specFile != "" {
+			printClusterSummary(results[0])
+			continue
 		}
 		fmt.Printf("=== %s — %s\n", e.ID, e.Title)
 		fmt.Printf("    paper: %s\n\n", e.PaperClaim)
@@ -361,33 +257,54 @@ func main() {
 
 	if *metricsOut != "" {
 		if len(allResults) != 1 {
-			fmt.Fprintf(os.Stderr, "es2cluster: -metrics needs exactly one scenario, got %d (narrow -exp or use -spec)\n", len(allResults))
-			os.Exit(2)
+			fail(2, fmt.Errorf("-metrics needs exactly one scenario, got %d (narrow -exp or use -spec)", len(allResults)))
 		}
 		if err := cliflags.WriteFile(*metricsOut, allResults[0].TelemetryRecorder.WriteOpenMetrics); err != nil {
-			fmt.Fprintf(os.Stderr, "es2cluster: %v\n", err)
-			os.Exit(1)
+			fail(1, err)
 		}
 	}
 
 	if *sloLog != "" {
 		if len(allResults) != 1 {
-			fmt.Fprintf(os.Stderr, "es2cluster: -slo-log needs exactly one scenario, got %d (narrow -exp or use -spec)\n", len(allResults))
-			os.Exit(2)
+			fail(2, fmt.Errorf("-slo-log needs exactly one scenario, got %d (narrow -exp or use -spec)", len(allResults)))
 		}
 		if err := writeEventLogFile(*sloLog, allResults[0]); err != nil {
-			fmt.Fprintf(os.Stderr, "es2cluster: %v\n", err)
-			os.Exit(1)
+			fail(1, err)
 		}
 	}
 
 	if *jsonOut != "" {
 		if err := cliflags.WriteJSON(*jsonOut, report); err != nil {
-			fmt.Fprintf(os.Stderr, "es2cluster: %v\n", err)
-			os.Exit(1)
+			fail(1, err)
 		}
 	}
-	finishServe()
+}
+
+// fail reports err and exits with code.
+func fail(code int, err error) {
+	fmt.Fprintf(os.Stderr, "es2cluster: %v\n", err)
+	os.Exit(code)
+}
+
+// runScenarios is the one start-run-report step of every experiment,
+// and of every soak iteration: it announces specs on the ops plane
+// (nil unless -serve), runs them, and reports each finished scenario
+// through its -progress heartbeat and its ops-plane update.
+func runScenarios(specs []es2.ClusterSpec, parallel int, progress bool, plane *ops.Server) ([]*es2.ClusterResult, error) {
+	if plane != nil {
+		for i := range specs {
+			plane.StartRun(specs[i].Name, int64(specs[i].Seed))
+		}
+	}
+	results, err := es2.RunManyCluster(specs, parallel)
+	if err != nil {
+		return nil, err
+	}
+	for i, r := range results {
+		progressLine(r, specs[i].Seed, progress)
+		reportRun(plane, r, specs[i].Seed)
+	}
+	return results, nil
 }
 
 // progressLine prints the per-scenario stderr heartbeat (-progress).
@@ -430,31 +347,16 @@ func writeEventLogFile(path string, r *es2.ClusterResult) error {
 	return cliflags.WriteFile(path, write)
 }
 
-// writeArtifacts writes one scenario's exports under base into each
-// requested directory: the telemetry (.prom and .csv) and the
-// critical-path report (.json).
-func writeArtifacts(base string, r *es2.ClusterResult, telemetryDir, critDir string) error {
-	if telemetryDir != "" {
-		if err := cliflags.WriteTelemetry(filepath.Join(telemetryDir, base), r.TelemetryRecorder); err != nil {
-			return err
-		}
-	}
-	if critDir != "" {
-		return cliflags.WriteJSON(filepath.Join(critDir, base+".json"), r.CriticalPath)
-	}
-	return nil
-}
-
-// runSoak is the -soak N harness: every scenario of every selected
-// experiment runs N times on consecutive seeds with the invariant
+// runSoak is the -soak N harness: every scenario of every experiment
+// runs N times on consecutive seeds, from its own, with the invariant
 // checker forced on. Any run must come back with every chaos fault
 // recovered (finite MTTR) and every flow completed or migrated;
 // violations are reported and exit the process non-zero. Invariant
 // failures themselves panic inside the run, so a clean exit here means
-// zero violations of either kind. With progress, every run also prints
-// one stderr heartbeat line (seed, wall time, events/sec), so multi-
-// minute soaks are never silent.
-func runSoak(exps []experiments.ClusterExperiment, n int, seedOverride uint64, parallel int, jsonOut string, progress bool, plane *ops.Server) {
+// zero violations of either kind. With -progress, every run also
+// prints one stderr heartbeat line (seed, wall time, events/sec), so
+// multi-minute soaks are never silent.
+func runSoak(exps []experiments.ClusterExperiment, n, parallel int, jsonOut string, progress bool, plane *ops.Server) {
 	type soakRun struct {
 		Experiment      string              `json:"experiment"`
 		Name            string              `json:"name"`
@@ -474,29 +376,14 @@ func runSoak(exps []experiments.ClusterExperiment, n int, seedOverride uint64, p
 			specs := make([]es2.ClusterSpec, len(e.Specs))
 			copy(specs, e.Specs)
 			for i := range specs {
-				base := specs[i].Seed
-				if seedOverride != 0 {
-					base = seedOverride
-				}
-				specs[i].Seed = base + uint64(s)
+				specs[i].Seed += uint64(s)
 				specs[i].Check = true
-				if progress || plane != nil {
-					specs[i].EngineStats = true
-				}
 			}
-			if plane != nil {
-				for i := range specs {
-					plane.StartRun(specs[i].Name, int64(specs[i].Seed))
-				}
-			}
-			results, err := es2.RunManyCluster(specs, parallel)
+			results, err := runScenarios(specs, parallel, progress, plane)
 			if err != nil {
-				fmt.Fprintf(os.Stderr, "es2cluster: soak %s iteration %d: %v\n", e.ID, s, err)
-				os.Exit(1)
+				fail(1, fmt.Errorf("soak %s iteration %d: %w", e.ID, s, err))
 			}
 			for i, r := range results {
-				progressLine(r, specs[i].Seed, progress)
-				reportRun(plane, r, specs[i].Seed)
 				rec := r.Recovery
 				runs = append(runs, soakRun{Experiment: e.ID, Name: r.Name,
 					Seed: specs[i].Seed, InvariantChecks: r.InvariantChecks,
@@ -535,8 +422,7 @@ func runSoak(exps []experiments.ClusterExperiment, n int, seedOverride uint64, p
 			Runs   []soakRun `json:"runs"`
 		}
 		if err := cliflags.WriteJSON(jsonOut, soakReport{Schema: "es2cluster-soak/v1", Runs: runs}); err != nil {
-			fmt.Fprintf(os.Stderr, "es2cluster: %v\n", err)
-			os.Exit(1)
+			fail(1, err)
 		}
 	}
 	if violations > 0 {
@@ -546,7 +432,7 @@ func runSoak(exps []experiments.ClusterExperiment, n int, seedOverride uint64, p
 	fmt.Printf("soak ok: %d runs, zero violations\n", len(runs))
 }
 
-// printClusterSummary renders one -spec run: aggregate figures plus
+// printClusterSummary renders the -spec run: aggregate figures plus
 // the critical-path blame tables when enabled.
 func printClusterSummary(r *es2.ClusterResult) {
 	fmt.Printf("cluster    %s: hosts=%d vms=%d flows=%d window=%.3fs\n",

@@ -65,6 +65,13 @@ func main() {
 	)
 	faultFlags := cliflags.RegisterFaultFlags(flag.CommandLine)
 	flag.Parse()
+	out := outputFlags{
+		timeline: *timeline, cpuprof: *cpuprof, folded: *folded,
+		telDir: *telDir, metrics: *metrics, telWin: *telWin,
+		critpath: *critpath, critEx: *critEx, asJSON: *asJSON,
+		engineStats: *engStats, sloFile: *sloFile,
+		loadFile: *loadFile, timeScale: *tScale,
+	}
 
 	if *specFile != "" {
 		spec, err := es2.LoadScenarioSpec(*specFile)
@@ -72,13 +79,7 @@ func main() {
 			fmt.Fprintf(os.Stderr, "es2sim: %v\n", err)
 			os.Exit(1)
 		}
-		run(spec, outputFlags{
-			timeline: *timeline, cpuprof: *cpuprof, folded: *folded,
-			telDir: *telDir, metrics: *metrics, telWin: *telWin,
-			critpath: *critpath, critEx: *critEx, asJSON: *asJSON,
-			engineStats: *engStats, sloFile: *sloFile,
-			loadFile: *loadFile, timeScale: *tScale,
-		})
+		run(spec, out)
 		return
 	}
 
@@ -135,13 +136,7 @@ func main() {
 		Check:  *check,
 		Faults: faultSpec,
 	}
-	run(spec, outputFlags{
-		timeline: *timeline, cpuprof: *cpuprof, folded: *folded,
-		telDir: *telDir, metrics: *metrics, telWin: *telWin,
-		critpath: *critpath, critEx: *critEx, asJSON: *asJSON,
-		engineStats: *engStats, sloFile: *sloFile,
-		loadFile: *loadFile, timeScale: *tScale,
-	})
+	run(spec, out)
 }
 
 // outputFlags are the flags that select outputs rather than describe
@@ -160,20 +155,20 @@ type outputFlags struct {
 }
 
 func run(spec es2.ScenarioSpec, out outputFlags) {
+	sloSpec, err := cliflags.Resolve(out.sloFile, es2.LoadSLOSpec, es2.SLOSpec{})
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "es2sim: %v\n", err)
+		os.Exit(1)
+	}
 	if out.sloFile != "" {
-		sloSpec, err := es2.LoadSLOSpec(out.sloFile)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "es2sim: %v\n", err)
-			os.Exit(1)
-		}
 		spec.SLO = sloSpec
 	}
+	loadSpec, err := cliflags.Resolve(out.loadFile, es2.LoadLoadSpec, es2.LoadSpec{})
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "es2sim: %v\n", err)
+		os.Exit(1)
+	}
 	if out.loadFile != "" {
-		loadSpec, err := es2.LoadLoadSpec(out.loadFile)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "es2sim: %v\n", err)
-			os.Exit(1)
-		}
 		spec.Load = loadSpec
 	}
 	if out.timeScale > 0 && spec.Load.Enabled() {
@@ -197,39 +192,35 @@ func run(spec es2.ScenarioSpec, out outputFlags) {
 		os.Exit(1)
 	}
 
-	timeline, cpuprof, folded := &out.timeline, &out.cpuprof, &out.folded
-	telDir, metrics, asJSON := &out.telDir, &out.metrics, &out.asJSON
-	kind := spec.Workload.Kind
-
 	writeFile := func(path, what string, write func(io.Writer) error) {
 		if err := cliflags.WriteFile(path, write); err != nil {
 			fmt.Fprintf(os.Stderr, "es2sim: writing %s: %v\n", what, err)
 			os.Exit(1)
 		}
 	}
-	if *timeline != "" {
-		writeFile(*timeline, "timeline", res.Timeline.WriteJSON)
+	if out.timeline != "" {
+		writeFile(out.timeline, "timeline", res.Timeline.WriteJSON)
 	}
-	if *cpuprof != "" {
-		writeFile(*cpuprof, "cpu profile", res.CPUProfile.WritePprof)
+	if out.cpuprof != "" {
+		writeFile(out.cpuprof, "cpu profile", res.CPUProfile.WritePprof)
 	}
-	if *folded != "" {
-		writeFile(*folded, "folded stacks", res.CPUProfile.WriteFolded)
+	if out.folded != "" {
+		writeFile(out.folded, "folded stacks", res.CPUProfile.WriteFolded)
 	}
-	if *telDir != "" {
-		if err := os.MkdirAll(*telDir, 0o755); err != nil {
+	if out.telDir != "" {
+		if err := os.MkdirAll(out.telDir, 0o755); err != nil {
 			fmt.Fprintf(os.Stderr, "es2sim: creating telemetry dir: %v\n", err)
 			os.Exit(1)
 		}
 		rec := res.TelemetryRecorder
-		writeFile(filepath.Join(*telDir, "metrics.prom"), "telemetry exposition", rec.WriteOpenMetrics)
-		writeFile(filepath.Join(*telDir, "windows.csv"), "telemetry windows", rec.WriteCSV)
+		writeFile(filepath.Join(out.telDir, "metrics.prom"), "telemetry exposition", rec.WriteOpenMetrics)
+		writeFile(filepath.Join(out.telDir, "windows.csv"), "telemetry windows", rec.WriteCSV)
 	}
-	if *metrics != "" {
-		writeFile(*metrics, "metrics exposition", res.TelemetryRecorder.WriteOpenMetrics)
+	if out.metrics != "" {
+		writeFile(out.metrics, "metrics exposition", res.TelemetryRecorder.WriteOpenMetrics)
 	}
 
-	if *asJSON {
+	if out.asJSON {
 		if err := cliflags.WriteJSON("-", res); err != nil {
 			fmt.Fprintf(os.Stderr, "es2sim: %v\n", err)
 			os.Exit(1)
@@ -242,7 +233,7 @@ func run(spec es2.ScenarioSpec, out outputFlags) {
 		return
 	}
 
-	fmt.Printf("scenario   %s  (config %s, workload %s)\n", res.Name, res.Config, kind)
+	fmt.Printf("scenario   %s  (config %s, workload %s)\n", res.Name, res.Config, spec.Workload.Kind)
 	fmt.Printf("exits/s    total=%.0f  io=%.0f  extintr=%.0f  apic=%.0f  other=%.0f\n",
 		res.TotalExitRate, res.IOExitRate,
 		res.ExitRates["ExternalInterrupt"], res.ExitRates["APICAccess"], res.ExitRates["Other"])
@@ -309,11 +300,11 @@ func run(spec es2.ScenarioSpec, out outputFlags) {
 	if res.CPUReport != nil {
 		fmt.Print(res.CPUReport.Render())
 	}
-	if *timeline != "" {
-		fmt.Printf("timeline   %s (%d events; open in ui.perfetto.dev)\n", *timeline, res.Timeline.Len())
+	if out.timeline != "" {
+		fmt.Printf("timeline   %s (%d events; open in ui.perfetto.dev)\n", out.timeline, res.Timeline.Len())
 	}
-	if *cpuprof != "" {
-		fmt.Printf("cpuprofile %s (go tool pprof -top %s)\n", *cpuprof, *cpuprof)
+	if out.cpuprof != "" {
+		fmt.Printf("cpuprofile %s (go tool pprof -top %s)\n", out.cpuprof, out.cpuprof)
 	}
 }
 

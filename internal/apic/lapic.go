@@ -77,9 +77,6 @@ func (l *LocalAPIC) EOI() Vector {
 // InServiceDepth returns the number of nested in-service vectors.
 func (l *LocalAPIC) InServiceDepth() int { return l.isr.Count() }
 
-// ISR exposes a copy of the in-service bitmap.
-func (l *LocalAPIC) ISR() Bitmap256 { return l.isr }
-
 // CheckInvariants verifies the APIC's acceptance discipline: EOIs never
 // outnumber acceptances, and the difference is exactly the in-service
 // depth. Used by the opt-in runtime invariant checker.

@@ -1,15 +1,18 @@
 // Package cliflags holds what the es2 command-line tools share: the
-// flag families they register and the writers for the artifacts they
-// export. es2sim grew the -fault-* surface first; keeping the
-// registration here means es2cluster exposes the identical flags —
-// same names, same help text, same parsing — instead of a drifting
-// copy. Likewise every tool names and writes its per-scenario files
-// through one Sanitize and one set of writers.
+// flag families they register, the reading of spec-valued flags and
+// the writers for the artifacts they export. es2sim grew the -fault-*
+// surface first; keeping the registration here means es2cluster
+// exposes the identical flags — same names, same help text, same
+// parsing — instead of a drifting copy. Likewise every tool resolves
+// its -chaos, -load and -slo values through one Resolve, and names and
+// writes its per-scenario files through one Sanitize and one set of
+// writers.
 package cliflags
 
 import (
 	"flag"
 	"fmt"
+	"slices"
 	"strconv"
 	"strings"
 	"time"
@@ -75,4 +78,19 @@ func (ff *FaultFlags) Spec() (es2.FaultSpec, error) {
 		PreemptStormEvery: *ff.StormEvery, PreemptStorm: *ff.Storm,
 		StormCores: cores, NoRecovery: *ff.NoRecovery,
 	}, nil
+}
+
+// Resolve reads a spec-valued flag such as -chaos, -load or -slo: an
+// empty value is the zero spec (the flag is unset), any of names
+// selects the built-in preset, and any other value names a JSON file
+// that load reads and validates.
+func Resolve[T any](value string, load func(path string) (T, error), preset T, names ...string) (T, error) {
+	if value == "" {
+		var zero T
+		return zero, nil
+	}
+	if slices.Contains(names, value) {
+		return preset, nil
+	}
+	return load(value)
 }

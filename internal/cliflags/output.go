@@ -6,8 +6,10 @@ import (
 	"hash/fnv"
 	"io"
 	"os"
+	"path/filepath"
 	"strings"
 
+	"es2"
 	"es2/internal/telemetry"
 )
 
@@ -39,13 +41,25 @@ func WriteJSON(path string, v any) error {
 	return WriteFile(path, encode)
 }
 
-// WriteTelemetry writes base.prom (OpenMetrics exposition) and base.csv
-// (windowed series) from one run's telemetry recorder.
-func WriteTelemetry(base string, rec *telemetry.Recorder) error {
-	if err := WriteFile(base+".prom", rec.WriteOpenMetrics); err != nil {
-		return err
+// WriteExports writes one scenario's exports under the file-name base
+// into each directory given: the telemetry recorder's OpenMetrics
+// exposition and windowed series as base.prom and base.csv into
+// telemetryDir, and the critical-path report as base.json into critDir.
+// An empty directory skips its export.
+func WriteExports(base string, tel *telemetry.Recorder, crit *es2.CriticalPath, telemetryDir, critDir string) error {
+	if telemetryDir != "" {
+		prefix := filepath.Join(telemetryDir, base)
+		if err := WriteFile(prefix+".prom", tel.WriteOpenMetrics); err != nil {
+			return err
+		}
+		if err := WriteFile(prefix+".csv", tel.WriteCSV); err != nil {
+			return err
+		}
 	}
-	return WriteFile(base+".csv", rec.WriteCSV)
+	if critDir != "" {
+		return WriteJSON(filepath.Join(critDir, base+".json"), crit)
+	}
+	return nil
 }
 
 // Sanitize maps a scenario name to a safe file-name fragment. Names

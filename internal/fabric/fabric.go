@@ -113,9 +113,6 @@ func (sw *Switch) NumPorts() int { return len(sw.ports) }
 // Port returns port i.
 func (sw *Switch) Port(i int) *Port { return sw.ports[i] }
 
-// Params returns the configured parameters (after defaulting).
-func (sw *Switch) Params() Params { return sw.params }
-
 // ResetStats zeroes the switch-level and per-port counters (called at
 // the start of the measurement window). Busy-until bookkeeping is
 // untouched: in-flight frames keep their timing.

@@ -123,14 +123,22 @@ func newNetDev(k *Kernel, ringSize, queues int) *NetDev {
 // PairFor returns the queue pair a flow hashes to (the driver's
 // select-queue function).
 func (d *NetDev) PairFor(flow int) *QueuePair {
-	if len(d.Pairs) == 1 {
-		return d.Pairs[0]
+	return d.Pairs[QueueFor(flow, len(d.Pairs))]
+}
+
+// QueueFor returns the index, in [0, queues), of the queue pair that
+// flow hashes to. It is the one flow-to-queue rule: PairFor selects the
+// pair a flow transmits on with it, and the host's receive-side
+// steering must pick the same pair's device with it too.
+func QueueFor(flow, queues int) int {
+	if queues == 1 {
+		return 0 // the common case, without a division
 	}
-	idx := flow % len(d.Pairs)
-	if idx < 0 {
-		idx += len(d.Pairs)
+	i := flow % queues
+	if i < 0 {
+		i += queues
 	}
-	return d.Pairs[idx]
+	return i
 }
 
 // rxISR is the RX queue's interrupt handler: mask further RX interrupts

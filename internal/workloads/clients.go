@@ -207,9 +207,8 @@ type Httperf struct {
 	Established uint64
 	Responses   uint64
 
-	ids     *FlowIDs
-	stopped bool
-	seq     int64
+	ids *FlowIDs
+	seq int64
 }
 
 type httperfConn struct {
@@ -229,18 +228,12 @@ func StartHttperf(pe *Peer, ids *FlowIDs, rate float64, pageBytes int) *Httperf 
 	interval := sim.Time(1e9 / rate)
 	var tick func()
 	tick = func() {
-		if h.stopped {
-			return
-		}
 		h.initiate()
 		pe.Eng.After(interval, tick)
 	}
 	pe.Eng.After(interval, tick)
 	return h
 }
-
-// Stop halts new connection initiation.
-func (h *Httperf) Stop() { h.stopped = true }
 
 func (h *Httperf) initiate() {
 	c := &httperfConn{h: h, flow: h.ids.Next(), state: 1, synSent: h.peer.Eng.Now()}

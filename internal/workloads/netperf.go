@@ -280,7 +280,6 @@ type UDPSource struct {
 	pktBytes int
 	interval sim.Time
 	nextSeq  int64
-	stopped  bool
 
 	SentPkts uint64
 }
@@ -288,9 +287,6 @@ type UDPSource struct {
 func (s *UDPSource) start() {
 	var tick func()
 	tick = func() {
-		if s.stopped {
-			return
-		}
 		p := s.peer.Pool.Get()
 		p.Bytes, p.Kind, p.Flow, p.Seq = s.pktBytes, guest.KindUDP, s.flowID, s.nextSeq
 		s.peer.Port.Send(p)
@@ -300,9 +296,6 @@ func (s *UDPSource) start() {
 	}
 	s.peer.Eng.After(s.interval, tick)
 }
-
-// Stop halts the source.
-func (s *UDPSource) Stop() { s.stopped = true }
 
 // PeerReceive implements PeerFlow (nothing flows back on UDP).
 func (s *UDPSource) PeerReceive(p *netsim.Packet) { p.Release() }

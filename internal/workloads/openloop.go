@@ -65,6 +65,9 @@ type OpenLoopClient struct {
 	phaseHists []*metrics.LogHistogram
 
 	streams []*OpenLoopStream
+	// starts arms each stream's first arrival draw, bound once to
+	// scheduleNext on the first stream's engine.
+	starts *sim.DelayLine[*OpenLoopStream]
 }
 
 // StreamConfig describes one open-loop stream: an arrival process
@@ -84,7 +87,8 @@ type StreamConfig struct {
 	// MaxOutstanding sheds arrivals beyond this many logical requests
 	// in flight (0 = unbounded).
 	MaxOutstanding int
-	// Start delays the first arrival draw, staggering streams.
+	// Start delays the first arrival draw, staggering streams. It must
+	// not decrease from one stream of a client to the next.
 	Start sim.Time
 }
 
@@ -140,7 +144,9 @@ type OpenLoopStream struct {
 }
 
 // newStream registers one stream whose sub-requests go out through
-// send, and arms its first arrival draw.
+// send, and arms its first arrival draw on the client's start line. A
+// start before the previous stream's panics before the stream is
+// registered, so the callers register its flows only after this.
 func (c *OpenLoopClient) newStream(eng *sim.Engine, cfg StreamConfig, send func(int, int64, *causal.Chain)) *OpenLoopStream {
 	s := &OpenLoopStream{
 		c: c, eng: eng, send: send,
@@ -149,13 +155,16 @@ func (c *OpenLoopClient) newStream(eng *sim.Engine, cfg StreamConfig, send func(
 		maxOutstanding: cfg.MaxOutstanding,
 		pending:        make(map[int64]openReq),
 	}
+	if c.starts == nil {
+		c.starts = sim.NewDelayLine(eng, (*OpenLoopStream).scheduleNext)
+	}
+	c.starts.After(cfg.Start+1, s)
 	s.onArrival = func() {
 		s.arrive()
 		s.scheduleNext()
 	}
 	s.redraw = s.scheduleNext
 	c.streams = append(c.streams, s)
-	eng.After(cfg.Start+1, s.scheduleNext)
 	return s
 }
 
@@ -184,7 +193,8 @@ type subRequest struct {
 
 // AddStream registers a guest-side stream on kern, pinned to the vCPU
 // its first flow hashes to, and arms its first arrival draw. Responses
-// complete at guest-rx.
+// complete at guest-rx. Streams must be added in non-decreasing
+// cfg.Start order; an earlier start panics and registers nothing.
 func (c *OpenLoopClient) AddStream(kern *guest.Kernel, cfg StreamConfig) {
 	vcpus := kern.VM.VCPUs
 	g := &guestStream{kern: kern, v: vcpus[cfg.Flows[0]%len(vcpus)]}
@@ -241,6 +251,7 @@ type peerStream struct {
 // AddPeerStream registers a peer-side stream on pe and arms its first
 // arrival draw. cfg.Flows must hold exactly one flow: there is one
 // host under test, so there is no fan-out. Responses complete at wire.
+// As with AddStream, starts must not decrease.
 func (c *OpenLoopClient) AddPeerStream(pe *Peer, cfg StreamConfig) {
 	p := &peerStream{pe: pe}
 	p.OpenLoopStream = c.newStream(pe.Eng, cfg, p.issue)

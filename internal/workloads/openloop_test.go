@@ -216,3 +216,51 @@ func TestOpenLoopGatherWaitsForEveryLeg(t *testing.T) {
 			c.Admitted, c.BytesReceived, c.Completed, c.Backlog())
 	}
 }
+
+// TestOpenLoopStartsThroughOneLine: a client arms its streams' first
+// arrival draws through one delay line, so 100 streams add one event
+// to the queue and each still starts. A stream whose start comes
+// before the previous one's panics and leaves the client unchanged.
+func TestOpenLoopStartsThroughOneLine(t *testing.T) {
+	r := newRig(t, true, 2)
+	StartServer(r.kern, DefaultServerConfig())
+	c := NewOpenLoopClient(olRuntime(), nil)
+	cfgs := olConfigs(100, 1000, 0)
+	pending := r.eng.Pending()
+	for _, cfg := range cfgs {
+		cfg.Flows = []int{r.ids.Next()}
+		c.AddPeerStream(r.peer, cfg)
+	}
+	if got := r.eng.Pending() - pending; got != 1 {
+		t.Fatalf("100 streams added %d events to the queue, want 1", got)
+	}
+	for _, add := range []struct {
+		what string
+		fn   func(StreamConfig)
+	}{
+		{"AddPeerStream", func(cfg StreamConfig) { c.AddPeerStream(r.peer, cfg) }},
+		{"AddStream", func(cfg StreamConfig) { c.AddStream(r.kern, cfg) }},
+	} {
+		cfg := cfgs[0] // starts before the last stream added
+		cfg.Flows = []int{r.ids.Next()}
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s with a start before the previous one did not panic", add.what)
+				}
+			}()
+			add.fn(cfg)
+		}()
+		_, registered := r.peer.flows[cfg.Flows[0]]
+		if len(c.streams) != len(cfgs) || r.eng.Pending() != pending+1 || registered {
+			t.Errorf("a refused %s left %d streams, %d queued events and its flow registered=%v; want %d, %d and false",
+				add.what, len(c.streams), r.eng.Pending()-pending, registered, len(cfgs), 1)
+		}
+	}
+	r.eng.Run(olWarmup + olWindow)
+	for i, s := range c.streams {
+		if s.Arrivals == 0 {
+			t.Fatalf("stream %d never started", i)
+		}
+	}
+}

@@ -15,7 +15,6 @@ type Pinger struct {
 	flowID   int
 	interval sim.Time
 	bytes    int
-	stopped  bool
 
 	// Causal, when non-nil, opens a causal chain per probe and records
 	// it at the reply's arrival.
@@ -53,9 +52,6 @@ func StartPing(kern *guest.Kernel, pe *Peer, flowID int, interval sim.Time) *Pin
 }
 
 func (p *Pinger) tick() {
-	if p.stopped {
-		return
-	}
 	seq := p.nextSeq
 	p.nextSeq++
 	p.sentAt[seq] = p.peer.Eng.Now()
@@ -66,9 +62,6 @@ func (p *Pinger) tick() {
 	p.peer.Port.Send(pkt)
 	p.peer.Eng.After(p.interval, p.next)
 }
-
-// Stop halts probing.
-func (p *Pinger) Stop() { p.stopped = true }
 
 // PeerReceive implements PeerFlow: match the reply and record the RTT.
 func (p *Pinger) PeerReceive(pkt *netsim.Packet) {

@@ -173,12 +173,11 @@ type probeVar struct {
 type rxDemux struct{ devs []*vhost.Device }
 
 // Receive implements netsim.Endpoint.
-func (d rxDemux) Receive(p *netsim.Packet) {
-	idx := p.Flow % len(d.devs)
-	if idx < 0 {
-		idx += len(d.devs)
-	}
-	d.devs[idx].Receive(p)
+func (d rxDemux) Receive(p *netsim.Packet) { d.device(p.Flow).Receive(p) }
+
+// device returns the vhost device of the queue pair flow hashes to.
+func (d rxDemux) device(flow int) *vhost.Device {
+	return d.devs[guest.QueueFor(flow, len(d.devs))]
 }
 
 // collector gathers workload-specific measurements.
