@@ -92,14 +92,16 @@ func TestEventPathAllocs(t *testing.T) {
 // maxSetupBytes bounds the bytes one full-scale daycycle config
 // allocates when its windows are 1ns, so that the run is testbed
 // assembly, 2ns of simulation and result assembly. Each config
-// measures about 350KB (go1.24, amd64); the bound leaves about 45%
-// headroom for other Go versions' allocation sizes.
+// measures about 280KB (go1.24, amd64); the bound leaves headroom for
+// other Go versions' allocation sizes.
 const maxSetupBytes = 512 << 10
 
 // maxRackSetupBytes is maxSetupBytes for a full-scale rack1 config.
-// Each measures about 0.96MB, two thirds of it in what its 2,048 flows
-// hold; the bound leaves about a third of headroom.
-const maxRackSetupBytes = 1280 << 10
+// Each measures about 0.70MB, most of it in what its 2,048 flows hold.
+// The bound leaves about 30% headroom, and a config whose flows each
+// carried their request sizes and deadline state, and whose VMs each
+// held a 2KB vector table, would cross it (0.97MB).
+const maxRackSetupBytes = 896 << 10
 
 // setupBytes runs spec with 1ns windows and returns the bytes the run
 // allocated.

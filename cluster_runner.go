@@ -307,7 +307,8 @@ func buildCluster(spec ClusterSpec) (*clusterBed, error) {
 		for i, r := range clientVMs {
 			// Client VM i issues flows i, i+nc, i+2nc, ...
 			flows := (spec.Workload.Flows + nc - 1 - i) / nc
-			c := workloads.NewRPCClient(r.h.kerns[r.vi], flows, r.h.lat, cb.clusterLat)
+			c := workloads.NewRPCClient(r.h.kerns[r.vi], flows,
+				spec.Workload.ReqBytes, spec.Workload.RespBytes, r.h.lat, cb.clusterLat)
 			c.Causal = cb.crit.Probe(uint8(r.h.index))
 			if w := spec.Workload; w.RequestTimeout > 0 {
 				c.Timeout = sim.DurationOf(w.RequestTimeout)
@@ -380,7 +381,7 @@ func buildCluster(spec ClusterSpec) (*clusterBed, error) {
 			start := spread * sim.Time(f) / sim.Time(spec.Workload.Flows)
 			// The client for this VM was appended in clientVMs order; each
 			// client VM has exactly one RPCClient.
-			cr.h.clients[cr.vi].AddFlow(flowID, spec.Workload.ReqBytes, spec.Workload.RespBytes, start)
+			cr.h.clients[cr.vi].AddFlow(flowID, start)
 		}
 	}
 

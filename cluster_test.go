@@ -8,6 +8,8 @@ import (
 	"runtime"
 	"testing"
 	"time"
+
+	"es2/internal/sim"
 )
 
 // smallCluster is a fast three-host rack (one client host, two server
@@ -277,5 +279,48 @@ func TestClusterValidation(t *testing.T) {
 				t.Errorf("err field = %q, want %q (%v)", se.Field, tc.field, err)
 			}
 		})
+	}
+}
+
+// maxResidentPerFlow bounds the live heap each added closed-loop flow
+// keeps in a running rack: its client state, its packets in flight, its
+// slots in the rings it queues on and its guest flow-table entry. It
+// measures about 495 bytes (go1.24, amd64); flows that each carried
+// their request sizes and retry state, with a start line that outlived
+// set-up, would cross the bound (about 635).
+const maxResidentPerFlow = 560
+
+// TestRackResidentPerFlow runs rack1's PI+H+R rack with 2,048 and with
+// 8,192 flows to the middle of its window and takes the live heap after
+// a GC that each added flow keeps: what limits how big a rack one can
+// run.
+func TestRackResidentPerFlow(t *testing.T) {
+	live := func(flows int) uint64 {
+		spec := ClusterSpec{
+			Name: "rack1/PI+H+R", Seed: 2017, Config: Full(4),
+			Hosts: 8, ClientHosts: 4, VMsPerHost: 4, VCPUs: 2, VMCores: 2, VhostCores: 2,
+			Workload: ClusterWorkloadSpec{Flows: flows},
+			Warmup:   80 * time.Millisecond, Duration: 150 * time.Millisecond,
+		}.withClusterDefaults()
+		cb, err := buildCluster(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		warmup := sim.DurationOf(spec.Warmup)
+		cb.eng.Run(warmup)
+		cb.resetAtWarmupEnd()
+		cb.eng.Run(warmup + sim.DurationOf(spec.Duration)/2)
+		runtime.GC()
+		var m runtime.MemStats
+		runtime.ReadMemStats(&m)
+		runtime.KeepAlive(cb)
+		return m.HeapAlloc
+	}
+	const lo, hi = 2048, 8192
+	small, large := live(lo), live(hi)
+	per := (float64(large) - float64(small)) / (hi - lo)
+	t.Logf("live heap %d bytes at %d flows, %d at %d: %.1f bytes per added flow", small, lo, large, hi, per)
+	if per > maxResidentPerFlow {
+		t.Errorf("each added flow keeps %.1f live bytes, want at most %d", per, maxResidentPerFlow)
 	}
 }

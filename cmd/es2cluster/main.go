@@ -23,7 +23,9 @@
 // runs the scenarios one at a time, so each report's memory figures
 // are its own;
 // -progress emits a per-scenario (and per-seed, under -soak) stderr
-// heartbeat with wall time and events/sec.
+// heartbeat with wall time and events/sec. -soak reports through its
+// -json file only: it exits 2 on -telemetry-dir, -critpath-dir,
+// -metrics or -slo-log, which it would not write.
 //
 // -load replaces every scenario's closed-loop flows with an open-loop
 // load generator (the 'rack1-day' datacenter-day preset or a JSON
@@ -64,7 +66,7 @@ func main() {
 	jsonOut := flag.String("json", "", "write all cluster results as machine-readable JSON to FILE ('-' for stdout)")
 	check := flag.Bool("check", false, "enable the runtime invariant checker on every host (also: ES2_CHECK=1)")
 	chaosFlag := flag.String("chaos", "", "attach a chaos timeline to every scenario: 'rack1' (built-in host-crash + link-flap preset) or a JSON ChaosSpec file")
-	soak := flag.Int("soak", 0, "chaos-soak mode: run each scenario N times on consecutive seeds with the invariant checker forced on, asserting every fault recovers and every flow is accounted for")
+	soak := flag.Int("soak", 0, "chaos-soak mode: run each scenario N times on consecutive seeds with the invariant checker forced on, asserting every fault recovers and every flow is accounted for; reports through -json only, and refuses -telemetry-dir, -critpath-dir, -metrics and -slo-log")
 	progress := flag.Bool("progress", false, "print one stderr heartbeat line per scenario (per seed under -soak) with wall time and events/sec, so long runs are not silent")
 	loadFlag := flag.String("load", "", "attach an open-loop load to every scenario, replacing closed-loop flows: 'rack1-day' (built-in datacenter-day preset) or a JSON LoadSpec file")
 	timeScale := flag.Float64("time-scale", 0, "with an open-loop load: override the profile's time compression factor (modeled seconds per simulated second; 0 keeps the spec's, which defaults to auto-fit)")
@@ -89,6 +91,11 @@ func main() {
 		return
 	}
 
+	if *soak > 0 {
+		if err := soakExports(*telemetryDir, *critDir, *metricsOut, *sloLog); err != nil {
+			fail(2, err)
+		}
+	}
 	for _, d := range []string{*telemetryDir, *critDir} {
 		if d != "" {
 			if err := os.MkdirAll(d, 0o755); err != nil {
@@ -109,7 +116,7 @@ func main() {
 	if err != nil {
 		fail(1, err)
 	}
-	sloSpec, err := cliflags.Resolve(*sloFlag, es2.LoadSLOSpec, experiments.DefaultSLO(), "default")
+	sloSpec, err := cliflags.ResolveSLO(*sloFlag)
 	if err != nil {
 		fail(1, err)
 	}
@@ -345,6 +352,24 @@ func writeEventLogFile(path string, r *es2.ClusterResult) error {
 		return write(os.Stdout)
 	}
 	return cliflags.WriteFile(path, write)
+}
+
+// soakExports refuses the export flags a soak cannot honour, naming
+// the first one set. A soak reports through its -json file only, so
+// it would make their directories and switch their recorders on in
+// every run, then write nothing.
+func soakExports(telemetryDir, critDir, metrics, sloLog string) error {
+	for _, f := range []struct{ flag, value string }{
+		{"-telemetry-dir", telemetryDir},
+		{"-critpath-dir", critDir},
+		{"-metrics", metrics},
+		{"-slo-log", sloLog},
+	} {
+		if f.value != "" {
+			return fmt.Errorf("-soak writes no %s output; its -json report carries each run's recovery and SLO results", f.flag)
+		}
+	}
+	return nil
 }
 
 // runSoak is the -soak N harness: every scenario of every experiment

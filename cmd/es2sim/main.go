@@ -23,7 +23,7 @@ import (
 func main() {
 	var (
 		specFile = flag.String("spec", "", "load the scenario from a JSON ScenarioSpec file (scenario flags ignored; output flags still apply)")
-		sloFile  = flag.String("slo", "", "load SLO objectives from a JSON SLOSpec file and evaluate them streamingly during the run")
+		sloFlag  = flag.String("slo", "", "attach SLO objectives, evaluated streamingly during the run: 'default' (availability + tail-latency + goodput-floor preset, as in es2cluster) or a JSON SLOSpec file")
 		loadFile = flag.String("load", "", "load an open-loop LoadSpec from a JSON file, replacing the memcached workload's closed-loop generator")
 		tScale   = flag.Float64("time-scale", 0, "with an open-loop load: override the profile's time compression factor (0 keeps the spec's)")
 		critpath = flag.Bool("critpath", false, "enable the causal critical-path analyzer (blame profile, tail exemplars, what-if)")
@@ -69,7 +69,7 @@ func main() {
 		timeline: *timeline, cpuprof: *cpuprof, folded: *folded,
 		telDir: *telDir, metrics: *metrics, telWin: *telWin,
 		critpath: *critpath, critEx: *critEx, asJSON: *asJSON,
-		engineStats: *engStats, sloFile: *sloFile,
+		engineStats: *engStats, slo: *sloFlag,
 		loadFile: *loadFile, timeScale: *tScale,
 	}
 
@@ -149,18 +149,18 @@ type outputFlags struct {
 	critEx                    int
 	asJSON                    bool
 	engineStats               bool
-	sloFile                   string
+	slo                       string
 	loadFile                  string
 	timeScale                 float64
 }
 
 func run(spec es2.ScenarioSpec, out outputFlags) {
-	sloSpec, err := cliflags.Resolve(out.sloFile, es2.LoadSLOSpec, es2.SLOSpec{})
+	sloSpec, err := cliflags.ResolveSLO(out.slo)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "es2sim: %v\n", err)
 		os.Exit(1)
 	}
-	if out.sloFile != "" {
+	if out.slo != "" {
 		spec.SLO = sloSpec
 	}
 	loadSpec, err := cliflags.Resolve(out.loadFile, es2.LoadLoadSpec, es2.LoadSpec{})

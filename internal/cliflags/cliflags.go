@@ -18,6 +18,7 @@ import (
 	"time"
 
 	"es2"
+	"es2/experiments"
 )
 
 // FaultFlags holds the parsed -fault-* values. Register the family
@@ -93,4 +94,12 @@ func Resolve[T any](value string, load func(path string) (T, error), preset T, n
 		return preset, nil
 	}
 	return load(value)
+}
+
+// ResolveSLO reads an -slo value. Every tool that takes the flag reads
+// it here, so "default" names the same built-in objective set
+// (experiments.DefaultSLO) in each, and any other non-empty value
+// names a JSON SLOSpec file.
+func ResolveSLO(value string) (es2.SLOSpec, error) {
+	return Resolve(value, es2.LoadSLOSpec, experiments.DefaultSLO(), "default")
 }

@@ -2,7 +2,11 @@ package cliflags
 
 import (
 	"errors"
+	"path/filepath"
+	"reflect"
 	"testing"
+
+	"es2/experiments"
 )
 
 func TestResolve(t *testing.T) {
@@ -38,5 +42,20 @@ func TestResolve(t *testing.T) {
 	calls = 0
 	if got, err := Resolve("default", load, 7); got != 42 || err != nil || calls != 1 {
 		t.Errorf("Resolve without presets = %d, %v with %d loads; want 42, nil, 1", got, err, calls)
+	}
+}
+
+// ResolveSLO gives "default" the built-in objective preset, leaves an
+// unset flag off and reads anything else as a file.
+func TestResolveSLO(t *testing.T) {
+	got, err := ResolveSLO("default")
+	if err != nil || !reflect.DeepEqual(got, experiments.DefaultSLO()) {
+		t.Errorf("ResolveSLO(default) = %+v, %v; want the DefaultSLO preset", got, err)
+	}
+	if got, err := ResolveSLO(""); err != nil || got.Enabled() {
+		t.Errorf("ResolveSLO(\"\") = %+v, %v; want no objectives", got, err)
+	}
+	if _, err := ResolveSLO(filepath.Join(t.TempDir(), "default")); err == nil {
+		t.Error("ResolveSLO of a missing file succeeded")
 	}
 }

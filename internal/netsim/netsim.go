@@ -21,8 +21,6 @@ import (
 type Packet struct {
 	// Bytes is the frame length used for serialization timing.
 	Bytes int
-	// Kind tags the protocol meaning (endpoint-defined).
-	Kind int
 	// Flow identifies the connection/stream the packet belongs to.
 	Flow int
 	// Seq is an endpoint-defined sequence number; a response segment's
@@ -44,8 +42,13 @@ type Packet struct {
 	causal.Unit
 
 	// pool is the free list the packet returns to (nil for a packet
-	// built as a literal); free marks a packet sitting in it.
+	// built as a literal).
 	pool *Pool
+	// Kind tags the protocol meaning (endpoint-defined). It shares the
+	// packet's last word with free, which keeps a packet in the 96-byte
+	// allocation size class.
+	Kind uint8
+	// free marks a packet sitting in its pool's free list.
 	free bool
 }
 

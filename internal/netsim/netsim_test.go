@@ -2,6 +2,7 @@ package netsim
 
 import (
 	"testing"
+	"unsafe"
 
 	"es2/internal/causal"
 	"es2/internal/sim"
@@ -229,5 +230,13 @@ func TestReleaseLiteralIsNoop(t *testing.T) {
 	p.Release()
 	if p.Released() || p.Bytes != 64 || p.Seq != 9 {
 		t.Fatalf("Release changed a pool-less packet: %+v", *p)
+	}
+}
+
+// A packet stays within the 96-byte allocation size class: every frame
+// in flight is one, and a word more moves each into the 112-byte class.
+func TestPacketSize(t *testing.T) {
+	if got := unsafe.Sizeof(Packet{}); got > 96 {
+		t.Errorf("Packet is %d bytes, want at most 96", got)
 	}
 }

@@ -60,6 +60,11 @@ func (d *DelayLine[T]) At(t Time, v T) {
 	}
 }
 
+// Grow makes room, if necessary, for another n values to wait on the
+// line, so that a source that knows its burst, such as a client's flow
+// starts, sizes the line once instead of doubling it (Ring.Grow).
+func (d *DelayLine[T]) Grow(n int) { d.q.Grow(n) }
+
 // After sends v to be delivered delay from now.
 func (d *DelayLine[T]) After(delay Time, v T) {
 	if delay < 0 {

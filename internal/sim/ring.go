@@ -5,9 +5,10 @@ package sim
 // queues. It holds n values starting at buf[head], wrapping at the end
 // of buf. Like a split ring's index pair, popping a value only
 // advances head. buf grows by doubling when a push finds it full, so a
-// queue that holds a handful of values costs a handful of slots.
-// Popped slots are cleared, so the ring does not keep a value alive.
-// The zero value is an empty ring.
+// queue that holds a handful of values costs a handful of slots; a
+// queue whose depth is known up front is sized once with Grow. Popped
+// slots are cleared, so the ring does not keep a value alive. The zero
+// value is an empty ring.
 type Ring[T any] struct {
 	buf  []T // len is zero or a power of two
 	head int
@@ -86,6 +87,27 @@ func (r *Ring[T]) Front() *T {
 func (r *Ring[T]) Clear() {
 	clear(r.buf)
 	r.head, r.n = 0, 0
+}
+
+// Grow makes room, if necessary, for another n values: after Grow(n),
+// at least n values can be pushed without another allocation. The
+// storage it allocates is the smallest power of two, from four slots,
+// that holds them. Grow with n <= 0 does nothing. Grow repeats grow's
+// unwrapping copy rather than sharing it: a shared helper would push
+// Push, PushFront and PushSlot over the inlining budget.
+func (r *Ring[T]) Grow(n int) {
+	need := r.n + n
+	if need <= len(r.buf) {
+		return
+	}
+	size := 4
+	for size < need {
+		size *= 2
+	}
+	buf := make([]T, size)
+	k := copy(buf, r.buf[r.head:])
+	copy(buf[k:], r.buf[:r.head])
+	r.buf, r.head = buf, 0
 }
 
 // grow doubles buf from four slots, unwrapping the values to start at

@@ -152,10 +152,29 @@ func TestRingAllocs(t *testing.T) {
 	if got != 0 {
 		t.Fatalf("Push/PushFront/PushSlot/Pop/Discard: %v allocs/op, want 0", got)
 	}
+
+	// Grow sizes the storage once: the pushes it made room for
+	// allocate nothing, where growing by doubling would allocate six
+	// times, and a Grow that finds room allocates nothing either.
+	const n = 100
+	var g Ring[*int]
+	got = testing.AllocsPerRun(100, func() {
+		g = Ring[*int]{}
+		g.Grow(n)
+		for range n {
+			g.Push(v)
+		}
+		g.Grow(-1)
+		g.Grow(len(g.buf) - n)
+	})
+	if got != 1 {
+		t.Fatalf("Grow(%d), %d pushes and two Grows with room: %v allocs/op, want 1", n, n, got)
+	}
 }
 
 // The op codes of FuzzRing's input, one byte per op (taken mod
 // numRingOps), so pushes outweigh pops and the ring wraps and grows.
+// A Grow byte also carries its count: op/numRingOps - 4, from -4 to 18.
 const (
 	ringPush      = 0 // and 1, 2
 	ringPushFront = 3 // and 4
@@ -163,13 +182,17 @@ const (
 	ringClear     = 7
 	ringPushSlot  = 8
 	ringDiscard   = 9
-	numRingOps    = 10
+	ringGrow      = 10
+	numRingOps    = 11
 )
 
-// FuzzRing runs a stream of Push, PushSlot, PushFront, Pop, Discard and
-// Clear ops against a ring and a slice. After every op the two must
-// hold the same values in the same order, and every slot outside the
-// ring's values must be zero.
+// FuzzRing runs a stream of Push, PushSlot, PushFront, Pop, Discard,
+// Clear and Grow ops against a ring and a slice. After every op the two
+// must hold the same values in the same order, and every slot outside
+// the ring's values must be zero. After a Grow the storage must hold
+// its count more values; a Grow that finds room, or whose count is not
+// positive, must leave the storage as it was, and one that does not
+// must allocate the smallest power of two, from four, that does.
 func FuzzRing(f *testing.F) {
 	f.Add([]byte{})
 	// Wrap with pops, then grow while wrapped, then drain.
@@ -180,6 +203,9 @@ func FuzzRing(f *testing.F) {
 	// PushSlot filling and growing a wrapped ring, then Discards past
 	// empty.
 	f.Add([]byte{8, 8, 8, 9, 9, 8, 8, 8, 8, 8, 0, 9, 9, 9, 9, 9, 9, 9, 9, 8})
+	// Grow by 0 and -4 on an empty ring, by 2 on a full wrapped one, by
+	// 1 with room, by 18 on a wrapped one, then a drain.
+	f.Add([]byte{54, 10, 0, 0, 0, 5, 0, 0, 76, 65, 0, 5, 5, 0, 0, 0, 0, 252, 0, 5, 5, 5, 5, 5, 5, 5, 5, 5})
 	r := NewRand(1)
 	long := make([]byte, 512)
 	for i := range long {
@@ -226,6 +252,19 @@ func FuzzRing(f *testing.F) {
 			case ringClear:
 				r.Clear()
 				ref = ref[:0]
+			case ringGrow:
+				n := int(op)/numRingOps - 4
+				before := r.buf
+				r.Grow(n)
+				need := len(ref) + n
+				switch {
+				case need <= len(before):
+					if len(r.buf) != len(before) || len(r.buf) > 0 && &r.buf[0] != &before[0] {
+						t.Fatalf("op %d: Grow(%d) with room for %d replaced the storage", i, n, len(before))
+					}
+				case len(r.buf) < 4 || len(r.buf)&(len(r.buf)-1) != 0 || len(r.buf) < need || len(r.buf) > 4 && len(r.buf)/2 >= need:
+					t.Fatalf("op %d: Grow(%d) of %d values made %d slots", i, n, len(ref), len(r.buf))
+				}
 			}
 			if r.Len() != len(ref) {
 				t.Fatalf("op %d: Len = %d, want %d", i, r.Len(), len(ref))

@@ -288,7 +288,7 @@ func (v *VCPU) startHandler(vec apic.Vector) {
 	}
 	v.IRQAccepted++
 	v.VM.noteAccepted(v, vec)
-	h := v.VM.idt[vec]
+	h := v.VM.handler(vec)
 	var cost sim.Time
 	var fn func()
 	if h != nil {

@@ -38,11 +38,15 @@ type VM struct {
 	K     *KVM
 	VCPUs []*VCPU
 
-	// idt and vclass are indexed by vector. An unregistered vector has
-	// a nil handler and reads as ClassLocal, the zero value.
-	idt     [apic.NumVectors]IRQHandler
-	vclass  [apic.NumVectors]VectorClass
-	nextVec apic.Vector
+	// handlerIdx maps each vector to its entry in handlers, which holds
+	// only the handlers the guest registered, after the nil at entry 0
+	// that every vector without one reads. device marks the
+	// redirectable device vectors; an unregistered vector reads as
+	// ClassLocal.
+	handlerIdx [apic.NumVectors]uint8
+	handlers   []IRQHandler
+	device     apic.Bitmap256
+	nextVec    apic.Vector
 
 	// Exits tallies VM exits by reason across all vCPUs.
 	Exits *metrics.Breakdown
@@ -61,6 +65,9 @@ func (k *KVM) NewVM(name string, cores []int) *VM {
 		K:       k,
 		nextVec: 0x31, // Linux external vectors start above 0x30
 		Exits:   metrics.NewBreakdown(NumExitReasons),
+		// Room for the nil entry, one queue pair's RX and TX vectors
+		// and the timer.
+		handlers: make([]IRQHandler, 1, 4),
 	}
 	for i, c := range cores {
 		vm.VCPUs = append(vm.VCPUs, newVCPU(vm, i, c))
@@ -81,27 +88,41 @@ func (vm *VM) AllocVector(class VectorClass, h IRQHandler) apic.Vector {
 		panic("vmm: guest vector space exhausted")
 	}
 	vm.nextVec++
-	vm.idt[vec] = h
-	vm.vclass[vec] = class
+	vm.RegisterIDT(vec, class, h)
 	return vec
 }
 
 // RegisterIDT installs a handler for a specific vector (used for the
 // timer vector and tests).
 func (vm *VM) RegisterIDT(vec apic.Vector, class VectorClass, h IRQHandler) {
-	vm.idt[vec] = h
-	vm.vclass[vec] = class
+	switch i := vm.handlerIdx[vec]; {
+	case h == nil:
+		vm.handlerIdx[vec] = 0
+	case i != 0:
+		vm.handlers[i] = h
+	case len(vm.handlers) == apic.NumVectors:
+		panic("vmm: more IRQ handlers than an index byte addresses")
+	default:
+		vm.handlerIdx[vec] = uint8(len(vm.handlers))
+		vm.handlers = append(vm.handlers, h)
+	}
+	if class == ClassDevice {
+		vm.device.Set(vec)
+	} else {
+		vm.device.Clear(vec)
+	}
 }
 
+// handler returns vec's registered handler, or nil.
+func (vm *VM) handler(vec apic.Vector) IRQHandler { return vm.handlers[vm.handlerIdx[vec]] }
+
 // IsDeviceVector reports whether vec is a redirectable device vector.
-func (vm *VM) IsDeviceVector(vec apic.Vector) bool {
-	return vm.vclass[vec] == ClassDevice
-}
+func (vm *VM) IsDeviceVector(vec apic.Vector) bool { return vm.device.Test(vec) }
 
 // Start arms per-vCPU background machinery: guest timer ticks and the
 // miscellaneous-exit background. Call once after guest setup.
 func (vm *VM) Start() {
-	if vm.idt[TimerVector] == nil {
+	if vm.handler(TimerVector) == nil {
 		vm.RegisterIDT(TimerVector, ClassLocal, func(*VCPU) (sim.Time, func()) {
 			return 1200 * sim.Nanosecond, nil
 		})

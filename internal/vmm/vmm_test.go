@@ -2,6 +2,7 @@ package vmm
 
 import (
 	"testing"
+	"unsafe"
 
 	"es2/internal/apic"
 	"es2/internal/metrics"
@@ -402,6 +403,51 @@ func TestAllocVectorClasses(t *testing.T) {
 	}
 	if dev == loc {
 		t.Fatal("vectors must be distinct")
+	}
+}
+
+// RegisterIDT replaces a vector's handler and class in place, a nil
+// handler unregisters the vector, and an unregistered vector has no
+// handler and reads as local.
+func TestRegisterIDTReplaces(t *testing.T) {
+	e := newEnv(1, false)
+	vm := e.k.NewVM("vm", []int{0})
+	costOf := func(vec apic.Vector) sim.Time {
+		t.Helper()
+		h := vm.handler(vec)
+		if h == nil {
+			return -1
+		}
+		c, _ := h(nil)
+		return c
+	}
+	handler := func(c sim.Time) IRQHandler {
+		return func(*VCPU) (sim.Time, func()) { return c, nil }
+	}
+	vec := vm.AllocVector(ClassDevice, handler(1))
+	if costOf(vec) != 1 || !vm.IsDeviceVector(vec) {
+		t.Fatalf("allocated vector: handler cost %v, device %v", costOf(vec), vm.IsDeviceVector(vec))
+	}
+	vm.RegisterIDT(vec, ClassLocal, handler(2))
+	if costOf(vec) != 2 || vm.IsDeviceVector(vec) || len(vm.handlers) != 2 {
+		t.Fatalf("re-registered vector: handler cost %v, device %v, %d handlers held",
+			costOf(vec), vm.IsDeviceVector(vec), len(vm.handlers))
+	}
+	vm.RegisterIDT(vec, ClassDevice, nil)
+	if costOf(vec) != -1 || !vm.IsDeviceVector(vec) {
+		t.Fatalf("vector registered without a handler: handler cost %v, device %v", costOf(vec), vm.IsDeviceVector(vec))
+	}
+	if other := vec + 1; vm.handler(other) != nil || vm.IsDeviceVector(other) {
+		t.Fatal("an unregistered vector has a handler or reads as a device vector")
+	}
+}
+
+// A VM's vector tables are a handler index byte and a device bit per
+// vector, not a handler and a class per vector: a rack holds a VM per
+// guest and builds every one of them at set-up.
+func TestVMSize(t *testing.T) {
+	if got := unsafe.Sizeof(VM{}); got > 512 {
+		t.Errorf("VM is %d bytes, want at most 512", got)
 	}
 }
 

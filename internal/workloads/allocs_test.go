@@ -57,10 +57,10 @@ func TestMemaslapRoundTripAllocs(t *testing.T) {
 // to an echoing peer and its response completes it.
 func TestRPCRoundTripAllocs(t *testing.T) {
 	r := newRig(t, true, 1)
-	c := NewRPCClient(r.kern, 1)
+	c := NewRPCClient(r.kern, 1, 128, 1024)
 	id := r.ids.Next()
 	r.peer.Register(id, echoPeer{r.peer})
-	c.AddFlow(id, 128, 1024, 0)
+	c.AddFlow(id, 0)
 	if got := roundTripAllocs(t, r, func() uint64 { return c.Completed }); got != 0 {
 		t.Errorf("RPC round trip: %v allocs/op, want 0", got)
 	}

@@ -36,10 +36,11 @@ type Memaslap struct {
 }
 
 // StartMemaslap opens conns pre-established connections and keeps
-// concurrency requests outstanding.
+// concurrency requests outstanding. Its outstanding-request table and
+// the peer's send line are sized once for that initial burst.
 func StartMemaslap(pe *Peer, ids *FlowIDs, conns, concurrency int) *Memaslap {
 	m := &Memaslap{
-		peer: pe, Lat: metrics.NewLogHistogram(), started: make(map[int64]sim.Time),
+		peer: pe, Lat: metrics.NewLogHistogram(), started: make(map[int64]sim.Time, concurrency),
 		GetReqBytes: 105, GetRespBytes: 1088,
 		SetReqBytes: 1130, SetRespBytes: 71,
 		GetEvery: 10,
@@ -49,6 +50,7 @@ func StartMemaslap(pe *Peer, ids *FlowIDs, conns, concurrency int) *Memaslap {
 		m.conns = append(m.conns, fid)
 		pe.Register(fid, m)
 	}
+	pe.out.Grow(concurrency)
 	for i := 0; i < concurrency; i++ {
 		m.sendNext(m.conns[i%len(m.conns)])
 	}

@@ -30,7 +30,8 @@ type RPCClient struct {
 	// retried with exponential backoff and deterministic jitter. Zero
 	// (the default) keeps the legacy closed loop, which wedges forever
 	// if the server dies — only chaos-aware runs should pay the
-	// deadline bookkeeping.
+	// deadline bookkeeping. Set it before the first request: a client
+	// with a Timeout allocates its flows' retry state there.
 	Timeout sim.Time
 	// Backoff is the first retry delay (default Timeout/4) and doubles
 	// per consecutive timeout up to BackoffMax (default 8x Backoff);
@@ -63,11 +64,18 @@ type RPCClient struct {
 	// hists receive every completed request's latency (the per-host
 	// and cluster-wide spectra in the cluster runner).
 	hists []*metrics.LogHistogram
+	// reqBytes and respBytes size every flow's requests and responses.
+	reqBytes, respBytes int
 
 	// flows holds the client's flows in creation order, in one slice
-	// allocated for the count NewRPCClient was given; starts issues
-	// each flow's first request.
-	flows  []RPCFlow
+	// allocated for the count NewRPCClient was given. retries holds
+	// their retry state, indexed like flows; a client allocates it at
+	// its first request if it has a Timeout, so a client without one
+	// never holds it.
+	flows   []RPCFlow
+	retries []retryState
+	// starts issues each flow's first request. It is sized once for the
+	// declared flow count and dropped when the last of them starts.
 	starts *sim.DelayLine[*RPCFlow]
 	rng    *sim.Rand
 	// queues holds one attempt FIFO per vCPU, indexed by VCPU.ID.
@@ -97,6 +105,23 @@ func (q *attemptQueue) transmitHead() {
 	a.f.transmit(a.id)
 }
 
+// retryState is one flow's retry machinery, held only by clients with
+// a Timeout: the deadline of its latest attempt, its consecutive
+// timeouts, its current backoff and the first attempt of its in-flight
+// request.
+type retryState struct {
+	deadline sim.Handle
+	attempts int
+	backoff  sim.Time
+	// attemptBase is the first attempt id of the in-flight logical
+	// request: a response to ANY attempt in [attemptBase, reqID]
+	// completes it. Accepting a late original response after a retry
+	// went out is what keeps a timeout shorter than a transient RTT
+	// from livelocking the flow (every attempt's response arriving
+	// "stale" forever — retry-storm congestion collapse).
+	attemptBase int64
+}
+
 // minRetryBackoff floors the retry delay so a degenerate spec (a
 // timeout shorter than any achievable RTT) burns bounded events, not
 // an unbounded same-instant retry storm.
@@ -111,49 +136,37 @@ type RPCFlow struct {
 	ID int
 	v  *vmm.VCPU
 
-	reqBytes  int
-	respBytes int
-
 	reqID   int64
 	started sim.Time
 	chain   *causal.Chain
-
-	// Retry machinery (active only with a client Timeout).
-	// attemptBase is the first attempt id of the in-flight logical
-	// request: a response to ANY attempt in [attemptBase, reqID]
-	// completes it. Accepting a late original response after a retry
-	// went out is what keeps a timeout shorter than a transient RTT
-	// from livelocking the flow (every attempt's response arriving
-	// "stale" forever — retry-storm congestion collapse).
-	attemptBase int64
-	deadline    sim.Handle
-	attempts    int
-	backoff     sim.Time
 
 	// Completed counts this flow's finished requests; LatSum and
 	// LatMax summarize its latency over the measurement window.
 	Completed uint64
 	LatSum    sim.Time
 	LatMax    sim.Time
-	// Timeouts and Retries count this flow's expired deadlines and
-	// re-issued requests; Migrated marks a flow re-bound to a
-	// surviving server during the window.
-	Timeouts uint64
-	Retries  uint64
+
+	// idx is the flow's index in its client's flows and retries.
+	idx int32
+	// Migrated marks a flow re-bound to a surviving server during the
+	// window.
 	Migrated bool
 }
 
 // NewRPCClient creates a client on kern for the given number of flows,
-// whose completions observe into every given histogram. The flows and
-// the kernel's flow table are sized once for that count. The retry
-// jitter generator forks off the engine's RNG here, during
-// deterministic build.
-func NewRPCClient(kern *guest.Kernel, flows int, hists ...*metrics.LogHistogram) *RPCClient {
+// each issuing reqBytes requests and expecting respBytes responses,
+// whose completions observe into every given histogram. The flows, the
+// start line and the kernel's flow table are sized once for that
+// count. The retry jitter generator forks off the engine's RNG here,
+// during deterministic build.
+func NewRPCClient(kern *guest.Kernel, flows, reqBytes, respBytes int, hists ...*metrics.LogHistogram) *RPCClient {
 	c := &RPCClient{
 		Kern: kern, hists: hists, rng: kern.Engine().Rand().Fork(),
-		flows:  make([]RPCFlow, 0, flows),
-		starts: sim.NewDelayLine(kern.Engine(), (*RPCFlow).sendNext),
+		reqBytes: reqBytes, respBytes: respBytes,
+		flows: make([]RPCFlow, 0, flows),
 	}
+	c.starts = sim.NewDelayLine(kern.Engine(), c.start)
+	c.starts.Grow(flows)
 	kern.ReserveFlows(flows)
 	for range kern.VM.VCPUs {
 		q := &attemptQueue{}
@@ -163,15 +176,14 @@ func NewRPCClient(kern *guest.Kernel, flows int, hists ...*metrics.LogHistogram)
 	return c
 }
 
-// AddFlow registers one closed-loop flow issuing reqBytes requests and
-// expecting respBytes responses, pinned to the vCPU flows hash to
-// (flow id modulo vCPU count, mirroring how connections hash to
-// processes). The first request is issued `start` after creation;
+// AddFlow registers one closed-loop flow, pinned to the vCPU flows
+// hash to (flow id modulo vCPU count, mirroring how connections hash
+// to processes). The first request is issued `start` after creation;
 // staggering flow starts avoids a synthetic thundering herd at t=0.
 // Starts must not decrease from one AddFlow to the next, and a client
 // takes at most the flow count it was created for: AddFlow panics
 // otherwise.
-func (c *RPCClient) AddFlow(id, reqBytes, respBytes int, start sim.Time) *RPCFlow {
+func (c *RPCClient) AddFlow(id int, start sim.Time) *RPCFlow {
 	n := len(c.flows)
 	if n == cap(c.flows) {
 		panic(fmt.Sprintf("workloads: flow %d added to an RPCClient created for %d flows", id, n))
@@ -180,8 +192,7 @@ func (c *RPCClient) AddFlow(id, reqBytes, respBytes int, start sim.Time) *RPCFlo
 	c.starts.After(start+1, f) // first: a start before the previous one panics here
 	c.flows = c.flows[:n+1]
 	vcpus := c.Kern.VM.VCPUs
-	f.c, f.ID, f.v = c, id, vcpus[id%len(vcpus)]
-	f.reqBytes, f.respBytes = reqBytes, respBytes
+	f.c, f.ID, f.v, f.idx = c, id, vcpus[id%len(vcpus)], int32(n)
 	c.Kern.RegisterFlow(id, f)
 	return f
 }
@@ -196,9 +207,27 @@ func (c *RPCClient) ResetStats() {
 	c.Timeouts, c.Retries, c.Migrated = 0, 0, 0
 	for i := range c.flows {
 		f := &c.flows[i]
-		f.Completed, f.LatSum, f.LatMax = 0, 0, 0
-		f.Timeouts, f.Retries, f.Migrated = 0, 0, false
+		f.Completed, f.LatSum, f.LatMax, f.Migrated = 0, 0, 0, false
 	}
+}
+
+// start issues a flow's first request. The last declared flow's start
+// drops the start line, so its slots do not outlive set-up.
+func (c *RPCClient) start(f *RPCFlow) {
+	if int(f.idx) == cap(c.flows)-1 {
+		c.starts = nil
+	}
+	f.sendNext()
+}
+
+// retry returns the flow's retry state, allocating every flow's at the
+// client's first use.
+func (f *RPCFlow) retry() *retryState {
+	c := f.c
+	if c.retries == nil {
+		c.retries = make([]retryState, cap(c.flows))
+	}
+	return &c.retries[f.idx]
 }
 
 // sendNext starts the flow's next request: the latency clock starts
@@ -208,9 +237,10 @@ func (c *RPCClient) ResetStats() {
 // cluster would see.
 func (f *RPCFlow) sendNext() {
 	f.started = f.c.Kern.Engine().Now()
-	f.attempts = 0
-	f.backoff = 0
-	f.attemptBase = f.reqID + 1
+	if f.c.Timeout > 0 {
+		r := f.retry()
+		r.attempts, r.backoff, r.attemptBase = 0, 0, f.reqID+1
+	}
 	f.issue()
 }
 
@@ -227,7 +257,7 @@ func (f *RPCFlow) issue() {
 	kern := f.c.Kern
 	f.reqID++
 	f.chain = f.c.Causal.Start(f.ID, f.reqID, kern.Engine().Now())
-	cost := kern.JitterCost(kern.Costs.TXCost(f.reqBytes, true))
+	cost := kern.JitterCost(kern.Costs.TXCost(f.c.reqBytes, true))
 	q := f.c.queues[f.v.ID]
 	q.q.Push(attempt{f: f, id: f.reqID})
 	f.v.EnqueueTask(vmm.NewTask("rpc-req", vmm.PrioTask, cost, q.done))
@@ -240,37 +270,36 @@ func (f *RPCFlow) expired(id int64) {
 	if id != f.reqID {
 		return // stale deadline for a completed attempt
 	}
-	f.Timeouts++
+	r := f.retry()
 	f.c.Timeouts++
-	f.attempts++
-	if f.c.FailoverAfter > 0 && f.attempts >= f.c.FailoverAfter &&
+	r.attempts++
+	if f.c.FailoverAfter > 0 && r.attempts >= f.c.FailoverAfter &&
 		f.c.Failover != nil && f.c.Failover(f.ID) {
 		if !f.Migrated {
 			f.Migrated = true
 			f.c.Migrated++
 		}
-		f.attempts = 0
+		r.attempts = 0
 	}
-	if f.backoff <= 0 {
-		f.backoff = f.c.Backoff
-		if f.backoff <= 0 {
-			f.backoff = f.c.Timeout / 4
+	if r.backoff <= 0 {
+		r.backoff = f.c.Backoff
+		if r.backoff <= 0 {
+			r.backoff = f.c.Timeout / 4
 		}
 	} else {
-		f.backoff *= 2
+		r.backoff *= 2
 	}
-	if max := f.c.BackoffMax; max > 0 && f.backoff > max {
-		f.backoff = max
+	if max := f.c.BackoffMax; max > 0 && r.backoff > max {
+		r.backoff = max
 	}
-	if f.backoff < minRetryBackoff {
-		f.backoff = minRetryBackoff
+	if r.backoff < minRetryBackoff {
+		r.backoff = minRetryBackoff
 	}
-	delay := f.c.rng.Jitter(f.backoff, 0.5)
+	delay := f.c.rng.Jitter(r.backoff, 0.5)
 	f.c.Kern.Engine().After(delay, func() {
 		if id != f.reqID {
 			return // a late response won the race against the retry
 		}
-		f.Retries++
 		f.c.Retries++
 		f.issue()
 	})
@@ -286,8 +315,8 @@ func (f *RPCFlow) transmit(id int64) {
 		return
 	}
 	pkt := f.c.Kern.Pool.Get()
-	pkt.Bytes, pkt.Kind, pkt.Flow = f.reqBytes, guest.KindRequest, f.ID
-	pkt.ReqID, pkt.RespBytes = id, f.respBytes
+	pkt.Bytes, pkt.Kind, pkt.Flow = f.c.reqBytes, guest.KindRequest, f.ID
+	pkt.ReqID, pkt.RespBytes = id, f.c.respBytes
 	pkt.Chain = f.chain
 	if !f.c.Kern.Dev.Transmit(f.v, pkt) {
 		f.c.Kern.Dev.WaitTXFlow(f.ID, func() { f.transmit(id) })
@@ -295,7 +324,7 @@ func (f *RPCFlow) transmit(id int64) {
 	}
 	f.c.Sent++
 	if f.c.Timeout > 0 {
-		f.deadline = f.c.Kern.Engine().After(f.c.Timeout, func() { f.expired(id) })
+		f.retry().deadline = f.c.Kern.Engine().After(f.c.Timeout, func() { f.expired(id) })
 	}
 }
 
@@ -312,10 +341,19 @@ func (f *RPCFlow) HandleRX(p *netsim.Packet, v *vmm.VCPU) {
 		return
 	}
 	f.c.BytesReceived += uint64(p.Bytes)
-	if p.ReqID < f.attemptBase || p.ReqID > f.reqID || p.Seq != int64(p.Segs-1) {
+	// Without retry state the in-flight request has one attempt, reqID.
+	var r *retryState
+	base := f.reqID
+	if f.c.retries != nil {
+		r = &f.c.retries[f.idx]
+		base = r.attemptBase
+	}
+	if p.ReqID < base || p.ReqID > f.reqID || p.Seq != int64(p.Segs-1) {
 		return
 	}
-	f.deadline.Cancel()
+	if r != nil {
+		r.deadline.Cancel()
+	}
 	now := f.c.Kern.Engine().Now()
 	// The response rode the request's chain back; the final guest-rx
 	// segment closes at the same instant the latency clock stops.

@@ -2,6 +2,7 @@ package workloads
 
 import (
 	"testing"
+	"unsafe"
 
 	"es2/internal/guest"
 	"es2/internal/netsim"
@@ -222,7 +223,8 @@ func TestFlowIDsUnique(t *testing.T) {
 // TestRPCClientFlowCount checks AddFlow's preconditions: a client takes
 // at most the flow count it was created for, and flow starts must not
 // decrease, because the flows' first requests wait on one delay line.
-// Flows that were accepted start in order.
+// Flows that were accepted start in order, and the line is dropped once
+// the last declared flow has started.
 func TestRPCClientFlowCount(t *testing.T) {
 	mustPanic := func(what string, f func()) {
 		t.Helper()
@@ -234,11 +236,11 @@ func TestRPCClientFlowCount(t *testing.T) {
 		f()
 	}
 	r := newRig(t, true, 1)
-	c := NewRPCClient(r.kern, 2)
-	a := c.AddFlow(r.ids.Next(), 128, 1024, 10*sim.Microsecond)
-	mustPanic("a start before the previous one", func() { c.AddFlow(r.ids.Next(), 128, 1024, 0) })
-	b := c.AddFlow(r.ids.Next(), 128, 1024, 10*sim.Microsecond)
-	mustPanic("a flow past the declared count", func() { c.AddFlow(r.ids.Next(), 128, 1024, 20*sim.Microsecond) })
+	c := NewRPCClient(r.kern, 2, 128, 1024)
+	a := c.AddFlow(r.ids.Next(), 10*sim.Microsecond)
+	mustPanic("a start before the previous one", func() { c.AddFlow(r.ids.Next(), 0) })
+	b := c.AddFlow(r.ids.Next(), 10*sim.Microsecond)
+	mustPanic("a flow past the declared count", func() { c.AddFlow(r.ids.Next(), 20*sim.Microsecond) })
 	if fl := c.Flows(); len(fl) != 2 || &fl[0] != a || &fl[1] != b {
 		t.Fatalf("Flows() holds %d flows, want the 2 AddFlow returned", len(fl))
 	}
@@ -246,5 +248,24 @@ func TestRPCClientFlowCount(t *testing.T) {
 	if b.reqID != 0 {
 		t.Fatal("the second flow started before the first")
 	}
+	if c.starts == nil {
+		t.Fatal("the start line was dropped before the last flow started")
+	}
 	stepUntil(t, r.eng, func() bool { return b.reqID > 0 })
+	if c.starts != nil {
+		t.Fatal("the start line outlived the last declared flow's start")
+	}
+	if c.retries != nil {
+		t.Fatal("a client without a Timeout holds retry state")
+	}
+}
+
+// An RPC flow holds only what every flow uses: the request and response
+// sizes live on the client, and retry state only in clients with a
+// Timeout. A rack holds thousands of flows, each client's in one
+// slice, so every word counts once per flow.
+func TestRPCFlowSize(t *testing.T) {
+	if got := unsafe.Sizeof(RPCFlow{}); got > 80 {
+		t.Errorf("RPCFlow is %d bytes, want at most 80", got)
+	}
 }
