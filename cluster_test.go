@@ -285,10 +285,11 @@ func TestClusterValidation(t *testing.T) {
 // maxResidentPerFlow bounds the live heap each added closed-loop flow
 // keeps in a running rack: its client state, its packets in flight, its
 // slots in the rings it queues on and its guest flow-table entry. It
-// measures about 495 bytes (go1.24, amd64); flows that each carried
-// their request sizes and retry state, with a start line that outlived
-// set-up, would cross the bound (about 635).
-const maxResidentPerFlow = 560
+// measures about 418 bytes (go1.24, amd64); 32-byte virtqueue
+// descriptors, 96-byte packets and 48-byte vCPU task slots, with a
+// used-ring batch copied on every NAPI poll, would cross the bound
+// (about 493).
+const maxResidentPerFlow = 460
 
 // TestRackResidentPerFlow runs rack1's PI+H+R rack with 2,048 and with
 // 8,192 flows to the middle of its window and takes the live heap after

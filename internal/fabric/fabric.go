@@ -241,7 +241,6 @@ func (p *Port) Send(pkt *netsim.Packet) {
 		panic("fabric: switch has no router")
 	}
 	now := sw.eng.Now()
-	pkt.Sent = now
 	p.TxPkts++
 	p.TxBytes += uint64(pkt.Bytes)
 

@@ -131,7 +131,7 @@ func TestTCPReceiverStretchAck(t *testing.T) {
 	if !ok {
 		t.Fatal("ACK not on TX ring")
 	}
-	ack := d.Payload.(*netsim.Packet)
+	ack := d.Payload
 	if ack.Kind != KindTCPAck || ack.Seq != 10 {
 		t.Fatalf("ack = %+v, want cumulative seq 10", ack)
 	}
@@ -187,7 +187,7 @@ func TestPingResponder(t *testing.T) {
 	if !ok {
 		t.Fatal("reply not on TX ring")
 	}
-	reply := d.Payload.(*netsim.Packet)
+	reply := d.Payload
 	if reply.Kind != KindEchoReply || reply.Seq != 42 || reply.Bytes != 64 || reply.Chain != chain {
 		t.Fatalf("reply = %+v, want the echo's Seq, size and causal chain", reply)
 	}
@@ -273,6 +273,29 @@ func TestTransmitOrDropCountsDrops(t *testing.T) {
 	}
 	if r.kern.Dev.LocalDrops != 1 {
 		t.Fatalf("LocalDrops = %d, want 1", r.kern.Dev.LocalDrops)
+	}
+}
+
+// A datagram the full TX ring refuses has no other holder, so
+// TransmitOrDrop releases it: the sender's next Pool.Get reuses it
+// instead of allocating.
+func TestTransmitOrDropReleasesRefused(t *testing.T) {
+	r := newRig(true)
+	v := r.vm.VCPUs[0]
+	f := NewUDPSender(r.kern, 9, 256)
+	for r.kern.Dev.Transmit(v, f.NextPacket()) {
+	}
+	// The loop's last datagram was refused by Transmit itself, which
+	// releases nothing.
+	p := f.NextPacket()
+	if r.kern.Dev.TransmitOrDrop(v, p) {
+		t.Fatal("TransmitOrDrop succeeded on a full ring")
+	}
+	if !p.Released() {
+		t.Fatal("the refused datagram was not released")
+	}
+	if q := f.NextPacket(); q != p {
+		t.Fatalf("next datagram %p, want the refused %p back from the kernel's pool", q, p)
 	}
 }
 

@@ -89,15 +89,28 @@ func (n *NAPI) poll() {
 	if n.burst > softirqRestartLimit {
 		n.Deferred++
 	}
-	batch := n.pair.RX.CollectUsed(n.weight)
-	if len(batch) == 0 {
+	// Reclaim up to weight used buffers, reading each where it sits in
+	// the used ring: the batch is its packets.
+	pkts, got := n.pkts[:0], 0
+	for got < n.weight {
+		d, ok := n.pair.RX.PopUsed()
+		if !ok {
+			break
+		}
+		got++
+		if d.Payload != nil {
+			pkts = append(pkts, d.Payload)
+		}
+	}
+	n.pkts = pkts
+	if got == 0 {
 		n.finish()
 		return
 	}
 	// Repost receive buffers for the consumed descriptors, kicking the
 	// back-end only if it asked for refill notifications (it does so
 	// exclusively when starved for buffers, so this almost never traps).
-	n.pair.RX.AddBlank(len(batch))
+	n.pair.RX.AddBlank(got)
 	if n.pair.Dev.DoorbellNoExit || n.pair.RX.KickSuppressed() {
 		n.pair.RX.Kick()
 	} else {
@@ -105,20 +118,13 @@ func (n *NAPI) poll() {
 	}
 	var cost sim.Time
 	ca := n.pair.Dev.Kern.VM.K.Causal
-	pkts := n.pkts[:0]
-	for _, d := range batch {
-		p, ok := d.Payload.(*netsim.Packet)
-		if !ok {
-			continue
-		}
+	for _, p := range pkts {
 		// The poller has collected the used buffer: ring-wait closes,
 		// preceded by the captured interrupt episode's stages when the
 		// buffer was already waiting for that interrupt.
 		ca.Collect(&p.Unit, n.pair.ep, v.VM.K.Eng.Now())
-		pkts = append(pkts, p)
 		cost += n.pair.Dev.Kern.rxCost(p)
 	}
-	n.pkts = pkts
 	n.Polled += uint64(len(pkts))
 	name := "napi-rx"
 	if v.VM.K.Prof != nil {

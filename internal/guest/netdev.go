@@ -176,7 +176,7 @@ func (p *QueuePair) txComplete() {
 // is folded into the caller's task, matching free_old_xmit running
 // inside ndo_start_xmit.
 func (p *QueuePair) ReclaimTX() int {
-	n := len(p.TX.CollectUsed(0))
+	n := p.TX.ReclaimUsed()
 	if n > 0 {
 		p.wakeTxWaiters()
 	}
@@ -239,12 +239,16 @@ func (d *NetDev) Transmit(v *vmm.VCPU, pkt *netsim.Packet) bool {
 }
 
 // TransmitOrDrop is Transmit with UDP semantics: a full ring drops the
-// packet locally (qdisc overflow) instead of blocking.
+// packet locally (qdisc overflow) instead of blocking. The caller hands
+// the packet over either way: Transmit refuses it before anything else
+// holds it, so TransmitOrDrop is a dropped packet's terminal consumer
+// and releases it to its pool.
 func (d *NetDev) TransmitOrDrop(v *vmm.VCPU, p *netsim.Packet) bool {
 	if d.Transmit(v, p) {
 		return true
 	}
 	d.LocalDrops++
+	p.Release()
 	return false
 }
 

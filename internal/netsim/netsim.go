@@ -31,9 +31,6 @@ type Packet struct {
 	// asks for, and a response's segment count.
 	ReqID     int64
 	RespBytes int
-	Segs      int
-	// Sent records when the packet entered the wire (stamped by Port.Send).
-	Sent sim.Time
 	// Unit is the event-path probe's state riding this packet: the
 	// per-request causal chain (nil when causal tracking is off) and
 	// the packet's open span. Shallow copies made for duplicate
@@ -44,9 +41,10 @@ type Packet struct {
 	// pool is the free list the packet returns to (nil for a packet
 	// built as a literal).
 	pool *Pool
-	// Kind tags the protocol meaning (endpoint-defined). It shares the
-	// packet's last word with free, which keeps a packet in the 96-byte
-	// allocation size class.
+	// Segs, Kind and free share the packet's last word, which keeps a
+	// packet in the 80-byte allocation size class. Kind tags the
+	// protocol meaning (endpoint-defined).
+	Segs int32
 	Kind uint8
 	// free marks a packet sitting in its pool's free list.
 	free bool
@@ -206,7 +204,6 @@ func (p *Port) Send(pkt *Packet) {
 	}
 	done := start + ser
 	p.busyUntil = done
-	pkt.Sent = now
 	p.PacketsSent++
 	p.BytesSent += uint64(pkt.Bytes)
 	if p.SendFault != nil {

@@ -26,9 +26,6 @@ func TestLinkDelivery(t *testing.T) {
 	if gotAt[0] != want {
 		t.Fatalf("delivered at %v, want %v", gotAt[0], want)
 	}
-	if got[0].Sent != 0 {
-		t.Fatalf("Sent stamp = %v, want 0", got[0].Sent)
-	}
 }
 
 func TestLinkSerializationQueue(t *testing.T) {
@@ -172,7 +169,7 @@ func TestPoolRecycles(t *testing.T) {
 	var pool Pool
 	p := pool.Get()
 	p.Bytes, p.Kind, p.Flow, p.Seq = 100, 1, 2, 3
-	p.ReqID, p.RespBytes, p.Segs, p.Sent = 4, 5, 6, 7
+	p.ReqID, p.RespBytes, p.Segs = 4, 5, 6
 	p.Chain = &causal.Chain{}
 	p.Release()
 	if !p.Released() {
@@ -233,10 +230,10 @@ func TestReleaseLiteralIsNoop(t *testing.T) {
 	}
 }
 
-// A packet stays within the 96-byte allocation size class: every frame
-// in flight is one, and a word more moves each into the 112-byte class.
+// A packet stays within the 80-byte allocation size class: every frame
+// in flight is one, and a word more moves each into the 96-byte class.
 func TestPacketSize(t *testing.T) {
-	if got := unsafe.Sizeof(Packet{}); got > 96 {
-		t.Errorf("Packet is %d bytes, want at most 96", got)
+	if got := unsafe.Sizeof(Packet{}); got > 80 {
+		t.Errorf("Packet is %d bytes, want at most 80", got)
 	}
 }

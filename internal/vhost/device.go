@@ -289,8 +289,7 @@ func (h *txHandler) plan() (sim.Time, func()) {
 		return 0, nil
 	}
 	desc, ok := q.Pop()
-	pkt, _ := desc.Payload.(*netsim.Packet)
-	if pkt != nil {
+	if pkt := desc.Payload; pkt != nil {
 		// Notify closes: the guest's doorbell (or suppressed-kick post)
 		// has reached the back-end handler. The packet remembers whether
 		// its doorbell took an exit, so the span lands on notify-exit or
@@ -330,7 +329,7 @@ func (h *txHandler) plan() (sim.Time, func()) {
 func (h *txHandler) sendEffect() {
 	dev, q, desc := h.dev, h.dev.TXQ, h.desc
 	h.desc = virtio.Desc{}
-	if pkt, _ := desc.Payload.(*netsim.Packet); pkt != nil {
+	if pkt := desc.Payload; pkt != nil {
 		dev.Causal.Mark(&pkt.Unit, causal.StageBackendTX, dev.IO.s.Now())
 		dev.TxPkts++
 		dev.TxBytes += uint64(pkt.Bytes)

@@ -11,7 +11,8 @@
 //     / used_event): this is what guest NAPI uses to mask interrupts
 //     while polling.
 //
-// The queue carries abstract descriptors; timing and exits live in the
+// The queue carries 16-byte descriptors, as the split ring does: a
+// length and the packet the buffer holds. Timing and exits live in the
 // guest/vhost/vmm layers that own the two ends.
 package virtio
 
@@ -19,6 +20,7 @@ import (
 	"fmt"
 
 	"es2/internal/metrics"
+	"es2/internal/netsim"
 	"es2/internal/sim"
 )
 
@@ -27,12 +29,9 @@ import (
 type Desc struct {
 	// Len is the buffer length in bytes.
 	Len int
-	// Payload carries the model object (e.g. a *netsim.Packet).
-	Payload any
-
-	// SpanT is the residency probe's publish stamp: when the probe is
-	// installed, Add stamps it and Pop reads it. Zero otherwise.
-	SpanT sim.Time
+	// Payload is the packet the buffer holds: nil for a blank receive
+	// buffer.
+	Payload *netsim.Packet
 }
 
 // Virtqueue is one split virtqueue.
@@ -41,16 +40,17 @@ type Virtqueue struct {
 	size int
 
 	// avail and used grow with the descriptors they hold, not with the
-	// queue size: used rings and TX avail rings hold a handful at a
-	// time. A pre-posted RX ring holds blank buffers, which carry
-	// nothing but their number, so blanks counts them instead of
-	// filling avail. A queue holds blanks or filled descriptors, never
-	// both at once (see AddBlank), so Pop keeps the posting order.
+	// queue size: TX avail rings hold a handful at a time. A pre-posted
+	// RX ring holds blank buffers, which carry nothing but their
+	// number, so blanks counts them instead of filling avail. A queue
+	// holds blanks or filled descriptors, never both at once (see
+	// AddBlank), so Pop keeps the posting order. The driver reads used
+	// descriptors where they sit (PopUsed, ReclaimUsed).
 	avail    sim.Ring[Desc] // posted by the driver, not yet consumed by the device
 	blanks   int            // blank buffers posted, not yet consumed
 	used     sim.Ring[Desc] // completed by the device, not yet reclaimed by the driver
 	inflight int            // popped by the device, not yet pushed used
-	batch    []Desc         // CollectUsed's result, reused by its next call
+	batch    []Desc         // CollectUsed's result, reused by its next call; nil unless called
 
 	noNotify    bool // device->driver: suppress guest kicks
 	noInterrupt bool // driver->device: suppress device interrupts
@@ -68,12 +68,9 @@ type Virtqueue struct {
 	DropKick   func() bool
 	DropSignal func() bool
 
-	// resLat/resNow implement the residency probe: when installed,
-	// every descriptor's SpanT is stamped at Add and its avail-ring
-	// residency (publish → device dequeue) observed at Pop. Purely
+	// res is the residency probe (see SetResidencyProbe). Purely
 	// observational; nil in normal operation.
-	resLat *metrics.LogHistogram
-	resNow func() sim.Time
+	res *residency
 
 	// Statistics.
 	Kicks             uint64 // kicks actually delivered (each is a VM exit)
@@ -148,8 +145,8 @@ func (q *Virtqueue) Add(d Desc) bool {
 	if q.Full() {
 		return false
 	}
-	if q.resLat != nil {
-		d.SpanT = q.resNow()
+	if q.res != nil {
+		q.res.stamps.Push(q.res.now())
 	}
 	q.avail.Push(d)
 	q.Added++
@@ -168,7 +165,7 @@ func (q *Virtqueue) AddBlank(n int) int {
 	if q.avail.Len() > 0 {
 		panic("virtio: AddBlank to a queue holding filled descriptors")
 	}
-	if q.resLat != nil {
+	if q.res != nil {
 		panic("virtio: AddBlank to a queue with a residency probe")
 	}
 	n = max(min(n, q.Free()), 0)
@@ -215,18 +212,40 @@ func (q *Virtqueue) ForceKick() {
 // suppressed by the device.
 func (q *Virtqueue) KickSuppressed() bool { return q.noNotify }
 
-// CollectUsed reclaims up to max completed descriptors (max <= 0 means
-// all). The returned slice is owned by the queue and overwritten by the
-// next CollectUsed call, so the driver consumes it before collecting
-// again.
-func (q *Virtqueue) CollectUsed(max int) []Desc {
-	n := q.used.Len()
-	if max > 0 && max < n {
-		n = max
+// PopUsed reclaims the oldest completed descriptor, read where it sits
+// in the used ring. It reports false when none is waiting.
+func (q *Virtqueue) PopUsed() (Desc, bool) {
+	if q.used.Len() == 0 {
+		return Desc{}, false
 	}
-	q.batch = q.batch[:0]
+	return q.used.Pop(), true
+}
+
+// ReclaimUsed reclaims every completed descriptor without reading it
+// and returns how many it reclaimed, as a TX driver frees the buffers
+// the device has sent.
+func (q *Virtqueue) ReclaimUsed() int {
+	n := q.used.Len()
 	for i := 0; i < n; i++ {
-		q.batch = append(q.batch, q.used.Pop())
+		q.used.Discard()
+	}
+	return n
+}
+
+// CollectUsed reclaims up to max completed descriptors (max <= 0 means
+// all) for a caller that wants them as a batch. The returned slice is
+// owned by the queue and overwritten by the next CollectUsed call, so
+// the caller consumes it before collecting again. A queue allocates
+// the batch only when CollectUsed is called: the model's drivers read
+// the used ring in place with PopUsed and ReclaimUsed.
+func (q *Virtqueue) CollectUsed(max int) []Desc {
+	q.batch = q.batch[:0]
+	for max <= 0 || len(q.batch) < max {
+		d, ok := q.PopUsed()
+		if !ok {
+			break
+		}
+		q.batch = append(q.batch, d)
 	}
 	return q.batch
 }
@@ -255,8 +274,8 @@ func (q *Virtqueue) Pop() (Desc, bool) {
 	d := q.avail.Pop()
 	q.inflight++
 	q.Popped++
-	if q.resLat != nil {
-		q.resLat.Observe(q.resNow() - d.SpanT)
+	if q.res != nil {
+		q.res.lat.Observe(q.res.now() - q.res.stamps.Pop())
 	}
 	return d, true
 }
@@ -303,24 +322,38 @@ func (q *Virtqueue) CheckInvariants() error {
 	if q.Added-q.Popped != uint64(q.AvailLen()) {
 		return fmt.Errorf("vq %s: Added-Popped=%d but avail holds %d", q.name, q.Added-q.Popped, q.AvailLen())
 	}
+	if q.res != nil && q.res.stamps.Len() != q.AvailLen() {
+		return fmt.Errorf("vq %s: %d residency stamps for %d posted descriptors", q.name, q.res.stamps.Len(), q.AvailLen())
+	}
 	return nil
+}
+
+// residency is the telemetry residency probe. stamps holds the publish
+// instant of each descriptor in the avail ring, in the ring's order: Add
+// pushes one and Pop pops one, and a probed queue never holds blank
+// buffers, which Pop hands out without an Add's stamp. So the stamp Pop
+// reads is always its own descriptor's.
+type residency struct {
+	lat    *metrics.LogHistogram
+	now    func() sim.Time
+	stamps sim.Ring[sim.Time]
 }
 
 // SetResidencyProbe installs the telemetry residency probe: h receives
 // the avail-ring residency (publish → device dequeue) of every
-// descriptor, timed by now. Install during deterministic build, before
-// any descriptor is posted, so every Pop sees a stamped descriptor.
-// Blank buffers carry no stamp, so a queue holding them refuses the
-// probe.
+// descriptor, timed by now. The probe's stamps live in a ring of their
+// own beside the avail ring, so a queue without the probe stores none.
+// Install during deterministic build, before any descriptor is posted:
+// a queue whose avail ring holds anything, blank buffers included,
+// refuses the probe, since what it holds carries no stamp.
 func (q *Virtqueue) SetResidencyProbe(h *metrics.LogHistogram, now func() sim.Time) {
 	if h == nil || now == nil {
 		panic("virtio: residency probe needs a histogram and a clock")
 	}
-	if q.blanks > 0 {
-		panic("virtio: residency probe on a queue holding blank buffers")
+	if q.AvailLen() > 0 {
+		panic("virtio: residency probe on a queue holding posted buffers")
 	}
-	q.resLat = h
-	q.resNow = now
+	q.res = &residency{lat: h, now: now}
 }
 
 // SetNoNotify lets the device suppress (true) or re-enable (false)

@@ -3,6 +3,7 @@ package virtio
 import (
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"es2/internal/metrics"
 	"es2/internal/sim"
@@ -19,6 +20,15 @@ func TestAddPopRoundTrip(t *testing.T) {
 	}
 	if _, ok := q.Pop(); ok {
 		t.Fatal("Pop on empty avail should fail")
+	}
+}
+
+// A descriptor is 16 bytes, as the split ring's own is: a length and a
+// typed packet pointer. Every avail and used slot is one, and a rack's
+// rings keep the depth of their deepest moment.
+func TestDescSize(t *testing.T) {
+	if got := unsafe.Sizeof(Desc{}); got > 16 {
+		t.Errorf("Desc is %d bytes, want at most 16", got)
 	}
 }
 
@@ -356,6 +366,73 @@ func TestBlankMixRefused(t *testing.T) {
 	p.SetResidencyProbe(metrics.NewLogHistogram(), func() sim.Time { return 0 })
 	mustPanic(t, func() { p.AddBlank(1) })
 	mustPanic(t, func() { p.Fill() })
+}
+
+// The residency probe observes each descriptor's own publish → dequeue
+// span: its stamps stay in the avail ring's order when the ring drains
+// and refills, and when adds and pops interleave. A queue without the
+// probe keeps no stamp storage, and one whose avail ring holds a
+// descriptor refuses the probe, since that descriptor has no stamp.
+func TestResidencyProbe(t *testing.T) {
+	var clock sim.Time
+	h := metrics.NewLogHistogram()
+	q := New("tx", 8)
+	q.SetResidencyProbe(h, func() sim.Time { return clock })
+	add := func(at sim.Time) {
+		t.Helper()
+		clock = at
+		if !q.Add(Desc{Len: int(at)}) {
+			t.Fatalf("Add at %v refused", at)
+		}
+	}
+	pop := func(at, residency sim.Time) {
+		t.Helper()
+		clock = at
+		sum := h.Sum()
+		d, ok := q.Pop()
+		if !ok {
+			t.Fatalf("Pop at %v found nothing", at)
+		}
+		if got := h.Sum() - sum; got != residency {
+			t.Fatalf("descriptor posted at %d, popped at %v: residency %v, want %v", d.Len, at, got, residency)
+		}
+		q.PushUsed(d)
+		q.ReclaimUsed()
+	}
+	add(10)
+	add(20)
+	add(30)
+	pop(100, 90)
+	pop(100, 80)
+	pop(105, 75)
+	// Drained: the refill's stamps start afresh.
+	add(200)
+	add(210)
+	pop(250, 50)
+	add(260)
+	pop(300, 90)
+	add(310)
+	pop(400, 140)
+	pop(400, 90)
+	if h.Count() != 7 || q.AvailLen() != 0 {
+		t.Fatalf("%d observations with %d posted, want 7 and none", h.Count(), q.AvailLen())
+	}
+	if err := q.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+
+	u := New("tx", 8)
+	for i := 0; i < 20; i++ {
+		u.Add(Desc{Len: i})
+		d, _ := u.Pop()
+		u.PushUsed(d)
+		u.ReclaimUsed()
+	}
+	if u.res != nil {
+		t.Fatal("a queue without the probe holds stamp storage")
+	}
+	u.Add(Desc{Len: 1})
+	mustPanic(t, func() { u.SetResidencyProbe(metrics.NewLogHistogram(), func() sim.Time { return 0 }) })
 }
 
 // Property: with blank buffers in the mix, the queue still neither

@@ -51,8 +51,7 @@ func (v *VCPU) profLeaf() *profile.Node {
 	case kindGuest:
 		// Interned per task name: the name set is small and static
 		// (irq vectors, workload task names).
-		t := v.current()
-		return v.profPrio[t.Prio].Child(t.Name)
+		return v.profPrio[v.curPrio].Child(v.current().name)
 	}
 	// kindNone never accumulates time (dispatch and NextChunk happen at
 	// the same instant); charge the occupant if it somehow does.

@@ -26,8 +26,8 @@ const (
 // one-shot: long-running guest activities re-enqueue themselves from
 // OnComplete. A task preempted by a higher-priority task (or by the
 // host scheduler) keeps its remaining time and resumes later.
-// EnqueueTask copies a Task field by field, so a new field must be
-// copied there too.
+// EnqueueTask copies a Task field by field into a taskSlot, so a new
+// field must be added to the slot and copied there too.
 type Task struct {
 	Name      string
 	Prio      Prio
@@ -36,13 +36,20 @@ type Task struct {
 	// in guest context: it may enqueue tasks, send packets, trigger
 	// exits, and so on.
 	OnComplete func()
-
-	// irq marks an interrupt handler: its EOI follows OnComplete.
-	irq bool
 }
 
 // NewTask is a convenience constructor. The task it returns can stay
 // on the caller's stack: EnqueueTask copies it.
 func NewTask(name string, prio Prio, d sim.Time, fn func()) *Task {
 	return &Task{Name: name, Prio: prio, Remaining: d, OnComplete: fn}
+}
+
+// taskSlot is a task as a vCPU queues it, 40 bytes. Its priority is the
+// index of the ring that holds it, so the slot does not repeat it.
+type taskSlot struct {
+	name       string
+	remaining  sim.Time
+	onComplete func()
+	// irq marks an interrupt handler: its EOI follows onComplete.
+	irq bool
 }

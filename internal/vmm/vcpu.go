@@ -51,7 +51,7 @@ type VCPU struct {
 	hostCur hostInterval
 	inExit  bool
 	hostQ   sim.Ring[hostInterval]
-	tasks   [numPrios]sim.Ring[Task]
+	tasks   [numPrios]sim.Ring[taskSlot]
 	curPrio Prio
 	mode    chunkKind
 
@@ -171,13 +171,13 @@ func (v *VCPU) EnqueueTask(t *Task) {
 	// read *t, just built by the caller, with wider loads than the
 	// stores that wrote it and stall on them.
 	slot := v.tasks[t.Prio].PushSlot()
-	slot.Name, slot.Prio, slot.Remaining, slot.OnComplete, slot.irq = t.Name, t.Prio, t.Remaining, t.OnComplete, t.irq
+	slot.name, slot.remaining, slot.onComplete = t.Name, t.Remaining, t.OnComplete
 	v.poke()
 }
 
 // current returns the running guest task; call it only while mode is
 // kindGuest.
-func (v *VCPU) current() *Task { return v.tasks[v.curPrio].Front() }
+func (v *VCPU) current() *taskSlot { return v.tasks[v.curPrio].Front() }
 
 // BeginExit queues a VM exit of the given reason on this vCPU: the
 // thread will spend the cost-model-defined interval in root mode before
@@ -238,7 +238,7 @@ func (v *VCPU) NextChunk() sim.Time {
 			if v.tasks[p].Len() > 0 {
 				v.curPrio = Prio(p)
 				v.mode = kindGuest
-				return clampChunk(v.tasks[p].Front().Remaining)
+				return clampChunk(v.tasks[p].Front().remaining)
 			}
 		}
 		v.mode = kindNone
@@ -296,11 +296,10 @@ func (v *VCPU) startHandler(vec apic.Vector) {
 	}
 	// Interrupt handlers nest LIFO: this one runs ahead of any handler
 	// it interrupted.
-	v.tasks[PrioIRQ].PushFront(Task{
-		Name:       irqNames[vec],
-		Prio:       PrioIRQ,
-		Remaining:  v.VM.K.Cost.IRQEntryExit + cost,
-		OnComplete: fn,
+	v.tasks[PrioIRQ].PushFront(taskSlot{
+		name:       irqNames[vec],
+		remaining:  v.VM.K.Cost.IRQEntryExit + cost,
+		onComplete: fn,
 		irq:        true,
 	})
 }
@@ -351,7 +350,7 @@ func (v *VCPU) Ran(d sim.Time) {
 		}
 	case kindGuest:
 		v.GuestTime += d
-		v.current().Remaining -= d
+		v.current().remaining -= d
 	}
 }
 
@@ -392,7 +391,7 @@ func (v *VCPU) ChunkDone() {
 			panic("vmm: completed task is not at its queue head")
 		}
 		t := q.Front()
-		done, irq := t.OnComplete, t.irq
+		done, irq := t.onComplete, t.irq
 		q.Discard()
 		if done != nil {
 			done()

@@ -451,6 +451,15 @@ func TestVMSize(t *testing.T) {
 	}
 }
 
+// A queued guest task is 40 bytes: its ring index gives its priority,
+// so the slot does not repeat it. A rack's vCPU task rings keep the
+// depth of their deepest moment, and a word more per slot is 20% more.
+func TestTaskSlotSize(t *testing.T) {
+	if got := unsafe.Sizeof(taskSlot{}); got > 40 {
+		t.Errorf("taskSlot is %d bytes, want at most 40", got)
+	}
+}
+
 func TestVMStringAndCounts(t *testing.T) {
 	e := newEnv(2, false)
 	vm := e.k.NewVM("web", []int{0, 1})

@@ -200,7 +200,7 @@ func (w *worker) sendResponse() {
 		}
 		pkt := w.srv.Kern.Pool.Get()
 		pkt.Bytes, pkt.Kind, pkt.Flow, pkt.Seq = n, guest.KindResponse, w.flow, int64(i)
-		pkt.ReqID, pkt.Segs = w.id, w.segs
+		pkt.ReqID, pkt.Segs = w.id, int32(w.segs) // at most 1 MiB of response
 		if i == w.segs-1 {
 			pkt.Chain = w.chain
 		}
