@@ -35,7 +35,6 @@ type clusterHost struct {
 	// into lat; server hosts run one Server per VM.
 	clients []*workloads.RPCClient
 	loads   []*workloads.OpenLoopClient
-	servers []*workloads.Server
 	lat     *metrics.LogHistogram
 }
 
@@ -290,8 +289,7 @@ func buildCluster(spec ClusterSpec) (*clusterBed, error) {
 	// run servers. Flow f is issued by client VM f%nc and served by
 	// server VM (f/nc)%ns, so each client fans out over all servers —
 	// round-robin load balancing across hosts.
-	srvCfg := workloads.DefaultServerConfig()
-	srvCfg.ServiceCost = sim.DurationOf(spec.Workload.ServiceCost)
+	serviceCost := sim.DurationOf(spec.Workload.ServiceCost)
 	var clientVMs []vmRef
 	for _, h := range cb.hosts {
 		for vi := range h.vms {
@@ -320,7 +318,7 @@ func buildCluster(spec ClusterSpec) (*clusterBed, error) {
 		}
 	}
 	for _, r := range cb.servers {
-		r.h.servers = append(r.h.servers, workloads.StartServer(r.h.kerns[r.vi], srvCfg))
+		workloads.StartServer(r.h.kerns[r.vi], serviceCost)
 	}
 
 	var ids workloads.FlowIDs

@@ -205,11 +205,10 @@ func TestCritPathWhatIfDirectional(t *testing.T) {
 		t.Fatalf("predicted deltas not negative: p50 %d mean %d", pred.P50DeltaNs, pred.MeanDeltaNs)
 	}
 
-	// Actually speed the delivery stage up: halve the exit, IPI and
-	// injection-entry costs that compose emulated delivery, and rerun.
+	// Actually speed the delivery stage up: halve the exit and IPI
+	// costs that compose emulated delivery, and rerun.
 	costs := vmm.DefaultCosts()
 	costs.ExtIntrExit /= 2
-	costs.InjectionEntry /= 2
 	costs.IPILatency /= 2
 	fast := base
 	fast.testCosts = &costs

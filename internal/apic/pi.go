@@ -24,11 +24,6 @@ type PIDescriptor struct {
 	// back to the emulated path while the facility is down.
 	unavailable bool
 
-	// NotificationVector is the special host vector that triggers
-	// hardware posted-interrupt processing instead of a normal host
-	// interrupt (KVM's POSTED_INTR_VECTOR, 0xF2 on Linux).
-	NotificationVector Vector
-
 	// Posts counts Post calls; Notifications counts the subset that
 	// required sending the notification IPI.
 	Posts         uint64

@@ -41,8 +41,6 @@ type Costs struct {
 	// IRQHandler is the device ISR body (reading the ISR status,
 	// scheduling NAPI).
 	IRQHandler sim.Time
-	// ReclaimPerBuf is the cost of reclaiming one used TX descriptor.
-	ReclaimPerBuf sim.Time
 	// BurnChunk is the chunk length of the lowest-priority CPU-burn
 	// filler.
 	BurnChunk sim.Time
@@ -64,7 +62,6 @@ func DefaultCosts() Costs {
 		AckTX:         900 * sim.Nanosecond,
 		NAPIPoll:      500 * sim.Nanosecond,
 		IRQHandler:    800 * sim.Nanosecond,
-		ReclaimPerBuf: 40 * sim.Nanosecond,
 		BurnChunk:     50 * sim.Microsecond,
 	}
 }

@@ -30,12 +30,8 @@ type NAPI struct {
 	pkts              []*netsim.Packet
 	flows             []BatchHandler
 
-	// Rounds counts poll rounds; Polled counts packets processed.
+	// Rounds counts poll rounds.
 	Rounds uint64
-	Polled uint64
-	// Deferred counts poll rounds demoted to process-context priority
-	// (the ksoftirqd path).
-	Deferred uint64
 }
 
 // softirqRestartLimit bounds how many consecutive poll rounds run at
@@ -86,9 +82,6 @@ func (n *NAPI) poll() {
 	v := n.vcpu
 	n.Rounds++
 	n.burst++
-	if n.burst > softirqRestartLimit {
-		n.Deferred++
-	}
 	// Reclaim up to weight used buffers, reading each where it sits in
 	// the used ring: the batch is its packets.
 	pkts, got := n.pkts[:0], 0
@@ -125,7 +118,6 @@ func (n *NAPI) poll() {
 		ca.Collect(&p.Unit, n.pair.ep, v.VM.K.Eng.Now())
 		cost += n.pair.Dev.Kern.rxCost(p)
 	}
-	n.Polled += uint64(len(pkts))
 	name := "napi-rx"
 	if v.VM.K.Prof != nil {
 		// Label the batch by protocol for CPU attribution. Task names

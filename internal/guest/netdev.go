@@ -57,8 +57,6 @@ type NetDev struct {
 	// benefits from VT-d PI and redirection).
 	DoorbellNoExit bool
 
-	// TxKickExits counts kicks that became I/O-instruction exits.
-	TxKickExits uint64
 	// WatchdogFires counts TX watchdog re-kicks (see StartTxWatchdog).
 	WatchdogFires uint64
 	// LocalDrops counts packets dropped in the guest because the TX
@@ -233,7 +231,6 @@ func (d *NetDev) Transmit(v *vmm.VCPU, pkt *netsim.Packet) bool {
 		p.TX.Kick() // direct doorbell or suppressed: no exit
 		return true
 	}
-	d.TxKickExits++
 	v.BeginExit(vmm.ExitIOInstruction, p.txKick)
 	return true
 }

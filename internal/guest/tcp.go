@@ -6,29 +6,21 @@ import (
 	"es2/internal/vmm"
 )
 
-// TCPSender is the guest-side state of one outbound TCP stream: a
-// congestion window that opens on ACK clocking (slow start toward the
-// socket-buffer cap; the back-to-back testbed link never drops, so no
-// loss recovery is modeled — cwnd saturates at MaxWindow, exactly as on
-// the authors' 40GbE testbed).
-type TCPSender struct {
-	Kern     *Kernel
-	FlowID   int
-	SegBytes int
-	// MaxWindow caps the in-flight segments (min of socket buffer and
+// GoBackN is the window and go-back-N loss recovery of one TCP sender,
+// shared by the guest's TCPSender and the peer's workloads.TCPSource.
+// A zero RTO disables recovery, the lossless-testbed default. Each
+// sender arms the timer with ArmRTO at its own points in its send and
+// ACK paths.
+type GoBackN struct {
+	// maxWindow caps the in-flight segments (min of socket buffer and
 	// the peer's advertised window).
-	MaxWindow int
+	maxWindow  int
+	initWindow int
+	cwnd       int // the window, never above maxWindow
+	inFlight   int
+	nextSeq    int64
+	lastAcked  int64
 
-	cwnd      int
-	inFlight  int
-	nextSeq   int64
-	lastAcked int64
-
-	onWindowOpen func()
-
-	// rto is the base retransmission timeout (from Kernel.RetransmitRTO
-	// at creation; zero disables loss recovery, the lossless-testbed
-	// default). curRTO carries the exponential backoff.
 	rto    sim.Time
 	curRTO sim.Time
 	rtoEvt sim.Handle
@@ -40,83 +32,133 @@ type TCPSender struct {
 	Retransmits uint64
 }
 
-// NewTCPSender registers and returns a sender flow. The initial window
-// is 10 segments (IW10).
-func NewTCPSender(k *Kernel, flowID, segBytes, maxWindow int) *TCPSender {
-	f := &TCPSender{Kern: k, FlowID: flowID, SegBytes: segBytes, MaxWindow: maxWindow, cwnd: 10}
-	if f.cwnd > maxWindow {
-		f.cwnd = maxWindow
-	}
-	f.rto = k.RetransmitRTO
-	f.curRTO = f.rto
-	k.RegisterFlow(flowID, f)
-	return f
+// NewGoBackN returns a sender's window state: initWindow segments
+// (capped at maxWindow) to start, and a base retransmission timeout of
+// rto (zero disables recovery).
+func NewGoBackN(initWindow, maxWindow int, rto sim.Time) GoBackN {
+	iw := min(initWindow, maxWindow)
+	return GoBackN{maxWindow: maxWindow, initWindow: iw, cwnd: iw, rto: rto, curRTO: rto}
 }
 
 // Window returns the current effective window in segments.
-func (f *TCPSender) Window() int {
-	if f.cwnd < f.MaxWindow {
-		return f.cwnd
-	}
-	return f.MaxWindow
-}
+func (g *GoBackN) Window() int { return g.cwnd }
 
 // CanSend reports whether the window admits another segment.
-func (f *TCPSender) CanSend() bool { return f.inFlight < f.Window() }
+func (g *GoBackN) CanSend() bool { return g.inFlight < g.Window() }
 
 // InFlight returns the number of unacknowledged segments.
-func (f *TCPSender) InFlight() int { return f.inFlight }
+func (g *GoBackN) InFlight() int { return g.inFlight }
+
+// Next accounts one more segment in flight and returns its sequence
+// number.
+func (g *GoBackN) Next() int64 {
+	seq := g.nextSeq
+	g.nextSeq++
+	g.inFlight++
+	g.SentSegs++
+	return seq
+}
+
+// ArmRTO starts the retransmission timer, calling onRTO at its expiry,
+// if recovery is enabled, segments are in flight and no timer is
+// already pending.
+func (g *GoBackN) ArmRTO(eng *sim.Engine, onRTO func()) {
+	if g.rto <= 0 || g.rtoEvt.Active() || g.inFlight == 0 {
+		return
+	}
+	g.rtoEvt = eng.After(g.curRTO, onRTO)
+}
+
+// Timeout applies a retransmission timeout: rewind to the last
+// cumulative ACK, restart from the initial window and double the timer
+// up to its cap. It reports false, and does nothing, when nothing is
+// in flight.
+func (g *GoBackN) Timeout() bool {
+	if g.inFlight == 0 {
+		return false
+	}
+	g.Retransmits++
+	g.nextSeq = g.lastAcked
+	g.inFlight = 0
+	g.cwnd = g.initWindow
+	g.curRTO = min(2*g.curRTO, 8*g.rto)
+	return true
+}
+
+// Ack applies the cumulative ACK seq: the window grows by one segment
+// per segment acknowledged, up to its cap, and the pending timer and
+// its backoff are reset. An ACK that acknowledges nothing new changes
+// nothing and reports false.
+func (g *GoBackN) Ack(seq int64) bool {
+	acked := seq - g.lastAcked
+	if acked <= 0 {
+		return false
+	}
+	g.lastAcked = seq
+	g.inFlight = max(g.inFlight-int(acked), 0)
+	g.AckedSegs += uint64(acked)
+	g.curRTO = g.rto
+	g.rtoEvt.Cancel()
+	g.cwnd = min(g.cwnd+int(acked), g.maxWindow)
+	return true
+}
+
+// TCPSender is the guest-side state of one outbound TCP stream. Its
+// window opens on ACK clocking (slow start toward the socket-buffer
+// cap); the back-to-back testbed link never drops, so cwnd saturates at
+// the cap, exactly as on the authors' 40GbE testbed. Loss recovery
+// (Kernel.RetransmitRTO) serves only fault-injected runs.
+type TCPSender struct {
+	GoBackN
+	Kern     *Kernel
+	FlowID   int
+	SegBytes int
+
+	onWindowOpen func()
+	// rtoFn is onRTO, bound once.
+	rtoFn func()
+}
+
+// NewTCPSender registers and returns a sender flow. The initial window
+// is 10 segments (IW10).
+func NewTCPSender(k *Kernel, flowID, segBytes, maxWindow int) *TCPSender {
+	f := &TCPSender{GoBackN: NewGoBackN(10, maxWindow, k.RetransmitRTO), Kern: k, FlowID: flowID, SegBytes: segBytes}
+	f.rtoFn = f.onRTO
+	k.RegisterFlow(flowID, f)
+	return f
+}
 
 // NextSegment builds the next data segment and accounts it in flight.
 // The caller transmits it via the NetDev.
 func (f *TCPSender) NextSegment() *netsim.Packet {
 	p := f.Kern.Pool.Get()
-	p.Bytes, p.Kind, p.Flow, p.Seq = f.SegBytes, KindTCPData, f.FlowID, f.nextSeq
-	f.nextSeq++
-	f.inFlight++
-	f.SentSegs++
-	f.armRTO()
+	p.Bytes, p.Kind, p.Flow, p.Seq = f.SegBytes, KindTCPData, f.FlowID, f.Next()
+	f.ArmRTO(f.Kern.Engine(), f.rtoFn)
 	return p
 }
 
-// armRTO starts the retransmission timer if loss recovery is enabled
-// and no timer is already pending.
-func (f *TCPSender) armRTO() {
-	if f.rto <= 0 || f.rtoEvt.Active() {
-		return
-	}
-	f.rtoEvt = f.Kern.Engine().After(f.curRTO, f.onRTO)
-}
-
-// onRTO is the go-back-N retransmission timeout: rewind to the last
-// cumulative ACK, restart from a slow-start window, and back off the
-// timer exponentially (capped at 8x the base RTO).
+// onRTO is the retransmission timeout: go back to the last cumulative
+// ACK and resume a sender blocked on the window.
 func (f *TCPSender) onRTO() {
-	if f.inFlight <= 0 {
-		return
-	}
-	f.Retransmits++
-	f.Kern.TCPRetransmits++
-	f.nextSeq = f.lastAcked
-	f.inFlight = 0
-	f.cwnd = 10
-	if f.cwnd > f.MaxWindow {
-		f.cwnd = f.MaxWindow
-	}
-	f.curRTO *= 2
-	if max := 8 * f.rto; f.curRTO > max {
-		f.curRTO = max
-	}
-	if f.onWindowOpen != nil && f.CanSend() {
-		fn := f.onWindowOpen
-		f.onWindowOpen = nil
-		fn()
+	if f.Timeout() {
+		f.Kern.TCPRetransmits++
+		f.windowOpened()
 	}
 }
 
 // WaitWindow registers a one-shot callback invoked when ACKs reopen the
 // window.
 func (f *TCPSender) WaitWindow(fn func()) { f.onWindowOpen = fn }
+
+// windowOpened runs the WaitWindow callback if the window admits a
+// segment.
+func (f *TCPSender) windowOpened() {
+	if f.onWindowOpen != nil && f.CanSend() {
+		fn := f.onWindowOpen
+		f.onWindowOpen = nil
+		fn()
+	}
+}
 
 // RXCost implements FlowHandler: incoming packets on a sender flow are
 // pure ACKs.
@@ -126,38 +168,11 @@ func (f *TCPSender) RXCost(p *netsim.Packet) sim.Time { return f.Kern.Costs.AckR
 func (f *TCPSender) HandleRX(p *netsim.Packet, v *vmm.VCPU) {
 	kind, seq := p.Kind, p.Seq
 	p.Release()
-	if kind != KindTCPAck {
+	if kind != KindTCPAck || !f.Ack(seq) {
 		return
 	}
-	acked := seq - f.lastAcked
-	if acked <= 0 {
-		return
-	}
-	f.lastAcked = seq
-	f.inFlight -= int(acked)
-	if f.inFlight < 0 {
-		f.inFlight = 0
-	}
-	f.AckedSegs += uint64(acked)
-	// Forward progress: reset the backoff and re-arm for what remains.
-	if f.rto > 0 {
-		f.curRTO = f.rto
-		f.rtoEvt.Cancel()
-		if f.inFlight > 0 {
-			f.armRTO()
-		}
-	}
-	// Slow-start growth toward the cap; the lossless link never
-	// triggers congestion avoidance.
-	f.cwnd += int(acked)
-	if f.cwnd > f.MaxWindow {
-		f.cwnd = f.MaxWindow
-	}
-	if f.onWindowOpen != nil && f.CanSend() {
-		fn := f.onWindowOpen
-		f.onWindowOpen = nil
-		fn()
-	}
+	f.ArmRTO(f.Kern.Engine(), f.rtoFn)
+	f.windowOpened()
 }
 
 // TCPReceiver is the guest-side state of one inbound TCP stream. The
@@ -191,10 +206,9 @@ type TCPReceiver struct {
 	// the application completes).
 	BytesReceived uint64
 	Segs          uint64
-	// AcksSent counts outbound ACKs; AckDrops counts ACKs lost to a
-	// full TX ring (recovered by later cumulative ACKs).
+	// AcksSent counts outbound ACKs. An ACK lost to a full TX ring is
+	// recovered by a later cumulative ACK.
 	AcksSent uint64
-	AckDrops uint64
 }
 
 // NewTCPReceiver registers and returns a receiver flow.
@@ -240,8 +254,6 @@ func (f *TCPReceiver) BatchEnd(v *vmm.VCPU) {
 		ack.Bytes, ack.Kind, ack.Flow, ack.Seq = 66, KindTCPAck, f.FlowID, f.expected
 		if f.Kern.Dev.Transmit(v, ack) {
 			f.AcksSent++
-		} else {
-			f.AckDrops++
 		}
 	}
 	f.runApp(v)

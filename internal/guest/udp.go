@@ -15,7 +15,6 @@ type UDPSender struct {
 	FlowID   int
 	PktBytes int
 	nextSeq  int64
-	SentPkts uint64
 }
 
 // NewUDPSender registers and returns a UDP sender flow (registered so
@@ -31,7 +30,6 @@ func (f *UDPSender) NextPacket() *netsim.Packet {
 	p := f.Kern.Pool.Get()
 	p.Bytes, p.Kind, p.Flow, p.Seq = f.PktBytes, KindUDP, f.FlowID, f.nextSeq
 	f.nextSeq++
-	f.SentPkts++
 	return p
 }
 
@@ -77,7 +75,6 @@ type PingResponder struct {
 	FlowID int
 
 	Replies uint64
-	Drops   uint64
 }
 
 // NewPingResponder registers and returns an ICMP responder flow.
@@ -104,7 +101,5 @@ func (f *PingResponder) HandleRX(p *netsim.Packet, v *vmm.VCPU) {
 	p.Release()
 	if f.Kern.Dev.Transmit(v, reply) {
 		f.Replies++
-	} else {
-		f.Drops++
 	}
 }

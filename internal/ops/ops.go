@@ -69,7 +69,6 @@ type Server struct {
 
 	events     uint64
 	simSec     float64
-	wallSec    float64
 	fired      uint64
 	cleared    uint64
 	active     uint64
@@ -126,7 +125,6 @@ func (s *Server) FinishRun(u RunUpdate) {
 	s.curName, s.curSeed = "", 0
 	s.events += u.EventsFired
 	s.simSec += u.SimSeconds
-	s.wallSec += u.WallSeconds
 	s.fired += u.AlertsFired
 	s.cleared += u.AlertsCleared
 	s.active += u.AlertsActive

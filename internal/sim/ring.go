@@ -61,6 +61,17 @@ func (r *Ring[T]) Pop() T {
 	return v
 }
 
+// TryPop removes and returns the head value, or reports false on an
+// empty ring, for a caller that would otherwise check Len before Pop.
+func (r *Ring[T]) TryPop() (v T, ok bool) {
+	if r.n == 0 {
+		return v, false
+	}
+	v = r.buf[r.head]
+	r.Discard()
+	return v, true
+}
+
 // Discard removes the head value without returning it, for a caller
 // that has read what it needs in place through Front. It panics on an
 // empty ring.

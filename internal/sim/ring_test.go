@@ -178,7 +178,8 @@ func TestRingAllocs(t *testing.T) {
 const (
 	ringPush      = 0 // and 1, 2
 	ringPushFront = 3 // and 4
-	ringPop       = 5 // and 6
+	ringPop       = 5
+	ringTryPop    = 6
 	ringClear     = 7
 	ringPushSlot  = 8
 	ringDiscard   = 9
@@ -186,19 +187,20 @@ const (
 	numRingOps    = 11
 )
 
-// FuzzRing runs a stream of Push, PushSlot, PushFront, Pop, Discard,
-// Clear and Grow ops against a ring and a slice. After every op the two
-// must hold the same values in the same order, and every slot outside
-// the ring's values must be zero. After a Grow the storage must hold
-// its count more values; a Grow that finds room, or whose count is not
-// positive, must leave the storage as it was, and one that does not
-// must allocate the smallest power of two, from four, that does.
+// FuzzRing runs a stream of Push, PushSlot, PushFront, Pop, TryPop,
+// Discard, Clear and Grow ops against a ring and a slice. After every
+// op the two must hold the same values in the same order, and every
+// slot outside the ring's values must be zero. After a Grow the storage
+// must hold its count more values; a Grow that finds room, or whose
+// count is not positive, must leave the storage as it was, and one that
+// does not must allocate the smallest power of two, from four, that
+// does.
 func FuzzRing(f *testing.F) {
 	f.Add([]byte{})
 	// Wrap with pops, then grow while wrapped, then drain.
 	f.Add([]byte{0, 0, 0, 5, 5, 0, 0, 0, 0, 0, 0, 5, 5, 5, 5, 5, 5, 5, 5})
-	// PushFront wrapping head below 0 and growing, pops on an empty
-	// ring, then a Clear and reuse.
+	// PushFront wrapping head below 0 and growing, a drain, a TryPop on
+	// the empty ring, then a Clear and reuse.
 	f.Add([]byte{3, 3, 3, 3, 3, 0, 4, 5, 5, 5, 5, 5, 5, 5, 6, 0, 3, 7, 0, 5})
 	// PushSlot filling and growing a wrapped ring, then Discards past
 	// empty.
@@ -232,12 +234,24 @@ func FuzzRing(f *testing.F) {
 			case ringPushFront, ringPushFront + 1:
 				r.PushFront(v)
 				ref = slices.Insert(ref, 0, v)
-			case ringPop, ringPop + 1:
+			case ringPop:
 				if len(ref) == 0 {
 					continue
 				}
 				if got := r.Pop(); got != ref[0] {
 					t.Fatalf("op %d: Pop = %d, want %d", i, got, ref[0])
+				}
+				ref = ref[1:]
+			case ringTryPop:
+				got, ok := r.TryPop()
+				if len(ref) == 0 {
+					if ok || got != 0 {
+						t.Fatalf("op %d: TryPop of an empty ring = %d, %v", i, got, ok)
+					}
+					continue
+				}
+				if !ok || got != ref[0] {
+					t.Fatalf("op %d: TryPop = %d, %v, want %d, true", i, got, ok, ref[0])
 				}
 				ref = ref[1:]
 			case ringDiscard:

@@ -81,13 +81,12 @@ type IOThread struct {
 	track trace.TrackID
 	turnT sim.Time
 
-	// Turns counts handler turns; Switches counts handler dispatches.
+	// Turns counts handler turns.
 	Turns uint64
 
-	// Stalls and StallTime count injected worker stalls (fault
-	// injection; see InjectStall).
-	Stalls    uint64
-	StallTime sim.Time
+	// Stalls counts injected worker stalls (fault injection; see
+	// InjectStall).
+	Stalls uint64
 }
 
 // NewIOThread creates the worker pinned to the given core.
@@ -187,11 +186,11 @@ func (t *IOThread) NextChunk() sim.Time {
 			}
 			return t.remaining
 		}
-		if t.work.Len() == 0 {
-			return 0 // sleep
+		// Dispatch the next handler turn, or sleep.
+		next, ok := t.work.TryPop()
+		if !ok {
+			return 0
 		}
-		// Dispatch the next handler turn.
-		next := t.work.Pop()
 		next.bit().queued = false
 		t.cur = next
 		t.Turns++
@@ -236,7 +235,6 @@ func (t *IOThread) InjectStall(d sim.Time) {
 		return
 	}
 	t.Stalls++
-	t.StallTime += d
 	t.enqueue(&stallHandler{io: t, d: d})
 }
 

@@ -214,12 +214,7 @@ func (q *Virtqueue) KickSuppressed() bool { return q.noNotify }
 
 // PopUsed reclaims the oldest completed descriptor, read where it sits
 // in the used ring. It reports false when none is waiting.
-func (q *Virtqueue) PopUsed() (Desc, bool) {
-	if q.used.Len() == 0 {
-		return Desc{}, false
-	}
-	return q.used.Pop(), true
-}
+func (q *Virtqueue) PopUsed() (Desc, bool) { return q.used.TryPop() }
 
 // ReclaimUsed reclaims every completed descriptor without reading it
 // and returns how many it reclaimed, as a TX driver frees the buffers
@@ -268,10 +263,10 @@ func (q *Virtqueue) Pop() (Desc, bool) {
 		q.Popped++
 		return Desc{}, true
 	}
-	if q.avail.Len() == 0 {
+	d, ok := q.avail.TryPop()
+	if !ok {
 		return Desc{}, false
 	}
-	d := q.avail.Pop()
 	q.inflight++
 	q.Popped++
 	if q.res != nil {

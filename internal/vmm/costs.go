@@ -28,9 +28,6 @@ type CostModel struct {
 	APICAccessExit sim.Time
 	// OtherExit is the cost of a background exit (EPT violation etc.).
 	OtherExit sim.Time
-	// InjectionEntry is the extra VM-entry work when an interrupt is
-	// injected during the entry.
-	InjectionEntry sim.Time
 	// IPILatency is the physical inter-processor-interrupt flight time
 	// from the signaling core to the target core.
 	IPILatency sim.Time
@@ -62,7 +59,6 @@ func DefaultCosts() CostModel {
 		ExtIntrExit:     2600 * sim.Nanosecond,
 		APICAccessExit:  1900 * sim.Nanosecond,
 		OtherExit:       2500 * sim.Nanosecond,
-		InjectionEntry:  600 * sim.Nanosecond,
 		IPILatency:      400 * sim.Nanosecond,
 		PINotifyLatency: 250 * sim.Nanosecond,
 		IRQEntryExit:    700 * sim.Nanosecond,

@@ -59,8 +59,6 @@ type KVM struct {
 	piNotify *sim.DelayLine[*VCPU]
 	ipiKick  *sim.DelayLine[*VCPU]
 
-	// IPIsSent counts kick IPIs (baseline) and PI notification IPIs.
-	IPIsSent uint64
 	// PIFallbacks counts deliveries that wanted the posted path but
 	// fell back to emulated injection because the target vCPU's PI
 	// facility was unavailable (fault injection).
@@ -134,7 +132,6 @@ func (k *KVM) DeliverLocal(v *VCPU, vec apic.Vector) {
 // the next VM entry.
 func (k *KVM) postInterrupt(v *VCPU, vec apic.Vector) {
 	if v.PID.Post(vec) {
-		k.IPIsSent++
 		k.piNotify.After(k.Cost.PINotifyLatency, v)
 	}
 	if v.Thread.State() == sched.Sleeping {
@@ -161,7 +158,6 @@ func (k *KVM) injectEmulated(v *VCPU, vec apic.Vector) {
 	v.VAPIC.RequestIRQ(vec)
 	switch {
 	case v.InGuestMode():
-		k.IPIsSent++
 		k.ipiKick.After(k.Cost.IPILatency, v)
 	case v.Thread.State() == sched.Sleeping:
 		k.Sched.Wake(v.Thread)

@@ -113,13 +113,8 @@ func newVCPU(vm *VM, id, coreID int) *VCPU {
 	if vm.K.Prof != nil {
 		v.enableProfiling(vm.K.Prof, coreID)
 	}
-	v.PID.NotificationVector = PINotificationVector
 	return v
 }
-
-// PINotificationVector is the host vector reserved for posted-interrupt
-// notifications (Linux's POSTED_INTR_VECTOR).
-const PINotificationVector apic.Vector = 0xF2
 
 // AddSchedInHook registers fn to run whenever the vCPU thread is
 // scheduled onto a core (the kvm_sched_in preemption notifier).

@@ -46,7 +46,7 @@ func roundTripAllocs(t *testing.T, r *rig, count func() uint64) float64 {
 // response back to the peer.
 func TestMemaslapRoundTripAllocs(t *testing.T) {
 	r := newRig(t, true, 1)
-	StartServer(r.kern, DefaultServerConfig())
+	StartServer(r.kern, 8*sim.Microsecond)
 	m := StartMemaslap(r.peer, &r.ids, 1, 1)
 	if got := roundTripAllocs(t, r, func() uint64 { return m.Completed }); got != 0 {
 		t.Errorf("memaslap round trip: %v allocs/op, want 0", got)

@@ -27,24 +27,25 @@ type Memaslap struct {
 	Lat       *metrics.LogHistogram
 
 	started map[int64]sim.Time
-
-	// Request/response sizes (memaslap defaults: 64B keys, 1KB values).
-	GetReqBytes, GetRespBytes int
-	SetReqBytes, SetRespBytes int
-	// GetEvery is the get:set cycle length (10 → 9 gets, 1 set).
-	GetEvery int
 }
+
+// Memaslap's request and response sizes (memaslap defaults: 64B keys,
+// 1KB values) and its get:set cycle length (10 → 9 gets, 1 set).
+const (
+	getReqBytes, getRespBytes = 105, 1088
+	setReqBytes, setRespBytes = 1130, 71
+	getEvery                  = 10
+)
+
+// synTimeout is ApacheBench's and Httperf's SYN retransmission timer
+// (a substitution EXPERIMENTS.md records).
+const synTimeout = 1 * sim.Second
 
 // StartMemaslap opens conns pre-established connections and keeps
 // concurrency requests outstanding. Its outstanding-request table and
 // the peer's send line are sized once for that initial burst.
 func StartMemaslap(pe *Peer, ids *FlowIDs, conns, concurrency int) *Memaslap {
-	m := &Memaslap{
-		peer: pe, Lat: metrics.NewLogHistogram(), started: make(map[int64]sim.Time, concurrency),
-		GetReqBytes: 105, GetRespBytes: 1088,
-		SetReqBytes: 1130, SetRespBytes: 71,
-		GetEvery: 10,
-	}
+	m := &Memaslap{peer: pe, Lat: metrics.NewLogHistogram(), started: make(map[int64]sim.Time, concurrency)}
 	for i := 0; i < conns; i++ {
 		fid := ids.Next()
 		m.conns = append(m.conns, fid)
@@ -59,10 +60,9 @@ func StartMemaslap(pe *Peer, ids *FlowIDs, conns, concurrency int) *Memaslap {
 
 func (m *Memaslap) sendNext(flow int) {
 	m.count++
-	isSet := m.count%int64(m.GetEvery) == 0
-	reqBytes, respBytes := m.GetReqBytes, m.GetRespBytes
-	if isSet {
-		reqBytes, respBytes = m.SetReqBytes, m.SetRespBytes
+	reqBytes, respBytes := getReqBytes, getRespBytes
+	if m.count%getEvery == 0 {
+		reqBytes, respBytes = setReqBytes, setRespBytes
 	}
 	id := m.seq
 	m.seq++
@@ -103,12 +103,12 @@ type ApacheBench struct {
 	BytesReceived uint64
 	ConnTime      *metrics.LogHistogram
 
-	PageBytes   int
-	ReqBytes    int
-	SYNTimeout  sim.Time
-	seq         int64
-	workerState []*abWorker
+	PageBytes int
+	seq       int64
 }
+
+// abReqBytes is the size of ApacheBench's GET request.
+const abReqBytes = 120
 
 type abWorker struct {
 	ab        *ApacheBench
@@ -116,7 +116,6 @@ type abWorker struct {
 	connSeq   int64
 	reqID     int64
 	synSent   sim.Time
-	gotBytes  int
 	state     int // 0 idle, 1 awaiting SYNACK, 2 awaiting response
 	retxTimer sim.Handle
 }
@@ -124,13 +123,9 @@ type abWorker struct {
 // StartApacheBench launches the load generator with the given
 // concurrency.
 func StartApacheBench(pe *Peer, ids *FlowIDs, concurrency, pageBytes int) *ApacheBench {
-	ab := &ApacheBench{
-		peer: pe, PageBytes: pageBytes, ReqBytes: 120,
-		SYNTimeout: 1 * sim.Second, ConnTime: metrics.NewLogHistogram(),
-	}
+	ab := &ApacheBench{peer: pe, PageBytes: pageBytes, ConnTime: metrics.NewLogHistogram()}
 	for i := 0; i < concurrency; i++ {
 		w := &abWorker{ab: ab, flow: ids.Next()}
-		ab.workerState = append(ab.workerState, w)
 		pe.Register(w.flow, w)
 		w.connect()
 	}
@@ -139,7 +134,6 @@ func StartApacheBench(pe *Peer, ids *FlowIDs, concurrency, pageBytes int) *Apach
 
 func (w *abWorker) connect() {
 	w.state = 1
-	w.gotBytes = 0
 	w.connSeq++
 	w.synSent = w.ab.peer.Eng.Now()
 	w.sendSYN()
@@ -150,7 +144,7 @@ func (w *abWorker) sendSYN() {
 	syn := w.ab.peer.Pool.Get()
 	syn.Bytes, syn.Kind, syn.Flow, syn.Seq = 74, guest.KindSYN, w.flow, seq
 	w.ab.peer.Port.Send(syn)
-	w.retxTimer = w.ab.peer.Eng.After(w.ab.SYNTimeout, func() {
+	w.retxTimer = w.ab.peer.Eng.After(synTimeout, func() {
 		if w.state == 1 && w.connSeq == seq {
 			w.sendSYN() // SYN lost or unanswered: retransmit
 		}
@@ -171,14 +165,13 @@ func (w *abWorker) PeerReceive(p *netsim.Packet) {
 		w.reqID = w.ab.seq
 		w.ab.seq++
 		req := w.ab.peer.Pool.Get()
-		req.Bytes, req.Kind, req.Flow = w.ab.ReqBytes, guest.KindRequest, w.flow
+		req.Bytes, req.Kind, req.Flow = abReqBytes, guest.KindRequest, w.flow
 		req.ReqID, req.RespBytes = w.reqID, w.ab.PageBytes
 		w.ab.peer.Send(req)
 	case guest.KindResponse:
 		if w.state != 2 || p.ReqID != w.reqID {
 			return
 		}
-		w.gotBytes += p.Bytes
 		w.ab.BytesReceived += uint64(p.Bytes)
 		if p.Seq == int64(p.Segs-1) {
 			w.ab.Completed++
@@ -198,9 +191,7 @@ func (w *abWorker) PeerReceive(p *netsim.Packet) {
 type Httperf struct {
 	peer *Peer
 
-	Rate       float64 // connections per second
-	PageBytes  int
-	SYNTimeout sim.Time
+	PageBytes int
 
 	// ConnTime aggregates per-connection establishment times.
 	ConnTime *metrics.LogHistogram
@@ -223,10 +214,7 @@ type httperfConn struct {
 
 // StartHttperf begins initiating connections at rate per second.
 func StartHttperf(pe *Peer, ids *FlowIDs, rate float64, pageBytes int) *Httperf {
-	h := &Httperf{
-		peer: pe, Rate: rate, PageBytes: pageBytes,
-		SYNTimeout: 1 * sim.Second, ConnTime: metrics.NewLogHistogram(), ids: ids,
-	}
+	h := &Httperf{peer: pe, PageBytes: pageBytes, ConnTime: metrics.NewLogHistogram(), ids: ids}
 	interval := sim.Time(1e9 / rate)
 	var tick func()
 	tick = func() {
@@ -248,7 +236,7 @@ func (c *httperfConn) sendSYN() {
 	syn := c.h.peer.Pool.Get()
 	syn.Bytes, syn.Kind, syn.Flow, syn.Seq = 74, guest.KindSYN, c.flow, 1
 	c.h.peer.Port.Send(syn)
-	c.h.peer.Eng.After(c.h.SYNTimeout, func() {
+	c.h.peer.Eng.After(synTimeout, func() {
 		if c.state == 1 {
 			c.sendSYN()
 		}

@@ -171,95 +171,50 @@ func (s *UDPSink) PeerReceive(p *netsim.Packet) {
 // counted there, as netperf does).
 func NetperfRecvTCP(kern *guest.Kernel, pe *Peer, flowID, msgBytes, window int) (*guest.TCPReceiver, *TCPSource) {
 	r := guest.NewTCPReceiver(kern, flowID)
-	src := &TCPSource{peer: pe, flowID: flowID, segBytes: msgBytes, window: window}
-	src.rto = pe.RetransmitRTO
-	src.curRTO = src.rto
+	src := &TCPSource{GoBackN: guest.NewGoBackN(window, window, pe.RetransmitRTO), peer: pe, flowID: flowID, segBytes: msgBytes}
+	src.rtoFn = src.onRTO
 	pe.Register(flowID, src)
 	src.pump()
 	return r, src
 }
 
-// TCPSource is the peer-side sender of a peer-to-guest TCP stream.
+// TCPSource is the peer-side sender of a peer-to-guest TCP stream. Its
+// window starts, and stays, at its full size.
 type TCPSource struct {
+	guest.GoBackN
 	peer     *Peer
 	flowID   int
 	segBytes int
-	window   int
-
-	nextSeq  int64
-	acked    int64
-	inFlight int
-
-	// rto/curRTO/rtoEvt implement go-back-N loss recovery, mirroring
-	// the guest-side TCPSender (zero rto disables it).
-	rto    sim.Time
-	curRTO sim.Time
-	rtoEvt sim.Handle
-
-	// SentSegs counts transmitted segments; Retransmits counts
-	// retransmission timeouts.
-	SentSegs    uint64
-	Retransmits uint64
+	// rtoFn is onRTO, bound once.
+	rtoFn func()
 }
 
-// pump sends while the window admits.
+// pump sends while the window admits, then times what is in flight.
 func (s *TCPSource) pump() {
-	for s.inFlight < s.window {
+	for s.CanSend() {
 		seg := s.peer.Pool.Get()
-		seg.Bytes, seg.Kind, seg.Flow, seg.Seq = s.segBytes, guest.KindTCPData, s.flowID, s.nextSeq
+		seg.Bytes, seg.Kind, seg.Flow, seg.Seq = s.segBytes, guest.KindTCPData, s.flowID, s.Next()
 		s.peer.Send(seg)
-		s.nextSeq++
-		s.inFlight++
-		s.SentSegs++
 	}
-	s.armRTO()
+	s.ArmRTO(s.peer.Eng, s.rtoFn)
 }
 
-func (s *TCPSource) armRTO() {
-	if s.rto <= 0 || s.rtoEvt.Active() || s.inFlight == 0 {
-		return
-	}
-	s.rtoEvt = s.peer.Eng.After(s.curRTO, s.onRTO)
-}
-
-// onRTO is the go-back-N retransmission timeout: rewind to the last
-// cumulative ACK and back off exponentially (capped at 8x base).
+// onRTO is the retransmission timeout: go back to the last cumulative
+// ACK and resend the window.
 func (s *TCPSource) onRTO() {
-	if s.inFlight == 0 {
-		return
+	if s.Timeout() {
+		s.peer.Retransmits++
+		s.pump()
 	}
-	s.Retransmits++
-	s.peer.Retransmits++
-	s.nextSeq = s.acked
-	s.inFlight = 0
-	s.curRTO *= 2
-	if max := 8 * s.rto; s.curRTO > max {
-		s.curRTO = max
-	}
-	s.pump()
 }
 
 // PeerReceive implements PeerFlow: guest ACKs open the window.
 func (s *TCPSource) PeerReceive(p *netsim.Packet) {
 	kind, seq := p.Kind, p.Seq
 	p.Release()
-	if kind != guest.KindTCPAck {
-		return
+	if kind == guest.KindTCPAck && s.Ack(seq) {
+		s.pump()
 	}
-	if seq <= s.acked {
-		return
-	}
-	s.inFlight -= int(seq - s.acked)
-	if s.inFlight < 0 {
-		s.inFlight = 0
-	}
-	s.acked = seq
-	// Forward progress: reset the backoff and re-time what remains.
-	if s.rto > 0 {
-		s.curRTO = s.rto
-		s.rtoEvt.Cancel()
-	}
-	s.pump()
 }
 
 // NetperfRecvUDP runs a netperf UDP_STREAM receive test: the peer
@@ -280,8 +235,6 @@ type UDPSource struct {
 	pktBytes int
 	interval sim.Time
 	nextSeq  int64
-
-	SentPkts uint64
 }
 
 func (s *UDPSource) start() {
@@ -291,7 +244,6 @@ func (s *UDPSource) start() {
 		p.Bytes, p.Kind, p.Flow, p.Seq = s.pktBytes, guest.KindUDP, s.flowID, s.nextSeq
 		s.peer.Port.Send(p)
 		s.nextSeq++
-		s.SentPkts++
 		s.peer.Eng.After(s.interval, tick)
 	}
 	s.peer.Eng.After(s.interval, tick)

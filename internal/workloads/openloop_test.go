@@ -63,7 +63,7 @@ func (e echoPeer) PeerReceive(p *netsim.Packet) {
 // addPeerStreams puts each stream on the peer, one flow each, against
 // the guest's request server.
 func addPeerStreams(r *rig, c *OpenLoopClient, cfgs []StreamConfig) {
-	StartServer(r.kern, DefaultServerConfig())
+	StartServer(r.kern, 8*sim.Microsecond)
 	for _, cfg := range cfgs {
 		cfg.Flows = []int{r.ids.Next()}
 		c.AddPeerStream(r.peer, cfg)
@@ -223,7 +223,7 @@ func TestOpenLoopGatherWaitsForEveryLeg(t *testing.T) {
 // before the previous one's panics and leaves the client unchanged.
 func TestOpenLoopStartsThroughOneLine(t *testing.T) {
 	r := newRig(t, true, 2)
-	StartServer(r.kern, DefaultServerConfig())
+	StartServer(r.kern, 8*sim.Microsecond)
 	c := NewOpenLoopClient(olRuntime(), nil)
 	cfgs := olConfigs(100, 1000, 0)
 	pending := r.eng.Pending()

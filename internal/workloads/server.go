@@ -8,36 +8,23 @@ import (
 	"es2/internal/vmm"
 )
 
-// ServerConfig parameterizes the guest request/response server that
-// stands in for Memcached, Apache, and the Httperf target.
-type ServerConfig struct {
-	// ServiceCost is the default application CPU per request.
-	ServiceCost sim.Time
-	// SegBytes is the MSS used to segment responses.
-	SegBytes int
-	// SYNCost is the extra softirq CPU to establish a connection.
-	SYNCost sim.Time
-	// Backlog bounds connections accepted by the stack but not yet
+const (
+	// segBytes is the MSS used to segment responses.
+	segBytes = 1448
+	// synCost is the extra softirq CPU to establish a connection.
+	synCost = 1500 * sim.Nanosecond
+	// backlog bounds connections accepted by the stack but not yet
 	// picked up by a worker (the listen(2) backlog). A SYN arriving
 	// with the backlog full is dropped — the client's retransmission
 	// timer turns such drops into the connection-time blow-up of
 	// Fig. 9 ("suspending event overflow").
-	Backlog int
-}
+	backlog = 48
+)
 
-// DefaultServerConfig returns sane defaults (MSS 1448, backlog 48).
-func DefaultServerConfig() ServerConfig {
-	return ServerConfig{
-		ServiceCost: 8 * sim.Microsecond,
-		SegBytes:    1448,
-		SYNCost:     1500 * sim.Nanosecond,
-		Backlog:     48,
-	}
-}
-
-// Server is a guest application serving request/response traffic with
-// one worker process per vCPU. Connections hash to workers by flow id,
-// as a multi-threaded server with per-CPU workers would behave.
+// Server is the guest request/response server that stands in for
+// Memcached, Apache and the Httperf target, with one worker process per
+// vCPU. Connections hash to workers by flow id, as a multi-threaded
+// server with per-CPU workers would behave.
 //
 // It installs itself as the kernel's default flow handler: SYNs are
 // answered from softirq context (as the TCP stack does) and requests
@@ -45,30 +32,22 @@ func DefaultServerConfig() ServerConfig {
 // header in netsim.Packet's ReqID and RespBytes; each response segment
 // carries ReqID, its index in Seq and the segment count in Segs.
 type Server struct {
-	Kern *guest.Kernel
-	Cfg  ServerConfig
+	Kern        *guest.Kernel
+	serviceCost sim.Time
 
 	workers []*worker
 	pending map[int]bool // accepted-not-yet-served connections, by flow
 
-	// Conns counts accepted connections; Served counts responses sent;
-	// SynAcks counts handshakes answered; SYNDrops counts SYNs dropped
-	// at a full backlog.
-	Conns    uint64
+	// Served counts responses sent; SYNDrops counts SYNs dropped at a
+	// full backlog.
 	Served   uint64
-	SynAcks  uint64
 	SYNDrops uint64
 }
 
-// StartServer installs the server on the guest.
-func StartServer(kern *guest.Kernel, cfg ServerConfig) *Server {
-	if cfg.SegBytes <= 0 {
-		cfg.SegBytes = 1448
-	}
-	if cfg.Backlog <= 0 {
-		cfg.Backlog = 48
-	}
-	s := &Server{Kern: kern, Cfg: cfg, pending: make(map[int]bool)}
+// StartServer installs the server on the guest, charging serviceCost
+// of application CPU per request.
+func StartServer(kern *guest.Kernel, serviceCost sim.Time) *Server {
+	s := &Server{Kern: kern, serviceCost: serviceCost, pending: make(map[int]bool)}
 	for _, v := range kern.VM.VCPUs {
 		w := &worker{srv: s, v: v}
 		w.send = w.sendResponse
@@ -82,7 +61,7 @@ func StartServer(kern *guest.Kernel, cfg ServerConfig) *Server {
 func (s *Server) RXCost(p *netsim.Packet) sim.Time {
 	switch p.Kind {
 	case guest.KindSYN:
-		return s.Kern.Costs.RXBase + s.Cfg.SYNCost + s.Kern.Costs.AckTX
+		return s.Kern.Costs.RXBase + synCost + s.Kern.Costs.AckTX
 	case guest.KindTCPAck:
 		return s.Kern.Costs.AckRX
 	default:
@@ -103,18 +82,15 @@ func (s *Server) HandleRX(p *netsim.Packet, v *vmm.VCPU) {
 		// retransmitted SYN for a still-pending connection just gets
 		// its SYN/ACK again.
 		if !s.pending[flow] {
-			if len(s.pending) >= s.Cfg.Backlog {
+			if len(s.pending) >= backlog {
 				s.SYNDrops++
 				return
 			}
 			s.pending[flow] = true
-			s.Conns++
 		}
 		ack := s.Kern.Pool.Get()
 		ack.Bytes, ack.Kind, ack.Flow, ack.Seq = 66, guest.KindSYNACK, flow, seq
-		if s.Kern.Dev.Transmit(v, ack) {
-			s.SynAcks++
-		}
+		s.Kern.Dev.Transmit(v, ack)
 	case guest.KindRequest:
 		w := s.workers[p.Flow%len(s.workers)]
 		w.enqueue(p)
@@ -155,11 +131,11 @@ func (w *worker) enqueue(p *netsim.Packet) {
 }
 
 func (w *worker) next() {
-	if w.q.Len() == 0 {
+	p, ok := w.q.TryPop()
+	if !ok {
 		w.busy = false
 		return
 	}
-	p := w.q.Pop()
 
 	// The worker accepting the request frees the connection's backlog
 	// slot (accept(2) semantics), copies the request out and releases
@@ -168,12 +144,11 @@ func (w *worker) next() {
 	w.flow, w.id, w.respBytes, w.chain = p.Flow, p.ReqID, p.RespBytes, p.Chain
 	p.Release()
 
-	segBytes := w.srv.Cfg.SegBytes
 	w.segs = (w.respBytes + segBytes - 1) / segBytes
 	w.from = 0
 	// Application service plus the stack cost of producing the
 	// response segments, charged as one process-context task.
-	cost := w.srv.Cfg.ServiceCost
+	cost := w.srv.serviceCost
 	rem := w.respBytes
 	for i := 0; i < w.segs; i++ {
 		n := segBytes
@@ -191,7 +166,6 @@ func (w *worker) next() {
 // any) rides the last segment back — the one whose arrival completes
 // the request.
 func (w *worker) sendResponse() {
-	segBytes := w.srv.Cfg.SegBytes
 	for ; w.from < w.segs; w.from++ {
 		i := w.from
 		n := w.respBytes - i*segBytes

@@ -1,6 +1,7 @@
 package workloads
 
 import (
+	"slices"
 	"testing"
 	"unsafe"
 
@@ -92,6 +93,156 @@ func TestNetperfTCPRecvEndToEnd(t *testing.T) {
 	}
 }
 
+// gbnUser is one sender built on guest.GoBackN as TestGoBackN drives
+// it: its window state, what it has put on the wire since the last
+// call, and its ACK input.
+type gbnUser struct {
+	g    *guest.GoBackN
+	sent func() []int64
+	ack  func(seq int64)
+}
+
+// guestSender is the guest's TCPSender, IW10 toward a cap of 32; the
+// test transmits for it whatever its window admits.
+func guestSender(r *rig, rto sim.Time) gbnUser {
+	r.kern.RetransmitRTO = rto
+	f := guest.NewTCPSender(r.kern, r.ids.Next(), 1024, 32)
+	return gbnUser{
+		g: &f.GoBackN,
+		sent: func() (seqs []int64) {
+			for f.CanSend() {
+				p := f.NextSegment()
+				seqs = append(seqs, p.Seq)
+				p.Release()
+			}
+			return seqs
+		},
+		ack: func(seq int64) {
+			f.HandleRX(&netsim.Packet{Kind: guest.KindTCPAck, Flow: f.FlowID, Seq: seq}, r.vm.VCPUs[0])
+		},
+	}
+}
+
+// peerSource is the peer's TCPSource with a fixed window of 16. Its
+// segments cross a link of their own to a sink, so only the test ACKs
+// them.
+func peerSource(r *rig, rto sim.Time) gbnUser {
+	var wire []int64
+	link := netsim.NewLink(r.eng, 40, 2*sim.Microsecond)
+	pe := NewPeer(r.eng, link.PortB(), 2*sim.Microsecond)
+	pe.RetransmitRTO = rto
+	link.Attach(netsim.EndpointFunc(func(p *netsim.Packet) {
+		wire = append(wire, p.Seq)
+		p.Release()
+	}), pe)
+	_, src := NetperfRecvTCP(r.kern, pe, r.ids.Next(), 1024, 16)
+	return gbnUser{
+		g: &src.GoBackN,
+		sent: func() []int64 {
+			r.eng.Run(r.eng.Now() + 50*sim.Microsecond) // the peer delay and the wire
+			seqs := wire
+			wire = nil
+			return seqs
+		},
+		ack: func(seq int64) {
+			src.PeerReceive(&netsim.Packet{Kind: guest.KindTCPAck, Flow: src.flowID, Seq: seq})
+		},
+	}
+}
+
+// TestGoBackN drives the go-back-N window through both of its users: a
+// timeout rewinds to the last cumulative ACK and restarts from the
+// initial window, the timer backs off by doubling up to 8x and resets
+// on progress, and a stale ACK changes nothing.
+func TestGoBackN(t *testing.T) {
+	const rto = sim.Millisecond
+	for _, c := range []struct {
+		name  string
+		iw    int
+		start func(*rig, sim.Time) gbnUser
+	}{
+		{"guest TCPSender", 10, guestSender},
+		{"peer TCPSource", 16, peerSource},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			r := newRig(t, true, 1)
+			u := c.start(r, rto)
+			g := u.g
+			span := func(from int64, n int) []int64 {
+				s := make([]int64, n)
+				for i := range s {
+					s[i] = from + int64(i)
+				}
+				return s
+			}
+			// timeout runs to the next retransmission timeout and
+			// returns its instant.
+			timeout := func() sim.Time {
+				t.Helper()
+				for n := g.Retransmits; g.Retransmits == n; {
+					if !r.eng.Step() {
+						t.Fatal("the engine ran dry before a timeout")
+					}
+				}
+				return r.eng.Now()
+			}
+
+			if got := u.sent(); !slices.Equal(got, span(0, c.iw)) {
+				t.Fatalf("initial window sent %v, want %v", got, span(0, c.iw))
+			}
+			u.ack(4)
+			acked := r.eng.Now()
+			u.sent()
+			if g.AckedSegs != 4 || g.InFlight() != g.Window() {
+				t.Fatalf("after ACK 4: acked %d, %d in flight of window %d", g.AckedSegs, g.InFlight(), g.Window())
+			}
+
+			// Half a timeout later, stale ACKs change nothing, the
+			// pending timer included.
+			r.eng.Run(acked + rto/2)
+			before := *g
+			u.ack(4)
+			u.ack(2)
+			if after := *g; after != before {
+				t.Fatalf("stale ACK changed the window: %+v, want %+v", after, before)
+			}
+			if at := timeout(); at != acked+rto {
+				t.Fatalf("first timeout at %v, want %v", at, acked+rto)
+			}
+
+			// Each timeout goes back to the last cumulative ACK with the
+			// initial window, and the timer doubles up to 8x.
+			last := r.eng.Now()
+			for i, gap := range []sim.Time{0, 2 * rto, 4 * rto, 8 * rto, 8 * rto} {
+				if i > 0 {
+					if at := timeout(); at-last != gap {
+						t.Fatalf("timeout %d came %v after the last, want %v", i+1, at-last, gap)
+					}
+					last = r.eng.Now()
+				}
+				if g.Window() != c.iw {
+					t.Fatalf("timeout %d: window %d, want the initial %d", i+1, g.Window(), c.iw)
+				}
+				if got := u.sent(); !slices.Equal(got, span(4, c.iw)) {
+					t.Fatalf("timeout %d resent %v, want %v", i+1, got, span(4, c.iw))
+				}
+			}
+			if g.Retransmits != 5 {
+				t.Fatalf("Retransmits = %d, want 5", g.Retransmits)
+			}
+
+			// Progress resets the backoff: the next timeout is one base
+			// RTO after the ACK.
+			u.ack(4 + int64(c.iw))
+			acked = r.eng.Now()
+			u.sent()
+			if at := timeout(); at != acked+rto {
+				t.Fatalf("timeout after progress at %v, want %v", at, acked+rto)
+			}
+		})
+	}
+}
+
 func TestNetperfUDPRecvEndToEnd(t *testing.T) {
 	r := newRig(t, true, 1)
 	recv, _ := NetperfRecvUDP(r.kern, r.peer, r.ids.Next(), 1024, 100_000)
@@ -119,7 +270,7 @@ func TestPingEndToEnd(t *testing.T) {
 
 func TestMemcachedClosedLoop(t *testing.T) {
 	r := newRig(t, true, 2)
-	srv := StartServer(r.kern, DefaultServerConfig())
+	srv := StartServer(r.kern, 8*sim.Microsecond)
 	m := StartMemaslap(r.peer, &r.ids, 4, 32)
 	r.eng.Run(300 * sim.Millisecond)
 	if m.Completed < 1000 {
@@ -139,18 +290,27 @@ func TestMemcachedClosedLoop(t *testing.T) {
 
 func TestMemaslapGetSetMix(t *testing.T) {
 	r := newRig(t, true, 1)
-	StartServer(r.kern, DefaultServerConfig())
-	m := StartMemaslap(r.peer, &r.ids, 2, 8)
+	StartServer(r.kern, 8*sim.Microsecond)
+	StartMemaslap(r.peer, &r.ids, 2, 8)
 	r.eng.Run(200 * sim.Millisecond)
-	// 9:1 get/set — the cycle counter guarantees the ratio exactly.
-	if m.count < 100 {
-		t.Fatal("too few requests to check the mix")
+	// The peer's port carries only memaslap's requests, in the order
+	// they were issued: every tenth is a 1,130-byte set, the rest are
+	// 105-byte gets.
+	port := r.peer.Port
+	n := port.PacketsSent
+	if n < 100 {
+		t.Fatalf("%d requests crossed the wire, too few to check the mix", n)
+	}
+	sets := n / 10
+	if want := (n-sets)*105 + sets*1130; port.BytesSent != want {
+		t.Fatalf("%d requests carried %d bytes, want %d (%d gets, %d sets)",
+			n, port.BytesSent, want, n-sets, sets)
 	}
 }
 
 func TestApacheBenchEndToEnd(t *testing.T) {
 	r := newRig(t, true, 2)
-	StartServer(r.kern, DefaultServerConfig())
+	StartServer(r.kern, 8*sim.Microsecond)
 	ab := StartApacheBench(r.peer, &r.ids, 8, 8192)
 	r.eng.Run(400 * sim.Millisecond)
 	if ab.Completed < 200 {
@@ -166,7 +326,7 @@ func TestApacheBenchEndToEnd(t *testing.T) {
 
 func TestHttperfOpenLoop(t *testing.T) {
 	r := newRig(t, true, 2)
-	StartServer(r.kern, DefaultServerConfig())
+	StartServer(r.kern, 8*sim.Microsecond)
 	h := StartHttperf(r.peer, &r.ids, 2000, 1024)
 	r.eng.Run(500 * sim.Millisecond)
 	if h.Initiated < 900 {
@@ -182,14 +342,11 @@ func TestHttperfOpenLoop(t *testing.T) {
 
 func TestServerBacklogOverflowTriggersRetransmits(t *testing.T) {
 	r := newRig(t, true, 1)
-	cfg := DefaultServerConfig()
-	cfg.Backlog = 2
-	cfg.ServiceCost = 3 * sim.Millisecond // slow accept drain
-	srv := StartServer(r.kern, cfg)
+	srv := StartServer(r.kern, 3*sim.Millisecond) // slow accept drain
 	h := StartHttperf(r.peer, &r.ids, 3000, 256)
 	r.eng.Run(400 * sim.Millisecond)
 	if srv.SYNDrops == 0 {
-		t.Fatal("expected SYN drops with backlog 2 under 3000 conn/s")
+		t.Fatal("expected SYN drops with a 3 ms service cost under 3000 conn/s")
 	}
 	// Retransmission recovery must still establish some connections.
 	if h.Established == 0 {

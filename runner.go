@@ -601,9 +601,7 @@ func (tb *testbed) startWorkload() (collector, error) {
 		}, nil
 
 	case Memcached:
-		cfg := workloads.DefaultServerConfig()
-		cfg.ServiceCost = sim.DurationOf(w.ServiceCost)
-		workloads.StartServer(kern, cfg)
+		workloads.StartServer(kern, sim.DurationOf(w.ServiceCost))
 		if spec.Load.Enabled() {
 			// Open-loop load replaces the closed-loop memaslap: the peer
 			// arms arrivals on the sim clock from a private RNG root, so
@@ -652,9 +650,7 @@ func (tb *testbed) startWorkload() (collector, error) {
 		}, nil
 
 	case Apache:
-		cfg := workloads.DefaultServerConfig()
-		cfg.ServiceCost = sim.DurationOf(w.ServiceCost)
-		workloads.StartServer(kern, cfg)
+		workloads.StartServer(kern, sim.DurationOf(w.ServiceCost))
 		ab := workloads.StartApacheBench(peer, &tb.ids, w.Concurrency, w.PageBytes)
 		var done0, bytes0 uint64
 		return collector{
@@ -669,9 +665,7 @@ func (tb *testbed) startWorkload() (collector, error) {
 		}, nil
 
 	case Httperf:
-		cfg := workloads.DefaultServerConfig()
-		cfg.ServiceCost = sim.DurationOf(w.ServiceCost)
-		workloads.StartServer(kern, cfg)
+		workloads.StartServer(kern, sim.DurationOf(w.ServiceCost))
 		h := workloads.StartHttperf(peer, &tb.ids, w.ConnRate, w.PageBytes)
 		var est0 uint64
 		return collector{
